@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 
 import numpy as np
@@ -89,7 +90,8 @@ def _apply_config(args, argv):
     if not args.config:
         return args
     parser = configparser.ConfigParser()
-    text = open(args.config, "r", encoding="utf-8").read()
+    with open(args.config, "r", encoding="utf-8") as fh:
+        text = fh.read()
     if not text.lstrip().startswith("["):
         text = "[run]\n" + text
     parser.read_string(text)
@@ -104,13 +106,32 @@ def _apply_config(args, argv):
     return args
 
 
+def _validate_numbers(args):
+    for key, kind in _CONFIG_KEYS.items():
+        if kind is float and not math.isfinite(getattr(args, _DEST.get(key, key))):
+            raise SystemExit2(f"--{key} must be finite")
+
+
+def _lattice_size(args) -> int:
+    if args.n < 2:
+        raise SystemExit2("--n must be >= 2")
+    return args.n
+
+
+def _load_state(path):
+    try:
+        return load_state(path)
+    except (ValueError, KeyError, TypeError) as exc:   # JSON syntax, fields, values
+        raise SystemExit2(f"bad state file {path}: {exc}")
+
+
 def _initial_state(args) -> FlaschkaState:
     if args.state:
-        state = load_state(args.state)
+        state = _load_state(args.state)
         if not isinstance(state, FlaschkaState):
             raise SystemExit2("state file must hold (a, b) variables")
         return state
-    return random_state(args.n, _boundary(args.boundary), args.seed)
+    return random_state(_lattice_size(args), _boundary(args.boundary), args.seed)
 
 
 def _chart_spec(args):
@@ -120,19 +141,20 @@ def _chart_spec(args):
 
 def _initial_canonical(args, spec) -> CanonicalState:
     if args.state:
-        state = load_state(args.state)
+        state = _load_state(args.state)
         if not isinstance(state, CanonicalState):
             raise SystemExit2("state file must hold (x, p) variables")
         return state
     boundary = _boundary(args.boundary)
     if boundary is Boundary.OPEN and not spec.supports_open:
         raise SystemExit2(f"chart {spec.name} is periodic-only")
+    n = _lattice_size(args)
     if spec.ordered_domain:
-        return random_canonical(args.n, boundary, args.seed, increasing=True,
+        return random_canonical(n, boundary, args.seed, increasing=True,
                                 gap_range=(0.8, 1.6), p_range=(0.6, 1.4))
     if spec.name in ("dual", "rel-dual", "explicit-c"):
-        return random_canonical(args.n, boundary, args.seed, x_range=(-0.6, 0.6))
-    return random_canonical(args.n, boundary, args.seed)
+        return random_canonical(n, boundary, args.seed, x_range=(-0.6, 0.6))
+    return random_canonical(n, boundary, args.seed)
 
 
 def _validate_system(args):
@@ -205,6 +227,10 @@ def _simulate_chart(args) -> int:
 
 def cmd_simulate(args) -> int:
     _validate_system(args)
+    if args.steps < 0:
+        raise SystemExit2("--steps must be >= 0")
+    if args.system in verify.FLOW_NAMES and args.h == 0.0:
+        raise SystemExit2("--h must be nonzero for a flow")
     if args.realization is not None:
         return _simulate_chart(args)
     s0 = _initial_state(args)
@@ -265,6 +291,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     records = verify.run_suite(args.filter_glob, seed=args.seed)
+    if not records:
+        raise SystemExit2(f"no check matches {args.filter_glob!r}")
     text = _json_report({"seed": args.seed, "filter": args.filter_glob,
                          "checks": records})
     if args.out:
@@ -293,6 +321,8 @@ def cmd_dump_lax(args) -> int:
 
 
 def cmd_consistency(args) -> int:
+    if args.steps < 1:
+        raise SystemExit2("--steps (the number of sampled cubes) must be >= 1")
     worst = pluri.check_3d_consistency(args.h, args.alpha, args.lam,
                                        n_samples=args.steps, seed=args.seed)
     obj = {"check": "consistency-3d", "h": args.h, "alpha": args.alpha,
@@ -316,6 +346,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _apply_config(args, argv)
+        _validate_numbers(args)
         if args.lam == 0.0 and args.boundary == "periodic":
             raise SystemExit2("lambda must be nonzero on a ring")
         return _COMMANDS[args.command](args)

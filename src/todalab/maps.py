@@ -22,11 +22,19 @@ factorization, written out as closed recurrences:
 
       1 + alpha b~_k = (1 + alpha b_{k+1}) cm_k/dm_k,  a~_k = a_{k+1} cm_k/dm_{k+1}.
 
-The recurrences run on Python floats (the same IEEE double arithmetic as
-numpy scalars, without their per-operation overhead).  Open chains start
-them from a_0 = 0 and run them forward; on rings they are cyclic and
-double-valued, and the branch with beta_k -> 1 + h b_k (etc.) as h -> 0 is
-selected by fixed-point iteration.
+Each step is one pass over the state's entries as Python floats (the same
+IEEE double arithmetic as numpy, without its per-call overhead on short
+vectors): the factor recurrence, the neighbour values, the pivot guards, the
+two-expression identity check, the update and the addition-formula checks.
+Every guard and check runs on every step.  Each value is formed by the same
+expression, in the same order, as the formulas evaluated elementwise on
+numpy vectors, so each result is bitwise that of the numpy evaluation and
+each failure raises the same error.  The public ``*_factors`` functions
+return the factors of the same pass as arrays.
+
+The recurrences start from a_0 = 0 on open chains and run forward; on rings
+they are cyclic and double-valued, and the branch with beta_k -> 1 + h b_k
+(etc.) as h -> 0 is selected by fixed-point iteration.
 
 The parameter coincidences alpha = h (plus) and alpha = -h (minus) collapse
 the recurrences; the resulting explicit rational maps are provided
@@ -34,6 +42,8 @@ separately, together with the inverse of the explicit plus map.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,12 +63,57 @@ def _check(val: np.ndarray, what: str) -> np.ndarray:
     return val
 
 
-def _open_chain(update, first: float, n: int) -> np.ndarray:
+# The step kernels below run on lists of floats.  Their reductions keep the
+# NaN semantics of the numpy reductions they replace: np.min and np.max
+# propagate a NaN entry, where Python's min and max skip it.  A product with
+# an open-end fill is formed as in the vector formulas (h * 0.0, not 0.0):
+# it is -0.0 or NaN for some parameters.
+
+def _guard(vals: list, what: str) -> None:
+    """``_check`` on a list: a NaN entry disarms the guard, as in np.min."""
+    if min(map(abs, vals)) < _PIVOT and not any(v != v for v in vals):
+        raise SingularStep(f"{what} fell below the singularity guard")
+
+
+def _amax(vals: list) -> float:
+    """``np.abs(vals).max()`` of a list: NaN if any entry is NaN."""
+    top = max(map(abs, vals))
+    total = sum(vals)       # NaN if an entry is NaN (or if both infinities occur)
+    if total != total and any(v != v for v in vals):
+        return math.nan
+    return top
+
+
+def _prev(v: list, ring: bool, fill: float = 0.0) -> list:
+    """Neighbour values v_{k-1}, the list form of ``shifted(v, -1, ...)``."""
+    return [v[-1] if ring else fill] + v[:-1]
+
+
+def _next(v: list, ring: bool, fill: float = 0.0) -> list:
+    """Neighbour values v_{k+1}, the list form of ``shifted(v, +1, ...)``."""
+    return v[1:] + [v[0] if ring else fill]
+
+
+def _on_floats(kernel, s: FlaschkaState, *params):
+    """Run a step kernel on the state's entries as Python floats.
+
+    Python raises ZeroDivisionError on x/0 where numpy returns inf or nan.
+    A guarded denominator is 0 only beside a NaN that disarms its guard, and
+    the alpha = 0 form of drtl+ divides by h; such a call reruns on numpy
+    float64 scalars, which give numpy's IEEE results.
+    """
+    try:
+        return kernel(s, np.ndarray.tolist, *params)
+    except ZeroDivisionError:
+        return kernel(s, list, *params)
+
+
+def _open_chain(update, first: float, n: int) -> list:
     """Values of an open-chain recurrence v_k = update(k, v_{k-1}) from v_0 = first."""
     vals = [first]
     for k in range(1, n):
         vals.append(update(k, vals[-1]))
-    return np.array(vals)
+    return vals
 
 
 def _cyclic_fixed_point(update, seed: np.ndarray, what: str) -> np.ndarray:
@@ -122,9 +177,9 @@ def _cyclic_fixed_point(update, seed: np.ndarray, what: str) -> np.ndarray:
 # dtl(h)
 # ---------------------------------------------------------------------------
 
-def dtl_factor_diag(s: FlaschkaState, h: float) -> np.ndarray:
-    """Diagonal beta of the lower factor in the LU splitting of I + h T."""
-    al, bl = s.a.tolist(), s.b.tolist()
+def _dtl(s: FlaschkaState, floats, h: float, factor_only: bool = False):
+    al, bl = floats(s.a), floats(s.b)
+    ring = s.boundary is Boundary.PERIODIC
     hh = h * h
 
     def update(k, prev):
@@ -132,29 +187,36 @@ def dtl_factor_diag(s: FlaschkaState, h: float) -> np.ndarray:
             raise SingularStep("beta recurrence hit a vanishing pivot")
         return 1.0 + h * bl[k] - hh * al[k - 1] / prev
 
-    if s.boundary is Boundary.OPEN:
-        return _check(_open_chain(update, 1.0 + h * bl[0], s.n), "beta")
-    return _check(_cyclic_fixed_point(update, 1.0 + h * s.b, "beta"), "beta")
+    if ring:
+        beta = floats(_cyclic_fixed_point(update, 1.0 + h * s.b, "beta"))
+    else:
+        beta = _open_chain(update, 1.0 + h * bl[0], s.n)
+    _guard(beta, "beta")
+    if factor_only:
+        return beta
+
+    ratio = [a / be for a, be in zip(al, beta)]
+    b_new = [b + h * (r - rp) for b, r, rp in zip(bl, ratio, _prev(ratio, ring))]
+    a_new = [a * bn / be for a, bn, be in zip(al, _next(beta, ring, 1.0), beta)]
+    return s.replace(a=a_new, b=b_new)
+
+
+def dtl_factor_diag(s: FlaschkaState, h: float) -> np.ndarray:
+    """Diagonal beta of the lower factor in the LU splitting of I + h T."""
+    return np.array(_on_floats(_dtl, s, h, True))
 
 
 def dtl_step(s: FlaschkaState, h: float) -> FlaschkaState:
-    beta = dtl_factor_diag(s, h)
-    ratio = s.a / beta
-    ratio_prev = shifted(ratio, -1, s.boundary)
-    beta_next = shifted(beta, +1, s.boundary, fill=1.0)
-    b_new = s.b + h * (ratio - ratio_prev)
-    a_new = s.a * beta_next / beta
-    return s.replace(a=a_new, b=b_new)
+    return _on_floats(_dtl, s, h)
 
 
 # ---------------------------------------------------------------------------
 # drtl+(alpha, h)
 # ---------------------------------------------------------------------------
 
-def drtl_plus_factors(s: FlaschkaState, alpha: float, h: float):
-    """Diagonals (d1, d2) of the two lower transition factors of drtl+."""
-    a, b = s.a, s.b
-    al, bl = a.tolist(), b.tolist()
+def _drtl_plus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: bool = False):
+    al, bl = floats(s.a), floats(s.b)
+    ring = s.boundary is Boundary.PERIODIC
     coupling = h * (alpha - h)
 
     def update(k, prev):
@@ -162,62 +224,67 @@ def drtl_plus_factors(s: FlaschkaState, alpha: float, h: float):
             raise SingularStep("d1 recurrence hit a vanishing pivot")
         return 1.0 + h * bl[k] + coupling * al[k - 1] / prev
 
-    a_prev = shifted(a, -1, s.boundary)
-    if s.boundary is Boundary.OPEN:
-        d1 = _open_chain(update, 1.0 + h * bl[0], s.n)
+    if ring:
+        seed = 1.0 + h * (s.b + alpha * shifted(s.a, -1, s.boundary))
+        d1 = floats(_cyclic_fixed_point(update, seed, "d1"))
     else:
-        d1 = _cyclic_fixed_point(update, 1.0 + h * (b + alpha * a_prev), "d1")
-    _check(d1, "d1")
-    d1_prev = shifted(d1, -1, s.boundary, fill=1.0)
-
-    denom = _check(d1_prev + h * alpha * a_prev, "d1 + h*alpha*a")
-    d2 = d1_prev * (d1 + h * alpha * a) / denom
+        d1 = _open_chain(update, 1.0 + h * bl[0], s.n)
+    _guard(d1, "d1")
+    ha = h * alpha
+    ha_a = [ha * a for a in al]
+    d1_prev = _prev(d1, ring, 1.0)
+    denom = [dp + x for dp, x in zip(d1_prev, _prev(ha_a, ring, ha * 0.0))]
+    _guard(denom, "d1 + h*alpha*a")
+    d2 = [dp * (d + x) / de for dp, d, x, de in zip(d1_prev, d1, ha_a, denom)]
 
     # cross-check against the equivalent second expression where it is regular
-    b_next = shifted(b, +1, s.boundary)
-    d1_next = shifted(d1, +1, s.boundary, fill=1.0)
-    num2 = alpha * d1_next - h * (1.0 + alpha * b_next)
-    den2 = alpha * d1 - h * (1.0 + alpha * b)
-    scale = max(1.0, float(np.abs(d2).max()))
-    ok = np.abs(den2) > 1e-8 * scale
-    if ok.any():
-        alt = d1[ok] * num2[ok] / den2[ok]
-        if np.abs(alt - d2[ok]).max() > _ID_TOL * scale:
-            raise NumericalError("the two expressions for d2 disagree")
-    return d1, d2
+    one_ab = [1.0 + alpha * b for b in bl]
+    h_one_ab = [h * x for x in one_ab]
+    h_one_ab_next = _next(h_one_ab, ring, h * (1.0 + alpha * 0.0))
+    d1_next = _next(d1, ring, 1.0)
+    den2 = [alpha * d - t for d, t in zip(d1, h_one_ab)]
+    scale = max(1.0, _amax(d2))
+    cut = 1e-8 * scale
+    gaps = [d * (alpha * dn - tn) / q - e
+            for d, dn, tn, q, e in zip(d1, d1_next, h_one_ab_next, den2, d2) if abs(q) > cut]
+    if gaps and _amax(gaps) > _ID_TOL * scale:
+        raise NumericalError("the two expressions for d2 disagree")
+    if factor_only:
+        return d1, d2
+
+    a_new = [a * en / d for a, en, d in zip(al, _next(d2, ring, 1.0), d1)]
+    if alpha == 0.0:
+        # removable singularity: eliminate d2 between the two addition formulas
+        b_new = [bn + (d - dn) / h for bn, d, dn in zip(_next(bl, ring), d1, d1_next)]
+    else:
+        b_new = [(p * e / d - 1.0) / alpha for p, e, d in zip(one_ab, d2, d1)]
+
+    scale = max(1.0, _amax(d1), _amax(bl))
+    add1 = [h * (1.0 + alpha * bt) + alpha * dn - tn - alpha * e
+            for bt, dn, tn, e in zip(b_new, d1_next, h_one_ab_next, d2)]
+    add2 = [d - ha * atp - e + x for d, atp, e, x in zip(d1, _prev(a_new, ring), d2, ha_a)]
+    if max(_amax(add1), _amax(add2)) > _ADD_TOL * scale:
+        raise NumericalError("drtl+ addition formulas violated")
+    return s.replace(a=a_new, b=b_new)
+
+
+def drtl_plus_factors(s: FlaschkaState, alpha: float, h: float):
+    """Diagonals (d1, d2) of the two lower transition factors of drtl+."""
+    d1, d2 = _on_floats(_drtl_plus, s, alpha, h, True)
+    return np.array(d1), np.array(d2)
 
 
 def drtl_plus_step(s: FlaschkaState, alpha: float, h: float) -> FlaschkaState:
-    d1, d2 = drtl_plus_factors(s, alpha, h)
-    a, b = s.a, s.b
-    d2_next = shifted(d2, +1, s.boundary, fill=1.0)
-    a_new = a * d2_next / d1
-
-    d1_next = shifted(d1, +1, s.boundary, fill=1.0)
-    b_next = shifted(b, +1, s.boundary)
-    if alpha == 0.0:
-        # removable singularity: eliminate d2 between the two addition formulas
-        b_new = b_next + (d1 - d1_next) / h
-    else:
-        b_new = ((1.0 + alpha * b) * d2 / d1 - 1.0) / alpha
-
-    a_new_prev = shifted(a_new, -1, s.boundary)
-    scale = max(1.0, float(np.abs(d1).max()), float(np.abs(b).max()))
-    add1 = h * (1.0 + alpha * b_new) + alpha * d1_next - h * (1.0 + alpha * b_next) - alpha * d2
-    add2 = d1 - h * alpha * a_new_prev - d2 + h * alpha * a
-    if max(np.abs(add1).max(), np.abs(add2).max()) > _ADD_TOL * scale:
-        raise NumericalError("drtl+ addition formulas violated")
-    return s.replace(a=a_new, b=b_new)
+    return _on_floats(_drtl_plus, s, alpha, h)
 
 
 # ---------------------------------------------------------------------------
 # drtl-(alpha, h)
 # ---------------------------------------------------------------------------
 
-def drtl_minus_factors(s: FlaschkaState, alpha: float, h: float):
-    """Superdiagonal coefficients (dm, cm) of the two upper factors of drtl-."""
-    a, b = s.a, s.b
-    al, bl = a.tolist(), b.tolist()
+def _drtl_minus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: bool = False):
+    al, bl = floats(s.a), floats(s.b)
+    ring = s.boundary is Boundary.PERIODIC
     rate = alpha + h
 
     def update(k, prev):
@@ -226,51 +293,59 @@ def drtl_minus_factors(s: FlaschkaState, alpha: float, h: float):
             raise SingularStep("dm recurrence hit a vanishing denominator")
         return al[k] / den
 
-    if s.boundary is Boundary.OPEN:
-        dm = _open_chain(update, update(0, 0.0), s.n)     # a_0 = 0 before the chain
+    if ring:
+        denom0 = _check(1.0 + alpha * s.b, "1 + alpha*b")
+        dm = floats(_cyclic_fixed_point(update, s.a / denom0, "dm"))
     else:
-        denom0 = _check(1.0 + alpha * b, "1 + alpha*b")
-        dm = _cyclic_fixed_point(update, a / denom0, "dm")
-    dm_prev = shifted(dm, -1, s.boundary)
+        dm = _open_chain(update, update(0, 0.0), s.n)     # a_0 = 0 before the chain
+    h_dm = [h * d for d in dm]
+    h_dm_prev = _prev(h_dm, ring, h * 0.0)
+    b_next = _next(bl, ring)
+    b_lag = [b - x for b, x in zip(bl, h_dm_prev)]            # b - h dm_prev
+    b_lead = [bn - x for bn, x in zip(b_next, h_dm)]          # b_next - h dm
+    lower = [1.0 + alpha * w for w in b_lead]
+    _guard(lower, "1 + alpha(b_next - h dm)")
+    cm = [d * (1.0 + alpha * u) / lo for d, u, lo in zip(dm, b_lag, lower)]
 
-    b_next = shifted(b, +1, s.boundary)
-    upper = 1.0 + alpha * (b - h * dm_prev)
-    lower = _check(1.0 + alpha * (b_next - h * dm), "1 + alpha(b_next - h dm)")
-    cm = dm * upper / lower
-
-    # second expression, checked away from its 0/0 degenerations
-    a_next = shifted(a, +1, s.boundary)
-    dm_next = shifted(dm, +1, s.boundary)
-    den2 = alpha * a_next + h * dm_next
-    scale = max(1.0, float(np.abs(dm).max()))
-    ok = np.abs(den2) > 1e-8 * scale
-    if s.boundary is Boundary.OPEN:
-        ok[-1] = False
-    if ok.any():
-        alt = dm_next[ok] * (alpha * a[ok] + h * dm[ok]) / den2[ok]
-        if np.abs(alt - cm[ok]).max() > _ID_TOL * scale:
-            raise NumericalError("the two expressions for cm disagree")
-    return dm, cm
-
-
-def drtl_minus_step(s: FlaschkaState, alpha: float, h: float) -> FlaschkaState:
-    dm, cm = drtl_minus_factors(s, alpha, h)
-    a, b = s.a, s.b
-    dm_prev = shifted(dm, -1, s.boundary)
-    b_next = shifted(b, +1, s.boundary)
+    # second expression, checked away from its 0/0 degenerations (on open
+    # chains the last site has no k+1 neighbour and is left out)
+    alpha_a = [alpha * a for a in al]
+    dm_max = _amax(dm)
+    scale = max(1.0, dm_max)
+    cut = 1e-8 * scale
+    den2 = [aan + hdn for aan, hdn in zip(_next(alpha_a, ring), _next(h_dm, ring))]
+    if not ring:
+        den2.pop()          # zip below stops before the open end
+    gaps = [dn * (aa + hd) / q - c
+            for dn, aa, hd, q, c in zip(_next(dm, ring), alpha_a, h_dm, den2, cm) if abs(q) > cut]
+    if gaps and _amax(gaps) > _ID_TOL * scale:
+        raise NumericalError("the two expressions for cm disagree")
+    if factor_only:
+        return dm, cm
 
     # exact rational form of (1 + alpha b~) = (1 + alpha b_next) * cm/dm,
     # free of the 0/0 at alpha = 0 and at open boundaries where dm_n = 0
-    denom = _check(1.0 + alpha * (b_next - h * dm), "1 + alpha(b_next - h dm)")
-    b_new = (b + h * (dm - dm_prev) + alpha * b_next * (b - h * dm_prev)) / denom
-    a_new = cm * (1.0 + (alpha + h) * (b_next - h * dm))
+    b_new = [(b + h * (d - dp) + alpha * bn * u) / lo
+             for b, d, dp, bn, u, lo in zip(bl, dm, _prev(dm, ring), b_next, b_lag, lower)]
+    a_new = [c * (1.0 + rate * w) for c, w in zip(cm, b_lead)]
 
-    scale = max(1.0, float(np.abs(b).max()), float(np.abs(dm).max()))
-    add1 = b_new + h * dm_prev - b - h * cm
-    add2 = alpha * a_new - h * dm - alpha * a + h * cm
-    if max(np.abs(add1).max(), np.abs(add2).max()) > _ADD_TOL * scale:
+    scale = max(1.0, _amax(bl), dm_max)
+    h_cm = [h * c for c in cm]
+    add1 = [bt + hdp - b - hc for bt, hdp, b, hc in zip(b_new, h_dm_prev, bl, h_cm)]
+    add2 = [alpha * at - hd - aa + hc for at, hd, aa, hc in zip(a_new, h_dm, alpha_a, h_cm)]
+    if max(_amax(add1), _amax(add2)) > _ADD_TOL * scale:
         raise NumericalError("drtl- addition formulas violated")
     return s.replace(a=a_new, b=b_new)
+
+
+def drtl_minus_factors(s: FlaschkaState, alpha: float, h: float):
+    """Superdiagonal coefficients (dm, cm) of the two upper factors of drtl-."""
+    dm, cm = _on_floats(_drtl_minus, s, alpha, h, True)
+    return np.array(dm), np.array(cm)
+
+
+def drtl_minus_step(s: FlaschkaState, alpha: float, h: float) -> FlaschkaState:
+    return _on_floats(_drtl_minus, s, alpha, h)
 
 
 # ---------------------------------------------------------------------------

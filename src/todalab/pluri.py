@@ -43,18 +43,6 @@ _COEF_GUARD = 1e-13
 # quad equations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadFace:
-    face_type: str           # "I", "II", "III"
-    h: float
-    alpha: float
-    lam: float
-    X: float
-    Y: float
-    U: float
-    V: float
-
-
 def quad_value(face_type, h, alpha, lam, X, Y, U, V) -> float:
     if face_type == "I":
         return h * (X * Y + U * V) + Y * V + h * h * X * U - (1.0 - h * lam) * X * V
@@ -65,11 +53,6 @@ def quad_value(face_type, h, alpha, lam, X, Y, U, V) -> float:
                 - (1.0 - h * lam) * Y * V + h * h * (1.0 - alpha * lam) * X * V
                 - alpha * alpha * (1.0 - h * lam) * X * U)
     raise ValueError(f"unknown face type {face_type!r}")
-
-
-def quad_eval(face: QuadFace) -> float:
-    return quad_value(face.face_type, face.h, face.alpha, face.lam,
-                      face.X, face.Y, face.U, face.V)
 
 
 def quad_solve(face_type, h, alpha, lam, **known) -> float:

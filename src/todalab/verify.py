@@ -230,8 +230,7 @@ def check_corners_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3,
 
 
 def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, lam=0.15, mu=0.23,
-                    alpha=0.3, tol_identify=1e-11, tol_invariant=1e-10,
-                    boundary=Boundary.OPEN):
+                    alpha=0.3, tol_invariant=1e-10, boundary=Boundary.OPEN):
     al = None if system == "bt-toda" else alpha
     worst = 0.0
     for i in range(n_states):
@@ -240,13 +239,12 @@ def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, lam=0.15, mu=0.2
         ch = pluri.chain_step(c, mu, al)
         cth = pluri.chain_step(ct, mu, al)
         if system == "bt-toda":
-            _, P0 = lax.monodromy_toda(c, ct.x, lam)      # raises beyond tol_identify
+            _, P0 = lax.monodromy_toda(c, ct.x, lam)
             _, P1 = lax.monodromy_toda(ch, cth.x, lam)
         else:
             _, P0 = lax.monodromy_rtl(c, ct.x, alpha, lam)
             _, P1 = lax.monodromy_rtl(ch, cth.x, alpha, lam)
         worst = max(worst, abs(P1 - P0) / max(1.0, abs(P0)))
-    del tol_identify
     return _record(f"monodromy-{system}", dict(n=n, lam=lam, mu=mu, alpha=al),
                    n_states, worst, tol_invariant)
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from todalab.cli import main
 from todalab.core import Boundary, FlaschkaState, save_state
@@ -46,6 +47,28 @@ def test_unknown_system_exits_2_without_files(tmp_path):
 
 def test_unknown_realization_exits_2(tmp_path):
     assert run(tmp_path, "simulate", "--realization", "nosuch") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--n", "1"),
+    ("invariants", "--n", "1"),
+    ("simulate", "--realization", "exp", "--boundary", "periodic", "--n", "1"),
+    ("simulate", "--system", "tl", "--h", "0"),
+    ("simulate", "--state", "malformed.json"),
+    ("simulate", "--state", "no_boundary.json"),
+    ("simulate", "--steps", "-1"),
+    ("simulate", "--h", "nan"),
+    ("dump-lax", "--lambda", "inf"),
+    ("consistency", "--steps", "0"),
+    ("verify", "--filter", "nomatch"),
+])
+def test_invalid_input_exits_2_with_error_line(tmp_path, capsys, argv):
+    (tmp_path / "malformed.json").write_text('{"n": 3, "boundary": "open", "a": [1, 2\n')
+    (tmp_path / "no_boundary.json").write_text('{"n": 2, "a": [1, 0], "b": [0, 0]}\n')
+    assert run(tmp_path, *argv, "--out", "x") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_numerical_failure_exits_3_with_step_report(tmp_path):

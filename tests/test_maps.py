@@ -3,7 +3,7 @@ import pytest
 
 from todalab import maps
 from todalab.core import Boundary, FlaschkaState, random_state, shifted, state_to_json
-from todalab.errors import SingularStep
+from todalab.errors import BranchNotFound, NumericalError, SingularStep
 from todalab.flows import TL, vector_field
 from todalab.lax import spectral_invariants
 
@@ -331,3 +331,109 @@ def test_open_step_kernels_golden_after_1000_steps(seed, name, stepper):
     for _ in range(1000):
         s = stepper(s)
     assert state_to_json(s) == _GOLDEN_1000[name]
+
+
+# the same after 1000 steps on periodic n = 8 rings: covers the ring branch
+# solve and the wrap-around neighbours of every step kernel
+_GOLDEN_RING_1000 = {
+    "dtl": '{"n": 8, "boundary": "periodic", '
+            '"a": [0.098072165151274024, 2.3519184875367425, 0.37031759723791702, '
+            '1.214068480102739, 0.56485819542090088, 0.87205321722874363, '
+            '1.2508879346358646, 1.6489759870946239], '
+            '"b": [0.12417876177003473, 0.12294386421176723, 0.40436132871462271, '
+            '-0.4665565616620449, -0.15718732757544276, 1.5421614791953198, '
+            '-0.16544342952527721, -1.2172773381881647]}',
+    "drtl+": '{"n": 8, "boundary": "periodic", '
+              '"a": [0.60060999744013732, 0.97916075739155239, 1.2735255047337113, '
+              '0.97289156005138555, 0.58909223807489219, 1.9347228712332574, '
+              '0.7279922897753629, 2.2103731920373315], '
+              '"b": [-0.32864189697631757, 0.84357851306687603, -0.55866565806767121, '
+              '-0.14099630039355104, 0.73115785106135034, -0.50744363351636645, '
+              '0.024436380193858891, -0.54213326869768097]}',
+    "drtl-": '{"n": 8, "boundary": "periodic", '
+              '"a": [0.28546211815279066, 1.2131292851361046, 0.5276843606002094, '
+              '1.1096914785581742, 0.63720316883998696, 0.93271937587443854, '
+              '1.0324323179948287, 0.24945249966593924], '
+              '"b": [-0.35191721712351587, -0.037047075367421023, 0.51490588848806651, '
+              '-0.17807142041378241, -0.22523276871878462, 1.1117530028455991, '
+              '-0.78639821733613036, -0.26743601533301908]}',
+}
+
+
+@pytest.mark.parametrize("seed,name,stepper", [
+    (0, "dtl", lambda s: maps.dtl_step(s, 0.05)),
+    (1, "drtl+", lambda s: maps.drtl_plus_step(s, 0.3, 0.05)),
+    (2, "drtl-", lambda s: maps.drtl_minus_step(s, 0.3, 0.05)),
+])
+def test_ring_step_kernels_golden_after_1000_steps(seed, name, stepper):
+    s = random_state(8, Boundary.PERIODIC, seed)
+    for _ in range(1000):
+        s = stepper(s)
+    assert state_to_json(s) == _GOLDEN_RING_1000[name]
+
+
+# ---------------------------------------------------------------------------
+# failing steps: the step index, the exception type and its message
+# ---------------------------------------------------------------------------
+
+# seeded trajectories that fail, each at a fixed step with a fixed error; the
+# last case divides by h = 0 in the alpha = 0 form of drtl+, where the IEEE
+# 0/0 = nan leaves b~ non-finite
+_FAILING = [
+    ("dtl", Boundary.PERIODIC, 3, 0.5, 0.0, 1, 0, BranchNotFound,
+     "cyclic recurrence for beta did not converge"),
+    ("drtl+", Boundary.PERIODIC, 3, 0.5, 0.0, 1, 0, BranchNotFound,
+     "cyclic recurrence for d1 did not converge"),
+    ("drtl-", Boundary.PERIODIC, 3, 0.5, 0.0, 1, 0, BranchNotFound,
+     "cyclic recurrence for dm did not converge"),
+    ("drtl+", Boundary.PERIODIC, 6, 0.5, -0.7, 3, 0, BranchNotFound,
+     "cyclic recurrence for d1 did not converge"),
+    ("drtl+", Boundary.PERIODIC, 6, 0.3, -0.7, 1, 7, NumericalError,
+     "the two expressions for d2 disagree"),
+    ("drtl+", Boundary.PERIODIC, 8, 0.5, -0.7, 4, 33, NumericalError,
+     "the two expressions for d2 disagree"),
+    ("drtl-", Boundary.OPEN, 6, 0.3, 0.7, 1, 18, NumericalError,
+     "the two expressions for cm disagree"),
+    ("drtl-", Boundary.OPEN, 4, 0.5, 0.7, 2, 4, NumericalError,
+     "the two expressions for cm disagree"),
+    ("drtl-", Boundary.PERIODIC, 6, 0.3, 0.7, 0, 12, NumericalError,
+     "the two expressions for cm disagree"),
+    ("drtl+", Boundary.OPEN, 5, 0.0, 0.0, 0, 0, ValueError, "b must be finite"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered in scalar divide:RuntimeWarning")
+@pytest.mark.parametrize("name,boundary,n,h,alpha,seed,step,error,message", _FAILING)
+def test_failing_steps_keep_index_type_and_message(name, boundary, n, h, alpha, seed,
+                                                    step, error, message):
+    stepper = {"dtl": lambda s: maps.dtl_step(s, h),
+               "drtl+": lambda s: maps.drtl_plus_step(s, alpha, h),
+               "drtl-": lambda s: maps.drtl_minus_step(s, alpha, h)}[name]
+    s = random_state(n, boundary, seed)
+    for _ in range(step):
+        s = stepper(s)
+    with pytest.raises(error) as info:
+        stepper(s)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_list_reductions_follow_numpy_nan_semantics():
+    nan = float("nan")
+    cases = [[1.0, 2.0, -3.0], [1e-14, 2.0, 1.0], [nan, 1e-14, 2.0], [1e-14, nan, 2.0],
+             [2.0, 1.0, nan], [float("inf"), -float("inf"), 1.0], [0.0, -5.0, nan]]
+    for vals in cases:
+        arr = np.array(vals)
+        ref = np.abs(arr).max()
+        got = maps._amax(vals)
+        assert (np.isnan(got) and np.isnan(ref)) or got == ref
+        try:
+            maps._check(arr, "v")
+            raised = False
+        except SingularStep:
+            raised = True
+        if raised:
+            with pytest.raises(SingularStep, match="v fell below the singularity guard"):
+                maps._guard(vals, "v")
+        else:
+            maps._guard(vals, "v")
