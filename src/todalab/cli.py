@@ -26,18 +26,11 @@ import sys
 import numpy as np
 
 from . import lax, pluri, verify
-from .flows import rk4_trajectory
+from .flows import rk4_step
 from .core import (Boundary, CanonicalState, FlaschkaState, load_state,
                    random_canonical, random_state, state_to_json)
 from .errors import NumericalError
 from .realizations import CATALOG, canonical_step, flaschka_of, realization
-
-_F = "{:.17g}"
-
-
-def _fmt(x) -> str:
-    return _F.format(float(x))
-
 
 def _boundary(text: str) -> Boundary:
     try:
@@ -182,38 +175,56 @@ def _inv_names(count_per_lam, lams):
     return names
 
 
+def _write_csv(path, header, table):
+    """Header, then one line per row of table: its index and 17-digit values."""
+    line = "%d" + ",%.17g" * table.shape[1] + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % (i, *row.tolist()) for i, row in enumerate(table))
+
+
 def _write_run_outputs(out, header, state_rows, inv, inv_names):
-    lines = [",".join(header)]
-    for i, row in enumerate(state_rows):
-        lines.append(",".join([str(i)] + [_fmt(v) for v in row]
-                              + [_fmt(v) for v in inv[i]]))
-    _write(out + ".trajectory.csv", "\n".join(lines) + "\n")
+    _write_csv(out + ".trajectory.csv", header, np.hstack([state_rows, inv]))
     drift = np.abs(inv - inv[0]) / np.maximum(1.0, np.abs(inv[0]))
-    dlines = [",".join(["step"] + [f"drift_{c}" for c in inv_names] + ["drift_max"])]
-    for i in range(len(state_rows)):
-        dlines.append(",".join([str(i)] + [_fmt(v) for v in drift[i]]
-                               + [_fmt(drift[i].max())]))
-    _write(out + ".invariants.csv", "\n".join(dlines) + "\n")
+    _write_csv(out + ".invariants.csv",
+               ["step"] + [f"drift_{c}" for c in inv_names] + ["drift_max"],
+               np.column_stack([drift, drift.max(axis=1)]))
     print(f"wrote {out}.trajectory.csv and {out}.invariants.csv "
           f"(max drift {drift.max():.3e})")
+
+
+def _trajectory(step, first, steps, invariants, out, report):
+    """States first, step(first), ... and their invariants.
+
+    A numerical failure, or a state that fails validation (a ValueError: an
+    entry overflowed or became NaN), writes <out>.error.json and one stderr
+    line and gives no invariants; numpy's floating-point warnings are off, so
+    that line is the only one.
+    """
+    traj = [first]
+    try:
+        with np.errstate(all="ignore"):
+            for _ in range(steps):
+                traj.append(step(traj[-1]))
+            return traj, invariants(traj)
+    except (NumericalError, ValueError) as exc:
+        report = dict(report, error=type(exc).__name__, message=str(exc),
+                      failed=True, failing_step=len(traj))
+        _write(out + ".error.json", _json_report(report))
+        print(f"numerical failure at step {len(traj)}: {exc}", file=sys.stderr)
+        return traj, None
 
 
 def _simulate_chart(args) -> int:
     spec = _chart_spec(args)
     c0 = _initial_canonical(args, spec)
     out = args.out or "run"
-    traj = [c0]
-    try:
-        for _ in range(args.steps):
-            traj.append(canonical_step(spec, traj[-1]))
-        alpha = spec.alpha if spec.family != "dtl" else None
-        inv = lax.trajectory_invariants([flaschka_of(spec, c) for c in traj], alpha=alpha)
-    except NumericalError as exc:
-        report = {"error": type(exc).__name__, "message": str(exc),
-                  "realization": spec.name, "failed": True,
-                  "failing_step": len(traj)}
-        _write(out + ".error.json", _json_report(report))
-        print(f"numerical failure at step {len(traj)}: {exc}", file=sys.stderr)
+    alpha = spec.alpha if spec.family != "dtl" else None
+    traj, inv = _trajectory(
+        lambda c: canonical_step(spec, c), c0, args.steps,
+        lambda cs: lax.trajectory_invariants([flaschka_of(spec, c) for c in cs], alpha=alpha),
+        out, {"realization": spec.name})
+    if inv is None:
         return 3
 
     n = c0.n
@@ -235,21 +246,19 @@ def cmd_simulate(args) -> int:
         return _simulate_chart(args)
     s0 = _initial_state(args)
     out = args.out or "run"
-    traj = [s0]
-    try:
-        if args.system in verify.FLOW_NAMES:
-            traj = rk4_trajectory(verify.flow_of(args.system, args.alpha), s0,
-                                  args.h, args.steps)
-        else:
-            for _ in range(args.steps):
-                traj.append(verify.apply_map(args.system, traj[-1], args.h, args.alpha))
-        inv = verify.trajectory_invariants_of(args.system, traj, args.alpha)
-    except NumericalError as exc:
-        report = {"error": type(exc).__name__, "message": str(exc),
-                  "system": args.system, "failed": True,
-                  "failing_step": len(traj)}
-        _write(out + ".error.json", _json_report(report))
-        print(f"numerical failure at step {len(traj)}: {exc}", file=sys.stderr)
+    if args.system in verify.FLOW_NAMES:
+        flow = verify.flow_of(args.system, args.alpha)
+
+        def step(s):
+            return rk4_step(flow, s, args.h)
+    else:
+        def step(s):
+            return verify.apply_map(args.system, s, args.h, args.alpha)
+    traj, inv = _trajectory(
+        step, s0, args.steps,
+        lambda states: verify.trajectory_invariants_of(args.system, states, args.alpha),
+        out, {"system": args.system})
+    if inv is None:
         return 3
 
     n = s0.n

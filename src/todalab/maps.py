@@ -34,7 +34,9 @@ return the factors of the same pass as arrays.
 
 The recurrences start from a_0 = 0 on open chains and run forward; on rings
 they are cyclic and double-valued, and the branch with beta_k -> 1 + h b_k
-(etc.) as h -> 0 is selected by fixed-point iteration.
+(etc.) as h -> 0 is selected by fixed-point iteration: Gauss-Seidel sweeps on
+the same floats, each tested by the residual at the closing site, the only
+site a forward sweep leaves inexact.
 
 The parameter coincidences alpha = h (plus) and alpha = -h (minus) collapse
 the recurrences; the resulting explicit rational maps are provided
@@ -116,24 +118,30 @@ def _open_chain(update, first: float, n: int) -> list:
     return vals
 
 
-def _cyclic_fixed_point(update, seed: np.ndarray, what: str) -> np.ndarray:
-    """Solve the cyclic one-step recurrence v_k = update(k, v_{k-1}).
+def _cyclic_fixed_point(update, v: list, what: str) -> list:
+    """Solve the cyclic one-step recurrence v_k = update(k, v_{k-1}) in place.
 
-    Gauss-Seidel sweeps from the given seed select the branch the seed
+    Gauss-Seidel sweeps from the seed list v select the branch the seed
     approximates; a damped scalar Newton polish on the closure condition
-    v_n = forward(v_n) runs if the sweeps stall.
+    v_n = forward(v_n) runs if the sweeps stall.  Returns v.
     """
-    n = len(seed)
-    v = np.array(seed, dtype=float)
+    n = len(v)
+
+    def sweep():
+        prev = v[-1]
+        for k in range(n):
+            prev = v[k] = update(k, prev)
 
     def sweep_residual():
-        prev = np.roll(v, 1)
-        return float(np.max(np.abs(v - np.array([update(k, prev[k]) for k in range(n)]))))
+        # After a sweep v_k = update(k, v_{k-1}) holds exactly for k >= 1, so
+        # only the closing site can differ; a non-finite later entry stands for
+        # the inf - inf or NaN - x its own difference would give.
+        gap = abs(v[0] - update(0, v[-1]))
+        return gap if all(map(math.isfinite, v[1:])) else math.nan
 
-    scale = max(1.0, float(np.max(np.abs(v))))
+    scale = max(1.0, _amax(v))
     for _ in range(_FP_SWEEPS):
-        for k in range(n):
-            v[k] = update(k, v[k - 1])
+        sweep()
         if sweep_residual() < _FP_TOL * scale:
             return v
 
@@ -166,8 +174,7 @@ def _cyclic_fixed_point(update, seed: np.ndarray, what: str) -> np.ndarray:
         if abs(g - t) < _FP_TOL * scale:
             break
     v[-1] = t
-    for k in range(n):
-        v[k] = update(k, v[k - 1])
+    sweep()
     if sweep_residual() > 1e-12 * scale:
         raise BranchNotFound(f"cyclic recurrence for {what} did not converge")
     return v
@@ -188,7 +195,7 @@ def _dtl(s: FlaschkaState, floats, h: float, factor_only: bool = False):
         return 1.0 + h * bl[k] - hh * al[k - 1] / prev
 
     if ring:
-        beta = floats(_cyclic_fixed_point(update, 1.0 + h * s.b, "beta"))
+        beta = _cyclic_fixed_point(update, floats(1.0 + h * s.b), "beta")
     else:
         beta = _open_chain(update, 1.0 + h * bl[0], s.n)
     _guard(beta, "beta")
@@ -226,7 +233,7 @@ def _drtl_plus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: bo
 
     if ring:
         seed = 1.0 + h * (s.b + alpha * shifted(s.a, -1, s.boundary))
-        d1 = floats(_cyclic_fixed_point(update, seed, "d1"))
+        d1 = _cyclic_fixed_point(update, floats(seed), "d1")
     else:
         d1 = _open_chain(update, 1.0 + h * bl[0], s.n)
     _guard(d1, "d1")
@@ -295,7 +302,7 @@ def _drtl_minus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: b
 
     if ring:
         denom0 = _check(1.0 + alpha * s.b, "1 + alpha*b")
-        dm = floats(_cyclic_fixed_point(update, s.a / denom0, "dm"))
+        dm = _cyclic_fixed_point(update, floats(s.a / denom0), "dm")
     else:
         dm = _open_chain(update, update(0, 0.0), s.n)     # a_0 = 0 before the chain
     h_dm = [h * d for d in dm]

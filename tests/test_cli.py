@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from todalab.cli import main
 from todalab.core import Boundary, FlaschkaState, save_state
+from todalab.realizations import CATALOG
 
 
 def run(tmp_path, *argv):
@@ -80,6 +82,68 @@ def test_numerical_failure_exits_3_with_step_report(tmp_path):
     report = json.loads((tmp_path / "crash.error.json").read_text())
     assert report["failed"] and report["failing_step"] == 1
     assert report["error"] == "SingularStep"
+
+
+@pytest.mark.parametrize("argv,key,message", [
+    (("--system", "dtl", "--h", "1e300"), ("system", "dtl"), "a must be finite"),
+    (("--system", "drtl+", "--alpha", "0", "--h", "0"), ("system", "drtl+"),
+     "b must be finite"),
+    # the chart's initial state has no finite (a, b) image
+    (("--realization", "exp", "--state", "far.json", "--steps", "0"),
+     ("realization", "exp"), "a must be finite"),
+], ids=["dtl-overflow", "drtl+-h0", "chart-overflow"])
+def test_non_finite_state_exits_3_with_step_report(tmp_path, capsys, argv, key, message):
+    (tmp_path / "far.json").write_text(
+        '{"n": 3, "boundary": "open", "x": [0, 800, 1600], "p": [0.1, 0.2, 0.3]}\n')
+    assert run(tmp_path, "simulate", *argv, "--out", "x") == 3
+    assert capsys.readouterr().err == f"numerical failure at step 1: {message}\n"
+    report = json.loads((tmp_path / "x.error.json").read_text())
+    assert report == {"error": "ValueError", "message": message, key[0]: key[1],
+                      "failed": True, "failing_step": 1}
+    assert not list(tmp_path.glob("x.*.csv"))
+
+
+# sha256 of the (trajectory, invariants) CSVs of seeded n = 5, 40-step runs,
+# taken from the writer that formatted one number per call
+_GOLDEN_SHA256 = [
+    ("dtl", "open", 1, 0.1,
+     "f46ecdc53ed3b2026775d4a967bed8d2cd12001244597cbe1a91132a699a1f9a",
+     "d8649a8e94013647213163b4a4c23e7198bebc25c04445c509559fd3fceed18a"),
+    ("dtl", "periodic", 2, 0.1,
+     "72d148dd6cfd09b429ca076b11c9ab7f6e928f6969b7cb66251594343d0a1956",
+     "07ccaa31a0c9febf541b5001626c5ad140f54c0376297dbc6814462a562d0a7f"),
+    ("drtl+", "open", 3, 0.1,
+     "85526dd58fc64b3a99456c40df2bb0a4280adafe412ba561ccbcad2ebb974ae1",
+     "45a9f21e0b67d3ce6fd5e494817da65a657f89eaf322c39e0d4302d32c4993bf"),
+    ("drtl+", "periodic", 4, 0.1,
+     "07f3fe200321666eabc81207489e4c12a6d3f512e5e3eacf500d7d61b67aa1be",
+     "97ae5641503cf65936510e66f5ceee698c955783a29437dc5767fb9abfbce043"),
+    ("drtl-", "open", 5, 0.1,
+     "cb455e341a78e25432f8df0fe693a5353ed8a637385ac46f8f761eb066d3b09c",
+     "0f67526526361a5bf097d6493f68e8a291dc909140860912151bf1038fc7259d"),
+    ("drtl-", "periodic", 6, 0.1,
+     "d2db67fc377ac6df2803824d0278d2c6195e27c0dc0700efb6dfb47ee3953d82",
+     "0f22d0b0703921d4f4307d39832e1c4077eb5ee221f80c537600093c0ac5d07e"),
+    ("rtl+", "periodic", 7, 0.05,
+     "a9444fdc76fc5bf7b46cada557f33591d82bd0e585ff83d06b82da53d126912f",
+     "e99dc246ac67ce2e260e624887e0ed48d68fdbe20cf4ed2d6c8cdbc64cdacce4"),
+    ("rel-exp-add", "open", 8, 0.1,
+     "3114a15a76c72fbfe571aefd8c2e93b685cfde5b1e88d8ecdc774435f59220ef",
+     "89bcfc96832f7e6a869d633480081c3ee59d0b339f2f1391a5fe934e6c8568b4"),
+]
+
+
+@pytest.mark.parametrize("system,boundary,seed,h,traj_sha,inv_sha", _GOLDEN_SHA256,
+                         ids=[f"{c[0]}-{c[1]}" for c in _GOLDEN_SHA256])
+def test_simulate_outputs_match_golden_sha256(tmp_path, system, boundary, seed, h,
+                                              traj_sha, inv_sha):
+    kind = "--realization" if system in CATALOG else "--system"
+    assert run(tmp_path, "simulate", kind, system, "--boundary", boundary, "--n", "5",
+               "--steps", "40", "--h", str(h), "--alpha", "0.3", "--seed", str(seed),
+               "--out", "g") == 0
+    for ext, want in (("trajectory", traj_sha), ("invariants", inv_sha)):
+        data = (tmp_path / f"g.{ext}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == want, ext
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -291,6 +291,69 @@ def test_periodic_branch_not_found_at_large_h():
 
 
 # ---------------------------------------------------------------------------
+# edge paths of the ring branch solve
+# ---------------------------------------------------------------------------
+
+def _contract(k, p):
+    return 0.5 * p + 1.0
+
+
+def _closing_singular(k, p):
+    if k == 0:
+        if p == 0.0:
+            raise SingularStep("closing pivot")
+        return p
+    return 0.0 if k == 2 else p
+
+
+# synthetic updates and the lists the full all-site residual returned for them
+_CYCLIC_EDGES = [
+    ("later site inf", lambda k, p: np.inf if k == 2 else _contract(k, p),
+     [np.inf, np.inf, np.inf, np.inf]),
+    ("later site nan, closing gap finite",
+     lambda k, p: np.nan if k == 2 else 2.0 if k == 3 else _contract(k, p),
+     [2.0, 2.0, np.nan, 2.0]),
+    ("closing site inf", lambda k, p: np.inf if k == 0 else _contract(k, p),
+     [np.inf, np.inf, np.inf, np.inf]),
+    ("closing site nan", lambda k, p: np.nan if k == 0 else 3.0,
+     [np.nan, 3.0, 3.0, 3.0]),
+    ("converges", lambda k, p: 1.0 + 0.1 * k + 0.25 / p,
+     [1.1689394440900465, 1.3138690770201624, 1.390277710597312, 1.4798201885093816]),
+]
+
+
+@pytest.mark.parametrize("label,update,expected", _CYCLIC_EDGES,
+                         ids=[case[0] for case in _CYCLIC_EDGES])
+def test_cyclic_fixed_point_edge_paths(label, update, expected):
+    got = maps._cyclic_fixed_point(update, [1.0, 1.0, 1.0, 1.0], "v")
+    assert [repr(float(x)) for x in got] == [repr(float(x)) for x in expected]
+
+
+@pytest.mark.parametrize("update", [
+    _closing_singular,
+    # the closing update runs before a NaN at a later site is looked at
+    lambda k, p: _closing_singular(k, p) if k != 1 else np.nan,
+], ids=["closing update raises", "closing update raises before later nan"])
+def test_cyclic_fixed_point_closing_update_raises(update):
+    with pytest.raises(SingularStep, match="^closing pivot$"):
+        maps._cyclic_fixed_point(update, [1.0, 1.0, 1.0, 1.0], "v")
+
+
+def test_ring_factors_with_an_overflowed_site():
+    # dm_4 overflows to inf and the entries after it are finite again: the
+    # residual is NaN on every sweep, so the solve ends after its Newton polish
+    # (values from the solver that formed the residual at every site)
+    s = FlaschkaState([-1.2444916740193264, 0.5, 0.0, 1e308, -1e154],
+                      [-2.0, 0.0, -1.1611172573391737, -0.5973170817558666,
+                       0.3753143098002948], Boundary.PERIODIC)
+    dm, cm = maps.drtl_minus_factors(s, 0.3, 0.5)
+    assert [repr(x) for x in dm.tolist()] == [
+        "2.07415279003221", "2.935325090176233", "-0.0", "inf", "0.0"]
+    assert [repr(x) for x in cm.tolist()] == [
+        "1.204367423883738", "9.566711837872653", "-0.0", "nan", "nan"]
+
+
+# ---------------------------------------------------------------------------
 # golden trajectories of the open-chain step kernels
 # ---------------------------------------------------------------------------
 
