@@ -132,15 +132,20 @@ def _chart_spec(args):
                        epsilon=args.epsilon, beta=args.beta)
 
 
+def _chart_boundary(spec, boundary: Boundary) -> Boundary:
+    if boundary is Boundary.OPEN and not spec.supports_open:
+        raise SystemExit2(f"chart {spec.name} is periodic-only")
+    return boundary
+
+
 def _initial_canonical(args, spec) -> CanonicalState:
     if args.state:
         state = _load_state(args.state)
         if not isinstance(state, CanonicalState):
             raise SystemExit2("state file must hold (x, p) variables")
+        _chart_boundary(spec, state.boundary)
         return state
-    boundary = _boundary(args.boundary)
-    if boundary is Boundary.OPEN and not spec.supports_open:
-        raise SystemExit2(f"chart {spec.name} is periodic-only")
+    boundary = _chart_boundary(spec, _boundary(args.boundary))
     n = _lattice_size(args)
     if spec.ordered_domain:
         return random_canonical(n, boundary, args.seed, increasing=True,
@@ -199,20 +204,30 @@ def _trajectory(step, first, steps, invariants, out, report):
     A numerical failure, or a state that fails validation (a ValueError: an
     entry overflowed or became NaN), writes <out>.error.json and one stderr
     line and gives no invariants; numpy's floating-point warnings are off, so
-    that line is the only one.
+    that line is the only one.  The report names the failing step, or
+    ``"failing_stage": "invariants"`` when every step ran and the invariants
+    of the trajectory failed.
     """
     traj = [first]
-    try:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        try:
             for _ in range(steps):
                 traj.append(step(traj[-1]))
+        except (NumericalError, ValueError) as exc:
+            _report_failure(out, report, exc, f"at step {len(traj)}", failing_step=len(traj))
+            return traj, None
+        try:
             return traj, invariants(traj)
-    except (NumericalError, ValueError) as exc:
-        report = dict(report, error=type(exc).__name__, message=str(exc),
-                      failed=True, failing_step=len(traj))
-        _write(out + ".error.json", _json_report(report))
-        print(f"numerical failure at step {len(traj)}: {exc}", file=sys.stderr)
-        return traj, None
+        except (NumericalError, ValueError) as exc:
+            _report_failure(out, report, exc, "in the trajectory invariants",
+                            failing_stage="invariants")
+            return traj, None
+
+
+def _report_failure(out, report, exc, where, **failing):
+    report = dict(report, error=type(exc).__name__, message=str(exc), failed=True, **failing)
+    _write(out + ".error.json", _json_report(report))
+    print(f"numerical failure {where}: {exc}", file=sys.stderr)
 
 
 def _simulate_chart(args) -> int:

@@ -27,6 +27,7 @@ from scipy.linalg import solve_triangular
 from .core import Boundary, CanonicalState, FlaschkaState
 from .errors import (DomainError, FactorizationOutsideDomain, NumericalError,
                      ShapeViolation, SingularMatrix)
+from .realizations import _exp_prev, _leg_at_mixed_next
 
 _PIVOT = 1e-13
 
@@ -233,15 +234,6 @@ def exact_solution(s0: FlaschkaState, h: float, nsteps: int) -> FlaschkaState:
 # monodromy of Baecklund steps in canonical variables
 # ---------------------------------------------------------------------------
 
-def _exp_prev_gaps(x: np.ndarray, boundary: Boundary) -> np.ndarray:
-    """e^{x_k - x_{k-1}}, with the open-end convention e^{x_1 - x_0} = 0."""
-    if boundary is Boundary.PERIODIC:
-        return np.exp(x - np.roll(x, 1))
-    out = np.exp(x - np.concatenate([[0.0], x[:-1]]))
-    out[0] = 0.0
-    return out
-
-
 def _monodromy(locals_: list[np.ndarray]) -> np.ndarray:
     T = np.eye(2)
     for L in locals_:
@@ -277,7 +269,7 @@ def monodromy_toda(c: CanonicalState, xt: np.ndarray, lam: float):
     parameter lam; the conserved quantity is P = prod e^{xt_k - x_k}.
     """
     x, p = c.x, c.p
-    egap = _exp_prev_gaps(x, c.boundary)
+    egap = _exp_prev(x, c.boundary)
     T = _monodromy([toda_local_matrix(p[k], egap[k], lam) for k in range(c.n)])
     P = float(np.prod(np.exp(np.asarray(xt) - x)))
     _check_trace_or_eigenvalue(T, P, c.boundary)
@@ -287,15 +279,11 @@ def monodromy_toda(c: CanonicalState, xt: np.ndarray, lam: float):
 def monodromy_rtl(c: CanonicalState, xt: np.ndarray, alpha: float, lam: float):
     """Relativistic analog; gamma_k = e^{xt_k - x_k}(1 - lam*alpha*e^{x_{k+1} - xt_k})."""
     x, p = c.x, c.p
-    egap = _exp_prev_gaps(x, c.boundary)
+    egap = _exp_prev(x, c.boundary)
     T = _monodromy([rtl_local_matrix(p[k], egap[k], alpha, lam) for k in range(c.n)])
     xt = np.asarray(xt)
-    if c.boundary is Boundary.PERIODIC:
-        x_next = np.roll(x, -1)
-        gam = np.exp(xt - x) * (1.0 - lam * alpha * np.exp(x_next - xt))
-    else:
-        gam = np.exp(xt - x)
-        gam[:-1] *= 1.0 - lam * alpha * np.exp(x[1:] - xt[:-1])
+    # e^{x_{k+1} - xt_k} is 0 at k = n on open chains, so that factor is 1
+    gam = np.exp(xt - x) * (1.0 - lam * alpha * _leg_at_mixed_next(np.exp, x, xt, c.boundary))
     P = float(np.prod(gam))
     _check_trace_or_eigenvalue(T, P, c.boundary)
     return T, P

@@ -32,9 +32,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Boundary, CanonicalState
+from .core import Boundary, CanonicalState, shifted
 from .errors import BranchMismatch, DegenerateFace, DomainError
-from .realizations import canonical_step, realization
+from .realizations import (_leg_at_mixed_next, _leg_at_mixed_prev, _leg_at_next_gaps,
+                           canonical_step, realization)
 
 _COEF_GUARD = 1e-13
 
@@ -175,24 +176,6 @@ def site_faces(k, x_prev, x, x_next, white) -> dict:
 # commuting exponential-chain steps: corner equations on a parameter square
 # ---------------------------------------------------------------------------
 
-def _exp_mixed_prev(x, xt, boundary):
-    """e^{x_k - xt_{k-1}} with the open-end zero at k = 1."""
-    if boundary is Boundary.PERIODIC:
-        return np.exp(x - np.roll(xt, 1))
-    out = np.zeros(len(x))
-    out[1:] = np.exp(x[1:] - xt[:-1])
-    return out
-
-
-def _exp_mixed_next(x, xt, boundary):
-    """e^{x_{k+1} - xt_k} with the open-end zero at k = n."""
-    if boundary is Boundary.PERIODIC:
-        return np.exp(np.roll(x, -1) - xt)
-    out = np.zeros(len(x))
-    out[:-1] = np.exp(x[1:] - xt[:-1])
-    return out
-
-
 @lru_cache(maxsize=64)
 def _chain_spec(lam: float, alpha: float | None):
     if alpha is None:
@@ -220,13 +203,13 @@ class CornerSystem1D:
         x = np.asarray(x, dtype=float)
         xt = np.asarray(xt, dtype=float)
         val = float(np.sum(np.expm1(xt - x) - (xt - x)) / lam)
-        return val - lam * float(np.sum(_exp_mixed_next(x, xt, boundary)))
+        return val - lam * float(np.sum(_leg_at_mixed_next(np.exp, x, xt, boundary)))
 
     def dlambda(self, x, xt, lam, boundary) -> float:
         x = np.asarray(x, dtype=float)
         xt = np.asarray(xt, dtype=float)
         val = -float(np.sum(np.expm1(xt - x) - (xt - x))) / lam ** 2
-        return val - float(np.sum(_exp_mixed_next(x, xt, boundary)))
+        return val - float(np.sum(_leg_at_mixed_next(np.exp, x, xt, boundary)))
 
 
 def corner_system_1d() -> CornerSystem1D:
@@ -238,10 +221,10 @@ def corner_residuals_1d(system, x, xt, xh, xth, lam, mu, boundary):
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
 
     def one_sided(base, img, par):
-        return system.psi(img - base, par) + par * _exp_mixed_prev(base, img, boundary)
+        return system.psi(img - base, par) + par * _leg_at_mixed_prev(np.exp, base, img, boundary)
 
     def upshift(base, img, par):
-        return system.psi(img - base, par) + par * _exp_mixed_next(base, img, boundary)
+        return system.psi(img - base, par) + par * _leg_at_mixed_next(np.exp, base, img, boundary)
 
     e = one_sided(x, xt, lam) - one_sided(x, xh, mu)
     ei = upshift(x, xt, lam) - one_sided(xt, xth, mu)
@@ -261,8 +244,8 @@ def superposition_1d(x, xt, xh, lam, mu, boundary):
     # coefficient of e^{xth_k} and the constant term of relation S1
     coef = np.exp(-xh) / lam - np.exp(-xt) / mu
     const = (1.0 / lam - 1.0 / mu
-             - lam * _exp_mixed_next(x, xt, boundary)
-             + mu * _exp_mixed_next(x, xh, boundary))
+             - lam * _leg_at_mixed_next(np.exp, x, xt, boundary)
+             + mu * _leg_at_mixed_next(np.exp, x, xh, boundary))
     if np.min(np.abs(coef)) < _COEF_GUARD:
         raise DegenerateFace("superposition relation degenerates")
     val = const / coef
@@ -271,21 +254,15 @@ def superposition_1d(x, xt, xh, lam, mu, boundary):
     xth = np.log(val)
 
     # second relation, shifted form: psi-differences against long legs at level k+1
-    s2 = (np.expm1(_next(xt, boundary) - _next(x, boundary)) / lam
-          - np.expm1(_next(xh, boundary) - _next(x, boundary)) / mu
-          + lam * _exp_mixed_next(xh, xth, boundary)
-          - mu * _exp_mixed_next(xt, xth, boundary))
+    s2 = (np.expm1(_up(xt, boundary) - _up(x, boundary)) / lam
+          - np.expm1(_up(xh, boundary) - _up(x, boundary)) / mu
+          + lam * _leg_at_mixed_next(np.exp, xh, xth, boundary)
+          - mu * _leg_at_mixed_next(np.exp, xt, xth, boundary))
     if boundary is Boundary.OPEN:
         s2 = s2[:-1]
     if np.max(np.abs(s2)) > 1e-8:
         raise BranchMismatch("the two superposition relations disagree")
     return xth
-
-
-def _next(v, boundary):
-    if boundary is Boundary.PERIODIC:
-        return np.roll(v, -1)
-    return np.concatenate([v[1:], [v[-1]]])   # last entry unused on open chains
 
 
 def closure_value_1d(system, x, xt, xh, xth, lam, mu, boundary) -> float:
@@ -391,18 +368,21 @@ def corner_residuals_2d(form, x, xt, xh, xth, lam, mu, boundary):
     e12 = (form.psi(xth - xh, lam) + _phi0_mixed_next(form, xh, xth, lam, boundary)
            - form.psi(xth - xt, mu) - _phi0_mixed_next(form, xt, xth, mu, boundary))
 
+    psi0_t = _leg_at_next_gaps(form.psi0, xt, boundary)
+    psi0_h = _leg_at_next_gaps(form.psi0, xh, boundary)
+    xt_up, xh_up = _up(xt, boundary), _up(xh, boundary)
     s1a = (form.psi(xth - xt, mu) + form.phi(xh - xt, lam, mu)
-           - _psi0_next(form, xt, boundary) - _phi0_mixed_next(form, x, xt, lam, boundary))
+           - psi0_t - _phi0_mixed_next(form, x, xt, lam, boundary))
     s1b = (form.psi(xth - xh, lam) + form.phi(xt - xh, mu, lam)
-           - _psi0_next(form, xh, boundary) - _phi0_mixed_next(form, x, xh, mu, boundary))
-    s2a = (_up(form.psi(xt - x, lam), boundary) + form.phi(_up(xt, boundary) - _up(xh, boundary), mu, lam)
-           - _psi0_next(form, xt, boundary) - _phi0_up_mixed(form, xt, xth, mu, boundary))
-    s2b = (_up(form.psi(xh - x, mu), boundary) + form.phi(_up(xh, boundary) - _up(xt, boundary), lam, mu)
-           - _psi0_next(form, xh, boundary) - _phi0_up_mixed(form, xh, xth, lam, boundary))
+           - psi0_h - _phi0_mixed_next(form, x, xh, mu, boundary))
+    s2a = (_up(form.psi(xt - x, lam), boundary) + form.phi(xt_up - xh_up, mu, lam)
+           - psi0_t - _phi0_mixed_next(form, xt, xth, mu, boundary))
+    s2b = (_up(form.psi(xh - x, mu), boundary) + form.phi(xh_up - xt_up, lam, mu)
+           - psi0_h - _phi0_mixed_next(form, xh, xth, lam, boundary))
 
     oct_res = (_up(np.exp(xt - x), boundary) / lam - _up(np.exp(xh - x), boundary) / mu
                - np.exp(xth - xh) / lam + np.exp(xth - xt) / mu
-               + al * np.exp(_up(xh, boundary) - xh) - al * np.exp(_up(xt, boundary) - xt))
+               + al * np.exp(xh_up - xh) - al * np.exp(xt_up - xt))
     if boundary is Boundary.OPEN:
         sl = slice(0, len(x) - 1)
         return {"E_up": e_up[sl], "E12": e12[sl], "S1a": s1a[sl], "S1b": s1b[sl],
@@ -412,48 +392,24 @@ def corner_residuals_2d(form, x, xt, xh, xth, lam, mu, boundary):
 
 
 def _up(v, boundary):
-    if boundary is Boundary.PERIODIC:
-        return np.roll(v, -1)
-    return np.concatenate([v[1:], [v[-1]]])
-
-
-def _psi0_next(form, x, boundary):
-    if boundary is Boundary.PERIODIC:
-        return form.psi0(np.roll(x, -1) - x)
-    out = np.zeros(len(x))
-    out[:-1] = form.psi0(x[1:] - x[:-1])
-    return out
+    """v_{k+1}; on open chains the last entry repeats v_n and is never used."""
+    return shifted(v, 1, boundary, fill=v[-1])
 
 
 def _phi0_mixed_prev(form, base, img, par, boundary):
-    if boundary is Boundary.PERIODIC:
-        return form.phi0(base - np.roll(img, 1), par)
-    out = np.zeros(len(base))
-    out[1:] = form.phi0(base[1:] - img[:-1], par)
-    return out
+    """phi0(base_k - img_{k-1}; par) with the open-end zero at k = 1."""
+    return _leg_at_mixed_prev(lambda v: form.phi0(v, par), base, img, boundary)
 
 
 def _phi0_mixed_next(form, base, img, par, boundary):
-    if boundary is Boundary.PERIODIC:
-        return form.phi0(np.roll(base, -1) - img, par)
-    out = np.zeros(len(base))
-    out[:-1] = form.phi0(base[1:] - img[:-1], par)
-    return out
-
-
-def _phi0_up_mixed(form, level, img, par, boundary):
-    """phi0(level_{k+1} - img_k; par)."""
-    if boundary is Boundary.PERIODIC:
-        return form.phi0(np.roll(level, -1) - img, par)
-    out = np.zeros(len(level))
-    out[:-1] = form.phi0(level[1:] - img[:-1], par)
-    return out
+    """phi0(base_{k+1} - img_k; par) with the open-end zero at k = n."""
+    return _leg_at_mixed_next(lambda v: form.phi0(v, par), base, img, boundary)
 
 
 def superposition_2d(form, x, xt, xh, lam, mu, boundary):
     """Solve relation S1a for the top corner (affine in e^{xth_k})."""
     x, xt, xh = (np.asarray(v, dtype=float) for v in (x, xt, xh))
-    rhs = (_psi0_next(form, xt, boundary)
+    rhs = (_leg_at_next_gaps(form.psi0, xt, boundary)
            + _phi0_mixed_next(form, x, xt, lam, boundary)
            - form.phi(xh - xt, lam, mu))
     arg = 1.0 + mu * rhs
@@ -492,11 +448,11 @@ def conservation_residual_2d(form, x, xt, xh, xth, lam, mu, boundary) -> float:
     al = form.alpha
 
     def R_i0(base, img):
-        egap = _exp_mixed_next(base, img, boundary)
+        egap = _leg_at_mixed_next(np.exp, base, img, boundary)
         return np.expm1(img - base) / lam + (lam - al) * egap / (1.0 - lam * al * egap)
 
     def S_i0(base, img):
-        egap = _exp_mixed_next(base, img, boundary)
+        egap = _leg_at_mixed_next(np.exp, base, img, boundary)
         arg = 1.0 - lam * al * egap
         _require(arg > 0, "leg pole in the conserved density")
         return (img - base) + np.log(arg)

@@ -28,13 +28,14 @@ chart to the step size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import spence
 
 from . import maps
-from .core import Boundary, CanonicalState, FlaschkaState
+from .core import Boundary, CanonicalState, FlaschkaState, shifted
 from .errors import DomainError, NonInvertibleLeg, SolveFailed
 from .poisson import Bracket, combo
 
@@ -51,7 +52,7 @@ def _li2(z):
 
 
 def _need(cond, msg, err=DomainError):
-    if not np.all(cond):
+    if not np.asarray(cond).all():
         raise err(msg)
 
 
@@ -108,41 +109,26 @@ class Realization:
 # gap helpers
 # ---------------------------------------------------------------------------
 
-def _exp_next(x, boundary):
-    if boundary is Boundary.PERIODIC:
-        return np.exp(np.roll(x, -1) - x)
-    out = np.zeros(len(x))
-    out[:-1] = np.exp(x[1:] - x[:-1])
-    return out
-
-
-def _exp_prev(x, boundary):
-    if boundary is Boundary.PERIODIC:
-        return np.exp(x - np.roll(x, 1))
-    out = np.zeros(len(x))
-    out[1:] = np.exp(x[1:] - x[:-1])
-    return out
-
-
 def _gaps(x, boundary):
     """(x_k - x_{k-1}, x_{k+1} - x_k) on a ring; rejects open chains."""
     if boundary is not Boundary.PERIODIC:
         raise DomainError("this chart is defined on rings only")
-    return x - np.roll(x, 1), np.roll(x, -1) - x
+    return x - shifted(x, -1, Boundary.PERIODIC), shifted(x, 1, Boundary.PERIODIC) - x
 
 
 def _leg_at_prev_gaps(fn, x, boundary):
     """fn(x_k - x_{k-1}) with the open-end zero at k = 1."""
     if boundary is Boundary.PERIODIC:
-        return fn(x - np.roll(x, 1))
+        return fn(x - shifted(x, -1, Boundary.PERIODIC))
     out = np.zeros(len(x))
     out[1:] = fn(x[1:] - x[:-1])
     return out
 
 
 def _leg_at_next_gaps(fn, x, boundary):
+    """fn(x_{k+1} - x_k) with the open-end zero at k = n."""
     if boundary is Boundary.PERIODIC:
-        return fn(np.roll(x, -1) - x)
+        return fn(shifted(x, 1, Boundary.PERIODIC) - x)
     out = np.zeros(len(x))
     out[:-1] = fn(x[1:] - x[:-1])
     return out
@@ -151,7 +137,7 @@ def _leg_at_next_gaps(fn, x, boundary):
 def _leg_at_mixed_prev(fn, x, xt, boundary):
     """fn(x_k - xt_{k-1}) with the open-end zero at k = 1."""
     if boundary is Boundary.PERIODIC:
-        return fn(x - np.roll(xt, 1))
+        return fn(x - shifted(xt, -1, Boundary.PERIODIC))
     out = np.zeros(len(x))
     out[1:] = fn(x[1:] - xt[:-1])
     return out
@@ -160,10 +146,14 @@ def _leg_at_mixed_prev(fn, x, xt, boundary):
 def _leg_at_mixed_next(fn, x, xt, boundary):
     """fn(x_{k+1} - xt_k) with the open-end zero at k = n."""
     if boundary is Boundary.PERIODIC:
-        return fn(np.roll(x, -1) - xt)
+        return fn(shifted(x, 1, Boundary.PERIODIC) - xt)
     out = np.zeros(len(x))
     out[:-1] = fn(x[1:] - xt[:-1])
     return out
+
+
+_exp_next = partial(_leg_at_next_gaps, np.exp)    # e^{x_{k+1} - x_k}, 0 at k = n
+_exp_prev = partial(_leg_at_prev_gaps, np.exp)    # e^{x_k - x_{k-1}}, 0 at k = 1
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +600,7 @@ def _chart_hyp_mult(beta):
         _need(np.abs(c.p) > 1e-300, "hyperbolic chart needs p != 0")
         a = beta ** 2 * (_coth(gp) + 1.0) * (_coth(gn) - 1.0) / np.sinh(beta * c.p) ** 2
         cp = _coth(beta * c.p)
-        cp_prev = np.roll(cp, 1)
+        cp_prev = shifted(cp, -1, Boundary.PERIODIC)
         b = (-beta * (cp + 1.0) * (_coth(gp) + 1.0)
              - beta * (cp_prev - 1.0) * (_coth(gp) - 1.0))
         return FlaschkaState(a, b, c.boundary)
@@ -622,7 +612,7 @@ def _chart_rat_mult(c):
     _need((np.abs(gp) > 1e-300) & (np.abs(gn) > 1e-300), "chart needs distinct neighbours")
     _need(np.abs(c.p) > 1e-300, "chart needs p != 0")
     a = 1.0 / (gp * gn * np.sinh(c.p) ** 2)
-    b = -(_coth(np.roll(c.p, 1)) + _coth(c.p)) / gp
+    b = -(_coth(shifted(c.p, -1, Boundary.PERIODIC)) + _coth(c.p)) / gp
     return FlaschkaState(a, b, c.boundary)
 
 
@@ -631,7 +621,7 @@ def _chart_rat_add(c):
     _need((np.abs(gp) > 1e-300) & (np.abs(gn) > 1e-300), "chart needs distinct neighbours")
     _need(np.abs(c.p) > 1e-300, "chart needs p != 0")
     a = 1.0 / (gp * gn * c.p ** 2)
-    b = -(1.0 / np.roll(c.p, 1) + 1.0 / c.p) / gp
+    b = -(1.0 / shifted(c.p, -1, Boundary.PERIODIC) + 1.0 / c.p) / gp
     return FlaschkaState(a, b, c.boundary)
 
 
@@ -653,7 +643,7 @@ def _chart_ruijsenaars(alpha):
 def _chart_rel_dual(alpha):
     def chart(c):
         gp, _ = _gaps(c.x, c.boundary)
-        b = gp - alpha * np.exp(np.roll(c.p, 1))
+        b = gp - alpha * np.exp(shifted(c.p, -1, Boundary.PERIODIC))
         return FlaschkaState(np.exp(c.p), b, c.boundary)
     return chart
 
@@ -679,13 +669,14 @@ def _chart_rel_hyp_mult(alpha, beta, a0):
         _need(np.abs(gn - beta * a0) > 1e-300, "hyperbolic chart hits a coth pole")
         y = -2.0 * beta * (_coth(beta * c.p + beta * a0) + 1.0)
         z = 2.0 * beta * (_coth(gn - beta * a0) - 1.0)
-        y_prev, z_prev = np.roll(y, 1), np.roll(z, 1)
+        y_prev = shifted(y, -1, Boundary.PERIODIC)
+        z_prev = shifted(z, -1, Boundary.PERIODIC)
         du = 1.0 - eps * alpha * y_prev * z_prev
         dv = 1.0 - eps * alpha * y * z
         _need((np.abs(du) > 1e-300) & (np.abs(dv) > 1e-300), "chart denominator vanishes")
         u = y * (1.0 + eps * z_prev) / du
         v = z * (1.0 + eps * y) / dv
-        return FlaschkaState(u * v, u + np.roll(v, 1), c.boundary)
+        return FlaschkaState(u * v, u + shifted(v, -1, Boundary.PERIODIC), c.boundary)
     return chart
 
 
@@ -693,7 +684,7 @@ def _chart_rel_rat_mult(alpha):
     def chart(c):
         gp, gn = _gaps(c.x, c.boundary)
         cp = _coth(c.p)
-        cp_prev = np.roll(cp, 1)
+        cp_prev = shifted(cp, -1, Boundary.PERIODIC)
         dp = gp + alpha * cp_prev
         dn = gn + alpha * cp
         _need((np.abs(dp) > 1e-300) & (np.abs(dn) > 1e-300), "chart denominator vanishes")
@@ -708,7 +699,7 @@ def _chart_rel_rat_add(alpha):
         gp, gn = _gaps(c.x, c.boundary)
         _need(np.abs(c.p) > 1e-300, "chart needs p != 0")
         ip = 1.0 / c.p
-        ip_prev = np.roll(ip, 1)
+        ip_prev = shifted(ip, -1, Boundary.PERIODIC)
         dp = gp + alpha * ip_prev
         dn = gn + alpha * ip
         _need((np.abs(dp) > 1e-300) & (np.abs(dn) > 1e-300), "chart denominator vanishes")
@@ -961,9 +952,11 @@ def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
 def _newton_ring(spec, x, rhs):
     legs = spec.legs
     n = len(x)
+    idx = np.arange(n)
+    prev = (idx - 1) % n
 
     def residual(xt):
-        return (legs.psi(xt - x) + legs.phi(x - np.roll(xt, 1)) - rhs)
+        return (legs.psi(xt - x) + legs.phi(x - shifted(xt, -1, Boundary.PERIODIC)) - rhs)
 
     try:
         xt = x + legs.psi_inv(rhs)
@@ -973,28 +966,29 @@ def _newton_ring(spec, x, rhs):
         r = residual(xt)
     except DomainError as exc:
         raise SolveFailed("Newton seed lies outside the leg domain") from exc
+    r_max = np.max(np.abs(r))
     scale = max(1.0, float(np.max(np.abs(rhs))))
     for _ in range(_NEWTON_ITERS):
-        if np.max(np.abs(r)) < _NEWTON_TOL * scale:
+        if r_max < _NEWTON_TOL * scale:
             return xt
         J = np.zeros((n, n))
-        idx = np.arange(n)
         J[idx, idx] = legs.dpsi(xt - x)
-        J[idx, (idx - 1) % n] -= legs.dphi(x - np.roll(xt, 1))
+        J[idx, prev] -= legs.dphi(x - shifted(xt, -1, Boundary.PERIODIC))
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
             raise SolveFailed("singular Newton system") from exc
         t = 1.0
         for _ in range(40):
+            trial = xt + t * step
             try:
-                r_new = residual(xt + t * step)
+                r_new = residual(trial)
             except DomainError:
                 t *= 0.5
                 continue
-            if np.max(np.abs(r_new)) < np.max(np.abs(r)):
-                xt = xt + t * step
-                r = r_new
+            r_new_max = np.max(np.abs(r_new))
+            if r_new_max < r_max:
+                xt, r, r_max = trial, r_new, r_new_max
                 break
             t *= 0.5
         else:

@@ -63,10 +63,14 @@ def test_unknown_realization_exits_2(tmp_path):
     ("dump-lax", "--lambda", "inf"),
     ("consistency", "--steps", "0"),
     ("verify", "--filter", "nomatch"),
+    # a periodic-only chart given an open state file, as with --boundary open
+    ("simulate", "--realization", "rat-add", "--state", "open_xp.json", "--steps", "0"),
 ])
 def test_invalid_input_exits_2_with_error_line(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"n": 3, "boundary": "open", "a": [1, 2\n')
     (tmp_path / "no_boundary.json").write_text('{"n": 2, "a": [1, 0], "b": [0, 0]}\n')
+    (tmp_path / "open_xp.json").write_text(
+        '{"n": 3, "boundary": "open", "x": [0, 1, 2], "p": [0.5, 0.6, 0.7]}\n')
     assert run(tmp_path, *argv, "--out", "x") == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -84,22 +88,29 @@ def test_numerical_failure_exits_3_with_step_report(tmp_path):
     assert report["error"] == "SingularStep"
 
 
-@pytest.mark.parametrize("argv,key,message", [
-    (("--system", "dtl", "--h", "1e300"), ("system", "dtl"), "a must be finite"),
+_AT_STEP_1 = ("at step 1", {"failing_step": 1})
+
+
+@pytest.mark.parametrize("argv,key,message,failure", [
+    (("--system", "dtl", "--h", "1e300"), ("system", "dtl"), "a must be finite", _AT_STEP_1),
     (("--system", "drtl+", "--alpha", "0", "--h", "0"), ("system", "drtl+"),
-     "b must be finite"),
-    # the chart's initial state has no finite (a, b) image
+     "b must be finite", _AT_STEP_1),
+    # every step ran (none here); the chart's initial state has no finite
+    # (a, b) image, so the trajectory invariants fail
     (("--realization", "exp", "--state", "far.json", "--steps", "0"),
-     ("realization", "exp"), "a must be finite"),
+     ("realization", "exp"), "a must be finite",
+     ("in the trajectory invariants", {"failing_stage": "invariants"})),
 ], ids=["dtl-overflow", "drtl+-h0", "chart-overflow"])
-def test_non_finite_state_exits_3_with_step_report(tmp_path, capsys, argv, key, message):
+def test_non_finite_state_exits_3_with_step_report(tmp_path, capsys, argv, key, message,
+                                                   failure):
     (tmp_path / "far.json").write_text(
         '{"n": 3, "boundary": "open", "x": [0, 800, 1600], "p": [0.1, 0.2, 0.3]}\n')
     assert run(tmp_path, "simulate", *argv, "--out", "x") == 3
-    assert capsys.readouterr().err == f"numerical failure at step 1: {message}\n"
+    where, failing = failure
+    assert capsys.readouterr().err == f"numerical failure {where}: {message}\n"
     report = json.loads((tmp_path / "x.error.json").read_text())
     assert report == {"error": "ValueError", "message": message, key[0]: key[1],
-                      "failed": True, "failing_step": 1}
+                      "failed": True, **failing}
     assert not list(tmp_path.glob("x.*.csv"))
 
 

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import todalab
 from todalab.core import (Boundary, CanonicalState, FlaschkaState, neighbor_index,
-                          random_canonical, random_state, state_from_json,
+                          random_canonical, random_state, shifted, state_from_json,
                           state_to_json)
 
 
@@ -18,6 +21,23 @@ def test_neighbor_index_bijection_on_rings():
         image = sorted(neighbor_index(k, offset, n, Boundary.PERIODIC)
                        for k in range(1, n + 1))
         assert image == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_periodic_shift_is_a_roll(n):
+    v = np.random.default_rng(n).standard_normal(n)
+    for k in range(-n, n + 1):
+        out = shifted(v, k, Boundary.PERIODIC)
+        assert out.dtype == v.dtype and np.array_equal(out, np.roll(v, -k))
+
+
+def test_package_has_one_shift_primitive():
+    """Every neighbour shift in the package goes through core.shifted."""
+    offenders = [f"{path.name}:{i}"
+                 for path in sorted(Path(todalab.__file__).parent.glob("*.py"))
+                 for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+                 if "np.roll" in line or "numpy.roll" in line]
+    assert not offenders, offenders
 
 
 def test_random_state_deterministic():

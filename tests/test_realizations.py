@@ -1,23 +1,28 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from todalab import maps
 from todalab.core import Boundary, CanonicalState, random_canonical
-from todalab.errors import DomainError, NonInvertibleLeg
+from todalab.errors import DomainError, NonInvertibleLeg, NumericalError
 from todalab.realizations import (CATALOG, canonical_step, flaschka_of,
                                   lagrangian_value, newtonian_residual,
                                   pullback_consistency, realization,
                                   symplectic_defect)
+from todalab.verify import (check_closure_2d, check_commutativity,
+                            check_conservation_2d, check_corners_2d,
+                            check_pullbacks, check_symplecticity)
 
 H, ALPHA, EPS, BETA = 0.1, 0.3, 0.2, 0.1
 
 
-def all_specs():
+def all_specs(h=H):
     out = []
     for name in CATALOG:
         fams = (None, "drtl_minus") if name in ("rel-exp-add", "rel-dual", "rel-mod") else (None,)
         for fam in fams:
-            out.append(realization(name, H, alpha=ALPHA, epsilon=EPS, beta=BETA, family=fam))
+            out.append(realization(name, h, alpha=ALPHA, epsilon=EPS, beta=BETA, family=fam))
     return out
 
 
@@ -297,3 +302,58 @@ def test_drtl_minus_pullback_gauge_identity():
     rhs = ((ALPHA + H) * np.exp(c.x[1:] - ct.x[:-1])
            - ALPHA * np.exp(c.x[1:] - c.x[:-1]))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# bitwise parity of ring steps and of the criterion records built on them
+# ---------------------------------------------------------------------------
+
+def _ring_step_digest():
+    """sha256 over 17-digit ring trajectories of every chart, errors by type
+    and message; covers the ring Newton solve, its line search and failures."""
+    digest = hashlib.sha256()
+    for spec in all_specs(H) + all_specs(0.5):
+        for seed in range(4):
+            c = chart_state(spec, n=5, seed=seed, boundary=Boundary.PERIODIC)
+            lines = [f"{spec.name} {spec.family} {spec.h!r} {seed}"]
+            try:
+                with np.errstate(all="ignore"):   # failing cases overflow on the way
+                    for _ in range(3):
+                        c = canonical_step(spec, c)
+                        lines.append(" ".join(f"{v:.17g}" for v in np.concatenate([c.x, c.p])))
+            except NumericalError as exc:   # the failure is part of the record
+                lines.append(f"{type(exc).__name__}: {exc}")
+            digest.update(("\n".join(lines) + "\n").encode())
+    return digest.hexdigest()
+
+
+# taken from the ring Newton before every shift went through core.shifted
+_RING_STEP_SHA256 = "63e1b12169f910ea4338073f638f0942ac44afd282da8aadf1fee7fbc84f1aff"
+
+
+def test_ring_steps_match_golden_digest():
+    assert _ring_step_digest() == _RING_STEP_SHA256
+
+
+_RING = dict(n=4, n_states=50, boundary=Boundary.PERIODIC, tol=1e-9)
+# (check function, kwargs at the acceptance parameters, max_residual taken
+# from the ring Newton before every shift went through core.shifted)
+_CRITERION_RECORDS = {
+    "c3-bt-toda-ring": (check_commutativity, dict(seed=0, system="bt-toda", **_RING),
+                        9.894307595459395e-13),
+    "c3-bt-rtl-ring": (check_commutativity, dict(seed=0, system="bt-rtl", **_RING),
+                       2.3842039453825237e-12),
+    "c5-closure-2d": (check_closure_2d, dict(seed=1, n_states=20), 8.777700788442644e-15),
+    "c5-conservation-2d": (check_conservation_2d, dict(seed=1, n_states=20),
+                           3.488320743372242e-13),
+    "c5-corners-2d": (check_corners_2d, dict(seed=1, n_states=10), 4.163336342344337e-12),
+    "c7-symplecticity": (check_symplecticity, dict(seed=4), 9.897051501886528e-10),
+    "c10-pullbacks": (check_pullbacks, dict(seed=7, n_states=3), 4.1300296516055823e-13),
+}
+
+
+@pytest.mark.parametrize("check,kwargs,want", _CRITERION_RECORDS.values(),
+                         ids=_CRITERION_RECORDS.keys())
+def test_criterion_records_match_golden_residual(check, kwargs, want):
+    rec = check(**kwargs)
+    assert rec["pass"] and rec["max_residual"] == want
