@@ -5,6 +5,7 @@ Submodules:
     core           state types, boundary conventions, serialization
     flows          continuous vector fields and the RK4 reference integrator
     maps           discrete maps in (a, b) variables
+    systems        the table of the three flows and five maps
     lax            Lax matrices, spectral invariants, LU machinery, monodromy
     poisson        compatible brackets and finite-difference verification
     realizations   canonical (x, p) charts and their leg functions

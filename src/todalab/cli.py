@@ -22,15 +22,16 @@ import configparser
 import json
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
 from . import lax, pluri, verify
-from .flows import rk4_step
-from .core import (Boundary, CanonicalState, FlaschkaState, load_state,
-                   random_canonical, random_state, state_to_json)
+from .core import (Boundary, CanonicalState, FlaschkaState, load_state, random_state,
+                   state_to_json)
 from .errors import NumericalError
-from .realizations import CATALOG, canonical_step, flaschka_of, realization
+from .realizations import CATALOG, canonical_step, chart_state, flaschka_of, realization
+from .systems import SYSTEMS
 
 def _boundary(text: str) -> Boundary:
     try:
@@ -127,11 +128,6 @@ def _initial_state(args) -> FlaschkaState:
     return random_state(_lattice_size(args), _boundary(args.boundary), args.seed)
 
 
-def _chart_spec(args):
-    return realization(args.realization, args.h, alpha=args.alpha,
-                       epsilon=args.epsilon, beta=args.beta)
-
-
 def _chart_boundary(spec, boundary: Boundary) -> Boundary:
     if boundary is Boundary.OPEN and not spec.supports_open:
         raise SystemExit2(f"chart {spec.name} is periodic-only")
@@ -146,17 +142,11 @@ def _initial_canonical(args, spec) -> CanonicalState:
         _chart_boundary(spec, state.boundary)
         return state
     boundary = _chart_boundary(spec, _boundary(args.boundary))
-    n = _lattice_size(args)
-    if spec.ordered_domain:
-        return random_canonical(n, boundary, args.seed, increasing=True,
-                                gap_range=(0.8, 1.6), p_range=(0.6, 1.4))
-    if spec.name in ("dual", "rel-dual", "explicit-c"):
-        return random_canonical(n, boundary, args.seed, x_range=(-0.6, 0.6))
-    return random_canonical(n, boundary, args.seed)
+    return chart_state(spec, _lattice_size(args), args.seed, boundary)
 
 
 def _validate_system(args):
-    if args.system not in verify.MAP_NAMES + verify.FLOW_NAMES:
+    if args.system not in SYSTEMS:
         raise SystemExit2(f"unknown system {args.system!r}")
     if args.realization is not None and args.realization not in CATALOG:
         raise SystemExit2(f"unknown realization {args.realization!r}")
@@ -165,6 +155,14 @@ def _validate_system(args):
 def _write(path, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _emit(args, text):
+    """Write text to --out, or to stdout without one."""
+    if args.out:
+        _write(args.out, text)
+    else:
+        sys.stdout.write(text)
 
 
 def _json_report(obj) -> str:
@@ -230,86 +228,51 @@ def _report_failure(out, report, exc, where, **failing):
     print(f"numerical failure {where}: {exc}", file=sys.stderr)
 
 
-def _simulate_chart(args) -> int:
-    spec = _chart_spec(args)
-    c0 = _initial_canonical(args, spec)
-    out = args.out or "run"
-    alpha = spec.alpha if spec.family != "dtl" else None
-    traj, inv = _trajectory(
-        lambda c: canonical_step(spec, c), c0, args.steps,
-        lambda cs: lax.trajectory_invariants([flaschka_of(spec, c) for c in cs], alpha=alpha),
-        out, {"realization": spec.name})
-    if inv is None:
-        return 3
-
-    n = c0.n
-    lams = (1.0,) if c0.boundary is Boundary.OPEN else lax.DEFAULT_LAMBDAS
-    header = (["step"] + [f"x{k + 1}" for k in range(n)]
-              + [f"p{k + 1}" for k in range(n)] + _inv_names(n, lams))
-    _write_run_outputs(out, header, [np.concatenate([c.x, c.p]) for c in traj],
-                       inv, _inv_names(n, lams))
-    return 0
+def _subject(args):
+    """What a run starts from and steps: the --realization chart if one is
+    given, else the --system.  Returns the first state, the step, the (a, b)
+    image of a state, the alpha of the conserved Lax pair and the report key."""
+    if args.realization is None:
+        row = SYSTEMS[args.system]
+        return (_initial_state(args), row.stepper(args.h, args.alpha), lambda s: s,
+                row.lax_alpha(args.h, args.alpha), {"system": args.system})
+    spec = realization(args.realization, args.h, alpha=args.alpha,
+                       epsilon=args.epsilon, beta=args.beta)
+    return (_initial_canonical(args, spec), partial(canonical_step, spec),
+            partial(flaschka_of, spec), spec.system.lax_alpha(spec.h, spec.alpha),
+            {"realization": spec.name})
 
 
 def cmd_simulate(args) -> int:
     _validate_system(args)
     if args.steps < 0:
         raise SystemExit2("--steps must be >= 0")
-    if args.system in verify.FLOW_NAMES and args.h == 0.0:
+    if SYSTEMS[args.system].flow and args.h == 0.0:
         raise SystemExit2("--h must be nonzero for a flow")
-    if args.realization is not None:
-        return _simulate_chart(args)
-    s0 = _initial_state(args)
+    first, step, to_ab, alpha, report = _subject(args)
     out = args.out or "run"
-    if args.system in verify.FLOW_NAMES:
-        flow = verify.flow_of(args.system, args.alpha)
-
-        def step(s):
-            return rk4_step(flow, s, args.h)
-    else:
-        def step(s):
-            return verify.apply_map(args.system, s, args.h, args.alpha)
     traj, inv = _trajectory(
-        step, s0, args.steps,
-        lambda states: verify.trajectory_invariants_of(args.system, states, args.alpha),
-        out, {"system": args.system})
+        step, first, args.steps,
+        lambda states: lax.trajectory_invariants([to_ab(s) for s in states], alpha=alpha),
+        out, report)
     if inv is None:
         return 3
 
-    n = s0.n
-    lams = (1.0,) if s0.boundary is Boundary.OPEN else lax.DEFAULT_LAMBDAS
-    header = (["step"] + [f"b{k + 1}" for k in range(n)]
-              + [f"a{k + 1}" for k in range(n)] + _inv_names(n, lams))
-    _write_run_outputs(out, header, [np.concatenate([s.b, s.a]) for s in traj],
-                       inv, _inv_names(n, lams))
+    n = first.n
+    lams = (1.0,) if first.boundary is Boundary.OPEN else lax.DEFAULT_LAMBDAS
+    names = ("x", "p") if isinstance(first, CanonicalState) else ("b", "a")
+    header = ["step"] + [f"{v}{k + 1}" for v in names for k in range(n)] + _inv_names(n, lams)
+    _write_run_outputs(out, header, [np.concatenate([getattr(s, v) for v in names])
+                                     for s in traj], inv, _inv_names(n, lams))
     return 0
 
 
 def cmd_invariants(args) -> int:
     _validate_system(args)
-    if args.realization is not None:
-        spec = _chart_spec(args)
-        c = _initial_canonical(args, spec)
-        s = flaschka_of(spec, c)
-        alpha = spec.alpha if spec.family != "dtl" else None
-        inv = lax.spectral_invariants(s, alpha=alpha)
-        obj = {"realization": spec.name, "state": json.loads(state_to_json(c)),
-               "invariants": [float(v) for v in inv]}
-        text = _json_report(obj)
-        if args.out:
-            _write(args.out, text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    s = _initial_state(args)
-    inv = verify.invariants_of(args.system, s, args.alpha)
-    obj = {"system": args.system, "state": json.loads(state_to_json(s)),
-           "invariants": [float(v) for v in inv]}
-    text = _json_report(obj)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    state, _, to_ab, alpha, obj = _subject(args)
+    inv = lax.spectral_invariants(to_ab(state), alpha=alpha)
+    obj.update(state=json.loads(state_to_json(state)), invariants=[float(v) for v in inv])
+    _emit(args, _json_report(obj))
     return 0
 
 
@@ -331,16 +294,11 @@ def cmd_dump_lax(args) -> int:
     _validate_system(args)
     s = _initial_state(args)
     obj = {"T": lax.build_T(s, args.lam).tolist()}
-    if args.system in ("drtl+", "drtl-", "rtl+", "rtl-"):
-        L, U = lax.build_LU_rtl(s, args.alpha, args.lam)
-        obj["L"] = L.tolist()
-        obj["U"] = U.tolist()
-        obj["T1"] = lax.rtl_t1(s, args.alpha, args.lam).tolist()
-    text = _json_report(obj)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    alpha = SYSTEMS[args.system].lax_alpha(args.h, args.alpha)
+    if alpha is not None:   # the system's Lax pair is relativistic
+        L, U = lax.build_LU_rtl(s, alpha, args.lam)
+        obj.update(L=L.tolist(), U=U.tolist(), T1=lax.rtl_t1(s, alpha, args.lam).tolist())
+    _emit(args, _json_report(obj))
     return 0
 
 

@@ -209,7 +209,7 @@ def realization_residual(spec, c, fd_step=None) -> float:
     Dphi J_can Dphi^T is compared with Pi(phi(c)), Dphi the FD Jacobian of
     the chart (x,p) -> (b,a) and J_can the canonical tensor on (x,p).
     """
-    from .realizations import flaschka_of   # cycle-free: realizations never imports poisson
+    from .realizations import flaschka_of   # local: realizations imports Bracket/combo from here
 
     n = c.n
     w0 = np.concatenate([c.x, c.p])

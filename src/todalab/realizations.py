@@ -13,8 +13,8 @@ Every chart in the catalog pairs three ingredients:
   in one of four arrangements (families): "dtl" has no psi0, "drtl_plus"
   puts the psi0 difference into the first equation, "drtl_minus" into the
   second, and "explicit" has no phi at all (the step is closed form);
-* the matching map in (a, b) variables from maps.py, used as a
-  cross-validation oracle (pullback_consistency).
+* the map in (a, b) variables it realizes, the row of systems.SYSTEMS its
+  family names, used as a cross-validation oracle (pullback_consistency).
 
 Open chains use x_0 = +inf, x_{n+1} = -inf, which zeroes every leg of an
 exponentiated gap; charts whose formulas do not degenerate that way
@@ -22,22 +22,23 @@ exponentiated gap; charts whose formulas do not degenerate that way
 
 All parameters (h, alpha, epsilon, beta) are bound when the Realization is
 constructed: for the explicit family alpha = h ties even the phase-space
-chart to the step size.
+chart to the step size.  Each explicit-* chart is built from a relativistic
+chart at alpha = h, where that chart's phi leg vanishes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import spence
 
-from . import maps
-from .core import Boundary, CanonicalState, FlaschkaState, shifted
+from .core import Boundary, CanonicalState, FlaschkaState, random_canonical, shifted
 from .errors import DomainError, NonInvertibleLeg, SolveFailed
 from .poisson import Bracket, combo
+from .systems import SYSTEMS
 
 _NEWTON_TOL = 1e-12
 _NEWTON_ITERS = 60
@@ -91,7 +92,6 @@ class Realization:
     family: str                    # "dtl" | "drtl_plus" | "drtl_minus" | "explicit"
     h: float
     alpha: float
-    params: dict
     legs: Legs
     bracket: object
     supports_open: bool
@@ -103,6 +103,11 @@ class Realization:
     # Charts that reference p_{k-1} (dual-type) realize their map through
     # the opposite slicing from the additive-exponential prototype.
     psi0_on_image: bool = False
+
+    @property
+    def system(self):
+        """The row of systems.SYSTEMS whose map this chart realizes."""
+        return SYSTEMS[_FAMILY_SYSTEM[self.family]]
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +263,26 @@ def _psi_hyperbolic(beta, shift):
     return psi, dpsi, psi_inv, Psi
 
 
+def _reparametrized(beta, t):
+    """Step or family parameter t of a multiplicative-hyperbolic chart in its
+    additive form: -log(1 - 4 beta t) / (4 beta)."""
+    return -np.log(1.0 - 4.0 * beta * t) / (4.0 * beta)
+
+
 def _legs_hyp_mult(h, beta):
     _need(1.0 - 4.0 * beta * h > 0, "reparametrized step undefined: 4*beta*h >= 1")
-    h0 = -np.log(1.0 - 4.0 * beta * h) / (4.0 * beta)
-    s = beta * h0
+    s = beta * _reparametrized(beta, h)
     psi, dpsi, psi_inv, Psi = _psi_hyperbolic(beta, s)
     return Legs(
         psi=psi, dpsi=dpsi, psi_inv=psi_inv, Psi=Psi,
         phi=psi, dphi=dpsi, Phi=Psi,
-        v_range=(s + 0.15, s + 1.0), u_range=(s + 0.15, s + 1.0)), h0
+        v_range=(s + 0.15, s + 1.0), u_range=(s + 0.15, s + 1.0))
 
 
-def _psi_rational_log(h):
+def _psi_rational_log(h, domain_msg="rational-log leg needs |v| > |h|"):
     def psi(v):
         ratio = (np.asarray(v) + h) / (np.asarray(v) - h)
-        _need(ratio > 0, "rational-log leg needs |v| > |h|")
+        _need(ratio > 0, domain_msg)
         return 0.5 * np.log(ratio)
     def dpsi(v):
         return 0.5 * (1.0 / (v + h) - 1.0 / (v - h))
@@ -311,17 +321,11 @@ def _legs_rel_exp_add_plus(h, alpha):
         w = np.exp(u)
         _need(1.0 - h * alpha * w > 0, "leg pole: 1 - h*alpha*e^u <= 0")
         return (h - alpha) * w / (1.0 - h * alpha * w)
-    def psi_inv(y):
-        _need(1.0 + h * y > 0, "step equation has no real solution", NonInvertibleLeg)
-        return np.log1p(h * y)
-    return Legs(
-        psi=lambda v: np.expm1(v) / h, dpsi=lambda v: np.exp(v) / h,
-        psi_inv=psi_inv, Psi=lambda v: (np.expm1(v) - v) / h,
-        phi=phi,
+    return replace(   # the kinetic leg of the exponential chart
+        _legs_exp(h), phi=phi,
         dphi=lambda u: (h - alpha) * np.exp(u) / (1.0 - h * alpha * np.exp(u)) ** 2,
         Phi=lambda u: -((h - alpha) / (h * alpha)) * np.log1p(-h * alpha * np.exp(u)),
-        psi0=lambda u: alpha * np.exp(u), Psi0=lambda u: alpha * np.exp(u),
-        v_range=(-0.8, 0.8), u_range=(-1.5, 1.0))
+        psi0=lambda u: alpha * np.exp(u), Psi0=lambda u: alpha * np.exp(u))
 
 
 def _legs_rel_exp_add_minus(h, alpha):
@@ -367,19 +371,19 @@ def _legs_ruijsenaars(h, alpha):
 
 
 def _legs_rel_dual_plus(h, alpha):
-    base = _legs_dual(h)
     def phi(u):
         _need((1.0 + h * u > 0) & (1.0 + alpha * u > 0), "log leg outside domain")
         return np.log1p(h * u) - np.log1p(alpha * u)
-    return Legs(
-        psi=base.psi, dpsi=base.dpsi, psi_inv=base.psi_inv, Psi=base.Psi,
-        phi=phi,
+    def psi0(u):
+        _need(1.0 + alpha * u > 0, "log leg needs 1 + alpha u > 0")
+        return np.log1p(alpha * u)
+    return replace(
+        _legs_dual(h), phi=phi,
         dphi=lambda u: h / (1.0 + h * u) - alpha / (1.0 + alpha * u),
         Phi=lambda u: ((1.0 + h * u) * np.log1p(h * u) / h
                        - (1.0 + alpha * u) * np.log1p(alpha * u) / alpha),
-        psi0=lambda u: np.log1p(alpha * u),
-        Psi0=lambda u: (1.0 + alpha * u) * np.log1p(alpha * u) / alpha - u,
-        v_range=(0.2 * h, 4.0 * h), u_range=(-1.0, 1.0))
+        psi0=psi0,
+        Psi0=lambda u: (1.0 + alpha * u) * np.log1p(alpha * u) / alpha - u)
 
 
 def _legs_rel_dual_minus(h, alpha):
@@ -409,16 +413,14 @@ def _legs_rel_dual_minus(h, alpha):
 
 
 def _legs_rel_mod_plus(h, alpha):
-    psi, dpsi, psi_inv, Psi = _psi_log_expm1(h)
-    return Legs(
-        psi=psi, dpsi=dpsi, psi_inv=psi_inv, Psi=Psi,
+    return replace(
+        _legs_mod_exp(h),
         phi=lambda u: np.log1p(h * np.exp(u)) - np.log1p(alpha * np.exp(u)),
         dphi=lambda u: (h * np.exp(u) / (1.0 + h * np.exp(u))
                         - alpha * np.exp(u) / (1.0 + alpha * np.exp(u))),
         Phi=lambda u: -_li2(-h * np.exp(u)) + _li2(-alpha * np.exp(u)),
         psi0=lambda u: np.log1p(alpha * np.exp(u)),
-        Psi0=lambda u: -_li2(-alpha * np.exp(u)),
-        v_range=(0.05, 1.0), u_range=(-1.5, 1.0))
+        Psi0=lambda u: -_li2(-alpha * np.exp(u)))
 
 
 def _legs_rel_mod_minus(h, alpha):
@@ -447,29 +449,26 @@ def _legs_rel_mod_minus(h, alpha):
 
 
 def _legs_rel_exp_gen(h, alpha, eps):
-    psi, dpsi, psi_inv, Psi = _psi_eps_family(h, eps)
     c1 = h * (eps - alpha)
     c2 = alpha * (eps - h)
     def phi(u):
         w = np.exp(u)
         _need((1.0 + c1 * w > 0) & (1.0 + c2 * w > 0), "leg pole")
         return (np.log1p(c1 * w) - np.log1p(c2 * w)) / eps
-    return Legs(
-        psi=psi, dpsi=dpsi, psi_inv=psi_inv, Psi=Psi,
-        phi=phi,
+    return replace(
+        _legs_mod_exp_eps(h, eps), phi=phi,
         dphi=lambda u: (c1 * np.exp(u) / (1.0 + c1 * np.exp(u))
                         - c2 * np.exp(u) / (1.0 + c2 * np.exp(u))) / eps,
         Phi=lambda u: (-_li2(-c1 * np.exp(u)) + _li2(-c2 * np.exp(u))) / eps,
         psi0=lambda u: np.log1p(eps * alpha * np.exp(u)) / eps,
-        Psi0=lambda u: -_li2(-eps * alpha * np.exp(u)) / eps,
-        v_range=(0.05, 0.8), u_range=(-1.0, 1.0))
+        Psi0=lambda u: -_li2(-eps * alpha * np.exp(u)) / eps)
 
 
 def _legs_rel_hyp_mult(h, alpha, beta):
     _need((1.0 - 4.0 * beta * h > 0) & (1.0 - 4.0 * beta * alpha > 0),
           "reparametrized step undefined")
-    h0 = -np.log(1.0 - 4.0 * beta * h) / (4.0 * beta)
-    a0 = -np.log(1.0 - 4.0 * beta * alpha) / (4.0 * beta)
+    h0 = _reparametrized(beta, h)
+    a0 = _reparametrized(beta, alpha)
     s_psi = beta * h0
     s_phi = beta * (h0 - a0)
     s_psi0 = beta * a0
@@ -487,82 +486,25 @@ def _legs_rel_hyp_mult(h, alpha, beta):
     lo = max(s_psi, abs(s_phi), s_psi0) + 0.15
     return Legs(psi=psi, dpsi=dpsi, psi_inv=psi_inv, Psi=Psi,
                 phi=phi, dphi=dphi, Phi=Phi, psi0=psi0, Psi0=Psi0,
-                v_range=(lo, lo + 0.8), u_range=(lo, lo + 0.8)), h0, a0
+                v_range=(lo, lo + 0.8), u_range=(lo, lo + 0.8))
 
 
 def _legs_rel_rat_mult(h, alpha):
-    psi, dpsi, psi_inv, Psi = _psi_rational_log(h)
-    def mk(shift):
-        def f(u):
-            ratio = (np.asarray(u) + shift) / (np.asarray(u) - shift)
-            _need(ratio > 0, "rational-log leg outside domain")
-            return 0.5 * np.log(ratio)
-        def df(u):
-            return 0.5 * (1.0 / (u + shift) - 1.0 / (u - shift))
-        def F(u):
-            u = np.asarray(u)
-            return 0.5 * ((u + shift) * np.log(np.abs(u + shift))
-                          - (u - shift) * np.log(np.abs(u - shift)))
-        return f, df, F
-    phi, dphi, Phi = mk(h - alpha)
-    psi0, _, Psi0 = mk(alpha)
+    msg = "rational-log leg outside domain"
+    phi, dphi, _, Phi = _psi_rational_log(h - alpha, msg)
+    psi0, _, _, Psi0 = _psi_rational_log(alpha, msg)
     lo = max(h, abs(h - alpha), alpha) + 0.15
-    return Legs(psi=psi, dpsi=dpsi, psi_inv=psi_inv, Psi=Psi,
-                phi=phi, dphi=dphi, Phi=Phi, psi0=psi0, Psi0=Psi0,
-                v_range=(h + 0.1, h + 1.0), u_range=(lo, lo + 1.0))
+    return replace(_legs_rat_mult(h), phi=phi, dphi=dphi, Phi=Phi, psi0=psi0, Psi0=Psi0,
+                   u_range=(lo, lo + 1.0))
 
 
 def _legs_rel_rat_add(h, alpha):
-    base = _legs_rat_add(h)
-    return Legs(
-        psi=base.psi, dpsi=base.dpsi, psi_inv=base.psi_inv, Psi=base.Psi,
+    return replace(
+        _legs_rat_add(h),
         phi=lambda u: (h - alpha) / u, dphi=lambda u: -(h - alpha) / np.asarray(u) ** 2,
         Phi=lambda u: (h - alpha) * np.log(np.abs(u)),
         psi0=lambda u: alpha / u, Psi0=lambda u: alpha * np.log(np.abs(u)),
-        v_range=(0.15, 1.0), u_range=(0.3, 1.3))
-
-
-def _legs_explicit(name, h, beta):
-    if name == "explicit-a":
-        b = _legs_rel_exp_add_plus(h, h)
-        psi0, Psi0 = b.psi0, b.Psi0
-        core = b
-    elif name == "explicit-b":
-        core = Legs(psi=lambda v: np.asarray(v) / h,
-                    dpsi=lambda v: np.full_like(np.asarray(v, dtype=float), 1.0 / h),
-                    psi_inv=lambda y: h * np.asarray(y),
-                    Psi=lambda v: np.asarray(v) ** 2 / (2.0 * h),
-                    v_range=(-0.8, 0.8), u_range=(-1.5, 1.0))
-        psi0 = lambda u: np.log1p(h * h * np.exp(u)) / h
-        Psi0 = lambda u: -_li2(-h * h * np.exp(u)) / h
-    elif name == "explicit-c":
-        b = _legs_dual(h)
-        psi0 = lambda u: np.log1p(h * u)
-        Psi0 = lambda u: (1.0 + h * u) * np.log1p(h * u) / h - u
-        core = b
-    elif name == "explicit-d":
-        psi, dpsi, psi_inv, Psi = _psi_log_expm1(h)
-        core = Legs(psi=psi, dpsi=dpsi, psi_inv=psi_inv, Psi=Psi,
-                    v_range=(0.05, 1.0), u_range=(-1.5, 1.0))
-        psi0 = lambda u: np.log1p(h * np.exp(u))
-        Psi0 = lambda u: -_li2(-h * np.exp(u))
-    elif name == "explicit-e":
-        hyp, _h0 = _legs_hyp_mult(h, beta)
-        core, psi0, Psi0 = hyp, hyp.phi, hyp.Phi
-    elif name == "explicit-f":
-        psi, dpsi, psi_inv, Psi = _psi_rational_log(h)
-        core = Legs(psi=psi, dpsi=dpsi, psi_inv=psi_inv, Psi=Psi,
-                    v_range=(h + 0.1, h + 1.0), u_range=(h + 0.1, h + 1.0))
-        psi0, Psi0 = psi, Psi
-    elif name == "explicit-g":
-        b = _legs_rat_add(h)
-        core = b
-        psi0 = lambda u: h / u
-        Psi0 = lambda u: h * np.log(np.abs(u))
-    else:
-        raise ValueError(name)
-    return Legs(psi=core.psi, dpsi=core.dpsi, psi_inv=core.psi_inv, Psi=core.Psi,
-                psi0=psi0, Psi0=Psi0, v_range=core.v_range, u_range=core.u_range)
+        u_range=(0.3, 1.3))
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +524,6 @@ def _chart_mod_exp(c):
     a = _exp_next(c.x, c.boundary) * np.exp(c.p)
     b = np.exp(c.p) + _exp_prev(c.x, c.boundary)
     return FlaschkaState(a, b, c.boundary)
-
-
-def _chart_mod_exp_eps(eps):
-    def chart(c):
-        a = _exp_next(c.x, c.boundary) * np.exp(eps * c.p)
-        b = np.expm1(eps * c.p) / eps + eps * _exp_prev(c.x, c.boundary)
-        return FlaschkaState(a, b, c.boundary)
-    return chart
 
 
 def _chart_hyp_mult(beta):
@@ -648,13 +582,8 @@ def _chart_rel_dual(alpha):
     return chart
 
 
-def _chart_rel_mod(c):
-    b = np.exp(c.p) + _exp_prev(c.x, c.boundary)
-    a = _exp_next(c.x, c.boundary) * np.exp(c.p)
-    return FlaschkaState(a, b, c.boundary)
-
-
 def _chart_rel_exp_gen(alpha, eps):
+    """The eps-deformed chart; at alpha = 0 it is the chart of mod-exp-eps."""
     def chart(c):
         b = np.expm1(eps * c.p) / eps + (eps - alpha) * _exp_prev(c.x, c.boundary)
         a = _exp_next(c.x, c.boundary) * np.exp(eps * c.p)
@@ -662,8 +591,9 @@ def _chart_rel_exp_gen(alpha, eps):
     return chart
 
 
-def _chart_rel_hyp_mult(alpha, beta, a0):
+def _chart_rel_hyp_mult(alpha, beta):
     eps = 1.0 / (4.0 * beta)
+    a0 = _reparametrized(beta, alpha)
     def chart(c):
         gp, gn = _gaps(c.x, c.boundary)
         _need(np.abs(gn - beta * a0) > 1e-300, "hyperbolic chart hits a coth pole")
@@ -737,15 +667,113 @@ def _ham_rel_exp_add_minus(alpha):
 # catalog
 # ---------------------------------------------------------------------------
 
-CATALOG = (
-    "exp", "dual", "mod-exp", "mod-exp-eps", "hyp-mult", "rat-mult", "rat-add",
-    "rel-exp-add", "ruijsenaars", "rel-dual", "rel-mod", "rel-exp-gen",
-    "rel-hyp-mult", "rel-rat-mult", "rel-rat-add",
-    "explicit-a", "explicit-b", "explicit-c", "explicit-d", "explicit-e",
-    "explicit-f", "explicit-g",
-)
+class _Params(NamedTuple):
+    h: float
+    alpha: float
+    epsilon: float
+    beta: float
+    minus: bool          # the drtl_minus leg set
 
-_MINUS_CAPABLE = {"rel-exp-add", "rel-dual", "rel-mod"}
+
+class _Row(NamedTuple):
+    families: tuple         # the first is the default
+    supports_open: bool
+    ordered: bool
+    build: Callable         # _Params -> (legs, to_flaschka, bracket, hamiltonian)
+    dual_type: bool = False   # see Realization.psi0_on_image
+
+
+_DTL, _PLUS, _PLUS_MINUS = ("dtl",), ("drtl_plus",), ("drtl_plus", "drtl_minus")
+
+_CHARTS = {
+    "exp": _Row(_DTL, True, False,
+            lambda q: (_legs_exp(q.h), _chart_exp, Bracket("tl1"), _ham_exp)),
+    "dual": _Row(_DTL, False, False,
+             lambda q: (_legs_dual(q.h), _chart_dual, Bracket("tl1"), None)),
+    "mod-exp": _Row(_DTL, True, False,
+                lambda q: (_legs_mod_exp(q.h), _chart_mod_exp, Bracket("tl2"), None)),
+    "mod-exp-eps": _Row(_DTL, True, False, lambda q: (
+        _legs_mod_exp_eps(q.h, q.epsilon), _chart_rel_exp_gen(0.0, q.epsilon),
+        combo((1.0, Bracket("tl1")), (q.epsilon, Bracket("tl2"))), None)),
+    "hyp-mult": _Row(_DTL, False, True, lambda q: (
+        _legs_hyp_mult(q.h, q.beta), _chart_hyp_mult(q.beta),
+        combo((-1.0, Bracket("tl3")), (-4.0 * q.beta, Bracket("tl2"))), None)),
+    "rat-mult": _Row(_DTL, False, True, lambda q: (
+        _legs_rat_mult(q.h), _chart_rat_mult, combo((-1.0, Bracket("tl3"))), None)),
+    "rat-add": _Row(_DTL, False, True, lambda q: (
+        _legs_rat_add(q.h), _chart_rat_add, combo((-1.0, Bracket("tl3"))), None)),
+    "rel-exp-add": _Row(_PLUS_MINUS, True, False, lambda q: (
+        (_legs_rel_exp_add_minus if q.minus else _legs_rel_exp_add_plus)(q.h, q.alpha),
+        _chart_rel_exp_add(q.alpha), Bracket("rtl1", q.alpha),
+        (_ham_rel_exp_add_minus if q.minus else _ham_rel_exp_add_plus)(q.alpha))),
+    "ruijsenaars": _Row(_PLUS, True, False, lambda q: (
+        _legs_ruijsenaars(q.h, q.alpha), _chart_ruijsenaars(q.alpha),
+        combo((1.0, Bracket("rtl1", q.alpha)), (q.alpha, Bracket("rtl2"))), None)),
+    "rel-dual": _Row(_PLUS_MINUS, False, False, lambda q: (
+        (_legs_rel_dual_minus if q.minus else _legs_rel_dual_plus)(q.h, q.alpha),
+        _chart_rel_dual(q.alpha), Bracket("rtl1", q.alpha), None), dual_type=True),
+    "rel-mod": _Row(_PLUS_MINUS, True, False, lambda q: (
+        (_legs_rel_mod_minus if q.minus else _legs_rel_mod_plus)(q.h, q.alpha),
+        _chart_mod_exp, Bracket("rtl2"), None)),
+    "rel-exp-gen": _Row(_PLUS, True, False, lambda q: (
+        _legs_rel_exp_gen(q.h, q.alpha, q.epsilon), _chart_rel_exp_gen(q.alpha, q.epsilon),
+        combo((1.0, Bracket("rtl1", q.alpha)), (q.epsilon, Bracket("rtl2"))), None)),
+    "rel-hyp-mult": _Row(_PLUS, False, True, lambda q: (
+        _legs_rel_hyp_mult(q.h, q.alpha, q.beta), _chart_rel_hyp_mult(q.alpha, q.beta),
+        combo((-1.0, Bracket("rtl3", q.alpha)), (-4.0 * q.beta, Bracket("rtl2"))), None)),
+    "rel-rat-mult": _Row(_PLUS, False, True, lambda q: (
+        _legs_rel_rat_mult(q.h, q.alpha), _chart_rel_rat_mult(q.alpha),
+        combo((-1.0, Bracket("rtl3", q.alpha))), None)),
+    "rel-rat-add": _Row(_PLUS, False, True, lambda q: (
+        _legs_rel_rat_add(q.h, q.alpha), _chart_rel_rat_add(q.alpha),
+        combo((-1.0, Bracket("rtl3", q.alpha))), None)),
+}
+
+
+def _explicit(counterpart, own=lambda q: {}):
+    """Row of an explicit chart: the drtl_plus chart `counterpart` at alpha = h,
+    whose phi leg vanishes there, so it is dropped; `own(params)` gives the
+    leg fields the explicit chart keeps of its own (a different kinetic leg,
+    sampling window or domain message), computed first."""
+    row = _CHARTS[counterpart]
+
+    def build(q):
+        kept = own(q)
+        legs, chart, bracket, _ = row.build(q._replace(alpha=q.h, minus=False))
+        return replace(legs, phi=None, dphi=None, Phi=None, **kept), chart, bracket, None
+    return row._replace(families=("explicit",), build=build)
+
+
+def _linear_kinetic(q):
+    # explicit-b's psi(v) = v/h; ruijsenaars' at alpha = h is log(e^v)/h, not bitwise v/h
+    h = q.h
+    return dict(psi=lambda v: np.asarray(v) / h,
+                dpsi=lambda v: np.full_like(np.asarray(v, dtype=float), 1.0 / h),
+                psi_inv=lambda y: h * np.asarray(y),
+                Psi=lambda v: np.asarray(v) ** 2 / (2.0 * h), v_range=(-0.8, 0.8))
+
+
+def _hyp_mult_windows(q):
+    legs = _legs_hyp_mult(q.h, q.beta)
+    return dict(v_range=legs.v_range, u_range=legs.u_range)
+
+
+_CHARTS.update({
+    "explicit-a": _explicit("rel-exp-add"),
+    "explicit-b": _explicit("ruijsenaars", _linear_kinetic),
+    "explicit-c": _explicit("rel-dual"),
+    "explicit-d": _explicit("rel-mod"),
+    "explicit-e": _explicit("rel-hyp-mult", _hyp_mult_windows),
+    "explicit-f": _explicit("rel-rat-mult", lambda q: dict(
+        psi0=_psi_rational_log(q.h)[0], u_range=(q.h + 0.1, q.h + 1.0))),
+    "explicit-g": _explicit("rel-rat-add", lambda q: dict(u_range=(0.15, 1.0))),
+})
+
+CATALOG = tuple(_CHARTS)
+
+# the map each family realizes, a row of systems.SYSTEMS
+_FAMILY_SYSTEM = {"dtl": "dtl", "drtl_plus": "drtl+", "drtl_minus": "drtl-",
+                  "explicit": "drtl+explicit"}
 
 
 def realization(name: str, h: float, *, alpha: float = 0.3, epsilon: float = 0.2,
@@ -756,143 +784,43 @@ def realization(name: str, h: float, *, alpha: float = 0.3, epsilon: float = 0.2
     "drtl_plus" for the relativistic ones and "explicit" for explicit-*;
     rel-exp-add, rel-dual and rel-mod also accept family="drtl_minus".
     """
-    if name not in CATALOG:
+    if name not in _CHARTS:
         raise ValueError(f"unknown realization {name!r}")
-    params = {}
-    ham = None
-    ordered = False
+    row = _CHARTS[name]
+    family = family or row.families[0]
+    if family not in row.families:
+        raise ValueError(f"{name} supports the families {'/'.join(row.families)}")
+    minus = family == "drtl_minus"
+    legs, chart, bracket, ham = row.build(_Params(h, alpha, epsilon, beta, minus))
+    lax_alpha = SYSTEMS[_FAMILY_SYSTEM[family]].lax_alpha(h, alpha)
+    return Realization(name, family, h, 0.0 if lax_alpha is None else lax_alpha, legs,
+                       bracket, row.supports_open, chart, ham, row.ordered,
+                       psi0_on_image=minus != row.dual_type)
 
-    if name.startswith("explicit-"):
-        family = family or "explicit"
-        if family != "explicit":
-            raise ValueError(f"{name} only supports the explicit family")
-        al = h
-        legs = _legs_explicit(name, h, beta)
-        chart = {
-            "explicit-a": _chart_rel_exp_add(h),
-            "explicit-b": _chart_ruijsenaars(h),
-            "explicit-c": _chart_rel_dual(h),
-            "explicit-d": _chart_rel_mod,
-            "explicit-e": None,
-            "explicit-f": _chart_rel_rat_mult(h),
-            "explicit-g": _chart_rel_rat_add(h),
-        }[name]
-        if name == "explicit-e":
-            _, h0, a0_ = _legs_rel_hyp_mult(h, h, beta)
-            chart = _chart_rel_hyp_mult(h, beta, a0_)
-            params["beta"] = beta
-        supports_open = name in ("explicit-a", "explicit-b", "explicit-d")
-        ordered = name in ("explicit-e", "explicit-f", "explicit-g")
-        bracket = {
-            "explicit-a": Bracket("rtl1", h),
-            "explicit-b": combo((1.0, Bracket("rtl1", h)), (h, Bracket("rtl2"))),
-            "explicit-c": Bracket("rtl1", h),
-            "explicit-d": Bracket("rtl2"),
-            "explicit-e": combo((-1.0, Bracket("rtl3", h)), (-4.0 * beta, Bracket("rtl2"))),
-            "explicit-f": combo((-1.0, Bracket("rtl3", h))),
-            "explicit-g": combo((-1.0, Bracket("rtl3", h))),
-        }[name]
-        return Realization(name, "explicit", h, al, params, legs, bracket,
-                           supports_open, chart, None, ordered,
-                           psi0_on_image=(name == "explicit-c"))
 
-    if name in ("exp", "dual", "mod-exp", "mod-exp-eps", "hyp-mult", "rat-mult", "rat-add"):
-        family = family or "dtl"
-        if family != "dtl":
-            raise ValueError(f"{name} only supports the dtl family")
-        if name == "exp":
-            legs, chart, bracket = _legs_exp(h), _chart_exp, Bracket("tl1")
-            ham = _ham_exp
-            supports_open = True
-        elif name == "dual":
-            legs, chart, bracket = _legs_dual(h), _chart_dual, Bracket("tl1")
-            supports_open = False
-        elif name == "mod-exp":
-            legs, chart, bracket = _legs_mod_exp(h), _chart_mod_exp, Bracket("tl2")
-            supports_open = True
-        elif name == "mod-exp-eps":
-            legs = _legs_mod_exp_eps(h, epsilon)
-            chart = _chart_mod_exp_eps(epsilon)
-            bracket = combo((1.0, Bracket("tl1")), (epsilon, Bracket("tl2")))
-            params["epsilon"] = epsilon
-            supports_open = True
-        elif name == "hyp-mult":
-            legs, h0 = _legs_hyp_mult(h, beta)
-            chart = _chart_hyp_mult(beta)
-            bracket = combo((-1.0, Bracket("tl3")), (-4.0 * beta, Bracket("tl2")))
-            params.update(beta=beta, h0=h0)
-            supports_open = False
-            ordered = True
-        elif name == "rat-mult":
-            legs, chart = _legs_rat_mult(h), _chart_rat_mult
-            bracket = combo((-1.0, Bracket("tl3")))
-            supports_open = False
-            ordered = True
-        else:  # rat-add
-            legs, chart = _legs_rat_add(h), _chart_rat_add
-            bracket = combo((-1.0, Bracket("tl3")))
-            supports_open = False
-            ordered = True
-        return Realization(name, "dtl", h, 0.0, params, legs, bracket,
-                           supports_open, chart, ham, ordered)
+def chart_specs(h: float, *, alpha: float = 0.3, epsilon: float = 0.2,
+                beta: float = 0.1) -> list:
+    """The 25 chart specs: each catalog chart in its default family, the three
+    charts with a drtl_minus leg set followed by that family."""
+    return [realization(name, h, alpha=alpha, epsilon=epsilon, beta=beta, family=family)
+            for name, row in _CHARTS.items() for family in row.families]
 
-    # relativistic charts
-    family = family or "drtl_plus"
-    if family == "drtl_minus" and name not in _MINUS_CAPABLE:
-        raise ValueError(f"{name} has no drtl_minus leg set")
-    if family not in ("drtl_plus", "drtl_minus"):
-        raise ValueError(f"{name} supports families drtl_plus/drtl_minus")
-    al = alpha
 
-    psi0_on_image = family == "drtl_minus"
-    if name == "rel-exp-add":
-        legs = (_legs_rel_exp_add_plus if family == "drtl_plus" else _legs_rel_exp_add_minus)(h, al)
-        chart, bracket = _chart_rel_exp_add(al), Bracket("rtl1", al)
-        ham = _ham_rel_exp_add_plus(al) if family == "drtl_plus" else _ham_rel_exp_add_minus(al)
-        supports_open = True
-    elif name == "ruijsenaars":
-        legs = _legs_ruijsenaars(h, al)
-        chart = _chart_ruijsenaars(al)
-        bracket = combo((1.0, Bracket("rtl1", al)), (al, Bracket("rtl2")))
-        supports_open = True
-    elif name == "rel-dual":
-        legs = (_legs_rel_dual_plus if family == "drtl_plus" else _legs_rel_dual_minus)(h, al)
-        chart, bracket = _chart_rel_dual(al), Bracket("rtl1", al)
-        supports_open = False
-        psi0_on_image = family == "drtl_plus"   # p_{k-1}-referencing chart flips the slicing
-    elif name == "rel-mod":
-        legs = (_legs_rel_mod_plus if family == "drtl_plus" else _legs_rel_mod_minus)(h, al)
-        chart, bracket = _chart_rel_mod, Bracket("rtl2")
-        supports_open = True
-    elif name == "rel-exp-gen":
-        legs = _legs_rel_exp_gen(h, al, epsilon)
-        chart = _chart_rel_exp_gen(al, epsilon)
-        bracket = combo((1.0, Bracket("rtl1", al)), (epsilon, Bracket("rtl2")))
-        params["epsilon"] = epsilon
-        supports_open = True
-    elif name == "rel-hyp-mult":
-        legs, h0, a0 = _legs_rel_hyp_mult(h, al, beta)
-        chart = _chart_rel_hyp_mult(al, beta, a0)
-        bracket = combo((-1.0, Bracket("rtl3", al)), (-4.0 * beta, Bracket("rtl2")))
-        params.update(beta=beta, h0=h0, alpha0=a0)
-        supports_open = False
-        ordered = True
-    elif name == "rel-rat-mult":
-        legs = _legs_rel_rat_mult(h, al)
-        chart = _chart_rel_rat_mult(al)
-        bracket = combo((-1.0, Bracket("rtl3", al)))
-        supports_open = False
-        ordered = True
-    elif name == "rel-rat-add":
-        legs = _legs_rel_rat_add(h, al)
-        chart = _chart_rel_rat_add(al)
-        bracket = combo((-1.0, Bracket("rtl3", al)))
-        supports_open = False
-        ordered = True
-    else:
-        raise ValueError(name)
-    return Realization(name, family, h, al, params, legs, bracket,
-                       supports_open, chart, ham, ordered, psi0_on_image)
+def chart_state(spec: Realization, n: int, seed: int, boundary=None) -> CanonicalState:
+    """Seeded state inside the chart's domain, on an open chain unless the
+    chart is periodic-only or ``boundary`` says otherwise."""
+    if boundary is None:
+        boundary = Boundary.OPEN if spec.supports_open else Boundary.PERIODIC
+    if spec.ordered_domain:
+        # p floor keeps the relativistic hyperbolic chart away from its
+        # 1 - eps*alpha*y*z pole at the wrap site
+        return random_canonical(n, boundary, seed, increasing=True,
+                                gap_range=(0.8, 1.6), p_range=(0.8, 1.5))
+    if spec.family == "drtl_minus" or spec.name in ("dual", "rel-dual", "explicit-c"):
+        # difference charts put raw gaps into log legs, and the minus-family
+        # kinetic leg has a finite range; keep configurations compact
+        return random_canonical(n, boundary, seed, x_range=(-0.5, 0.5))
+    return random_canonical(n, boundary, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +858,7 @@ def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
     legs = spec.legs
     rhs = _first_equation_rhs(spec, c)
 
-    if spec.family == "explicit":
+    if legs.phi is None:   # the explicit family: a closed-form step
         xt = x + legs.psi_inv(rhs)
     elif bc is Boundary.OPEN:
         xt = np.empty(n)
@@ -942,7 +870,7 @@ def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
 
     v = xt - x
     pt = legs.psi(v)
-    if spec.family != "explicit":
+    if legs.phi is not None:
         pt = pt + _leg_at_mixed_next(legs.phi, x, xt, bc)
     if spec.legs.psi0 is not None and spec.psi0_on_image:
         pt = pt - _psi0_sums(spec, xt, bc)
@@ -1030,14 +958,7 @@ def pullback_consistency(spec: Realization, c: CanonicalState) -> float:
     s = flaschka_of(spec, c)
     ct = canonical_step(spec, c)
     via_chart = flaschka_of(spec, ct)
-    if spec.family == "dtl":
-        direct = maps.dtl_step(s, spec.h)
-    elif spec.family == "drtl_plus":
-        direct = maps.drtl_plus_step(s, spec.alpha, spec.h)
-    elif spec.family == "drtl_minus":
-        direct = maps.drtl_minus_step(s, spec.alpha, spec.h)
-    else:
-        direct = maps.drtl_plus_explicit_step(s, spec.h)
+    direct = spec.system.stepper(spec.h, spec.alpha)(s)
     return float(max(np.max(np.abs(via_chart.a - direct.a)),
                      np.max(np.abs(via_chart.b - direct.b))))
 

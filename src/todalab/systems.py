@@ -1,0 +1,53 @@
+"""The eight systems: three lattice flows and five discrete maps.
+
+Each row gives the system's one-step map, bound to (h, alpha) once per
+trajectory, the alpha of the Lax pair whose spectrum the system conserves
+(None for the Toda matrix T) and the label of its checks.  A row looks its
+step function up in ``maps`` or ``flows`` when it is bound, so a function
+replaced in those modules (by a profiler's wrapper, say) is the one run.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+
+from . import flows, maps
+
+
+@dataclass(frozen=True)
+class System:
+    name: str
+    label: str              # check names read isospectral-<label>
+    stepper: Callable       # (h, alpha) -> step, a function of one FlaschkaState
+    lax_alpha: Callable     # (h, alpha) -> alpha of the conserved Lax pair, or None
+    flow: bool = False      # a vector field integrated by RK4, h its time step
+
+
+def _toda(h, alpha):
+    return None
+
+
+def _alpha(h, alpha):
+    return alpha
+
+
+SYSTEMS = {row.name: row for row in (
+    System("tl", "tl", lambda h, al: partial(flows.rk4_step, flows.TL, dt=h), _toda, True),
+    System("rtl+", "rtl+", lambda h, al: partial(flows.rk4_step, flows.rtl_plus(al), dt=h),
+           _alpha, True),
+    System("rtl-", "rtl-", lambda h, al: partial(flows.rk4_step, flows.rtl_minus(al), dt=h),
+           _alpha, True),
+    System("dtl", "dtl", lambda h, al: partial(maps.dtl_step, h=h), _toda),
+    System("drtl+", "drtl-plus", lambda h, al: partial(maps.drtl_plus_step, alpha=al, h=h),
+           _alpha),
+    System("drtl-", "drtl-minus", lambda h, al: partial(maps.drtl_minus_step, alpha=al, h=h),
+           _alpha),
+    # drtl+/- at alpha = h (drtl- at alpha = -h): the explicit maps conserve
+    # the relativistic Lax pair at that alpha, whatever alpha is given
+    System("drtl+explicit", "drtl+explicit",
+           lambda h, al: partial(maps.drtl_plus_explicit_step, h=h), lambda h, al: h),
+    System("drtl-explicit", "drtl-explicit",
+           lambda h, al: partial(maps.drtl_minus_explicit_step, h=h), lambda h, al: -h),
+)}

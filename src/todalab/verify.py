@@ -15,51 +15,12 @@ import fnmatch
 import numpy as np
 
 from . import lax, maps, pluri, poisson
-from .core import Boundary, FlaschkaState, random_canonical, random_state
-from .flows import TL, rk4_trajectory, rtl_minus, rtl_plus
-from .realizations import (CATALOG, canonical_step, lagrangian_value,
-                           pullback_consistency, realization, symplectic_defect)
-
-MAP_NAMES = ("dtl", "drtl+", "drtl-", "drtl+explicit", "drtl-explicit")
-FLOW_NAMES = ("tl", "rtl+", "rtl-")
-
-
-def apply_map(name: str, s: FlaschkaState, h: float, alpha: float) -> FlaschkaState:
-    if name == "dtl":
-        return maps.dtl_step(s, h)
-    if name == "drtl+":
-        return maps.drtl_plus_step(s, alpha, h)
-    if name == "drtl-":
-        return maps.drtl_minus_step(s, alpha, h)
-    if name == "drtl+explicit":
-        return maps.drtl_plus_explicit_step(s, h)
-    if name == "drtl-explicit":
-        return maps.drtl_minus_explicit_step(s, h)
-    raise ValueError(f"unknown map {name!r}")
-
-
-def flow_of(name: str, alpha: float):
-    if name == "tl":
-        return TL
-    if name == "rtl+":
-        return rtl_plus(alpha)
-    if name == "rtl-":
-        return rtl_minus(alpha)
-    raise ValueError(f"unknown flow {name!r}")
-
-
-def _lax_alpha(name: str, alpha: float):
-    """alpha of the relativistic Lax pair of a system; None for the Toda matrix."""
-    return None if name in ("dtl", "tl") else alpha
-
-
-def invariants_of(name: str, s: FlaschkaState, alpha: float) -> np.ndarray:
-    return lax.spectral_invariants(s, alpha=_lax_alpha(name, alpha))
-
-
-def trajectory_invariants_of(name: str, traj, alpha: float) -> np.ndarray:
-    """``invariants_of`` each state of a trajectory, one row per state."""
-    return lax.trajectory_invariants(traj, alpha=_lax_alpha(name, alpha))
+from .core import Boundary, random_canonical, random_state
+from .flows import TL, rk4_trajectory
+from .realizations import (CATALOG, canonical_step, chart_specs, chart_state,
+                           lagrangian_value, pullback_consistency, realization,
+                           symplectic_defect)
+from .systems import SYSTEMS
 
 
 def _record(check, params, samples, max_residual, tol):
@@ -70,17 +31,16 @@ def _record(check, params, samples, max_residual, tol):
 
 def simulate(system, n, boundary, seed, h, alpha, steps, state0=None):
     """Trajectory (list of states) and per-step invariant table of a run."""
+    row = SYSTEMS[system]
+    if row.flow and h == 0.0:
+        raise ValueError("dt must be nonzero")
     if state0 is None:
         state0 = random_state(n, boundary, seed)
-    if system in FLOW_NAMES:
-        traj = rk4_trajectory(flow_of(system, alpha), state0, h, steps)
-    elif system in MAP_NAMES:
-        traj = [state0]
-        for _ in range(steps):
-            traj.append(apply_map(system, traj[-1], h, alpha))
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    return traj, trajectory_invariants_of(system, traj, alpha)
+    step = row.stepper(h, alpha)
+    traj = [state0]
+    for _ in range(steps):
+        traj.append(step(traj[-1]))
+    return traj, lax.trajectory_invariants(traj, alpha=row.lax_alpha(h, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +54,24 @@ def check_isospectral(seed=0, system="dtl", n=8, steps=10_000, h=0.05, alpha=0.3
     The states after each step are buffered, and their invariants are
     evaluated a chunk of states at a time by the stacked kernel.
     """
+    row = SYSTEMS[system]
+    lax_alpha = row.lax_alpha(h, alpha)
+    step = row.stepper(h, alpha)
     s = random_state(n, boundary, seed)
-    ref = invariants_of(system, s, alpha)
+    ref = lax.spectral_invariants(s, alpha=lax_alpha)
     scale = np.maximum(1.0, np.abs(ref))
     chunk = lax.states_per_chunk(n)
     pending = []
     drifts = [0.0]
-    for step in range(steps):
-        s = apply_map(system, s, h, alpha)
+    for k in range(steps):
+        s = step(s)
         pending.append(s)
-        if len(pending) == chunk or step == steps - 1:
-            inv = trajectory_invariants_of(system, pending, alpha)
+        if len(pending) == chunk or k == steps - 1:
+            inv = lax.trajectory_invariants(pending, alpha=lax_alpha)
             drifts.append(float((np.abs(inv - ref) / scale).max()))
             pending = []
     worst = float(np.max(drifts))      # a NaN drift propagates and fails the check
-    label = {"dtl": "dtl", "drtl+": "drtl-plus", "drtl-": "drtl-minus"}.get(system, system)
-    return _record(f"isospectral-{label}", dict(n=n, steps=steps, h=h, alpha=alpha),
+    return _record(f"isospectral-{row.label}", dict(n=n, steps=steps, h=h, alpha=alpha),
                    steps, worst, tol)
 
 
@@ -153,80 +115,66 @@ def check_3d_consistency(seed=0, h=0.1, alpha=0.3, lam=0.7, n_samples=100, tol=1
     return _record("consistency-3d", dict(h=h, alpha=alpha, lam=lam), n_samples, worst, tol)
 
 
-def check_closure_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
-                     boundary=Boundary.OPEN):
-    sys1 = pluri.corner_system_1d()
+def _square_check(name, params, residual, seed, n, n_states, pairs, tol, boundary,
+                  alpha=None, lam_last=False):
+    """Worst residual(x, xt, xh, xth, lam, mu) over seeded states and step
+    pairs: xt, xh step x by lam, mu; xth steps xt by mu, or xh by lam."""
     worst = 0.0
     for i in range(n_states):
         c = random_canonical(n, boundary, seed + i)
         for lam, mu in pairs:
-            ct = pluri.chain_step(c, lam)
-            ch = pluri.chain_step(c, mu)
-            cth = pluri.chain_step(ct, mu)
-            worst = max(worst, abs(pluri.closure_value_1d(
-                sys1, c.x, ct.x, ch.x, cth.x, lam, mu, boundary)))
-    return _record("closure-1d", dict(n=n), n_states * len(pairs), worst, tol)
+            ct = pluri.chain_step(c, lam, alpha)
+            ch = pluri.chain_step(c, mu, alpha)
+            cth = pluri.chain_step(ch, lam, alpha) if lam_last else pluri.chain_step(ct, mu, alpha)
+            worst = max(worst, residual(c.x, ct.x, ch.x, cth.x, lam, mu))
+    return _record(name, params, n_states * len(pairs), worst, tol)
+
+
+def check_closure_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
+                     boundary=Boundary.OPEN):
+    sys1 = pluri.corner_system_1d()
+    return _square_check(
+        "closure-1d", dict(n=n),
+        lambda *w: abs(pluri.closure_value_1d(sys1, *w, boundary)),
+        seed, n, n_states, pairs, tol, boundary)
 
 
 def check_spectrality_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
                          boundary=Boundary.OPEN):
     sys1 = pluri.corner_system_1d()
-    worst = 0.0
-    for i in range(n_states):
-        c = random_canonical(n, boundary, seed + i)
-        for lam, mu in pairs:
-            ct = pluri.chain_step(c, lam)
-            ch = pluri.chain_step(c, mu)
-            cth = pluri.chain_step(ch, lam)
-            worst = max(worst, pluri.spectrality_residual(
-                sys1, (c.x, ct.x), (ch.x, cth.x), lam, boundary))
-    return _record("spectrality-1d", dict(n=n), n_states * len(pairs), worst, tol)
+    return _square_check(
+        "spectrality-1d", dict(n=n),
+        lambda x, xt, xh, xth, lam, mu: pluri.spectrality_residual(
+            sys1, (x, xt), (xh, xth), lam, boundary),
+        seed, n, n_states, pairs, tol, boundary, lam_last=True)
 
 
 def check_closure_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3, tol=1e-10,
                      boundary=Boundary.PERIODIC):
     form = pluri.bt_rtl_form(alpha)
-    worst = 0.0
-    for i in range(n_states):
-        c = random_canonical(n, boundary, seed + i)
-        for lam, mu in pairs:
-            ct = pluri.chain_step(c, lam, alpha)
-            ch = pluri.chain_step(c, mu, alpha)
-            cth = pluri.chain_step(ct, mu, alpha)
-            worst = max(worst, pluri.closure_value_2d(
-                form, c.x, ct.x, ch.x, cth.x, lam, mu, boundary))
-    return _record("closure-2d", dict(n=n, alpha=alpha), n_states * len(pairs), worst, tol)
+    return _square_check(
+        "closure-2d", dict(n=n, alpha=alpha),
+        lambda *w: pluri.closure_value_2d(form, *w, boundary),
+        seed, n, n_states, pairs, tol, boundary, alpha)
 
 
 def check_conservation_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3,
                           tol=1e-10, boundary=Boundary.PERIODIC):
     form = pluri.bt_rtl_form(alpha)
-    worst = 0.0
-    for i in range(n_states):
-        c = random_canonical(n, boundary, seed + i)
-        for lam, mu in pairs:
-            ct = pluri.chain_step(c, lam, alpha)
-            ch = pluri.chain_step(c, mu, alpha)
-            cth = pluri.chain_step(ch, lam, alpha)
-            worst = max(worst, pluri.conservation_residual_2d(
-                form, c.x, ct.x, ch.x, cth.x, lam, mu, boundary))
-    return _record("conservation-2d", dict(n=n, alpha=alpha), n_states * len(pairs),
-                   worst, tol)
+    return _square_check(
+        "conservation-2d", dict(n=n, alpha=alpha),
+        lambda *w: pluri.conservation_residual_2d(form, *w, boundary),
+        seed, n, n_states, pairs, tol, boundary, alpha, lam_last=True)
 
 
 def check_corners_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3,
                      tol=1e-10, boundary=Boundary.PERIODIC):
     form = pluri.bt_rtl_form(alpha)
-    worst = 0.0
-    for i in range(n_states):
-        c = random_canonical(n, boundary, seed + i)
-        for lam, mu in pairs:
-            ct = pluri.chain_step(c, lam, alpha)
-            ch = pluri.chain_step(c, mu, alpha)
-            cth = pluri.chain_step(ct, mu, alpha)
-            res = pluri.corner_residuals_2d(form, c.x, ct.x, ch.x, cth.x, lam, mu, boundary)
-            worst = max(worst, max(float(np.max(np.abs(v))) for v in res.values()))
-    return _record("corners-2d", dict(n=n, alpha=alpha), n_states * len(pairs), worst, tol)
+    return _square_check(
+        "corners-2d", dict(n=n, alpha=alpha),
+        lambda *w: max(float(np.max(np.abs(v)))
+                       for v in pluri.corner_residuals_2d(form, *w, boundary).values()),
+        seed, n, n_states, pairs, tol, boundary, alpha)
 
 
 def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, lam=0.15, mu=0.23,
@@ -249,58 +197,42 @@ def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, lam=0.15, mu=0.2
                    n_states, worst, tol_invariant)
 
 
-_BRACKETS_TL = (poisson.Bracket("tl1"), poisson.Bracket("tl2"), poisson.Bracket("tl3"))
-
-
-def _brackets_rtl(alpha):
-    return (poisson.Bracket("rtl1", alpha), poisson.Bracket("rtl2"),
-            poisson.Bracket("rtl3", alpha))
+def _brackets(lax_alpha):
+    """The three compatible brackets of the Toda (None) or relativistic Lax pair."""
+    if lax_alpha is None:
+        return (poisson.Bracket("tl1"), poisson.Bracket("tl2"), poisson.Bracket("tl3"))
+    return (poisson.Bracket("rtl1", lax_alpha), poisson.Bracket("rtl2"),
+            poisson.Bracket("rtl3", lax_alpha))
 
 
 def check_poisson_maps(seed=0, n=4, n_states=20, h=0.08, alpha=0.3, tol=1e-6,
                        boundary=Boundary.OPEN):
+    """Each map preserves the three brackets of the Lax pair it conserves."""
     worst = 0.0
-    cases = [("dtl", br) for br in _BRACKETS_TL]
-    cases += [(m, br) for m in ("drtl+", "drtl-") for br in _brackets_rtl(alpha)]
-    cases += [(m, br) for m in ("drtl+explicit", "drtl-explicit")
-              for br in _brackets_rtl(h if m == "drtl+explicit" else -h)]
+    cases = [(row.stepper(h, alpha), br) for row in SYSTEMS.values() if not row.flow
+             for br in _brackets(row.lax_alpha(h, alpha))]
     for i in range(n_states):
         s = random_state(n, boundary, seed + i)
-        for mname, br in cases:
-            worst = max(worst, poisson.poisson_map_residual(
-                lambda st: apply_map(mname, st, h, alpha), br, s))
+        for step, br in cases:
+            worst = max(worst, poisson.poisson_map_residual(step, br, s))
     return _record("poisson-maps", dict(n=n, h=h, alpha=alpha),
                    n_states * len(cases), worst, tol)
 
 
+def _chart_check(name, params, specs, residual, n, seed, n_states, tol):
+    """Worst residual(spec, state) over the specs and their seeded states."""
+    worst = 0.0
+    for spec in specs:
+        for i in range(n_states):
+            worst = max(worst, residual(spec, chart_state(spec, n, seed + i)))
+    return _record(name, params, len(specs) * n_states, worst, tol)
+
+
 def check_poisson_realizations(seed=0, n=5, n_states=5, h=0.1, alpha=0.3,
                                epsilon=0.2, beta=0.1, tol=1e-6):
-    worst = 0.0
-    count = 0
-    for name in CATALOG:
-        fams = (None, "drtl_minus") if name in ("rel-exp-add", "rel-dual", "rel-mod") else (None,)
-        for fam in fams:
-            spec = realization(name, h, alpha=alpha, epsilon=epsilon, beta=beta, family=fam)
-            for i in range(n_states):
-                c = _chart_state(spec, n, seed + i)
-                worst = max(worst, poisson.realization_residual(spec, c))
-                count += 1
-    return _record("poisson-realizations", dict(n=n, h=h), count, worst, tol)
-
-
-def _chart_state(spec, n, seed, boundary=None):
-    if boundary is None:
-        boundary = Boundary.OPEN if spec.supports_open else Boundary.PERIODIC
-    if spec.ordered_domain:
-        # p floor keeps the relativistic hyperbolic chart away from its
-        # 1 - eps*alpha*y*z pole at the wrap site
-        return random_canonical(n, boundary, seed, increasing=True,
-                                gap_range=(0.8, 1.6), p_range=(0.8, 1.5))
-    if spec.family == "drtl_minus" or spec.name in ("dual", "rel-dual", "explicit-c"):
-        # difference charts put raw gaps into log legs, and the minus-family
-        # kinetic leg has a finite range; keep configurations compact
-        return random_canonical(n, boundary, seed, x_range=(-0.5, 0.5))
-    return random_canonical(n, boundary, seed)
+    return _chart_check("poisson-realizations", dict(n=n, h=h),
+                        chart_specs(h, alpha=alpha, epsilon=epsilon, beta=beta),
+                        poisson.realization_residual, n, seed, n_states, tol)
 
 
 def check_involution(seed=0, n=5, n_states=10, tol=1e-7):
@@ -321,7 +253,7 @@ def check_involution(seed=0, n=5, n_states=10, tol=1e-7):
     count = 0
     for i in range(n_states):
         s = random_state(n, Boundary.OPEN, seed + i, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
-        for br in _BRACKETS_TL:
+        for br in _brackets(None):
             worst = max(worst, poisson.involution_residual(br, s, h1, h2))
             worst = max(worst, poisson.involution_residual(br, s, h0, h2))
             count += 2
@@ -408,30 +340,16 @@ def check_zcr(seed=0, n=4, h=0.08, alpha=0.3, lams=(0.3, 0.8, 1.4), n_states=5,
 
 def check_pullbacks(seed=0, n=5, h=0.1, alpha=0.3, epsilon=0.2, beta=0.1,
                     n_states=3, tol=1e-9):
-    worst = 0.0
-    count = 0
-    for name in CATALOG:
-        fams = (None, "drtl_minus") if name in ("rel-exp-add", "rel-dual", "rel-mod") else (None,)
-        for fam in fams:
-            spec = realization(name, h, alpha=alpha, epsilon=epsilon, beta=beta, family=fam)
-            for i in range(n_states):
-                c = _chart_state(spec, n, seed + i)
-                worst = max(worst, pullback_consistency(spec, c))
-                count += 1
-    return _record("pullback-all", dict(n=n, h=h, alpha=alpha), count, worst, tol)
+    return _chart_check("pullback-all", dict(n=n, h=h, alpha=alpha),
+                        chart_specs(h, alpha=alpha, epsilon=epsilon, beta=beta),
+                        pullback_consistency, n, seed, n_states, tol)
 
 
 def check_symplecticity(seed=0, n=4, h=0.1, alpha=0.3, epsilon=0.2, beta=0.1,
                         n_states=2, tol=1e-6):
-    worst = 0.0
-    count = 0
-    for name in CATALOG:
-        spec = realization(name, h, alpha=alpha, epsilon=epsilon, beta=beta)
-        for i in range(n_states):
-            c = _chart_state(spec, n, seed + i)
-            worst = max(worst, symplectic_defect(spec, c))
-            count += 1
-    return _record("symplecticity", dict(n=n, h=h), count, worst, tol)
+    specs = [realization(name, h, alpha=alpha, epsilon=epsilon, beta=beta) for name in CATALOG]
+    return _chart_check("symplecticity", dict(n=n, h=h), specs, symplectic_defect,
+                        n, seed, n_states, tol)
 
 
 CHECKS = {

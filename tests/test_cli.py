@@ -6,7 +6,8 @@ import pytest
 
 from todalab.cli import main
 from todalab.core import Boundary, FlaschkaState, save_state
-from todalab.realizations import CATALOG
+from todalab.realizations import CATALOG, chart_specs, realization
+from todalab.systems import SYSTEMS
 
 
 def run(tmp_path, *argv):
@@ -114,47 +115,83 @@ def test_non_finite_state_exits_3_with_step_report(tmp_path, capsys, argv, key, 
     assert not list(tmp_path.glob("x.*.csv"))
 
 
-# sha256 of the (trajectory, invariants) CSVs of seeded n = 5, 40-step runs,
-# taken from the writer that formatted one number per call
+# sha256 of the (trajectory, invariants) CSVs of seeded n = 5 runs; the
+# 40-step ones taken from the writer that formatted one number per call, the
+# 5-step chart runs from the states chart_state samples
 _GOLDEN_SHA256 = [
-    ("dtl", "open", 1, 0.1,
+    ("dtl", "open", 1, 0.1, 40,
      "f46ecdc53ed3b2026775d4a967bed8d2cd12001244597cbe1a91132a699a1f9a",
      "d8649a8e94013647213163b4a4c23e7198bebc25c04445c509559fd3fceed18a"),
-    ("dtl", "periodic", 2, 0.1,
+    ("dtl", "periodic", 2, 0.1, 40,
      "72d148dd6cfd09b429ca076b11c9ab7f6e928f6969b7cb66251594343d0a1956",
      "07ccaa31a0c9febf541b5001626c5ad140f54c0376297dbc6814462a562d0a7f"),
-    ("drtl+", "open", 3, 0.1,
+    ("drtl+", "open", 3, 0.1, 40,
      "85526dd58fc64b3a99456c40df2bb0a4280adafe412ba561ccbcad2ebb974ae1",
      "45a9f21e0b67d3ce6fd5e494817da65a657f89eaf322c39e0d4302d32c4993bf"),
-    ("drtl+", "periodic", 4, 0.1,
+    ("drtl+", "periodic", 4, 0.1, 40,
      "07f3fe200321666eabc81207489e4c12a6d3f512e5e3eacf500d7d61b67aa1be",
      "97ae5641503cf65936510e66f5ceee698c955783a29437dc5767fb9abfbce043"),
-    ("drtl-", "open", 5, 0.1,
+    ("drtl-", "open", 5, 0.1, 40,
      "cb455e341a78e25432f8df0fe693a5353ed8a637385ac46f8f761eb066d3b09c",
      "0f67526526361a5bf097d6493f68e8a291dc909140860912151bf1038fc7259d"),
-    ("drtl-", "periodic", 6, 0.1,
+    ("drtl-", "periodic", 6, 0.1, 40,
      "d2db67fc377ac6df2803824d0278d2c6195e27c0dc0700efb6dfb47ee3953d82",
      "0f22d0b0703921d4f4307d39832e1c4077eb5ee221f80c537600093c0ac5d07e"),
-    ("rtl+", "periodic", 7, 0.05,
+    ("rtl+", "periodic", 7, 0.05, 40,
      "a9444fdc76fc5bf7b46cada557f33591d82bd0e585ff83d06b82da53d126912f",
      "e99dc246ac67ce2e260e624887e0ed48d68fdbe20cf4ed2d6c8cdbc64cdacce4"),
-    ("rel-exp-add", "open", 8, 0.1,
+    ("rel-exp-add", "open", 8, 0.1, 40,
      "3114a15a76c72fbfe571aefd8c2e93b685cfde5b1e88d8ecdc774435f59220ef",
      "89bcfc96832f7e6a869d633480081c3ee59d0b339f2f1391a5fe934e6c8568b4"),
+    ("rat-add", "periodic", 9, 0.1, 5,
+     "5f2479d7d58de636c98550fdca1d3d1f071ea70c13a1ee35146e6f11940511ea",
+     "679438245b519774ea4302b03628cba155e06d69274049f8cb7d6934dbbc8864"),
+    ("dual", "periodic", 10, 0.1, 5,
+     "aedd5a3afb4cedec0c053bb991f1ba956c34db63da05bb25d017e247d5bfaa6a",
+     "beb14534e93e2a45f99f897f59b76c2690e481020d3e4184bdb2da8673863593"),
 ]
 
 
-@pytest.mark.parametrize("system,boundary,seed,h,traj_sha,inv_sha", _GOLDEN_SHA256,
+@pytest.mark.parametrize("system,boundary,seed,h,steps,traj_sha,inv_sha", _GOLDEN_SHA256,
                          ids=[f"{c[0]}-{c[1]}" for c in _GOLDEN_SHA256])
-def test_simulate_outputs_match_golden_sha256(tmp_path, system, boundary, seed, h,
+def test_simulate_outputs_match_golden_sha256(tmp_path, system, boundary, seed, h, steps,
                                               traj_sha, inv_sha):
     kind = "--realization" if system in CATALOG else "--system"
     assert run(tmp_path, "simulate", kind, system, "--boundary", boundary, "--n", "5",
-               "--steps", "40", "--h", str(h), "--alpha", "0.3", "--seed", str(seed),
+               "--steps", str(steps), "--h", str(h), "--alpha", "0.3", "--seed", str(seed),
                "--out", "g") == 0
     for ext, want in (("trajectory", traj_sha), ("invariants", inv_sha)):
         data = (tmp_path / f"g.{ext}.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == want, ext
+
+
+def test_registry_counts():
+    # the sample counts of the chart checks (perfbench/workloads.py relies on them)
+    assert len(SYSTEMS) == 8
+    assert len(chart_specs(0.1)) == 25
+    assert len(CATALOG) == 22
+
+
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("system", list(SYSTEMS))
+def test_every_system_runs_through_the_cli(tmp_path, system, boundary):
+    common = ("--system", system, "--boundary", boundary, "--n", "5")
+    assert run(tmp_path, "simulate", *common, "--steps", "3", "--out", "s") == 0
+    assert run(tmp_path, "invariants", *common, "--out", "i.json") == 0
+    assert run(tmp_path, "dump-lax", *common, "--out", "l.json") == 0
+    matrices = json.loads((tmp_path / "l.json").read_text())
+    relativistic = SYSTEMS[system].lax_alpha(0.05, 0.3) is not None
+    assert set(matrices) == ({"T", "L", "U", "T1"} if relativistic else {"T"})
+
+
+@pytest.mark.parametrize("name,boundary", [
+    (name, boundary) for name in CATALOG
+    for boundary in (("open", "periodic") if realization(name, 0.05).supports_open
+                     else ("periodic",))])
+def test_every_chart_runs_through_the_cli(tmp_path, name, boundary):
+    common = ("--realization", name, "--boundary", boundary, "--n", "5")
+    assert run(tmp_path, "simulate", *common, "--steps", "3", "--out", "s") == 0
+    assert run(tmp_path, "invariants", *common, "--out", "i.json") == 0
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -5,7 +5,7 @@ from todalab import lax, maps, pluri
 from todalab.core import Boundary, FlaschkaState, random_canonical, random_state
 from todalab.errors import DomainError, FactorizationOutsideDomain
 from todalab.realizations import canonical_step, realization
-from todalab.verify import apply_map
+from todalab.systems import SYSTEMS
 
 S2 = FlaschkaState([3.0, 0.0], [1.0, 2.0], Boundary.OPEN)
 
@@ -67,9 +67,10 @@ def _power_traces(s, alpha):
 @pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-"])
 def test_stacked_invariants_bitwise_equal_per_state(name, boundary, n):
     alpha = None if name == "dtl" else 0.3
+    step = SYSTEMS[name].stepper(0.05, 0.3)
     traj = [random_state(n, boundary, 11)]
     for _ in range(20):
-        traj.append(apply_map(name, traj[-1], 0.05, 0.3))
+        traj.append(step(traj[-1]))
     a = np.array([s.a for s in traj])
     b = np.array([s.b for s in traj])
     stacked = lax.spectral_invariants_stacked(a, b, boundary, alpha=alpha)
@@ -86,9 +87,10 @@ def test_stacked_invariants_bitwise_equal_per_state(name, boundary, n):
 @pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-"])
 def test_trajectory_invariants_across_chunks(name, boundary):
     alpha = None if name == "dtl" else 0.3
+    step = SYSTEMS[name].stepper(0.05, 0.3)
     traj = [random_state(8, boundary, 12)]
     for _ in range(2 * lax.states_per_chunk(8) + 2):
-        traj.append(apply_map(name, traj[-1], 0.05, 0.3))
+        traj.append(step(traj[-1]))
     inv = lax.trajectory_invariants(traj, alpha=alpha)
     assert np.array_equal(inv, np.array([_power_traces(s, alpha) for s in traj]))
 

@@ -6,7 +6,7 @@ import pytest
 from todalab import maps
 from todalab.core import Boundary, CanonicalState, random_canonical
 from todalab.errors import DomainError, NonInvertibleLeg, NumericalError
-from todalab.realizations import (CATALOG, canonical_step, flaschka_of,
+from todalab.realizations import (canonical_step, chart_specs, chart_state, flaschka_of,
                                   lagrangian_value, newtonian_residual,
                                   pullback_consistency, realization,
                                   symplectic_defect)
@@ -17,35 +17,11 @@ from todalab.verify import (check_closure_2d, check_commutativity,
 H, ALPHA, EPS, BETA = 0.1, 0.3, 0.2, 0.1
 
 
-def all_specs(h=H):
-    out = []
-    for name in CATALOG:
-        fams = (None, "drtl_minus") if name in ("rel-exp-add", "rel-dual", "rel-mod") else (None,)
-        for fam in fams:
-            out.append(realization(name, h, alpha=ALPHA, epsilon=EPS, beta=BETA, family=fam))
-    return out
-
-
 def spec_id(spec):
     return f"{spec.name}-{spec.family}"
 
 
-SPECS = all_specs()
-
-
-def chart_state(spec, n=5, seed=0, boundary=None):
-    if boundary is None:
-        boundary = Boundary.OPEN if spec.supports_open else Boundary.PERIODIC
-    if spec.ordered_domain:
-        # p floor keeps the relativistic hyperbolic chart away from its
-        # 1 - eps*alpha*y*z pole at the wrap site
-        return random_canonical(n, boundary, seed, increasing=True,
-                                gap_range=(0.8, 1.6), p_range=(0.8, 1.5))
-    if spec.family == "drtl_minus" or spec.name in ("dual", "rel-dual", "explicit-c"):
-        # difference charts put raw gaps into log legs, and the minus-family
-        # kinetic leg has a finite range; keep configurations compact
-        return random_canonical(n, boundary, seed, x_range=(-0.5, 0.5))
-    return random_canonical(n, boundary, seed)
+SPECS = chart_specs(H, alpha=ALPHA, epsilon=EPS, beta=BETA)
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +90,22 @@ def test_explicit_family_closed_form():
     np.testing.assert_allclose(ct.x, expect, atol=1e-14)
 
 
+def test_explicit_c_psi0_leaves_its_domain_with_domain_error():
+    """psi0 = log1p(h u) of explicit-c is guarded: on these rings a step
+    raises DomainError rather than the ValueError of a NaN momentum."""
+    failed = []
+    for h in (0.05, 0.3, 0.7):
+        spec = realization("explicit-c", h)
+        for seed in range(8):
+            c = random_canonical(6, Boundary.PERIODIC, seed)
+            try:
+                for _ in range(4):
+                    c = canonical_step(spec, c)
+            except DomainError:
+                failed.append((h, seed))
+    assert failed == [(0.7, seed) for seed in (0, 1, 2, 3, 4, 5, 7)]
+
+
 def test_noninvertible_leg_raises():
     spec = realization("exp", 1.0)
     c = CanonicalState([0.0, 0.0, 0.0], [-2.0, 0.0, 0.0], Boundary.OPEN)
@@ -123,7 +115,7 @@ def test_noninvertible_leg_raises():
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_generating_equations_hold(spec):
-    c = chart_state(spec, seed=3)
+    c = chart_state(spec, 5, 3)
     ct = canonical_step(spec, c)
     legs = spec.legs
     v = ct.x - c.x
@@ -157,7 +149,7 @@ def test_lagrangian_kinetic_part_vanishes_on_frozen_slice():
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_lagrangian_generates_the_step(spec):
     """FD gradients of the slice action reproduce -p and p~."""
-    c = chart_state(spec, seed=6)
+    c = chart_state(spec, 5, 6)
     ct = canonical_step(spec, c)
     bc = c.boundary
     d = 1e-6
@@ -207,7 +199,7 @@ def test_leg_inverse_roundtrip(spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_newtonian_residual_on_trajectories(spec):
-    c0 = chart_state(spec, seed=8)
+    c0 = chart_state(spec, 5, 8)
     c1 = canonical_step(spec, c0)
     c2 = canonical_step(spec, c1)
     res = newtonian_residual(spec, c0.x, c1.x, c2.x, c0.boundary)
@@ -247,7 +239,7 @@ def test_newtonian_residual_linear_sensitivity():
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_pullback_consistency(spec):
     for seed in (0, 1):
-        c = chart_state(spec, seed=seed)
+        c = chart_state(spec, 5, seed)
         assert pullback_consistency(spec, c) < 1e-9
 
 
@@ -270,7 +262,7 @@ def test_dtl_pullback_gauge_identity():
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_symplecticity(spec):
-    c = chart_state(spec, n=4, seed=13)
+    c = chart_state(spec, 4, 13)
     assert symplectic_defect(spec, c) < 1e-6
 
 
@@ -312,9 +304,9 @@ def _ring_step_digest():
     """sha256 over 17-digit ring trajectories of every chart, errors by type
     and message; covers the ring Newton solve, its line search and failures."""
     digest = hashlib.sha256()
-    for spec in all_specs(H) + all_specs(0.5):
+    for spec in SPECS + chart_specs(0.5, alpha=ALPHA, epsilon=EPS, beta=BETA):
         for seed in range(4):
-            c = chart_state(spec, n=5, seed=seed, boundary=Boundary.PERIODIC)
+            c = chart_state(spec, 5, seed, Boundary.PERIODIC)
             lines = [f"{spec.name} {spec.family} {spec.h!r} {seed}"]
             try:
                 with np.errstate(all="ignore"):   # failing cases overflow on the way
