@@ -169,13 +169,10 @@ def _json_report(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _inv_names(count_per_lam, lams):
-    names = []
-    for j in range(len(lams)):
-        for k in range(count_per_lam):
-            suffix = f"_lam{j}" if len(lams) > 1 else ""
-            names.append(f"trT{k + 1}{suffix}")
-    return names
+def _inv_names(n, samples):
+    """Invariant columns: n nodes for each of the lambda samples."""
+    return [f"logdet{j + 1}" + (f"_lam{m}" if samples > 1 else "")
+            for m in range(samples) for j in range(n)]
 
 
 def _write_csv(path, header, table):
@@ -188,7 +185,7 @@ def _write_csv(path, header, table):
 
 def _write_run_outputs(out, header, state_rows, inv, inv_names):
     _write_csv(out + ".trajectory.csv", header, np.hstack([state_rows, inv]))
-    drift = np.abs(inv - inv[0]) / np.maximum(1.0, np.abs(inv[0]))
+    drift = lax.drift(inv, inv[0])
     _write_csv(out + ".invariants.csv",
                ["step"] + [f"drift_{c}" for c in inv_names] + ["drift_max"],
                np.column_stack([drift, drift.max(axis=1)]))
@@ -259,19 +256,22 @@ def cmd_simulate(args) -> int:
         return 3
 
     n = first.n
-    lams = (1.0,) if first.boundary is Boundary.OPEN else lax.DEFAULT_LAMBDAS
+    inv_names = _inv_names(n, inv.shape[1] // n)
     names = ("x", "p") if isinstance(first, CanonicalState) else ("b", "a")
-    header = ["step"] + [f"{v}{k + 1}" for v in names for k in range(n)] + _inv_names(n, lams)
+    header = ["step"] + [f"{v}{k + 1}" for v in names for k in range(n)] + inv_names
     _write_run_outputs(out, header, [np.concatenate([getattr(s, v) for v in names])
-                                     for s in traj], inv, _inv_names(n, lams))
+                                     for s in traj], inv, inv_names)
     return 0
 
 
 def cmd_invariants(args) -> int:
     _validate_system(args)
     state, _, to_ab, alpha, obj = _subject(args)
-    inv = lax.spectral_invariants(to_ab(state), alpha=alpha)
-    obj.update(state=json.loads(state_to_json(state)), invariants=[float(v) for v in inv])
+    ab = to_ab(state)
+    nodes = lax.spectral_nodes(ab, alpha=alpha)
+    inv = lax.spectral_invariants(ab, alpha=alpha, nodes=nodes)
+    obj.update(state=json.loads(state_to_json(state)), nodes=nodes.tolist(),
+               invariants=[float(v) for v in inv])
     _emit(args, _json_report(obj))
     return 0
 

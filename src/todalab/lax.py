@@ -12,6 +12,13 @@ lambda = 1.  The bidiagonal pair for the relativistic hierarchy:
 
 and T1 = L U^{-1}, T2 = U^{-1} L.
 
+The spectral invariants of a state are f_j = log det(I - w_j M), M = T or
+T1, at n Chebyshev nodes w_j per lambda sample, scaled to the spectral
+radius of a trajectory's first state so that det(I - w_j M) > 0 on the
+whole isospectral set.  Each value is O(n): a three-term continuant on
+open chains, the trace of a 2x2 transfer product on rings, rescaled by
+powers of two so that nothing overflows at any n.
+
 ``crout_lu`` factors M = P+ P- with P+ lower triangular (free diagonal) and
 P- unit upper triangular, without pivoting: pivoting would leave the
 triangular subgroups the whole construction lives in.  ``exact_solution``
@@ -20,6 +27,8 @@ uses it to evaluate n discrete steps in closed form by factoring
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -87,98 +96,156 @@ def _right_divide(L: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 DEFAULT_LAMBDAS = (1.0, 2.0, 0.5, -1.0)
+_LN2 = math.log(2.0)
+_RENORM = 8      # sites between two frexp renormalisations of the continuants
+
+
+def _lambdas(boundary: Boundary, lambda_samples) -> tuple:
+    if boundary is Boundary.OPEN:
+        return (1.0,)
+    lams = tuple(lambda_samples) if lambda_samples is not None else DEFAULT_LAMBDAS
+    if 0.0 in lams:
+        raise DomainError("spectral parameter must be nonzero on a ring")
+    return lams
+
+
+def spectral_nodes(s: FlaschkaState, alpha: float | None = None,
+                   lambda_samples=None) -> np.ndarray:
+    """Sample points of ``spectral_invariants``, one row of n nodes per lambda.
+
+    w_j = cos((2j - 1) pi / 2n) / (2R), j = 1..n, with R = 2^ceil(log2 rho)
+    and rho the spectral radius of the state's Lax matrix M at that lambda
+    (one ``eigvals`` call; R = 1 when rho = 0).  Every state with the spectrum of s has
+    |w_j z| <= 1/2 at each eigenvalue z, so det(I - w_j M) > 0.
+    """
+    cheb = np.cos(np.pi * (2 * np.arange(1, s.n + 1) - 1) / (2 * s.n))
+    rows = []
+    for lam in _lambdas(s.boundary, lambda_samples):
+        M = build_T(s, lam) if alpha is None else rtl_t1(s, alpha, lam)
+        try:
+            rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError("eigenvalues of the Lax matrix did not converge") from exc
+        m, e = math.frexp(rho)                     # rho = m 2^e, m in [0.5, 1)
+        rows.append(cheb / math.ldexp(2.0, e - (m == 0.5)))    # 2R, exactly
+    return np.array(rows)
 
 
 def spectral_invariants(s: FlaschkaState, alpha: float | None = None,
-                        lambda_samples=None) -> np.ndarray:
-    """tr(T^k), k = 1..n, of the relevant Lax matrix.
+                        lambda_samples=None, nodes=None) -> np.ndarray:
+    """log det(I - w_j M) at the nodes, one block of n values per lambda.
 
-    alpha None selects the tridiagonal matrix, otherwise T1 of the
-    relativistic pair.  Open chains evaluate at lambda = 1; rings sample
-    the default four spectral-parameter values (or the given ones).
+    M is the Lax matrix T (alpha None) or T1 = L U^{-1} of the relativistic
+    pair.  Open chains evaluate at lambda = 1; rings sample the default four
+    spectral-parameter values (or the given ones).  ``nodes`` defaults to
+    ``spectral_nodes(s, alpha, lambda_samples)``; pass the nodes of a
+    trajectory's first state to compare states.  Each value is the
+    generating function -sum_k tr(M^k) w^k / k of the power traces.
     """
-    return spectral_invariants_stacked(s.a[None], s.b[None], s.boundary,
+    if nodes is None:
+        nodes = spectral_nodes(s, alpha, lambda_samples)
+    return spectral_invariants_stacked(s.a[None], s.b[None], s.boundary, nodes,
                                        alpha, lambda_samples)[0]
 
 
 def spectral_invariants_stacked(a: np.ndarray, b: np.ndarray, boundary: Boundary,
-                                alpha: float | None = None,
+                                nodes, alpha: float | None = None,
                                 lambda_samples=None) -> np.ndarray:
-    """``spectral_invariants`` of B states at once, one state per row of (B, n) a, b.
+    """``spectral_invariants`` of B states at the same nodes, one state per row
+    of (B, n) a, b.
 
-    Each (n, n) matrix is built entry by entry as ``build_T`` and ``rtl_t1``
-    build it, and the stacked solve, matmul and trace run the same LAPACK/BLAS
-    calls and summation per matrix, so row i does not depend on the other
-    rows: it is bitwise equal to the invariants of (a[i], b[i]) alone.
+    det(I - w T) is the continuant of the tridiagonal I - w T (diagonal
+    1 - w b_k, off-diagonal products w^2 a_k); det(I - w T1) is that of
+    U - w L (1 - w - w alpha b_k and w alpha^2 a_k) over det U, which is 1
+    on open chains.  On rings the continuant pair is the 2x2 transfer
+    product, whose trace less the two corner products Prod(w a_k / lambda)
+    and Prod(w lambda) (alpha / lambda and w alpha lambda for U - w L) is
+    the determinant.  The loop runs over sites on (B, S) arrays and rescales
+    by powers of two every few sites, so no value overflows at any n; every
+    operation is elementwise, so row i is bitwise the value of state i alone.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     count, n = b.shape
-    if boundary is Boundary.OPEN:
-        lams = (1.0,)
+    ring = boundary is Boundary.PERIODIC
+    lam = np.repeat(_lambdas(boundary, lambda_samples), n)
+    w = np.asarray(nodes, dtype=float).reshape(-1)
+    if w.shape != lam.shape:
+        raise ValueError(f"expected {lam.size} nodes, got {w.size}")
+    if alpha is None:       # diagonal c0 - c1 b_k, products c2 a_k, corners q a_k and r
+        c0, c1, c2, q, r = 1.0, w, w * w, w / lam, w * lam
     else:
-        lams = tuple(lambda_samples) if lambda_samples is not None else DEFAULT_LAMBDAS
-        if 0.0 in lams:
-            raise DomainError("spectral parameter must be nonzero on a ring")
-    out = np.empty((count, len(lams) * n))
-    up = (slice(None), np.arange(n - 1), np.arange(1, n))
-    down = (slice(None), np.arange(1, n), np.arange(n - 1))
-    diag = (slice(None), np.arange(n), np.arange(n))
-    for j, lam in enumerate(lams):
-        if alpha is None:
-            T = np.zeros((count, n, n))
-            T[diag] = b
-            T[up] = a[:, :-1] / lam
-            T[down] = lam
-            if boundary is Boundary.PERIODIC:
-                T[:, n - 1, 0] += a[:, n - 1] / lam
-                T[:, 0, n - 1] += lam
-        else:
-            L = np.zeros((count, n, n))
-            L[diag] = 1.0 + alpha * b
-            L[down] = alpha * lam
-            U = np.zeros((count, n, n))
-            U[diag] = 1.0
-            U[up] = -alpha * a[:, :-1] / lam
-            if boundary is Boundary.PERIODIC:
-                L[:, 0, n - 1] += alpha * lam
-                U[:, n - 1, 0] += -alpha * a[:, n - 1] / lam
-            try:   # T1 = L U^{-1}, laid out as rtl_t1 lays it out
-                T = np.linalg.solve(U.transpose(0, 2, 1),
-                                    L.transpose(0, 2, 1)).transpose(0, 2, 1)
-            except np.linalg.LinAlgError as exc:
-                raise SingularMatrix("U is not invertible") from exc
-        P = np.eye(n)
+        c0, c1, c2 = 1.0 - w, w * alpha, w * (alpha * alpha)
+        q, r = alpha / lam, w * (alpha * lam)
+    # cur/prev: the continuant (D_k, D_{k-1}) started from (1, 0), and on
+    # rings the second column of the transfer product, started from (0, 1)
+    cur = np.zeros((2 if ring else 1, count, w.size))
+    prev = np.zeros_like(cur)
+    cur[0] = 1.0
+    prev[1:] = 1.0
+    corner = np.ones((2, count, w.size)) if ring else None    # a ring's corner products
+    exp2 = np.zeros((count, w.size), dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
-            P = P @ T
-            out[:, j * n + k] = np.trace(P, axis1=1, axis2=2)
-    return out
+            # a[:, -1] couples site 1 to site n on rings; it is 0 on open chains
+            cur, prev = (c0 - c1 * b[:, k, None]) * cur - (c2 * a[:, k - 1, None]) * prev, cur
+            if ring:
+                corner[0] *= q * a[:, k, None]
+                corner[1] *= r
+            if k % _RENORM == _RENORM - 1 or k == n - 1:
+                parts = (cur, prev, corner) if ring else (cur, prev)
+                e = np.frexp(np.max([np.abs(v).max(axis=0) for v in parts], axis=0))[1]
+                scale = np.ldexp(1.0, -e)
+                for v in parts:
+                    v *= scale
+                exp2 += e
+        det = cur[0] + prev[1] - corner[0] - corner[1] if ring else cur[0]
+        log_den = 0.0
+        if ring and alpha is not None:     # det U = 1 - Prod(alpha a_k / lambda)
+            top = np.maximum(exp2, 0)
+            den = np.ldexp(1.0, -top) - np.ldexp(corner[0], exp2 - top)
+            if np.any(den == 0.0):
+                raise SingularMatrix("U is not invertible")
+            det = det * np.sign(den)
+            log_den = np.log(np.abs(den)) + top * _LN2
+        if not np.all((det > 0.0) & (det < np.inf)):
+            raise DomainError("det(I - w M) <= 0 at a node: the spectrum left the "
+                              "disc the nodes were scaled to")
+        return np.log(det) + exp2 * _LN2 - log_den
 
 
-_CHUNK_BYTES = 1 << 17      # size of one stacked (B, n, n) matrix array
+def drift(inv: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """|inv - ref|: for log det(I - w_j M) the relative change of each determinant."""
+    return np.abs(np.asarray(inv) - ref)
+
+
+_CHUNK_BYTES = 1 << 17      # working set of a stacked evaluation: about eight (B, n) arrays
 
 
 def states_per_chunk(n: int) -> int:
     """States per stacked invariant evaluation, so peak memory stays flat in n."""
-    return max(1, _CHUNK_BYTES // (8 * n * n))
+    return max(1, _CHUNK_BYTES // (64 * n))
 
 
 def trajectory_invariants(states, alpha: float | None = None,
-                          lambda_samples=None) -> np.ndarray:
+                          lambda_samples=None, nodes=None) -> np.ndarray:
     """``spectral_invariants`` of each state of a sequence, one row per state.
 
-    The states share n and boundary; they are evaluated a chunk of
-    ``states_per_chunk(n)`` states at a time by the stacked kernel.
+    The states share n and boundary; they are evaluated at the nodes of the
+    first state (or the given ones), a chunk of ``states_per_chunk(n)``
+    states at a time by the stacked kernel.
     """
     states = list(states)
-    n, boundary = states[0].n, states[0].boundary
-    chunk = states_per_chunk(n)
+    first = states[0]
+    if nodes is None:
+        nodes = spectral_nodes(first, alpha, lambda_samples)
+    chunk = states_per_chunk(first.n)
     rows = []
     for i in range(0, len(states), chunk):
         part = states[i:i + chunk]
         rows.append(spectral_invariants_stacked(np.array([s.a for s in part]),
                                                 np.array([s.b for s in part]),
-                                                boundary, alpha, lambda_samples))
+                                                first.boundary, nodes, alpha, lambda_samples))
     return np.concatenate(rows)
 
 

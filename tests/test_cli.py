@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from todalab import lax, maps
 from todalab.cli import main
 from todalab.core import Boundary, FlaschkaState, save_state
 from todalab.realizations import CATALOG, chart_specs, realization
@@ -115,40 +116,39 @@ def test_non_finite_state_exits_3_with_step_report(tmp_path, capsys, argv, key, 
     assert not list(tmp_path.glob("x.*.csv"))
 
 
-# sha256 of the (trajectory, invariants) CSVs of seeded n = 5 runs; the
-# 40-step ones taken from the writer that formatted one number per call, the
-# 5-step chart runs from the states chart_state samples
+# sha256 of the (trajectory, invariants) CSVs of seeded n = 5 runs: step and
+# state columns, then the log det(I - w_j M) columns and their drifts
 _GOLDEN_SHA256 = [
     ("dtl", "open", 1, 0.1, 40,
-     "f46ecdc53ed3b2026775d4a967bed8d2cd12001244597cbe1a91132a699a1f9a",
-     "d8649a8e94013647213163b4a4c23e7198bebc25c04445c509559fd3fceed18a"),
+     "2506fe1173165340c2fe418fb43c01f0d04d247721a632409bdac4a6afb9a988",
+     "c98a567a02f620941ad3752566605e9f5baeb58926078655788848321d42c0cc"),
     ("dtl", "periodic", 2, 0.1, 40,
-     "72d148dd6cfd09b429ca076b11c9ab7f6e928f6969b7cb66251594343d0a1956",
-     "07ccaa31a0c9febf541b5001626c5ad140f54c0376297dbc6814462a562d0a7f"),
+     "ac64bd359ecf36a6142399b0d0cf9bd7e8d562d2f871f37702e74a13457f95f9",
+     "77a11e8ab09a8afc4b375d3adbca6ca906c53e6804f622ec6111efb329a403ff"),
     ("drtl+", "open", 3, 0.1, 40,
-     "85526dd58fc64b3a99456c40df2bb0a4280adafe412ba561ccbcad2ebb974ae1",
-     "45a9f21e0b67d3ce6fd5e494817da65a657f89eaf322c39e0d4302d32c4993bf"),
+     "c2b424035061fbf8cf3aa6e0ed7faae7fca4961acd5ad495cc98d20c44cc904a",
+     "4f3f5065820520d74c16fb9f38d592355091b4908227800be9a34383cc650468"),
     ("drtl+", "periodic", 4, 0.1, 40,
-     "07f3fe200321666eabc81207489e4c12a6d3f512e5e3eacf500d7d61b67aa1be",
-     "97ae5641503cf65936510e66f5ceee698c955783a29437dc5767fb9abfbce043"),
+     "8fbaa891d5b069ddb53c772744eff13759867c30594195e073ac84fce10ddb6f",
+     "b4aa8c64cd6af5454a79ed412664c5d6a9d489d42c7e32c80f281af85161c564"),
     ("drtl-", "open", 5, 0.1, 40,
-     "cb455e341a78e25432f8df0fe693a5353ed8a637385ac46f8f761eb066d3b09c",
-     "0f67526526361a5bf097d6493f68e8a291dc909140860912151bf1038fc7259d"),
+     "b5f441c347e72a6d8bfb5e4ff73e7cb67716e2d97871e74ccf1a819c9c660e59",
+     "7e7518a2d095ef3145a0c930d794ceb76f59d14615e08304142d309d6b2ed6de"),
     ("drtl-", "periodic", 6, 0.1, 40,
-     "d2db67fc377ac6df2803824d0278d2c6195e27c0dc0700efb6dfb47ee3953d82",
-     "0f22d0b0703921d4f4307d39832e1c4077eb5ee221f80c537600093c0ac5d07e"),
+     "17f8dda64eacbce74511a7f8f8cb80d6b70f201e6580c4d9c0ad17cca5aba698",
+     "fd56811d19ef69520f31731ca086a418313f5dff18a7400147fe5ef1b5c086e8"),
     ("rtl+", "periodic", 7, 0.05, 40,
-     "a9444fdc76fc5bf7b46cada557f33591d82bd0e585ff83d06b82da53d126912f",
-     "e99dc246ac67ce2e260e624887e0ed48d68fdbe20cf4ed2d6c8cdbc64cdacce4"),
+     "3cc4e6eb77edf864e570cd30a7f9ac9c6212300a9872a949a0232a12b751f03e",
+     "a61d1255d2e6b3686ac9fb35d345671808bfec8cd6b5683a5048d8b2a5073dc3"),
     ("rel-exp-add", "open", 8, 0.1, 40,
-     "3114a15a76c72fbfe571aefd8c2e93b685cfde5b1e88d8ecdc774435f59220ef",
-     "89bcfc96832f7e6a869d633480081c3ee59d0b339f2f1391a5fe934e6c8568b4"),
+     "cd4bbca9b0db0001f16717b5fa09dab8b97be39d0f9f2f339f95b6ad65ba1dcc",
+     "4bc981f14de0da0d19535a9f7d478fd1d27e21c918177a75d6fce214b610cd98"),
     ("rat-add", "periodic", 9, 0.1, 5,
-     "5f2479d7d58de636c98550fdca1d3d1f071ea70c13a1ee35146e6f11940511ea",
-     "679438245b519774ea4302b03628cba155e06d69274049f8cb7d6934dbbc8864"),
+     "b8d6c368723937063147637801587779b29378a3482f1d8837b205280919ecd6",
+     "76fc02698ff5968971ea2fba0025b214c3ee0071b02af0655198fe917eb1c676"),
     ("dual", "periodic", 10, 0.1, 5,
-     "aedd5a3afb4cedec0c053bb991f1ba956c34db63da05bb25d017e247d5bfaa6a",
-     "beb14534e93e2a45f99f897f59b76c2690e481020d3e4184bdb2da8673863593"),
+     "47fe39d7a4f2f8c7fb1efec0846bb4e68f12e2062f2f260d40dbe156a887fe33",
+     "c6ad900aeafeac4635b41063ac8a81c690a981632d9b90861e1baf599ade356f"),
 ]
 
 
@@ -242,6 +242,53 @@ def test_invariants_subcommand(tmp_path):
     rec = json.loads((tmp_path / "inv.json").read_text())
     assert len(rec["invariants"]) == 4
     assert rec["state"]["n"] == 4
+
+
+# every invariant is log det(I - w M) at a node the JSON carries, so the
+# report alone reproduces it: M = T, or T1 = L U^-1 at lambda 1, 2, 0.5, -1
+@pytest.mark.parametrize("system,boundary", [("dtl", "open"), ("drtl+", "periodic")])
+def test_invariants_json_recomputes_from_its_nodes(tmp_path, system, boundary):
+    assert run(tmp_path, "invariants", "--system", system, "--boundary", boundary,
+               "--n", "5", "--seed", "2", "--alpha", "0.3", "--out", "inv.json") == 0
+    rec = json.loads((tmp_path / "inv.json").read_text())
+    state = FlaschkaState(rec["state"]["a"], rec["state"]["b"], Boundary(boundary))
+    lams = (1.0,) if boundary == "open" else lax.DEFAULT_LAMBDAS
+    assert np.array(rec["nodes"]).shape == (len(lams), 5)
+    want = []
+    for lam, nodes in zip(lams, rec["nodes"]):
+        M = lax.build_T(state, lam) if system == "dtl" else lax.rtl_t1(state, 0.3, lam)
+        want += [np.linalg.slogdet(np.eye(5) - w * M)[1] for w in nodes]
+    assert np.max(np.abs(np.array(rec["invariants"]) - want)) < 1e-12
+
+
+def test_simulate_names_logdet_columns(tmp_path):
+    assert run(tmp_path, "simulate", "--system", "dtl", "--boundary", "periodic", "--n", "3",
+               "--steps", "1", "--out", "r") == 0
+    header = (tmp_path / "r.trajectory.csv").read_text().splitlines()[0].split(",")
+    assert header[7:10] == ["logdet1_lam0", "logdet2_lam0", "logdet3_lam0"]
+    assert header[-1] == "logdet3_lam3" and len(header) == 7 + 12
+    drift = (tmp_path / "r.invariants.csv").read_text().splitlines()[0].split(",")
+    assert drift[1] == "drift_logdet1_lam0" and drift[-1] == "drift_max"
+
+
+def test_spectrum_leaving_the_node_disc_exits_3(tmp_path, monkeypatch, capsys):
+    # the third step scales b by 16: that state's spectrum leaves the disc of
+    # the nodes of the first state, and det(I - w T) changes sign at a node
+    calls = []
+
+    def scaled(s, h):
+        calls.append(s)
+        out = step(s, h)
+        return out.replace(b=16.0 * out.b) if len(calls) == 3 else out
+
+    step = maps.dtl_step
+    monkeypatch.setattr(maps, "dtl_step", scaled)
+    assert run(tmp_path, "simulate", "--system", "dtl", "--n", "8", "--seed", "3",
+               "--steps", "3", "--out", "x") == 3
+    report = json.loads((tmp_path / "x.error.json").read_text())
+    assert report["error"] == "DomainError" and report["failing_stage"] == "invariants"
+    assert "Warning" not in capsys.readouterr().err
+    assert not list(tmp_path.glob("x.*.csv"))
 
 
 def test_simulate_realization_trajectory(tmp_path):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,7 +52,7 @@ def test_rtl_pair_is_isospectral_pair():
 
 
 def _power_traces(s, alpha):
-    # tr(T^k), k = 1..n, state by state: the reference for the stacked kernel
+    # tr(T^k), k = 1..n, per lambda sample: the oracle for small n
     lams = (1.0,) if s.boundary is Boundary.OPEN else lax.DEFAULT_LAMBDAS
     out = []
     for lam in lams:
@@ -62,43 +64,130 @@ def _power_traces(s, alpha):
     return np.asarray(out)
 
 
+def _trajectory(name, n, boundary, seed, steps):
+    step = SYSTEMS[name].stepper(0.05, 0.3)
+    traj = [random_state(n, boundary, seed)]
+    for _ in range(steps):
+        traj.append(step(traj[-1]))
+    return traj, SYSTEMS[name].lax_alpha(0.05, 0.3)
+
+
+_LAX_PAIRS = ["dtl", "drtl+", "drtl-", "drtl+explicit", "drtl-explicit"]   # alpha None, 0.3, +-h
+
+
+@pytest.mark.parametrize("n", [3, 8, 33])
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("name", _LAX_PAIRS)
+def test_invariants_match_slogdet(name, boundary, n):
+    traj, alpha = _trajectory(name, n, boundary, 11, 5)
+    nodes = lax.spectral_nodes(traj[0], alpha=alpha)
+    lams = (1.0,) if boundary is Boundary.OPEN else lax.DEFAULT_LAMBDAS
+    assert nodes.shape == (len(lams), n)
+    for s in (traj[0], traj[-1]):
+        want = []
+        for lam, row in zip(lams, nodes):
+            M = lax.build_T(s, lam) if alpha is None else lax.rtl_t1(s, alpha, lam)
+            for w in row:
+                sign, logdet = np.linalg.slogdet(np.eye(n) - w * M)
+                assert sign == 1.0
+                want.append(logdet)
+        got = lax.spectral_invariants(s, alpha=alpha, nodes=nodes)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def _log_det_from_traces(traces, w):
+    # Newton's identities turn power sums into the elementary symmetric e_k;
+    # det(I - w M) = sum_k (-w)^k e_k, the finite form of exp(-sum tr(M^k) w^k / k)
+    e = [1.0]
+    for k in range(1, len(traces) + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1] for i in range(1, k + 1)) / k)
+    return np.log(sum((-w) ** k * ek for k, ek in enumerate(e)))
+
+
+@pytest.mark.parametrize("n", [3, 8, 10])
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-explicit"])
+def test_invariants_match_power_trace_series(name, boundary, n):
+    traj, alpha = _trajectory(name, n, boundary, 13, 3)
+    s = traj[-1]
+    nodes = lax.spectral_nodes(s, alpha=alpha)
+    traces = _power_traces(s, alpha).reshape(len(nodes), n)
+    want = [_log_det_from_traces(tr, w) for tr, row in zip(traces, nodes) for w in row]
+    assert np.max(np.abs(lax.spectral_invariants(s, alpha=alpha, nodes=nodes) - want)) < 1e-12
+
+
 @pytest.mark.parametrize("n", [3, 8, 33])
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
 @pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-"])
 def test_stacked_invariants_bitwise_equal_per_state(name, boundary, n):
-    alpha = None if name == "dtl" else 0.3
-    step = SYSTEMS[name].stepper(0.05, 0.3)
-    traj = [random_state(n, boundary, 11)]
-    for _ in range(20):
-        traj.append(step(traj[-1]))
+    traj, alpha = _trajectory(name, n, boundary, 11, 20)
+    nodes = lax.spectral_nodes(traj[0], alpha=alpha)
     a = np.array([s.a for s in traj])
     b = np.array([s.b for s in traj])
-    stacked = lax.spectral_invariants_stacked(a, b, boundary, alpha=alpha)
-    per_state = np.array([_power_traces(s, alpha) for s in traj])
+    stacked = lax.spectral_invariants_stacked(a, b, boundary, nodes, alpha=alpha)
     lams = 1 if boundary is Boundary.OPEN else len(lax.DEFAULT_LAMBDAS)
     assert stacked.shape == (len(traj), lams * n)
-    assert np.array_equal(stacked, per_state)
-    for s, row in zip(traj, per_state):
-        assert np.array_equal(lax.spectral_invariants(s, alpha=alpha), row)
+    for s, row in zip(traj, stacked):
+        assert np.array_equal(lax.spectral_invariants(s, alpha=alpha, nodes=nodes), row)
+    assert np.array_equal(lax.spectral_invariants(traj[0], alpha=alpha), stacked[0])
 
 
 # a trajectory of two full chunks and a partial one
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
 @pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-"])
 def test_trajectory_invariants_across_chunks(name, boundary):
-    alpha = None if name == "dtl" else 0.3
-    step = SYSTEMS[name].stepper(0.05, 0.3)
-    traj = [random_state(8, boundary, 12)]
-    for _ in range(2 * lax.states_per_chunk(8) + 2):
-        traj.append(step(traj[-1]))
+    traj, alpha = _trajectory(name, 8, boundary, 12, 2 * lax.states_per_chunk(8) + 2)
+    nodes = lax.spectral_nodes(traj[0], alpha=alpha)
     inv = lax.trajectory_invariants(traj, alpha=alpha)
-    assert np.array_equal(inv, np.array([_power_traces(s, alpha) for s in traj]))
+    whole = lax.spectral_invariants_stacked(np.array([s.a for s in traj]),
+                                            np.array([s.b for s in traj]), boundary, nodes,
+                                            alpha=alpha)
+    assert np.array_equal(inv, whole)      # rows do not depend on the chunk size
+    assert lax.drift(inv, inv[0]).max() < 1e-12
 
 
 def test_invariants_reject_zero_lambda_on_rings():
     s = random_state(4, Boundary.PERIODIC, 3)
     with pytest.raises(DomainError):
         lax.spectral_invariants(s, lambda_samples=(1.0, 0.0))
+
+
+# the drift sees a relative change of 1e-9 in the largest coupling: to first
+# order it moves log det(I - w T) by w^2 a_k 1e-9, about 3e-11 at R = 4
+@pytest.mark.parametrize("n", [8, 128])
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-"])
+def test_drift_detects_a_perturbed_coupling(name, boundary, n):
+    traj, alpha = _trajectory(name, n, boundary, 5, 3)
+    nodes = lax.spectral_nodes(traj[0], alpha=alpha)
+    s = traj[-1]
+    a = s.a.copy()
+    a[np.argmax(a)] *= 1.0 + 1e-9
+    ref = lax.spectral_invariants(s, alpha=alpha, nodes=nodes)
+    bumped = lax.spectral_invariants(s.replace(a=a), alpha=alpha, nodes=nodes)
+    assert lax.drift(bumped, ref).max() >= 1e-11
+
+
+# b scaled by 16 moves eigenvalues past the poles 1/w_j of the nodes, where
+# det(I - w_j M) changes sign; the kernel raises before taking a logarithm
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-"])
+def test_spectrum_leaving_the_node_disc_is_a_domain_error(name, boundary):
+    traj, alpha = _trajectory(name, 8, boundary, 3, 4)
+    bad = traj[2].replace(b=16.0 * traj[2].b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="left the disc"):
+            lax.trajectory_invariants(traj[:2] + [bad] + traj[3:], alpha=alpha)
+
+
+# tr(T^k) overflows near n = 600; the rescaled continuant does not
+@pytest.mark.parametrize("name", ["dtl", "drtl+"])
+def test_invariants_at_n_1024(name):
+    traj, alpha = _trajectory(name, 1024, Boundary.OPEN, 0, 10)
+    inv = lax.trajectory_invariants(traj, alpha=alpha)
+    assert inv.shape == (11, 1024) and np.all(np.isfinite(inv))
+    assert lax.drift(inv, inv[0]).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +346,11 @@ def test_site_transition_never_reads_step_size():
 
 
 def test_spectral_invariants_hand_values():
+    # T = [[1, 3], [1, 2]]: rho = (3 + sqrt 13) / 2 in (2, 4], so R = 4 and
+    # w = +-cos(pi / 4) / 8; det(I - w T) = 1 - w tr T + w^2 det T = 1 - 3w - w^2
+    nodes = lax.spectral_nodes(S2)
+    w = np.sqrt(0.5) / 8.0
+    np.testing.assert_allclose(nodes, [[w, -w]], rtol=1e-15)
     inv = lax.spectral_invariants(S2)
-    assert abs(inv[0] - 3.0) < 1e-14            # tr T
-    assert abs(0.5 * inv[1] - 5.5) < 1e-14      # tr T^2 / 2
+    assert abs(inv[0] - np.log(1.0 - 3.0 * w - w * w)) < 1e-14
+    assert abs(inv[1] - np.log(1.0 + 3.0 * w - w * w)) < 1e-14

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from todalab.core import Boundary
-from todalab.lax import spectral_invariants, states_per_chunk
-from todalab.systems import SYSTEMS
+from todalab.lax import drift, states_per_chunk
 from todalab.verify import CHECKS, check_isospectral, run_suite, simulate
 
 
@@ -27,8 +26,7 @@ def test_suite_glob_filter():
 def test_simulate_map_trajectory_shapes():
     traj, inv = simulate("dtl", 5, Boundary.OPEN, 0, 0.05, 0.0, 30)
     assert len(traj) == 31 and inv.shape == (31, 5)
-    drift = np.max(np.abs(inv - inv[0]))
-    assert drift < 1e-10
+    assert drift(inv, inv[0]).max() < 1e-10
 
 
 def test_simulate_flow_trajectory_matches_rk4():
@@ -41,16 +39,13 @@ def test_simulate_flow_trajectory_matches_rk4():
 
 # invariants are stacked a chunk of states at a time: a trajectory shorter than
 # one chunk, and one of two full chunks and a partial one
-@pytest.mark.parametrize("steps", [3, 2 * states_per_chunk(8) + 3])
+@pytest.mark.parametrize("steps", [3, 2 * states_per_chunk(64) + 3])
 @pytest.mark.parametrize("system", ["dtl", "drtl+", "drtl-"])
 def test_isospectral_drift_matches_per_state_invariants(system, steps):
-    rec = check_isospectral(seed=4, system=system, n=8, steps=steps)
-    traj, _ = simulate(system, 8, Boundary.OPEN, 4, 0.05, 0.3, steps)
-    lax_alpha = SYSTEMS[system].lax_alpha(0.05, 0.3)
-    inv = np.array([spectral_invariants(s, alpha=lax_alpha) for s in traj])
-    drift = np.abs(inv - inv[0]) / np.maximum(1.0, np.abs(inv[0]))
+    rec = check_isospectral(seed=4, system=system, n=64, steps=steps)
+    _, inv = simulate(system, 64, Boundary.OPEN, 4, 0.05, 0.3, steps)
     assert rec["samples"] == steps
-    assert rec["max_residual"] == float(drift.max())
+    assert rec["max_residual"] == float(drift(inv, inv[0]).max())
 
 
 # the explicit maps are drtl+ at alpha = h and drtl- at alpha = -h; their
@@ -60,5 +55,12 @@ def test_isospectral_drift_matches_per_state_invariants(system, steps):
 @pytest.mark.parametrize("system", ["drtl+explicit", "drtl-explicit"])
 def test_explicit_maps_conserve_their_lax_pair(system, boundary):
     _, inv = simulate(system, 6, boundary, 0, 0.05, 0.3, 200)
-    drift = np.abs(inv - inv[0]) / np.maximum(1.0, np.abs(inv[0]))
-    assert drift.max() < 1e-12
+    assert drift(inv, inv[0]).max() < 1e-12
+
+
+# the three trajectories of acceptance criterion 1 (gate 1e-8) stay at the
+# rounding floor of log det(I - w_j M)
+@pytest.mark.parametrize("seed,system", [(0, "dtl"), (1, "drtl+"), (2, "drtl-")])
+def test_criterion_1_drift_floor(seed, system):
+    rec = check_isospectral(seed=seed, system=system, n=8, steps=10_000, h=0.05, alpha=0.3)
+    assert rec["max_residual"] <= 1e-13
