@@ -39,11 +39,11 @@ def test_simulate_flow_trajectory_matches_rk4():
 
 # invariants are stacked a chunk of states at a time: a trajectory shorter than
 # one chunk, and one of two full chunks and a partial one
-@pytest.mark.parametrize("steps", [3, 2 * states_per_chunk(64) + 3])
+@pytest.mark.parametrize("steps", [3, 2 * states_per_chunk(8) + 3])
 @pytest.mark.parametrize("system", ["dtl", "drtl+", "drtl-"])
 def test_isospectral_drift_matches_per_state_invariants(system, steps):
-    rec = check_isospectral(seed=4, system=system, n=64, steps=steps)
-    _, inv = simulate(system, 64, Boundary.OPEN, 4, 0.05, 0.3, steps)
+    rec = check_isospectral(seed=4, system=system, n=8, steps=steps)
+    _, inv = simulate(system, 8, Boundary.OPEN, 4, 0.05, 0.3, steps)
     assert rec["samples"] == steps
     assert rec["max_residual"] == float(drift(inv, inv[0]).max())
 
