@@ -267,9 +267,13 @@ def cmd_simulate(args) -> int:
 def cmd_invariants(args) -> int:
     _validate_system(args)
     state, _, to_ab, alpha, obj = _subject(args)
-    ab = to_ab(state)
-    nodes = lax.spectral_nodes(ab, alpha=alpha)
-    inv = lax.spectral_invariants(ab, alpha=alpha, nodes=nodes)
+    with np.errstate(all="ignore"):
+        try:
+            ab = to_ab(state)
+            nodes = lax.spectral_nodes(ab, alpha=alpha)
+            inv = lax.spectral_invariants(ab, alpha=alpha, nodes=nodes)
+        except (NumericalError, ValueError) as exc:   # ValueError: an entry overflowed
+            return _numerical_failure(exc)
     obj.update(state=json.loads(state_to_json(state)), nodes=nodes.tolist(),
                invariants=[float(v) for v in inv])
     _emit(args, _json_report(obj))
@@ -317,6 +321,11 @@ def cmd_consistency(args) -> int:
     return 0 if obj["pass"] else 3
 
 
+def _numerical_failure(exc) -> int:
+    print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return 3
+
+
 _COMMANDS = {"simulate": cmd_simulate, "invariants": cmd_invariants,
              "verify": cmd_verify, "dump-lax": cmd_dump_lax,
              "consistency": cmd_consistency}
@@ -339,8 +348,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return _numerical_failure(exc)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,22 @@ class BranchNotFound(NumericalError):
 
 
 class SolveFailed(NumericalError):
-    """Newton iteration for an implicit map did not converge."""
+    """The solve of an implicit step failed: Newton did not converge, or the
+    exact ring solve overflowed or missed its tolerance."""
+
+
+class NoRealBranch(SolveFailed):
+    """An implicit ring step has no real solution.
+
+    ``discriminant`` is set when the ring's fixed-point quadratic has no real
+    root, ``site`` (0-based) when the attracting root's chain leaves the leg
+    domain there; the other is None.
+    """
+
+    def __init__(self, message, *, discriminant=None, site=None):
+        super().__init__(message)
+        self.discriminant = discriminant
+        self.site = site
 
 
 class NonInvertibleLeg(NumericalError):

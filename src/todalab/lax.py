@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .core import Boundary, CanonicalState, FlaschkaState
 from .errors import (DomainError, FactorizationOutsideDomain, NumericalError,
@@ -280,7 +279,7 @@ def exact_solution(s0: FlaschkaState, h: float, nsteps: int) -> FlaschkaState:
     for _ in range(nsteps):
         M = M @ F
     low, _ = crout_lu(M)
-    Tn = solve_triangular(low, T0 @ low, lower=True)
+    Tn = np.linalg.solve(low, T0 @ low)
 
     scale = max(1.0, float(np.max(np.abs(Tn))))
     band = np.zeros_like(Tn)

@@ -28,6 +28,7 @@ chart at alpha = h, where that chart's phi leg vanishes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.special import spence
 
 from .core import Boundary, CanonicalState, FlaschkaState, random_canonical, shifted
-from .errors import DomainError, NonInvertibleLeg, SolveFailed
+from .errors import DomainError, NoRealBranch, NonInvertibleLeg, SolveFailed
 from .poisson import Bracket, combo
 from .systems import SYSTEMS
 
@@ -82,6 +83,9 @@ class Legs:
     Phi: Optional[Callable] = None
     psi0: Optional[Callable] = None
     Psi0: Optional[Callable] = None
+    # (q, s) when psi(v) = expm1(v)/h and h*phi(u) = q e^u / (1 - s e^u): the
+    # ring step is then a Moebius recurrence, solved exactly (_mobius_ring)
+    mobius: Optional[tuple] = None
     v_range: tuple = (-0.5, 0.5)   # sampling window for derivative checks
     u_range: tuple = (-1.0, 1.0)
 
@@ -177,6 +181,7 @@ def _legs_exp(h):
         phi=lambda u: h * np.exp(u),
         dphi=lambda u: h * np.exp(u),
         Phi=lambda u: h * np.exp(u),
+        mobius=(h * h, 0.0),
         v_range=(-0.8, 0.8), u_range=(-1.5, 1.0))
 
 
@@ -325,6 +330,7 @@ def _legs_rel_exp_add_plus(h, alpha):
         _legs_exp(h), phi=phi,
         dphi=lambda u: (h - alpha) * np.exp(u) / (1.0 - h * alpha * np.exp(u)) ** 2,
         Phi=lambda u: -((h - alpha) / (h * alpha)) * np.log1p(-h * alpha * np.exp(u)),
+        mobius=(h * (h - alpha), h * alpha),
         psi0=lambda u: alpha * np.exp(u), Psi0=lambda u: alpha * np.exp(u))
 
 
@@ -740,7 +746,8 @@ def _explicit(counterpart, own=lambda q: {}):
     def build(q):
         kept = own(q)
         legs, chart, bracket, _ = row.build(q._replace(alpha=q.h, minus=False))
-        return replace(legs, phi=None, dphi=None, Phi=None, **kept), chart, bracket, None
+        return (replace(legs, phi=None, dphi=None, Phi=None, mobius=None, **kept),
+                chart, bracket, None)
     return row._replace(families=("explicit",), build=build)
 
 
@@ -850,8 +857,13 @@ def _first_equation_rhs(spec, c):
 
 
 def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
-    """One step of the chart's map; open chains solve by a forward sweep,
-    rings by a damped Newton iteration on the full position vector."""
+    """One step of the chart's map.
+
+    Open chains solve by a forward sweep.  Rings of a chart with a Moebius
+    leg pair (``Legs.mobius``: exp and the plus family of rel-exp-add) solve
+    exactly by a 2x2 matrix product round the ring; rings of the other
+    charts by a damped Newton iteration on the full position vector.
+    """
     if c.boundary is Boundary.OPEN and not spec.supports_open:
         raise DomainError(f"chart {spec.name} is periodic-only")
     x, p, n, bc = c.x, c.p, c.n, c.boundary
@@ -865,6 +877,8 @@ def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
         for k in range(n):
             r = rhs[k] if k == 0 else rhs[k] - legs.phi(x[k] - xt[k - 1])
             xt[k] = x[k] + legs.psi_inv(r)
+    elif legs.mobius is not None:
+        xt = _mobius_ring(spec, x, rhs)
     else:
         xt = _newton_ring(spec, x, rhs)
 
@@ -877,14 +891,79 @@ def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
     return CanonicalState(xt, pt, bc)
 
 
+def _ring_residual(legs, x, rhs, xt):
+    """psi(x~_k - x_k) + phi(x_k - x~_{k-1}) - rhs_k on a ring."""
+    return legs.psi(xt - x) + legs.phi(x - shifted(xt, -1, Boundary.PERIODIC)) - rhs
+
+
+def _tolerance(rhs):
+    """Inf-norm bound a ring solve must bring the residual below."""
+    return _NEWTON_TOL * max(1.0, float(np.max(np.abs(rhs))))
+
+
+def _mobius_ring(spec, x, rhs):
+    """Exact ring solve for beta_k = e^{x~_k - x_k} of a Moebius chart.
+
+    With g_k = e^{x_k - x_{k-1}}, c_k = 1 + h rhs_k and the legs' (q, s), the
+    first step equation is beta_k = c_k - q g_k / (beta_{k-1} - s g_k): the
+    site matrix [[c_k, -(q + s c_k) g_k], [1, -s g_k]] acting on
+    (beta_{k-1}, 1).  The ring closes at a fixed point t = beta_n of the
+    product P = M_n ... M_1, a root of P21 t^2 + (P22 - P11) t - P12 = 0.  Of
+    the two real roots the attracting one, with the larger eigenvalue
+    |P21 t + P22|, is the branch forward sweeps converge to and the one that
+    stays continuous as h -> 0.  One forward pass from t gives every beta_k.
+    """
+    q, s = spec.legs.mobius
+    h = spec.h
+    n = len(x)
+    g = np.exp(x - shifted(x, -1, Boundary.PERIODIC)).tolist()
+    c = [1.0 + h * r for r in rhs.tolist()]
+    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
+    for ck, gk in zip(c, g):
+        m12, m22 = -(q + s * ck) * gk, -s * gk
+        p11, p12, p21, p22 = (ck * p11 + m12 * p21, ck * p12 + m12 * p22,
+                              p11 + m22 * p21, p12 + m22 * p22)
+        size = max(abs(p11), abs(p12), abs(p21), abs(p22))
+        if not 0.0 < size < math.inf:
+            raise SolveFailed("ring product of the Moebius sites overflowed or vanished")
+        p11, p12, p21, p22 = p11 / size, p12 / size, p21 / size, p22 / size
+
+    half_b = 0.5 * (p22 - p11)
+    disc = half_b * half_b + p12 * p21
+    if disc < 0.0:
+        raise NoRealBranch(f"ring step has no real solution: discriminant {disc:.3g} < 0",
+                           discriminant=disc)
+    big = -(half_b + math.copysign(math.sqrt(disc), half_b))   # no cancellation
+    roots = ([big / p21] if p21 else []) + ([-p12 / big] if big else [])
+    t = max(roots, key=lambda root: abs(p21 * root + p22), default=math.nan)
+
+    if not t > 0.0:
+        raise NoRealBranch(f"ring step has no real solution: beta at site {n - 1} "
+                           f"is {t:.3g}", site=n - 1)
+    beta = []
+    prev = t
+    for k in range(n):
+        den = prev - s * g[k]
+        if not den > 0.0:
+            raise NoRealBranch(f"ring step has no real solution: leg pole at site {k}",
+                               site=k)
+        prev = c[k] - q * g[k] / den
+        if not prev > 0.0:
+            raise NoRealBranch(f"ring step has no real solution: beta at site {k} "
+                               f"is {prev:.3g}", site=k)
+        beta.append(prev)
+    xt = x + np.log(beta)
+    if not np.max(np.abs(_ring_residual(spec.legs, x, rhs, xt))) < _tolerance(rhs):
+        raise SolveFailed("exact ring step misses the step equation tolerance")
+    return xt
+
+
 def _newton_ring(spec, x, rhs):
     legs = spec.legs
     n = len(x)
     idx = np.arange(n)
     prev = (idx - 1) % n
-
-    def residual(xt):
-        return (legs.psi(xt - x) + legs.phi(x - shifted(xt, -1, Boundary.PERIODIC)) - rhs)
+    residual = partial(_ring_residual, legs, x, rhs)
 
     try:
         xt = x + legs.psi_inv(rhs)
@@ -895,9 +974,9 @@ def _newton_ring(spec, x, rhs):
     except DomainError as exc:
         raise SolveFailed("Newton seed lies outside the leg domain") from exc
     r_max = np.max(np.abs(r))
-    scale = max(1.0, float(np.max(np.abs(rhs))))
+    tol = _tolerance(rhs)
     for _ in range(_NEWTON_ITERS):
-        if r_max < _NEWTON_TOL * scale:
+        if r_max < tol:
             return xt
         J = np.zeros((n, n))
         J[idx, idx] = legs.dpsi(xt - x)

@@ -116,6 +116,15 @@ def test_non_finite_state_exits_3_with_step_report(tmp_path, capsys, argv, key, 
     assert not list(tmp_path.glob("x.*.csv"))
 
 
+def test_invariants_of_a_state_without_finite_image_exit_3(tmp_path, capsys):
+    (tmp_path / "far.json").write_text(
+        '{"n": 3, "boundary": "open", "x": [0, 800, 1600], "p": [0.1, 0.2, 0.3]}\n')
+    assert run(tmp_path, "invariants", "--realization", "exp", "--state", "far.json",
+               "--out", "i.json") == 3
+    assert capsys.readouterr().err == "numerical failure: ValueError: a must be finite\n"
+    assert not (tmp_path / "i.json").exists()
+
+
 # sha256 of the (trajectory, invariants) CSVs of seeded n = 5 runs: step and
 # state columns, then the log det(I - w_j M) columns and their drifts
 _GOLDEN_SHA256 = [

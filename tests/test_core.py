@@ -31,12 +31,24 @@ def test_periodic_shift_is_a_roll(n):
         assert out.dtype == v.dtype and np.array_equal(out, np.roll(v, -k))
 
 
+def _package_lines_with(*needles):
+    """file:line of every source line of the package holding one of needles."""
+    return [f"{path.name}:{i}"
+            for path in sorted(Path(todalab.__file__).parent.glob("*.py"))
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if any(needle in line for needle in needles)]
+
+
 def test_package_has_one_shift_primitive():
     """Every neighbour shift in the package goes through core.shifted."""
-    offenders = [f"{path.name}:{i}"
-                 for path in sorted(Path(todalab.__file__).parent.glob("*.py"))
-                 for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-                 if "np.roll" in line or "numpy.roll" in line]
+    offenders = _package_lines_with("np.roll", "numpy.roll")
+    assert not offenders, offenders
+
+
+def test_package_does_not_use_scipy_linalg():
+    """Dense solves go through numpy: scipy.linalg's triangular solve took
+    milliseconds per 5x5 call under multi-threaded BLAS."""
+    offenders = _package_lines_with("scipy.linalg", "from scipy import linalg")
     assert not offenders, offenders
 
 

@@ -1,12 +1,18 @@
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from todalab import maps
 from todalab.core import Boundary, CanonicalState, random_canonical
-from todalab.errors import DomainError, NonInvertibleLeg, NumericalError
-from todalab.realizations import (canonical_step, chart_specs, chart_state, flaschka_of,
+from todalab.errors import (DomainError, NonInvertibleLeg, NoRealBranch, NumericalError,
+                            SolveFailed)
+from todalab.realizations import (_first_equation_rhs, _mobius_ring, _newton_ring,
+                                  _ring_residual, _tolerance, canonical_step,
+                                  chart_specs, chart_state, flaschka_of,
                                   lagrangian_value, newtonian_residual,
                                   pullback_consistency, realization,
                                   symplectic_defect)
@@ -111,6 +117,66 @@ def test_noninvertible_leg_raises():
     c = CanonicalState([0.0, 0.0, 0.0], [-2.0, 0.0, 0.0], Boundary.OPEN)
     with pytest.raises(NonInvertibleLeg):
         canonical_step(spec, c)   # 1 + h p_1 < 0
+
+
+def test_only_the_commuting_family_charts_are_moebius():
+    moebius = {(s.name, s.family) for s in SPECS if s.legs.mobius is not None}
+    assert moebius == {("exp", "dtl"), ("rel-exp-add", "drtl_plus")}
+
+
+# beta = e^{x~ - x} of the exp chart follows the dtl factor recurrence, so
+# where the map's cyclic factor has a sign change no real chart step exists;
+# the site is the first one of the forward pass from beta_n (0-based)
+@pytest.mark.parametrize("seed,site", [(0, 4), (2, 2), (3, 2)])
+def test_exp_ring_without_a_real_step_names_the_site(seed, site):
+    spec = realization("exp", 0.5)
+    c = chart_state(spec, 5, seed, Boundary.PERIODIC)
+    beta = maps.dtl_factor_diag(flaschka_of(spec, c), 0.5)
+    assert beta[site] < 0.0 and np.all(beta[:site] > 0.0)
+    with pytest.raises(NoRealBranch) as info:
+        canonical_step(spec, c)
+    assert info.value.site == site and info.value.discriminant is None
+
+
+def test_exp_ring_without_a_real_fixed_point_carries_the_discriminant():
+    spec = realization("exp", 0.5)
+    c = chart_state(spec, 5, 1, Boundary.PERIODIC)
+    with pytest.raises(NoRealBranch) as info:
+        canonical_step(spec, c)
+    assert info.value.discriminant < 0.0 and info.value.site is None
+
+
+def test_exact_ring_step_with_an_overflowing_gap_is_not_called_branchless():
+    spec = realization("exp", H)
+    c = CanonicalState([0.0, 800.0, 1600.0], [0.1, 0.2, 0.3], Boundary.PERIODIC)
+    with np.errstate(over="ignore"), pytest.raises(SolveFailed, match="overflowed") as info:
+        canonical_step(spec, c)
+    assert not isinstance(info.value, NoRealBranch)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["exp", "rel-exp-add"]), n=st.integers(2, 9),
+       lam=st.floats(0.01, 0.35), alpha=st.floats(0.05, 0.6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_ring_step_solves_the_step_equation_and_matches_newton(
+        name, n, lam, alpha, seed):
+    spec = realization(name, lam, alpha=alpha)
+    c = chart_state(spec, n, seed, Boundary.PERIODIC)
+    rhs = _first_equation_rhs(spec, c)
+    newton = partial(_newton_ring, spec, c.x, rhs)
+    with np.errstate(all="ignore"):   # Newton overflows on its way to failing
+        try:
+            xt = _mobius_ring(spec, c.x, rhs)
+        except NoRealBranch:   # then no positive chain exists for Newton to reach
+            with pytest.raises(SolveFailed):
+                newton()
+            return
+        assert np.max(np.abs(_ring_residual(spec.legs, c.x, rhs, xt))) < _tolerance(rhs)
+        try:
+            xn = newton()
+        except SolveFailed:   # Newton also gives up on some steps that exist
+            return
+    assert np.max(np.abs(xt - xn)) <= 1e-11 * max(1.0, float(np.max(np.abs(xn))))
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
@@ -302,7 +368,8 @@ def test_drtl_minus_pullback_gauge_identity():
 
 def _ring_step_digest():
     """sha256 over 17-digit ring trajectories of every chart, errors by type
-    and message; covers the ring Newton solve, its line search and failures."""
+    and message; covers the exact Moebius ring solve, the ring Newton solve,
+    its line search and the failures of both."""
     digest = hashlib.sha256()
     for spec in SPECS + chart_specs(0.5, alpha=ALPHA, epsilon=EPS, beta=BETA):
         for seed in range(4):
@@ -319,8 +386,8 @@ def _ring_step_digest():
     return digest.hexdigest()
 
 
-# taken from the ring Newton before every shift went through core.shifted
-_RING_STEP_SHA256 = "63e1b12169f910ea4338073f638f0942ac44afd282da8aadf1fee7fbc84f1aff"
+# taken after exp and rel-exp-add (plus) rings moved to the exact Moebius solve
+_RING_STEP_SHA256 = "e3fe7c34df6710a10bcf5ac5af5807ed1e96f6c08685d67c5f212c3338d2aae5"
 
 
 def test_ring_steps_match_golden_digest():
@@ -328,17 +395,17 @@ def test_ring_steps_match_golden_digest():
 
 
 _RING = dict(n=4, n_states=50, boundary=Boundary.PERIODIC, tol=1e-9)
-# (check function, kwargs at the acceptance parameters, max_residual taken
-# from the ring Newton before every shift went through core.shifted)
+# (check function, kwargs at the acceptance parameters, max_residual; the
+# criterion 3 and 5 values taken from the exact Moebius ring solve)
 _CRITERION_RECORDS = {
     "c3-bt-toda-ring": (check_commutativity, dict(seed=0, system="bt-toda", **_RING),
-                        9.894307595459395e-13),
+                        6.9111383282915995e-15),
     "c3-bt-rtl-ring": (check_commutativity, dict(seed=0, system="bt-rtl", **_RING),
-                       2.3842039453825237e-12),
-    "c5-closure-2d": (check_closure_2d, dict(seed=1, n_states=20), 8.777700788442644e-15),
+                       7.216449660063518e-15),
+    "c5-closure-2d": (check_closure_2d, dict(seed=1, n_states=20), 7.549516567451064e-15),
     "c5-conservation-2d": (check_conservation_2d, dict(seed=1, n_states=20),
-                           3.488320743372242e-13),
-    "c5-corners-2d": (check_corners_2d, dict(seed=1, n_states=10), 4.163336342344337e-12),
+                           1.6042722705833512e-14),
+    "c5-corners-2d": (check_corners_2d, dict(seed=1, n_states=10), 1.912359159916832e-14),
     "c7-symplecticity": (check_symplecticity, dict(seed=4), 9.897051501886528e-10),
     "c10-pullbacks": (check_pullbacks, dict(seed=7, n_states=3), 4.1300296516055823e-13),
 }

@@ -3,7 +3,8 @@ import pytest
 
 from todalab.core import Boundary
 from todalab.lax import drift, states_per_chunk
-from todalab.verify import CHECKS, check_isospectral, run_suite, simulate
+from todalab.verify import (CHECKS, check_commutativity, check_isospectral, run_suite,
+                            simulate)
 
 
 def test_registry_names_match_records():
@@ -63,4 +64,13 @@ def test_explicit_maps_conserve_their_lax_pair(system, boundary):
 @pytest.mark.parametrize("seed,system", [(0, "dtl"), (1, "drtl+"), (2, "drtl-")])
 def test_criterion_1_drift_floor(seed, system):
     rec = check_isospectral(seed=seed, system=system, n=8, steps=10_000, h=0.05, alpha=0.3)
+    assert rec["max_residual"] <= 1e-13
+
+
+# the two ring records of acceptance criterion 3 (gate 1e-9) stay at the
+# rounding floor of the exact ring step
+@pytest.mark.parametrize("system", ["bt-toda", "bt-rtl"])
+def test_criterion_3_ring_commutator_floor(system):
+    rec = check_commutativity(seed=0, system=system, n=4, n_states=50,
+                              boundary=Boundary.PERIODIC, tol=1e-9)
     assert rec["max_residual"] <= 1e-13
