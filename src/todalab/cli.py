@@ -29,7 +29,7 @@ import numpy as np
 from . import lax, pluri, verify
 from .core import (Boundary, CanonicalState, FlaschkaState, load_state, random_state,
                    state_to_json)
-from .errors import NumericalError
+from .errors import NoRealBranch, NumericalError
 from .realizations import CATALOG, canonical_step, chart_state, flaschka_of, realization
 from .systems import SYSTEMS
 
@@ -220,6 +220,8 @@ def _trajectory(step, first, steps, invariants, out, report):
 
 
 def _report_failure(out, report, exc, where, **failing):
+    if isinstance(exc, NoRealBranch):
+        failing.update(discriminant=exc.discriminant, site=exc.site)
     report = dict(report, error=type(exc).__name__, message=str(exc), failed=True, **failing)
     _write(out + ".error.json", _json_report(report))
     print(f"numerical failure {where}: {exc}", file=sys.stderr)

@@ -17,21 +17,18 @@ class SingularStep(NumericalError):
     """A denominator in a map recurrence fell below the singularity guard."""
 
 
-class BranchNotFound(NumericalError):
-    """Periodic fixed-point iteration did not converge to the small-h branch."""
-
-
 class SolveFailed(NumericalError):
-    """The solve of an implicit step failed: Newton did not converge, or the
+    """The solve of an implicit step failed: Newton did not converge, or an
     exact ring solve overflowed or missed its tolerance."""
 
 
 class NoRealBranch(SolveFailed):
-    """An implicit ring step has no real solution.
+    """A ring step (a map's factor recurrence or a chart's step equation) has
+    no real solution.
 
     ``discriminant`` is set when the ring's fixed-point quadratic has no real
-    root, ``site`` (0-based) when the attracting root's chain leaves the leg
-    domain there; the other is None.
+    root, ``site`` (0-based) when the attracting root's chain leaves a chart's
+    leg domain there; the other is None.
     """
 
     def __init__(self, message, *, discriminant=None, site=None):

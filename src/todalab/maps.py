@@ -33,10 +33,15 @@ each failure raises the same error.  The public ``*_factors`` functions
 return the factors of the same pass as arrays.
 
 The recurrences start from a_0 = 0 on open chains and run forward; on rings
-they are cyclic and double-valued, and the branch with beta_k -> 1 + h b_k
-(etc.) as h -> 0 is selected by fixed-point iteration: Gauss-Seidel sweeps on
-the same floats, each tested by the residual at the closing site, the only
-site a forward sweep leaves inexact.
+they are cyclic and double-valued.  Each update is Moebius in the previous
+factor, so the branch with beta_k -> 1 + h b_k (etc.) as h -> 0 is the
+attracting fixed point of the product of the 2x2 site matrices round the
+ring, the same exact solve as the exp and rel-exp-add chart rings use.  One
+Newton step on the float recurrence's own closure restores the digits the
+product loses to cancellation, and a forward pass from the corrected point
+gives every factor; the residual at the closing site, the only site the
+pass leaves inexact, must be below 1e-12 relative.  A ring whose fixed-point
+quadratic has complex roots raises NoRealBranch.
 
 The parameter coincidences alpha = h (plus) and alpha = -h (minus) collapse
 the recurrences; the resulting explicit rational maps are provided
@@ -50,11 +55,9 @@ import math
 import numpy as np
 
 from .core import Boundary, FlaschkaState, shifted
-from .errors import BranchNotFound, NumericalError, SingularStep
+from .errors import NoRealBranch, NumericalError, SingularStep, SolveFailed
 
 _PIVOT = 1e-13          # singularity guard for denominators
-_FP_TOL = 1e-14         # periodic fixed-point tolerance (relative)
-_FP_SWEEPS = 200
 _ID_TOL = 1e-12         # internal two-expression identity tolerance
 _ADD_TOL = 1e-10        # addition-formula tolerance inside steps
 
@@ -118,66 +121,61 @@ def _open_chain(update, first: float, n: int) -> list:
     return vals
 
 
-def _cyclic_fixed_point(update, v: list, what: str) -> list:
-    """Solve the cyclic one-step recurrence v_k = update(k, v_{k-1}) in place.
+def _ring_fixed_point(sites) -> float:
+    """Attracting fixed point of a ring of Moebius site maps.
 
-    Gauss-Seidel sweeps from the seed list v select the branch the seed
-    approximates; a damped scalar Newton polish on the closure condition
-    v_n = forward(v_n) runs if the sweeps stall.  Returns v.
+    Site k maps v_{k-1} to v_k = (m11 v_{k-1} + m12)/(m21 v_{k-1} + m22), the
+    matrix (m11, m12, m21, m22) acting on (v_{k-1}, 1).  The ring closes at a
+    fixed point t = v_n of the product P = M_n ... M_1, a root of
+    P21 t^2 + (P22 - P11) t - P12 = 0.  Of the two real roots the attracting
+    one, with the larger eigenvalue |P21 t + P22|, is the branch forward
+    sweeps converge to and the one that stays continuous as h -> 0.  Raises
+    NoRealBranch (with the discriminant) if the roots are complex, and
+    SolveFailed if the product overflows or vanishes; NaN if P has no finite
+    fixed point.
     """
-    n = len(v)
+    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
+    for m11, m12, m21, m22 in sites:
+        p11, p12, p21, p22 = (m11 * p11 + m12 * p21, m11 * p12 + m12 * p22,
+                              m21 * p11 + m22 * p21, m21 * p12 + m22 * p22)
+        size = max(abs(p11), abs(p12), abs(p21), abs(p22))
+        if not 0.0 < size < math.inf:
+            raise SolveFailed("ring product of the Moebius sites overflowed or vanished")
+        p11, p12, p21, p22 = p11 / size, p12 / size, p21 / size, p22 / size
 
-    def sweep():
-        prev = v[-1]
-        for k in range(n):
-            prev = v[k] = update(k, prev)
+    half_b = 0.5 * (p22 - p11)
+    disc = half_b * half_b + p12 * p21
+    if disc < 0.0:
+        raise NoRealBranch(f"ring step has no real solution: discriminant {disc:.3g} < 0",
+                           discriminant=disc)
+    big = -(half_b + math.copysign(math.sqrt(disc), half_b))   # no cancellation
+    roots = ([big / p21] if p21 else []) + ([-p12 / big] if big else [])
+    return max(roots, key=lambda root: abs(p21 * root + p22), default=math.nan)
 
-    def sweep_residual():
-        # After a sweep v_k = update(k, v_{k-1}) holds exactly for k >= 1, so
-        # only the closing site can differ; a non-finite later entry stands for
-        # the inf - inf or NaN - x its own difference would give.
-        gap = abs(v[0] - update(0, v[-1]))
-        return gap if all(map(math.isfinite, v[1:])) else math.nan
 
-    scale = max(1.0, _amax(v))
-    for _ in range(_FP_SWEEPS):
-        sweep()
-        if sweep_residual() < _FP_TOL * scale:
-            return v
+def _ring_chain(update, sites) -> list:
+    """Values of the cyclic recurrence v_k = update(k, v_{k-1}) whose site maps
+    are the Moebius ``sites``.
 
-    # Newton polish on t = v_n: run the chain forward from v_0 = t and close it.
-    def chain(t):
-        val = t
-        dval = 1.0
-        for k in range(n):
-            eps = 1e-7 * max(1.0, abs(val))
-            base = update(k, val)
-            dval = (update(k, val + eps) - base) / eps * dval
-            val = base
-        return val, dval
-
-    t = v[-1]
-    g, dg = chain(t)
-    for _ in range(60):
-        denom = dg - 1.0
-        if abs(denom) < _PIVOT:
-            break
-        step = -(g - t) / denom
-        for _ in range(30):
-            g_new, dg_new = chain(t + step)
-            if abs(g_new - (t + step)) < abs(g - t):
-                t, g, dg = t + step, g_new, dg_new
-                break
-            step *= 0.5
-        else:
-            break
-        if abs(g - t) < _FP_TOL * scale:
-            break
-    v[-1] = t
-    sweep()
-    if sweep_residual() > 1e-12 * scale:
-        raise BranchNotFound(f"cyclic recurrence for {what} did not converge")
-    return v
+    The attracting fixed point t of the sites' product selects the branch.
+    The float product loses digits of t when sites are much larger than the
+    product, so one Newton step on the closure v_n(t) = t of the recurrence
+    itself, with dv_n/dt the product of the site slopes
+    det M_k / (m21 v_{k-1} + m22)^2, corrects t before the final pass.  That
+    pass must close at site 0 to 1e-12 relative; a correction that leaves t
+    as it is leaves the first pass final.
+    """
+    t = _ring_fixed_point(sites)
+    vals = _open_chain(update, update(0, t), len(sites))
+    slope = 1.0
+    for (m11, m12, m21, m22), v in zip(sites, [t] + vals[:-1]):
+        slope *= (m11 * m22 - m12 * m21) / (m21 * v + m22) ** 2
+    corrected = t + (vals[-1] - t) / (1.0 - slope)
+    if corrected != t:
+        vals = _open_chain(update, update(0, corrected), len(sites))
+    if not abs(vals[0] - update(0, vals[-1])) <= 1e-12 * max(1.0, _amax(vals)):
+        raise SolveFailed("ring recurrence does not close at its fixed point")
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +193,8 @@ def _dtl(s: FlaschkaState, floats, h: float, factor_only: bool = False):
         return 1.0 + h * bl[k] - hh * al[k - 1] / prev
 
     if ring:
-        beta = _cyclic_fixed_point(update, floats(1.0 + h * s.b), "beta")
+        beta = _ring_chain(update, [(1.0 + h * b, -hh * ap, 1.0, 0.0)
+                                    for b, ap in zip(bl, _prev(al, ring))])
     else:
         beta = _open_chain(update, 1.0 + h * bl[0], s.n)
     _guard(beta, "beta")
@@ -232,8 +231,8 @@ def _drtl_plus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: bo
         return 1.0 + h * bl[k] + coupling * al[k - 1] / prev
 
     if ring:
-        seed = 1.0 + h * (s.b + alpha * shifted(s.a, -1, s.boundary))
-        d1 = _cyclic_fixed_point(update, floats(seed), "d1")
+        d1 = _ring_chain(update, [(1.0 + h * b, coupling * ap, 1.0, 0.0)
+                                  for b, ap in zip(bl, _prev(al, ring))])
     else:
         d1 = _open_chain(update, 1.0 + h * bl[0], s.n)
     _guard(d1, "d1")
@@ -301,8 +300,7 @@ def _drtl_minus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: b
         return al[k] / den
 
     if ring:
-        denom0 = _check(1.0 + alpha * s.b, "1 + alpha*b")
-        dm = _cyclic_fixed_point(update, floats(s.a / denom0), "dm")
+        dm = _ring_chain(update, [(0.0, a, -rate * h, 1.0 + rate * b) for a, b in zip(al, bl)])
     else:
         dm = _open_chain(update, update(0, 0.0), s.n)     # a_0 = 0 before the chain
     h_dm = [h * d for d in dm]

@@ -28,7 +28,6 @@ chart at alpha = h, where that chart's phi leg vanishes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -38,6 +37,7 @@ from scipy.special import spence
 
 from .core import Boundary, CanonicalState, FlaschkaState, random_canonical, shifted
 from .errors import DomainError, NoRealBranch, NonInvertibleLeg, SolveFailed
+from .maps import _ring_fixed_point
 from .poisson import Bracket, combo
 from .systems import SYSTEMS
 
@@ -907,36 +907,16 @@ def _mobius_ring(spec, x, rhs):
     With g_k = e^{x_k - x_{k-1}}, c_k = 1 + h rhs_k and the legs' (q, s), the
     first step equation is beta_k = c_k - q g_k / (beta_{k-1} - s g_k): the
     site matrix [[c_k, -(q + s c_k) g_k], [1, -s g_k]] acting on
-    (beta_{k-1}, 1).  The ring closes at a fixed point t = beta_n of the
-    product P = M_n ... M_1, a root of P21 t^2 + (P22 - P11) t - P12 = 0.  Of
-    the two real roots the attracting one, with the larger eigenvalue
-    |P21 t + P22|, is the branch forward sweeps converge to and the one that
-    stays continuous as h -> 0.  One forward pass from t gives every beta_k.
+    (beta_{k-1}, 1).  The ring closes at the attracting fixed point t = beta_n
+    of their product (``maps._ring_fixed_point``); one forward pass from t
+    gives every beta_k.
     """
     q, s = spec.legs.mobius
     h = spec.h
     n = len(x)
     g = np.exp(x - shifted(x, -1, Boundary.PERIODIC)).tolist()
     c = [1.0 + h * r for r in rhs.tolist()]
-    p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
-    for ck, gk in zip(c, g):
-        m12, m22 = -(q + s * ck) * gk, -s * gk
-        p11, p12, p21, p22 = (ck * p11 + m12 * p21, ck * p12 + m12 * p22,
-                              p11 + m22 * p21, p12 + m22 * p22)
-        size = max(abs(p11), abs(p12), abs(p21), abs(p22))
-        if not 0.0 < size < math.inf:
-            raise SolveFailed("ring product of the Moebius sites overflowed or vanished")
-        p11, p12, p21, p22 = p11 / size, p12 / size, p21 / size, p22 / size
-
-    half_b = 0.5 * (p22 - p11)
-    disc = half_b * half_b + p12 * p21
-    if disc < 0.0:
-        raise NoRealBranch(f"ring step has no real solution: discriminant {disc:.3g} < 0",
-                           discriminant=disc)
-    big = -(half_b + math.copysign(math.sqrt(disc), half_b))   # no cancellation
-    roots = ([big / p21] if p21 else []) + ([-p12 / big] if big else [])
-    t = max(roots, key=lambda root: abs(p21 * root + p22), default=math.nan)
-
+    t = _ring_fixed_point((ck, -(q + s * ck) * gk, 1.0, -s * gk) for ck, gk in zip(c, g))
     if not t > 0.0:
         raise NoRealBranch(f"ring step has no real solution: beta at site {n - 1} "
                            f"is {t:.3g}", site=n - 1)

@@ -90,26 +90,20 @@ def check_factorization_oracle(seed=0, n=5, h=0.05, max_steps=20, tol=1e-8):
                    max_steps, worst, tol)
 
 
-def _commutator(c, lam, mu, alpha):
-    a = pluri.chain_step(pluri.chain_step(c, lam, alpha), mu, alpha)
-    b = pluri.chain_step(pluri.chain_step(c, mu, alpha), lam, alpha)
-    return max(float(np.max(np.abs(a.x - b.x))), float(np.max(np.abs(a.p - b.p))))
-
-
 _PAIRS = ((0.05, 0.19), (0.08, 0.13), (0.1, 0.23), (0.07, 0.29), (0.11, 0.17))
 
 
 def check_commutativity(seed=0, system="bt-toda", n=6, n_states=50,
                         boundary=Boundary.OPEN, pairs=_PAIRS, tol=1e-10, alpha=0.3):
     al = None if system == "bt-toda" else alpha
-    worst = 0.0
-    for i in range(n_states):
-        c = random_canonical(n, boundary, seed + i)
-        for lam, mu in pairs:
-            worst = max(worst, _commutator(c, lam, mu, al))
-    name = f"commute-{system}-{boundary.value}"
-    return _record(name, dict(n=n, pairs=len(pairs), alpha=al), n_states * len(pairs),
-                   worst, tol)
+
+    def commutator(c, ct, ch, cth, lam, mu):
+        other = pluri.chain_step(ch, lam, al)
+        return max(float(np.max(np.abs(cth.x - other.x))), float(np.max(np.abs(cth.p - other.p))))
+
+    return _square_check(f"commute-{system}-{boundary.value}",
+                         dict(n=n, pairs=len(pairs), alpha=al), commutator,
+                         seed, n, n_states, pairs, tol, boundary, al)
 
 
 def check_3d_consistency(seed=0, h=0.1, alpha=0.3, lam=0.7, n_samples=100, tol=1e-9):
@@ -119,8 +113,8 @@ def check_3d_consistency(seed=0, h=0.1, alpha=0.3, lam=0.7, n_samples=100, tol=1
 
 def _square_check(name, params, residual, seed, n, n_states, pairs, tol, boundary,
                   alpha=None, lam_last=False):
-    """Worst residual(x, xt, xh, xth, lam, mu) over seeded states and step
-    pairs: xt, xh step x by lam, mu; xth steps xt by mu, or xh by lam."""
+    """Worst residual(c, ct, ch, cth, lam, mu) over seeded states and step
+    pairs: ct, ch step c by lam, mu; cth steps ct by mu, or ch by lam."""
     worst = 0.0
     for i in range(n_states):
         c = random_canonical(n, boundary, seed + i)
@@ -128,8 +122,13 @@ def _square_check(name, params, residual, seed, n, n_states, pairs, tol, boundar
             ct = pluri.chain_step(c, lam, alpha)
             ch = pluri.chain_step(c, mu, alpha)
             cth = pluri.chain_step(ch, lam, alpha) if lam_last else pluri.chain_step(ct, mu, alpha)
-            worst = max(worst, residual(c.x, ct.x, ch.x, cth.x, lam, mu))
+            worst = max(worst, residual(c, ct, ch, cth, lam, mu))
     return _record(name, params, n_states * len(pairs), worst, tol)
+
+
+def _on_positions(residual):
+    """residual(x, xt, xh, xth, lam, mu) of the corner states' positions."""
+    return lambda c, ct, ch, cth, lam, mu: residual(c.x, ct.x, ch.x, cth.x, lam, mu)
 
 
 def check_closure_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
@@ -137,7 +136,7 @@ def check_closure_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
     sys1 = pluri.corner_system_1d()
     return _square_check(
         "closure-1d", dict(n=n),
-        lambda *w: abs(pluri.closure_value_1d(sys1, *w, boundary)),
+        _on_positions(lambda *w: abs(pluri.closure_value_1d(sys1, *w, boundary))),
         seed, n, n_states, pairs, tol, boundary)
 
 
@@ -146,8 +145,8 @@ def check_spectrality_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
     sys1 = pluri.corner_system_1d()
     return _square_check(
         "spectrality-1d", dict(n=n),
-        lambda x, xt, xh, xth, lam, mu: pluri.spectrality_residual(
-            sys1, (x, xt), (xh, xth), lam, boundary),
+        _on_positions(lambda x, xt, xh, xth, lam, mu: pluri.spectrality_residual(
+            sys1, (x, xt), (xh, xth), lam, boundary)),
         seed, n, n_states, pairs, tol, boundary, lam_last=True)
 
 
@@ -156,7 +155,7 @@ def check_closure_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3, tol=
     form = pluri.bt_rtl_form(alpha)
     return _square_check(
         "closure-2d", dict(n=n, alpha=alpha),
-        lambda *w: pluri.closure_value_2d(form, *w, boundary),
+        _on_positions(lambda *w: pluri.closure_value_2d(form, *w, boundary)),
         seed, n, n_states, pairs, tol, boundary, alpha)
 
 
@@ -165,7 +164,7 @@ def check_conservation_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3,
     form = pluri.bt_rtl_form(alpha)
     return _square_check(
         "conservation-2d", dict(n=n, alpha=alpha),
-        lambda *w: pluri.conservation_residual_2d(form, *w, boundary),
+        _on_positions(lambda *w: pluri.conservation_residual_2d(form, *w, boundary)),
         seed, n, n_states, pairs, tol, boundary, alpha, lam_last=True)
 
 
@@ -174,29 +173,26 @@ def check_corners_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3,
     form = pluri.bt_rtl_form(alpha)
     return _square_check(
         "corners-2d", dict(n=n, alpha=alpha),
-        lambda *w: max(float(np.max(np.abs(v)))
-                       for v in pluri.corner_residuals_2d(form, *w, boundary).values()),
+        _on_positions(lambda *w: max(float(np.max(np.abs(v))) for v in
+                                     pluri.corner_residuals_2d(form, *w, boundary).values())),
         seed, n, n_states, pairs, tol, boundary, alpha)
 
 
 def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, lam=0.15, mu=0.23,
                     alpha=0.3, tol_invariant=1e-10, boundary=Boundary.OPEN):
     al = None if system == "bt-toda" else alpha
-    worst = 0.0
-    for i in range(n_states):
-        c = random_canonical(n, boundary, seed + i)
-        ct = pluri.chain_step(c, lam, al)
-        ch = pluri.chain_step(c, mu, al)
-        cth = pluri.chain_step(ct, mu, al)
+
+    def drift(c, ct, ch, cth, lam, mu):
         if system == "bt-toda":
             _, P0 = lax.monodromy_toda(c, ct.x, lam)
             _, P1 = lax.monodromy_toda(ch, cth.x, lam)
         else:
             _, P0 = lax.monodromy_rtl(c, ct.x, alpha, lam)
             _, P1 = lax.monodromy_rtl(ch, cth.x, alpha, lam)
-        worst = max(worst, abs(P1 - P0) / max(1.0, abs(P0)))
-    return _record(f"monodromy-{system}", dict(n=n, lam=lam, mu=mu, alpha=al),
-                   n_states, worst, tol_invariant)
+        return abs(P1 - P0) / max(1.0, abs(P0))
+
+    return _square_check(f"monodromy-{system}", dict(n=n, lam=lam, mu=mu, alpha=al), drift,
+                         seed, n, n_states, ((lam, mu),), tol_invariant, boundary, al)
 
 
 def _brackets(lax_alpha):

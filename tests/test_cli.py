@@ -90,6 +90,24 @@ def test_numerical_failure_exits_3_with_step_report(tmp_path):
     assert report["error"] == "SingularStep"
 
 
+@pytest.mark.parametrize("argv,negative_discriminant,site", [
+    # the fixed-point quadratic of the map's ring has no real root
+    (("--system", "dtl", "--n", "3", "--seed", "1"), True, None),
+    # the chart's chain from its attracting root leaves the leg domain at site 4
+    (("--realization", "exp", "--n", "5", "--seed", "0"), False, 4),
+], ids=["map", "chart"])
+def test_ring_without_a_real_branch_reports_why(tmp_path, argv, negative_discriminant, site):
+    assert run(tmp_path, "simulate", *argv, "--boundary", "periodic", "--h", "0.5",
+               "--steps", "1", "--out", "x") == 3
+    report = json.loads((tmp_path / "x.error.json").read_text())
+    assert report["error"] == "NoRealBranch" and report["failing_step"] == 1
+    assert report["site"] == site
+    if negative_discriminant:
+        assert report["discriminant"] < 0.0
+    else:
+        assert report["discriminant"] is None
+
+
 _AT_STEP_1 = ("at step 1", {"failing_step": 1})
 
 
@@ -132,8 +150,8 @@ _GOLDEN_SHA256 = [
      "2506fe1173165340c2fe418fb43c01f0d04d247721a632409bdac4a6afb9a988",
      "c98a567a02f620941ad3752566605e9f5baeb58926078655788848321d42c0cc"),
     ("dtl", "periodic", 2, 0.1, 40,
-     "ac64bd359ecf36a6142399b0d0cf9bd7e8d562d2f871f37702e74a13457f95f9",
-     "77a11e8ab09a8afc4b375d3adbca6ca906c53e6804f622ec6111efb329a403ff"),
+     "4b879a7422b4fc1296c08dc373fbb2f32265becde94e0376c86bcac9ef17baad",
+     "5117fed0520c33e80381b5fc9fe16288d3648660e99fe9eeb50d73d1928d583e"),
     ("drtl+", "open", 3, 0.1, 40,
      "c2b424035061fbf8cf3aa6e0ed7faae7fca4961acd5ad495cc98d20c44cc904a",
      "4f3f5065820520d74c16fb9f38d592355091b4908227800be9a34383cc650468"),
@@ -144,8 +162,8 @@ _GOLDEN_SHA256 = [
      "b5f441c347e72a6d8bfb5e4ff73e7cb67716e2d97871e74ccf1a819c9c660e59",
      "7e7518a2d095ef3145a0c930d794ceb76f59d14615e08304142d309d6b2ed6de"),
     ("drtl-", "periodic", 6, 0.1, 40,
-     "17f8dda64eacbce74511a7f8f8cb80d6b70f201e6580c4d9c0ad17cca5aba698",
-     "fd56811d19ef69520f31731ca086a418313f5dff18a7400147fe5ef1b5c086e8"),
+     "e5afd3a0116b4c01b18d8fe1ebfb621008f8ef04abefabd8a9808cae04999b6d",
+     "c05891e38eb6463528fe9ba204767424c31aa294ce389483c07788ccb325c6e8"),
     ("rtl+", "periodic", 7, 0.05, 40,
      "3cc4e6eb77edf864e570cd30a7f9ac9c6212300a9872a949a0232a12b751f03e",
      "a61d1255d2e6b3686ac9fb35d345671808bfec8cd6b5683a5048d8b2a5073dc3"),

@@ -3,7 +3,7 @@ import pytest
 
 from todalab import maps
 from todalab.core import Boundary, FlaschkaState, random_state, shifted, state_to_json
-from todalab.errors import BranchNotFound, NumericalError, SingularStep
+from todalab.errors import NoRealBranch, NumericalError, SingularStep, SolveFailed
 from todalab.flows import TL, vector_field
 from todalab.lax import drift, spectral_invariants, spectral_nodes
 
@@ -285,18 +285,40 @@ def test_isospectrality_per_step(boundary, name, stepper):
 
 
 def test_periodic_branch_not_found_at_large_h():
-    from todalab.errors import BranchNotFound
     s = FlaschkaState([1.5, 1.8, 1.2], [0.9, -0.8, 0.5], Boundary.PERIODIC)
-    with pytest.raises(BranchNotFound):
+    with pytest.raises(NoRealBranch) as info:
         maps.dtl_factor_diag(s, 0.5)
+    assert info.value.discriminant < 0.0 and info.value.site is None
 
 
 # ---------------------------------------------------------------------------
-# edge paths of the ring branch solve
+# the exact ring solve: Moebius fixed point, then the recurrence's own pass
 # ---------------------------------------------------------------------------
+
+def test_ring_fixed_point_takes_the_attracting_root():
+    # v -> (3v + 2)/(v + 2) fixes 2 (slope 1/4) and -1 (slope 4)
+    for n in (1, 5):
+        assert maps._ring_fixed_point([(3.0, 2.0, 1.0, 2.0)] * n) == pytest.approx(2.0, rel=1e-15)
+
+
+def test_ring_fixed_point_of_a_rotation_has_no_real_branch():
+    c, s = np.cos(0.3), np.sin(0.3)
+    with pytest.raises(NoRealBranch) as info:
+        maps._ring_fixed_point([(c, -s, s, c)] * 3)
+    assert info.value.discriminant < 0.0 and info.value.site is None
+
+
+def test_ring_fixed_point_of_an_overflowing_product_fails():
+    with pytest.raises(SolveFailed, match="overflowed") as info:
+        maps._ring_fixed_point([(1.0, 0.0, 1.0, 0.0), (1e308, 1e308, 0.0, 1.0)])
+    assert not isinstance(info.value, NoRealBranch)
+
 
 def _contract(k, p):
     return 0.5 * p + 1.0
+
+
+_CONTRACT_SITES = [(0.5, 1.0, 0.0, 1.0)] * 4     # the sites of _contract, fixed point 2
 
 
 def _closing_singular(k, p):
@@ -307,27 +329,33 @@ def _closing_singular(k, p):
     return 0.0 if k == 2 else p
 
 
-# synthetic updates and the lists the full all-site residual returned for them
+# synthetic updates run from the fixed point of _CONTRACT_SITES: a non-finite
+# closing gap fails the closing test at site 0, and a NaN at a later site
+# makes the Newton correction NaN, so that pass cannot close either; a
+# Moebius recurrence comes out at its 50-digit fixed point
 _CYCLIC_EDGES = [
-    ("later site inf", lambda k, p: np.inf if k == 2 else _contract(k, p),
-     [np.inf, np.inf, np.inf, np.inf]),
+    ("later site inf", lambda k, p: np.inf if k == 2 else _contract(k, p), _CONTRACT_SITES,
+     SolveFailed),
     ("later site nan, closing gap finite",
-     lambda k, p: np.nan if k == 2 else 2.0 if k == 3 else _contract(k, p),
-     [2.0, 2.0, np.nan, 2.0]),
-    ("closing site inf", lambda k, p: np.inf if k == 0 else _contract(k, p),
-     [np.inf, np.inf, np.inf, np.inf]),
-    ("closing site nan", lambda k, p: np.nan if k == 0 else 3.0,
-     [np.nan, 3.0, 3.0, 3.0]),
+     lambda k, p: np.nan if k == 2 else 2.0 if k == 3 else _contract(k, p), _CONTRACT_SITES,
+     SolveFailed),
+    ("closing site inf", lambda k, p: np.inf if k == 0 else _contract(k, p), _CONTRACT_SITES,
+     SolveFailed),
+    ("closing site nan", lambda k, p: np.nan if k == 0 else 3.0, _CONTRACT_SITES, SolveFailed),
     ("converges", lambda k, p: 1.0 + 0.1 * k + 0.25 / p,
-     [1.1689394440900465, 1.3138690770201624, 1.390277710597312, 1.4798201885093816]),
+     [(1.0 + 0.1 * k, 0.25, 1.0, 0.0) for k in range(4)],
+     [1.1689394440900447, 1.3138690770201628, 1.390277710597312, 1.4798201885093815]),
 ]
 
 
-@pytest.mark.parametrize("label,update,expected", _CYCLIC_EDGES,
+@pytest.mark.parametrize("label,update,sites,expected", _CYCLIC_EDGES,
                          ids=[case[0] for case in _CYCLIC_EDGES])
-def test_cyclic_fixed_point_edge_paths(label, update, expected):
-    got = maps._cyclic_fixed_point(update, [1.0, 1.0, 1.0, 1.0], "v")
-    assert [repr(float(x)) for x in got] == [repr(float(x)) for x in expected]
+def test_cyclic_fixed_point_edge_paths(label, update, sites, expected):
+    if expected is SolveFailed:
+        with pytest.raises(SolveFailed, match="does not close"):
+            maps._ring_chain(update, sites)
+    else:
+        np.testing.assert_allclose(maps._ring_chain(update, sites), expected, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("update", [
@@ -337,7 +365,64 @@ def test_cyclic_fixed_point_edge_paths(label, update, expected):
 ], ids=["closing update raises", "closing update raises before later nan"])
 def test_cyclic_fixed_point_closing_update_raises(update):
     with pytest.raises(SingularStep, match="^closing pivot$"):
-        maps._cyclic_fixed_point(update, [1.0, 1.0, 1.0, 1.0], "v")
+        maps._ring_chain(update, _CONTRACT_SITES)
+
+
+def _fixed_point_iteration(update, start, tol):
+    """The cyclic recurrence swept from start until no entry moves by tol."""
+    vals = list(start)
+    for _ in range(2000):
+        prev, before = vals[-1], list(vals)
+        for k in range(len(vals)):
+            prev = vals[k] = update(k, prev)
+        if max(abs(v - w) for v, w in zip(vals, before)) < tol:
+            return vals
+    raise AssertionError("fixed-point iteration did not converge")
+
+
+# ring steps (after `steps` steps from the seed) whose inexact Gauss-Seidel
+# branch failed the in-step identity check ("the two expressions for d2/cm
+# disagree"); the exact branch is within 1e-14 of the 50-digit fixed point and
+# the steps pass every check
+@pytest.mark.parametrize("name,n,h,alpha,seed,steps", [
+    ("drtl+", 4, 1.0, 0.7, 40, 0), ("drtl+", 4, 1.0, 0.7, 82, 0), ("drtl-", 3, 0.5, 0.7, 2, 0),
+    ("drtl+", 6, 0.3, -0.7, 1, 7), ("drtl+", 8, 0.5, -0.7, 4, 33)])
+def test_ring_factors_match_a_50_digit_fixed_point(name, n, h, alpha, seed, steps):
+    mp = pytest.importorskip("mpmath")
+    step, factors = {"drtl+": (maps.drtl_plus_step, maps.drtl_plus_factors),
+                     "drtl-": (maps.drtl_minus_step, maps.drtl_minus_factors)}[name]
+    s = random_state(n, Boundary.PERIODIC, seed)
+    for _ in range(steps):
+        s = step(s, alpha, h)
+    got = factors(s, alpha, h)[0].tolist()
+    step(s, alpha, h)
+    with mp.workdps(50):
+        a, b = [mp.mpf(x) for x in s.a.tolist()], [mp.mpf(x) for x in s.b.tolist()]
+        H, A = mp.mpf(h), mp.mpf(alpha)
+        if name == "drtl+":
+            update = lambda k, p: 1 + H * b[k] + H * (A - H) * a[k - 1] / p
+        else:
+            update = lambda k, p: a[k] / (1 + (A + H) * (b[k] - H * p))
+        ref = _fixed_point_iteration(update, [mp.mpf(x) for x in got], mp.mpf(10) ** -45)
+    scale = max(1.0, max(abs(float(r)) for r in ref))
+    assert max(abs(float(g - r)) for g, r in zip(got, ref)) < 1e-14 * scale
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_drtl_minus_ring_with_vanishing_one_plus_alpha_b_steps(seed):
+    # 1 + alpha b_2 = 0: the open chain never guarded it, and the ring no
+    # longer does; the step passes its identity and addition-formula checks
+    alpha, h = 0.5, 0.1
+    s = random_state(6, Boundary.PERIODIC, seed)
+    b = s.b.copy()
+    b[2] = -1.0 / alpha
+    ring = FlaschkaState(s.a, b, Boundary.PERIODIC)
+    assert 1.0 + alpha * ring.b[2] == 0.0
+    maps.drtl_minus_step(FlaschkaState(np.append(s.a[:-1], 0.0), b, Boundary.OPEN), alpha, h)
+    maps.drtl_minus_step(ring, alpha, h)
+    dm, _ = maps.drtl_minus_factors(ring, alpha, h)
+    res = dm - ring.a / (1.0 + (alpha + h) * (ring.b - h * np.roll(dm, 1)))
+    assert np.max(np.abs(res)) < 1e-13
 
 
 def test_ring_factors_with_an_overflowed_site():
@@ -415,12 +500,12 @@ _GOLDEN_RING_1000 = {
               '-0.14099630039355104, 0.73115785106135034, -0.50744363351636645, '
               '0.024436380193858891, -0.54213326869768097]}',
     "drtl-": '{"n": 8, "boundary": "periodic", '
-              '"a": [0.28546211815279066, 1.2131292851361046, 0.5276843606002094, '
-              '1.1096914785581742, 0.63720316883998696, 0.93271937587443854, '
-              '1.0324323179948287, 0.24945249966593924], '
-              '"b": [-0.35191721712351587, -0.037047075367421023, 0.51490588848806651, '
-              '-0.17807142041378241, -0.22523276871878462, 1.1117530028455991, '
-              '-0.78639821733613036, -0.26743601533301908]}',
+              '"a": [0.28546211815279049, 1.2131292851361015, 0.52768436060021173, '
+              '1.1096914785581791, 0.63720316883999073, 0.93271937587443376, '
+              '1.0324323179948247, 0.24945249966593896], '
+              '"b": [-0.35191721712351887, -0.037047075367416298, 0.51490588848806418, '
+              '-0.1780714204137796, -0.22523276871878695, 1.111753002845598, '
+              '-0.78639821733613335, -0.26743601533301542]}',
 }
 
 
@@ -444,17 +529,15 @@ def test_ring_step_kernels_golden_after_1000_steps(seed, name, stepper):
 # last case divides by h = 0 in the alpha = 0 form of drtl+, where the IEEE
 # 0/0 = nan leaves b~ non-finite
 _FAILING = [
-    ("dtl", Boundary.PERIODIC, 3, 0.5, 0.0, 1, 0, BranchNotFound,
-     "cyclic recurrence for beta did not converge"),
-    ("drtl+", Boundary.PERIODIC, 3, 0.5, 0.0, 1, 0, BranchNotFound,
-     "cyclic recurrence for d1 did not converge"),
-    ("drtl-", Boundary.PERIODIC, 3, 0.5, 0.0, 1, 0, BranchNotFound,
-     "cyclic recurrence for dm did not converge"),
-    ("drtl+", Boundary.PERIODIC, 6, 0.5, -0.7, 3, 0, BranchNotFound,
-     "cyclic recurrence for d1 did not converge"),
-    ("drtl+", Boundary.PERIODIC, 6, 0.3, -0.7, 1, 7, NumericalError,
-     "the two expressions for d2 disagree"),
-    ("drtl+", Boundary.PERIODIC, 8, 0.5, -0.7, 4, 33, NumericalError,
+    ("dtl", Boundary.PERIODIC, 3, 0.5, 0.0, 1, 0, NoRealBranch,
+     "ring step has no real solution: discriminant -0.0129 < 0"),
+    ("drtl+", Boundary.PERIODIC, 3, 0.5, 0.0, 1, 0, NoRealBranch,
+     "ring step has no real solution: discriminant -0.0129 < 0"),
+    ("drtl-", Boundary.PERIODIC, 3, 0.5, 0.0, 1, 0, NoRealBranch,
+     "ring step has no real solution: discriminant -0.0923 < 0"),
+    ("drtl+", Boundary.PERIODIC, 6, 0.5, -0.7, 3, 0, NoRealBranch,
+     "ring step has no real solution: discriminant -0.0103 < 0"),
+    ("drtl+", Boundary.PERIODIC, 5, 0.3, -0.7, 5, 5, NumericalError,
      "the two expressions for d2 disagree"),
     ("drtl-", Boundary.OPEN, 6, 0.3, 0.7, 1, 18, NumericalError,
      "the two expressions for cm disagree"),
