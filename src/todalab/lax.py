@@ -318,32 +318,19 @@ def _check_trace_or_eigenvalue(T: np.ndarray, P: float, boundary: Boundary) -> N
             raise NumericalError("product of step ratios is not an eigenvalue of T_N")
 
 
-def toda_local_matrix(p_k: float, exp_gap: float, lam: float) -> np.ndarray:
-    """Local monodromy factor at one site; exp_gap = e^{x_k - x_{k-1}}."""
-    return np.array([[1.0 + lam * p_k, -lam * lam * exp_gap], [1.0, 0.0]])
-
-
 def rtl_local_matrix(p_k: float, exp_gap: float, alpha: float, lam: float) -> np.ndarray:
     return np.array([[1.0 + lam * p_k - lam * alpha * exp_gap,
                       -lam * (lam - alpha) * exp_gap], [1.0, 0.0]])
 
 
-def monodromy_toda(c: CanonicalState, xt: np.ndarray, lam: float):
-    """Monodromy 2x2 matrix and conserved product for a Toda Baecklund pair.
+def monodromy_rtl(c: CanonicalState, xt: np.ndarray, alpha: float, lam: float):
+    """Monodromy 2x2 matrix and conserved product for a Baecklund pair.
 
     xt must be the image configuration of (x, p) under the step with
-    parameter lam; the conserved quantity is P = prod e^{xt_k - x_k}.
+    parameter lam; the conserved quantity is P = prod gamma_k with
+    gamma_k = e^{xt_k - x_k}(1 - lam*alpha*e^{x_{k+1} - xt_k}).  At alpha = 0
+    this is the Toda pair, P = prod e^{xt_k - x_k}.
     """
-    x, p = c.x, c.p
-    egap = _exp_prev(x, c.boundary)
-    T = _monodromy([toda_local_matrix(p[k], egap[k], lam) for k in range(c.n)])
-    P = float(np.prod(np.exp(np.asarray(xt) - x)))
-    _check_trace_or_eigenvalue(T, P, c.boundary)
-    return T, P
-
-
-def monodromy_rtl(c: CanonicalState, xt: np.ndarray, alpha: float, lam: float):
-    """Relativistic analog; gamma_k = e^{xt_k - x_k}(1 - lam*alpha*e^{x_{k+1} - xt_k})."""
     x, p = c.x, c.p
     egap = _exp_prev(x, c.boundary)
     T = _monodromy([rtl_local_matrix(p[k], egap[k], alpha, lam) for k in range(c.n)])

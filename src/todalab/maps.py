@@ -36,11 +36,11 @@ The recurrences start from a_0 = 0 on open chains and run forward; on rings
 they are cyclic and double-valued.  Each update is Moebius in the previous
 factor, so the branch with beta_k -> 1 + h b_k (etc.) as h -> 0 is the
 attracting fixed point of the product of the 2x2 site matrices round the
-ring, the same exact solve as the exp and rel-exp-add chart rings use.  One
-Newton step on the float recurrence's own closure restores the digits the
-product loses to cancellation, and a forward pass from the corrected point
-gives every factor; the residual at the closing site, the only site the
-pass leaves inexact, must be below 1e-12 relative.  A ring whose fixed-point
+ring, the same exact solve as the exp and rel-exp-add chart rings use.
+Newton steps on the float recurrence's own closure, each followed by a
+forward pass, restore the digits the product loses to cancellation; the
+first pass whose residual at the closing site, the only site a pass leaves
+inexact, is below 1e-12 relative gives every factor.  A ring whose fixed-point
 quadratic has complex roots raises NoRealBranch.
 
 The parameter coincidences alpha = h (plus) and alpha = -h (minus) collapse
@@ -59,6 +59,7 @@ from .errors import NoRealBranch, NumericalError, SingularStep, SolveFailed
 
 _PIVOT = 1e-13          # singularity guard for denominators
 _ID_TOL = 1e-12         # internal two-expression identity tolerance
+_CLOSURE_STEPS = 8      # Newton corrections of a ring closure before it fails
 _ADD_TOL = 1e-10        # addition-formula tolerance inside steps
 
 
@@ -159,23 +160,27 @@ def _ring_chain(update, sites) -> list:
 
     The attracting fixed point t of the sites' product selects the branch.
     The float product loses digits of t when sites are much larger than the
-    product, so one Newton step on the closure v_n(t) = t of the recurrence
+    product, so Newton steps on the closure v_n(t) = t of the recurrence
     itself, with dv_n/dt the product of the site slopes
-    det M_k / (m21 v_{k-1} + m22)^2, corrects t before the final pass.  That
-    pass must close at site 0 to 1e-12 relative; a correction that leaves t
-    as it is leaves the first pass final.
+    det M_k / (m21 v_{k-1} + m22)^2, correct t, each followed by a forward
+    pass.  The first pass that closes at site 0 to 1e-12 relative is final;
+    a correction that leaves t as it is leaves the previous pass final.  Up
+    to _CLOSURE_STEPS corrections are made: most rings close after the
+    first, rings with sites of 1e4-1e8 need two to seven.
     """
     t = _ring_fixed_point(sites)
     vals = _open_chain(update, update(0, t), len(sites))
-    slope = 1.0
-    for (m11, m12, m21, m22), v in zip(sites, [t] + vals[:-1]):
-        slope *= (m11 * m22 - m12 * m21) / (m21 * v + m22) ** 2
-    corrected = t + (vals[-1] - t) / (1.0 - slope)
-    if corrected != t:
-        vals = _open_chain(update, update(0, corrected), len(sites))
-    if not abs(vals[0] - update(0, vals[-1])) <= 1e-12 * max(1.0, _amax(vals)):
-        raise SolveFailed("ring recurrence does not close at its fixed point")
-    return vals
+    for _ in range(_CLOSURE_STEPS):
+        slope = 1.0
+        for (m11, m12, m21, m22), v in zip(sites, [t] + vals[:-1]):
+            slope *= (m11 * m22 - m12 * m21) / (m21 * v + m22) ** 2
+        corrected = t + (vals[-1] - t) / (1.0 - slope)
+        if corrected != t:
+            t = corrected
+            vals = _open_chain(update, update(0, t), len(sites))
+        if abs(vals[0] - update(0, vals[-1])) <= 1e-12 * max(1.0, _amax(vals)):
+            return vals
+    raise SolveFailed("ring recurrence does not close at its fixed point")
 
 
 # ---------------------------------------------------------------------------

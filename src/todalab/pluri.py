@@ -34,8 +34,7 @@ import numpy as np
 
 from .core import Boundary, CanonicalState, shifted
 from .errors import BranchMismatch, DegenerateFace, DomainError
-from .realizations import (_leg_at_mixed_next, _leg_at_mixed_prev, _leg_at_next_gaps,
-                           canonical_step, realization)
+from .realizations import _leg_at_mixed_next, _leg_at_mixed_prev, canonical_step, realization
 
 _COEF_GUARD = 1e-13
 
@@ -368,8 +367,8 @@ def corner_residuals_2d(form, x, xt, xh, xth, lam, mu, boundary):
     e12 = (form.psi(xth - xh, lam) + _phi0_mixed_next(form, xh, xth, lam, boundary)
            - form.psi(xth - xt, mu) - _phi0_mixed_next(form, xt, xth, mu, boundary))
 
-    psi0_t = _leg_at_next_gaps(form.psi0, xt, boundary)
-    psi0_h = _leg_at_next_gaps(form.psi0, xh, boundary)
+    psi0_t = _leg_at_mixed_next(form.psi0, xt, xt, boundary)
+    psi0_h = _leg_at_mixed_next(form.psi0, xh, xh, boundary)
     xt_up, xh_up = _up(xt, boundary), _up(xh, boundary)
     s1a = (form.psi(xth - xt, mu) + form.phi(xh - xt, lam, mu)
            - psi0_t - _phi0_mixed_next(form, x, xt, lam, boundary))
@@ -409,7 +408,7 @@ def _phi0_mixed_next(form, base, img, par, boundary):
 def superposition_2d(form, x, xt, xh, lam, mu, boundary):
     """Solve relation S1a for the top corner (affine in e^{xth_k})."""
     x, xt, xh = (np.asarray(v, dtype=float) for v in (x, xt, xh))
-    rhs = (_leg_at_next_gaps(form.psi0, xt, boundary)
+    rhs = (_leg_at_mixed_next(form.psi0, xt, xt, boundary)
            + _phi0_mixed_next(form, x, xt, lam, boundary)
            - form.phi(xh - xt, lam, mu))
     arg = 1.0 + mu * rhs

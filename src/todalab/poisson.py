@@ -16,9 +16,13 @@ skew-symmetry, indices truncate on open chains and wrap on rings):
   rtl3:  tl3 plus alpha-proportional corrections and {a_k,a_{k+2}} = -alpha a_k a_{k+1} a_{k+2}
 
 Verification is finite-difference based throughout: a map Phi is a Poisson
-map for Pi when J Pi(z) J^T = Pi(Phi(z)) with J the FD Jacobian.  On open
-chains the structural coordinate a_n is frozen, so all FD sweeps run on the
-reduced chart (b_1..b_n, a_1..a_{n-1}).
+map for Pi when J Pi(z) J^T = Pi(Phi(z)) with J the FD Jacobian.  Every FD
+quotient in the package (here and in ``realizations.symplectic_defect``) is
+formed by the one central-difference loop ``_central_differences``, with the
+fixed step h_i = _EPS3 max(1, |z_i|); there is no step option.  The map and
+involution residuals take a sequence of brackets and form their Jacobian or
+gradients once per state.  On open chains the structural coordinate a_n is
+frozen, so all FD sweeps run on the reduced chart (b_1..b_n, a_1..a_{n-1}).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Boundary, FlaschkaState
+from .core import Boundary, CanonicalState, FlaschkaState
 
 _EPS3 = float(2.0 ** -52) ** (1.0 / 3.0)   # central-difference step factor
 
@@ -127,75 +131,68 @@ def _unpack(z: np.ndarray, template: FlaschkaState) -> FlaschkaState:
     return FlaschkaState(z[n:], z[:n], template.boundary)
 
 
-def _fd_steps(z: np.ndarray, fd_step) -> np.ndarray:
-    if fd_step is not None:
-        return np.full(len(z), float(fd_step))
-    return _EPS3 * np.maximum(1.0, np.abs(z))
+def _central_differences(fn, w0: np.ndarray, indices) -> np.ndarray:
+    """(fn(w0 + h_i e_i) - fn(w0 - h_i e_i)) / 2h_i for each index i, with the
+    step h_i = _EPS3 max(1, |w0_i|).
+
+    fn may return a scalar, a vector or a matrix: the quotients are stacked
+    as a vector, as the columns of a Jacobian, or along a new first axis.
+    """
+    hvec = _EPS3 * np.maximum(1.0, np.abs(w0))
+    out = []
+    for i in indices:
+        wp, wm = w0.copy(), w0.copy()
+        wp[i] += hvec[i]
+        wm[i] -= hvec[i]
+        out.append((fn(wp) - fn(wm)) / (2.0 * hvec[i]))
+    return np.column_stack(out) if np.ndim(out[0]) == 1 else np.array(out)
 
 
-def fd_jacobian(map_fn, s: FlaschkaState, fd_step=None):
+def fd_jacobian(map_fn, s: FlaschkaState):
     """Central FD Jacobian of a state map on the reduced chart."""
     act = _active(s)
-    z0 = _pack(s)
-    hvec = _fd_steps(z0, fd_step)
-    cols = []
-    for i in act:
-        zp, zm = z0.copy(), z0.copy()
-        zp[i] += hvec[i]
-        zm[i] -= hvec[i]
-        fp = _pack(map_fn(_unpack(zp, s)))[act]
-        fm = _pack(map_fn(_unpack(zm, s)))[act]
-        cols.append((fp - fm) / (2.0 * hvec[i]))
-    return np.column_stack(cols)
+    return _central_differences(lambda z: _pack(map_fn(_unpack(z, s)))[act], _pack(s), act)
 
 
-def fd_gradient(fn, s: FlaschkaState, fd_step=None) -> np.ndarray:
+def fd_gradient(fn, s: FlaschkaState) -> np.ndarray:
+    return _central_differences(lambda z: fn(_unpack(z, s)), _pack(s), _active(s))
+
+
+def poisson_map_residual(map_fn, kinds, s: FlaschkaState) -> float:
+    """Worst || J Pi J^T - Pi(map(s)) ||_inf over the brackets `kinds`, on
+    the reduced chart; the FD Jacobian J is formed once."""
     act = _active(s)
-    z0 = _pack(s)
-    hvec = _fd_steps(z0, fd_step)
-    g = np.empty(len(act))
-    for out_i, i in enumerate(act):
-        zp, zm = z0.copy(), z0.copy()
-        zp[i] += hvec[i]
-        zm[i] -= hvec[i]
-        g[out_i] = (fn(_unpack(zp, s)) - fn(_unpack(zm, s))) / (2.0 * hvec[i])
-    return g
+    sub = np.ix_(act, act)
+    J = fd_jacobian(map_fn, s)
+    image = map_fn(s)
+    return max(float(np.max(np.abs(J @ bracket_matrix(kind, s)[sub] @ J.T
+                                   - bracket_matrix(kind, image)[sub])))
+               for kind in kinds)
 
 
-def poisson_map_residual(map_fn, kind, s: FlaschkaState, fd_step=None) -> float:
-    """|| J Pi J^T - Pi(map(s)) ||_inf on the reduced chart."""
+def involution_residual(kinds, s: FlaschkaState, f, g) -> float:
+    """Worst |grad f . Pi . grad g| over the brackets `kinds`, scale-free;
+    the FD gradients are formed once."""
     act = _active(s)
-    J = fd_jacobian(map_fn, s, fd_step)
-    P0 = bracket_matrix(kind, s)[np.ix_(act, act)]
-    P1 = bracket_matrix(kind, map_fn(s))[np.ix_(act, act)]
-    return float(np.max(np.abs(J @ P0 @ J.T - P1)))
+    sub = np.ix_(act, act)
+    gf = fd_gradient(f, s)
+    gg = fd_gradient(g, s)
+
+    def residual(kind):
+        P = bracket_matrix(kind, s)[sub]
+        scale = max(1.0, float(np.linalg.norm(gf) * np.linalg.norm(P, np.inf) * np.linalg.norm(gg)))
+        return float(abs(gf @ P @ gg)) / scale
+
+    return max(residual(kind) for kind in kinds)
 
 
-def involution_residual(kind, s: FlaschkaState, f, g, fd_step=None) -> float:
-    """|grad f . Pi . grad g| with FD gradients; scale-free residual."""
-    act = _active(s)
-    gf = fd_gradient(f, s, fd_step)
-    gg = fd_gradient(g, s, fd_step)
-    P = bracket_matrix(kind, s)[np.ix_(act, act)]
-    scale = max(1.0, float(np.linalg.norm(gf) * np.linalg.norm(P, np.inf) * np.linalg.norm(gg)))
-    return float(abs(gf @ P @ gg)) / scale
-
-
-def jacobi_residual(kind, s: FlaschkaState, fd_step=None) -> float:
+def jacobi_residual(kind, s: FlaschkaState) -> float:
     """Max cyclic-sum defect of the Jacobi identity, FD derivatives of Pi."""
     act = _active(s)
-    z0 = _pack(s)
-    hvec = _fd_steps(z0, fd_step)
-    m = len(act)
-    P = bracket_matrix(kind, s)[np.ix_(act, act)]
-    dP = np.empty((m, m, m))   # dP[m_,i,j] = d Pi_ij / d z_m
-    for out_m, i in enumerate(act):
-        zp, zm = z0.copy(), z0.copy()
-        zp[i] += hvec[i]
-        zm[i] -= hvec[i]
-        Pp = bracket_matrix(kind, _unpack(zp, s))[np.ix_(act, act)]
-        Pm = bracket_matrix(kind, _unpack(zm, s))[np.ix_(act, act)]
-        dP[out_m] = (Pp - Pm) / (2.0 * hvec[i])
+    sub = np.ix_(act, act)
+    P = bracket_matrix(kind, s)[sub]
+    # dP[m, i, j] = d Pi_ij / d z_m
+    dP = _central_differences(lambda z: bracket_matrix(kind, _unpack(z, s))[sub], _pack(s), act)
     # sum_m (dPi_ij/dz_m Pi_mk + dPi_jk/dz_m Pi_mi + dPi_ki/dz_m Pi_mj)
     t1 = np.einsum("mij,mk->ijk", dP, P)
     jac = t1 + np.transpose(t1, (1, 2, 0)) + np.transpose(t1, (2, 0, 1))
@@ -203,7 +200,7 @@ def jacobi_residual(kind, s: FlaschkaState, fd_step=None) -> float:
     return float(np.max(np.abs(jac))) / scale
 
 
-def realization_residual(spec, c, fd_step=None) -> float:
+def realization_residual(spec, c) -> float:
     """Push-forward defect of a canonical chart against its target bracket.
 
     Dphi J_can Dphi^T is compared with Pi(phi(c)), Dphi the FD Jacobian of
@@ -212,18 +209,9 @@ def realization_residual(spec, c, fd_step=None) -> float:
     from .realizations import flaschka_of   # local: realizations imports Bracket/combo from here
 
     n = c.n
-    w0 = np.concatenate([c.x, c.p])
-    hvec = _fd_steps(w0, fd_step)
-    cols = []
-    CanonicalState = type(c)
-    for i in range(2 * n):
-        wp, wm = w0.copy(), w0.copy()
-        wp[i] += hvec[i]
-        wm[i] -= hvec[i]
-        sp = flaschka_of(spec, CanonicalState(wp[:n], wp[n:], c.boundary))
-        sm = flaschka_of(spec, CanonicalState(wm[:n], wm[n:], c.boundary))
-        cols.append((_pack(sp) - _pack(sm)) / (2.0 * hvec[i]))
-    D = np.column_stack(cols)
+    D = _central_differences(
+        lambda w: _pack(flaschka_of(spec, CanonicalState(w[:n], w[n:], c.boundary))),
+        np.concatenate([c.x, c.p]), range(2 * n))
     # canonical tensor oriented so that flows read f' = {H, f}: {p_k, x_k} = +1
     Jcan = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
     target = bracket_matrix(spec.bracket, flaschka_of(spec, c))

@@ -38,7 +38,7 @@ from scipy.special import spence
 from .core import Boundary, CanonicalState, FlaschkaState, random_canonical, shifted
 from .errors import DomainError, NoRealBranch, NonInvertibleLeg, SolveFailed
 from .maps import _ring_fixed_point
-from .poisson import Bracket, combo
+from .poisson import Bracket, _central_differences, combo
 from .systems import SYSTEMS
 
 _NEWTON_TOL = 1e-12
@@ -125,24 +125,6 @@ def _gaps(x, boundary):
     return x - shifted(x, -1, Boundary.PERIODIC), shifted(x, 1, Boundary.PERIODIC) - x
 
 
-def _leg_at_prev_gaps(fn, x, boundary):
-    """fn(x_k - x_{k-1}) with the open-end zero at k = 1."""
-    if boundary is Boundary.PERIODIC:
-        return fn(x - shifted(x, -1, Boundary.PERIODIC))
-    out = np.zeros(len(x))
-    out[1:] = fn(x[1:] - x[:-1])
-    return out
-
-
-def _leg_at_next_gaps(fn, x, boundary):
-    """fn(x_{k+1} - x_k) with the open-end zero at k = n."""
-    if boundary is Boundary.PERIODIC:
-        return fn(shifted(x, 1, Boundary.PERIODIC) - x)
-    out = np.zeros(len(x))
-    out[:-1] = fn(x[1:] - x[:-1])
-    return out
-
-
 def _leg_at_mixed_prev(fn, x, xt, boundary):
     """fn(x_k - xt_{k-1}) with the open-end zero at k = 1."""
     if boundary is Boundary.PERIODIC:
@@ -161,8 +143,12 @@ def _leg_at_mixed_next(fn, x, xt, boundary):
     return out
 
 
-_exp_next = partial(_leg_at_next_gaps, np.exp)    # e^{x_{k+1} - x_k}, 0 at k = n
-_exp_prev = partial(_leg_at_prev_gaps, np.exp)    # e^{x_k - x_{k-1}}, 0 at k = 1
+def _exp_next(x, boundary):    # e^{x_{k+1} - x_k}, 0 at k = n
+    return _leg_at_mixed_next(np.exp, x, x, boundary)
+
+
+def _exp_prev(x, boundary):    # e^{x_k - x_{k-1}}, 0 at k = 1
+    return _leg_at_mixed_prev(np.exp, x, x, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -844,8 +830,8 @@ def _psi0_sums(spec, x, boundary):
     """psi0(x_k - x_{k-1}) - psi0(x_{k+1} - x_k), zero where absent."""
     if spec.legs.psi0 is None:
         return np.zeros(len(x))
-    return (_leg_at_prev_gaps(spec.legs.psi0, x, boundary)
-            - _leg_at_next_gaps(spec.legs.psi0, x, boundary))
+    return (_leg_at_mixed_prev(spec.legs.psi0, x, x, boundary)
+            - _leg_at_mixed_next(spec.legs.psi0, x, x, boundary))
 
 
 def _first_equation_rhs(spec, c):
@@ -993,7 +979,7 @@ def lagrangian_value(spec: Realization, x, xt, boundary: Boundary) -> float:
         total -= float(np.sum(_leg_at_mixed_next(legs.Phi, x, xt, boundary)))
     if legs.Psi0 is not None:
         base = xt if spec.psi0_on_image else x
-        total -= float(np.sum(_leg_at_next_gaps(legs.Psi0, base, boundary)))
+        total -= float(np.sum(_leg_at_mixed_next(legs.Psi0, base, base, boundary)))
     return total
 
 
@@ -1022,22 +1008,14 @@ def pullback_consistency(spec: Realization, c: CanonicalState) -> float:
                      np.max(np.abs(via_chart.b - direct.b))))
 
 
-def symplectic_defect(spec: Realization, c: CanonicalState, fd_step=None) -> float:
+def symplectic_defect(spec: Realization, c: CanonicalState) -> float:
     """|| J^T Omega J - Omega ||_inf for the FD Jacobian of the step map."""
     n = c.n
-    w0 = np.concatenate([c.x, c.p])
-    if fd_step is None:
-        fd_step = float(2.0 ** -52) ** (1.0 / 3.0)
-    hvec = fd_step * np.maximum(1.0, np.abs(w0))
-    cols = []
-    for i in range(2 * n):
-        wp, wm = w0.copy(), w0.copy()
-        wp[i] += hvec[i]
-        wm[i] -= hvec[i]
-        cp = canonical_step(spec, CanonicalState(wp[:n], wp[n:], c.boundary))
-        cm = canonical_step(spec, CanonicalState(wm[:n], wm[n:], c.boundary))
-        cols.append((np.concatenate([cp.x, cp.p]) - np.concatenate([cm.x, cm.p]))
-                    / (2.0 * hvec[i]))
-    J = np.column_stack(cols)
+
+    def step(w):
+        ct = canonical_step(spec, CanonicalState(w[:n], w[n:], c.boundary))
+        return np.concatenate([ct.x, ct.p])
+
+    J = _central_differences(step, np.concatenate([c.x, c.p]), range(2 * n))
     omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
     return float(np.max(np.abs(J.T @ omega @ J - omega)))

@@ -181,14 +181,11 @@ def check_corners_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3,
 def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, lam=0.15, mu=0.23,
                     alpha=0.3, tol_invariant=1e-10, boundary=Boundary.OPEN):
     al = None if system == "bt-toda" else alpha
+    lax_alpha = 0.0 if al is None else al
 
     def drift(c, ct, ch, cth, lam, mu):
-        if system == "bt-toda":
-            _, P0 = lax.monodromy_toda(c, ct.x, lam)
-            _, P1 = lax.monodromy_toda(ch, cth.x, lam)
-        else:
-            _, P0 = lax.monodromy_rtl(c, ct.x, alpha, lam)
-            _, P1 = lax.monodromy_rtl(ch, cth.x, alpha, lam)
+        _, P0 = lax.monodromy_rtl(c, ct.x, lax_alpha, lam)
+        _, P1 = lax.monodromy_rtl(ch, cth.x, lax_alpha, lam)
         return abs(P1 - P0) / max(1.0, abs(P0))
 
     return _square_check(f"monodromy-{system}", dict(n=n, lam=lam, mu=mu, alpha=al), drift,
@@ -207,14 +204,14 @@ def check_poisson_maps(seed=0, n=4, n_states=20, h=0.08, alpha=0.3, tol=1e-6,
                        boundary=Boundary.OPEN):
     """Each map preserves the three brackets of the Lax pair it conserves."""
     worst = 0.0
-    cases = [(row.stepper(h, alpha), br) for row in SYSTEMS.values() if not row.flow
-             for br in _brackets(row.lax_alpha(h, alpha))]
+    cases = [(row.stepper(h, alpha), _brackets(row.lax_alpha(h, alpha)))
+             for row in SYSTEMS.values() if not row.flow]
     for i in range(n_states):
         s = random_state(n, boundary, seed + i)
-        for step, br in cases:
-            worst = max(worst, poisson.poisson_map_residual(step, br, s))
+        for step, brackets in cases:
+            worst = max(worst, poisson.poisson_map_residual(step, brackets, s))
     return _record("poisson-maps", dict(n=n, h=h, alpha=alpha),
-                   n_states * len(cases), worst, tol)
+                   n_states * sum(len(brackets) for _, brackets in cases), worst, tol)
 
 
 def _chart_check(name, params, specs, residual, n, seed, n_states, tol):
@@ -247,15 +244,13 @@ def check_involution(seed=0, n=5, n_states=10, tol=1e-7):
             raise ValueError("state outside the log det domain")
         return float(np.log(det))
 
+    brackets = _brackets(None)
     worst = 0.0
-    count = 0
     for i in range(n_states):
         s = random_state(n, Boundary.OPEN, seed + i, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
-        for br in _brackets(None):
-            worst = max(worst, poisson.involution_residual(br, s, h1, h2))
-            worst = max(worst, poisson.involution_residual(br, s, h0, h2))
-            count += 2
-    return _record("involution", dict(n=n), count, worst, tol)
+        worst = max(worst, poisson.involution_residual(brackets, s, h1, h2),
+                    poisson.involution_residual(brackets, s, h0, h2))
+    return _record("involution", dict(n=n), n_states * 2 * len(brackets), worst, tol)
 
 
 def check_alpha_limit(seed=0, n=6, h=0.05, alpha=1e-8, tol=1e-6):
@@ -269,6 +264,16 @@ def check_alpha_limit(seed=0, n=6, h=0.05, alpha=1e-8, tol=1e-6):
     return _record("limit-alpha-zero", dict(n=n, h=h, alpha=alpha), 2, worst, tol)
 
 
+def _order_record(name, params, errors, min_order):
+    """Record of the smallest observed order log2(e_i / e_{i+1}) over the
+    errors of successive step halvings; it passes when that order exceeds
+    min_order."""
+    worst = float(min(np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)))
+    rec = _record(name, params, len(errors), -worst, -min_order)
+    rec["observed_order"] = worst
+    return rec
+
+
 def check_step_order(seed=0, n=6, h=1e-2, levels=3, min_order=1.9):
     """Defect of one discrete step against the time-h reference flow is O(h^2)."""
     s = random_state(n, Boundary.OPEN, seed)
@@ -278,12 +283,8 @@ def check_step_order(seed=0, n=6, h=1e-2, levels=3, min_order=1.9):
         f = rk4_trajectory(TL, s, hh, 1)[-1]
         return max(float(np.max(np.abs(d.a - f.a))), float(np.max(np.abs(d.b - f.b))))
 
-    ds = [defect(h / 2 ** i) for i in range(levels)]
-    orders = [np.log2(ds[i] / ds[i + 1]) for i in range(levels - 1)]
-    worst = min(orders)
-    rec = _record("order-dtl-vs-flow", dict(n=n, h=h), levels, -worst, -min_order)
-    rec["observed_order"] = float(worst)
-    return rec
+    return _order_record("order-dtl-vs-flow", dict(n=n, h=h),
+                         [defect(h / 2 ** i) for i in range(levels)], min_order)
 
 
 def check_lagrangian_order(seed=0, n=6, h=4e-2, levels=3, min_order=0.9):
@@ -299,12 +300,8 @@ def check_lagrangian_order(seed=0, n=6, h=4e-2, levels=3, min_order=0.9):
         val = lagrangian_value(spec, x, x + hh * v, Boundary.OPEN) / hh
         return abs(val - continuum)
 
-    es = [err(h / 2 ** i) for i in range(levels)]
-    orders = [np.log2(es[i] / es[i + 1]) for i in range(levels - 1)]
-    worst = min(orders)
-    rec = _record("order-lagrangian", dict(n=n, h=h), levels, -worst, -min_order)
-    rec["observed_order"] = float(worst)
-    return rec
+    return _order_record("order-lagrangian", dict(n=n, h=h),
+                         [err(h / 2 ** i) for i in range(levels)], min_order)
 
 
 def check_rk4_order(seed=0, n=5, dt=0.05, steps=8, min_order=3.8):
@@ -315,12 +312,8 @@ def check_rk4_order(seed=0, n=5, dt=0.05, steps=8, min_order=3.8):
         out = rk4_trajectory(TL, s, ddt, nst)[-1]
         return max(float(np.max(np.abs(out.a - ref.a))), float(np.max(np.abs(out.b - ref.b))))
 
-    e1 = endpoint_err(dt, steps)
-    e2 = endpoint_err(dt / 2, steps * 2)
-    order = float(np.log2(e1 / e2))
-    rec = _record("order-rk4", dict(n=n, dt=dt), 2, -order, -min_order)
-    rec["observed_order"] = order
-    return rec
+    return _order_record("order-rk4", dict(n=n, dt=dt),
+                         [endpoint_err(dt, steps), endpoint_err(dt / 2, steps * 2)], min_order)
 
 
 def check_zcr(seed=0, n=4, h=0.08, alpha=0.3, lams=(0.3, 0.8, 1.4), n_states=5,
@@ -393,12 +386,8 @@ _QUICK = {
 }
 
 
-def run_suite(pattern: str = "*", seed: int = 0, quick: bool = True):
-    """All registered checks whose name matches the glob, in sorted order."""
-    out = []
-    for name in sorted(CHECKS):
-        if not fnmatch.fnmatch(name, pattern):
-            continue
-        kwargs = dict(_QUICK.get(name, {})) if quick else {}
-        out.append(CHECKS[name](seed=seed, **kwargs))
-    return out
+def run_suite(pattern: str = "*", seed: int = 0):
+    """All registered checks whose name matches the glob, in sorted order, at
+    the reduced sizes of _QUICK."""
+    return [CHECKS[name](seed=seed, **_QUICK.get(name, {}))
+            for name in sorted(CHECKS) if fnmatch.fnmatch(name, pattern)]

@@ -45,6 +45,15 @@ def test_package_has_one_shift_primitive():
     assert not offenders, offenders
 
 
+def test_package_has_one_central_difference_loop():
+    """Every finite-difference quotient and step rule of the package is the
+    one of poisson._central_differences."""
+    quotients = _package_lines_with("(2.0 * hvec")
+    assert len(quotients) == 1, quotients
+    step_rules = _package_lines_with("** (1.0 / 3.0)")
+    assert len(step_rules) == 1, step_rules
+
+
 def test_package_does_not_use_scipy_linalg():
     """Dense solves go through numpy: scipy.linalg's triangular solve took
     milliseconds per 5x5 call under multi-threaded BLAS."""

@@ -263,7 +263,7 @@ def test_exact_solution_rejects_rings():
 
 def test_single_site_local_matrix():
     lam, p1 = 0.3, 0.7
-    L = lax.toda_local_matrix(p1, 0.0, lam)      # boundary zero e^{x_1 - x_0}
+    L = lax.rtl_local_matrix(p1, 0.0, 0.0, lam)  # boundary zero e^{x_1 - x_0}, Toda alpha
     np.testing.assert_array_equal(L, [[1.0 + lam * p1, 0.0], [1.0, 0.0]])
     assert np.trace(L) == 1.0 + lam * p1
 
@@ -274,9 +274,9 @@ def test_monodromy_toda_open_trace_and_invariance():
     ct = pluri.chain_step(c, lam)
     ch = pluri.chain_step(c, mu)
     cth = pluri.chain_step(ct, mu)
-    T, P0 = lax.monodromy_toda(c, ct.x, lam)     # trace identity asserted inside
+    T, P0 = lax.monodromy_rtl(c, ct.x, 0.0, lam)  # trace identity asserted inside
     assert abs(np.trace(T) - P0) < 1e-11 * max(1.0, abs(P0))
-    _, P1 = lax.monodromy_toda(ch, cth.x, lam)
+    _, P1 = lax.monodromy_rtl(ch, cth.x, 0.0, lam)
     assert abs(P1 - P0) < 1e-10 * max(1.0, abs(P0))
 
 
@@ -284,7 +284,7 @@ def test_monodromy_toda_periodic_eigenvalue_and_det():
     lam = 0.12
     c = random_canonical(5, Boundary.PERIODIC, 6)
     ct = pluri.chain_step(c, lam)
-    T, P = lax.monodromy_toda(c, ct.x, lam)      # eigenvalue membership asserted
+    T, P = lax.monodromy_rtl(c, ct.x, 0.0, lam)  # eigenvalue membership asserted
     gaps = c.x - np.roll(c.x, 1)
     assert abs(np.linalg.det(T) - np.prod(lam * lam * np.exp(gaps))) < 1e-10
     del P
@@ -296,7 +296,7 @@ def test_monodromy_rtl_reduces_to_toda():
     for k in range(4):
         gap = np.exp(c.x[k] - c.x[k - 1])
         np.testing.assert_array_equal(lax.rtl_local_matrix(c.p[k], gap, 0.0, lam),
-                                      lax.toda_local_matrix(c.p[k], gap, lam))
+                                      [[1.0 + lam * c.p[k], -lam * lam * gap], [1.0, 0.0]])
 
 
 def test_monodromy_rtl_open_trace_and_invariance():

@@ -362,7 +362,7 @@ def test_conserved_product_matches_monodromy_quantities():
     c = random_canonical(6, Boundary.OPEN, 4)
     sys1 = pluri.corner_system_1d()
     ct = pluri.chain_step(c, lam)
-    _, P = lax.monodromy_toda(c, ct.x, lam)
+    _, P = lax.monodromy_rtl(c, ct.x, 0.0, lam)
     dl = sys1.dlambda(c.x, ct.x, lam, Boundary.OPEN)
     assert abs(np.log(P) - (lam ** 2 * dl + lam * np.sum(c.p))) < 1e-11
 

@@ -49,16 +49,37 @@ def test_linear_combinations_stay_poisson():
     assert poisson.jacobi_residual(poisson.combo((c1, TL1), (c2, TL2)), s) < 1e-8
 
 
+def test_central_differences_are_exact_on_quadratics():
+    # the central quotient of a quadratic has no truncation error, so what is
+    # left is rounding: about eps |f| / h = 2e-11 |f| for h = eps^(1/3)
+    rng = np.random.default_rng(5)
+    A, B = rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (3, 4))
+    w = rng.uniform(-2, 2, 4)
+    idx = [0, 2, 3]
+    cd = poisson._central_differences
+    grad = cd(lambda v: float(v @ A @ v), w, idx)
+    np.testing.assert_allclose(grad, ((A + A.T) @ w)[idx], rtol=0, atol=1e-9)
+    jac = cd(lambda v: B @ v + v[0] * v[:3], w, idx)
+    exact = B + w[0] * np.eye(3, 4) + np.outer(w[:3], np.eye(4)[0])
+    assert jac.shape == (3, 3)
+    np.testing.assert_allclose(jac, exact[:, idx], rtol=0, atol=1e-9)
+    dM = cd(lambda v: np.outer(v, v), w, idx)
+    eye = np.eye(4)
+    exact = np.array([np.outer(eye[i], w) + np.outer(w, eye[i]) for i in idx])
+    assert dM.shape == (3, 4, 4)
+    np.testing.assert_allclose(dM, exact, rtol=0, atol=1e-9)
+
+
 def test_identity_map_residual_is_fd_noise():
     s = random_state(4, Boundary.OPEN, 1)
-    assert poisson.poisson_map_residual(lambda st: st, TL1, s) < 1e-9
+    assert poisson.poisson_map_residual(lambda st: st, (TL1,), s) < 1e-9
 
 
 @pytest.mark.parametrize("kind", [TL1, TL2, TL3])
 def test_dtl_is_poisson_for_all_three_brackets(kind):
     for seed in range(5):
         s = random_state(4, Boundary.OPEN, seed)
-        res = poisson.poisson_map_residual(lambda st: maps.dtl_step(st, 0.08), kind, s)
+        res = poisson.poisson_map_residual(lambda st: maps.dtl_step(st, 0.08), (kind,), s)
         assert res < 1e-6
 
 
@@ -69,7 +90,7 @@ def test_dtl_is_poisson_for_all_three_brackets(kind):
 def test_drtl_is_poisson_for_all_three_brackets(kind, stepper):
     for seed in range(3):
         s = random_state(4, Boundary.OPEN, seed)
-        res = poisson.poisson_map_residual(lambda st: stepper(st, 0.3, 0.08), kind, s)
+        res = poisson.poisson_map_residual(lambda st: stepper(st, 0.3, 0.08), (kind,), s)
         assert res < 1e-6
 
 
@@ -78,10 +99,10 @@ def test_explicit_maps_are_poisson_at_their_bracket():
     for seed in range(3):
         s = random_state(4, Boundary.PERIODIC, seed)
         res = poisson.poisson_map_residual(
-            lambda st: maps.drtl_plus_explicit_step(st, h), poisson.Bracket("rtl1", h), s)
+            lambda st: maps.drtl_plus_explicit_step(st, h), (poisson.Bracket("rtl1", h),), s)
         assert res < 1e-6
         res = poisson.poisson_map_residual(
-            lambda st: maps.drtl_minus_explicit_step(st, h), poisson.Bracket("rtl1", -h), s)
+            lambda st: maps.drtl_minus_explicit_step(st, h), (poisson.Bracket("rtl1", -h),), s)
         assert res < 1e-6
 
 
@@ -106,14 +127,14 @@ def test_h1_h2_in_involution():
     for seed in range(5):
         s = random_state(5, Boundary.OPEN, seed, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
         for kind in (TL1, TL2, TL3):
-            assert poisson.involution_residual(kind, s, _h1, _h2) < 1e-7
+            assert poisson.involution_residual((kind,), s, _h1, _h2) < 1e-7
 
 
 def test_h0_h2_in_involution():
     s = random_state(5, Boundary.OPEN, 7, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
-    assert poisson.involution_residual(TL2, s, _h0, _h2) < 1e-7
+    assert poisson.involution_residual((TL2,), s, _h0, _h2) < 1e-7
 
 
 def test_self_involution_is_exactly_zero():
     s = random_state(5, Boundary.OPEN, 7)
-    assert poisson.involution_residual(TL1, s, _h2, _h2) < 1e-14
+    assert poisson.involution_residual((TL1,), s, _h2, _h2) < 1e-14

@@ -17,7 +17,8 @@ from todalab.realizations import (_first_equation_rhs, _mobius_ring, _newton_rin
                                   pullback_consistency, realization,
                                   symplectic_defect)
 from todalab.verify import (check_closure_2d, check_commutativity,
-                            check_conservation_2d, check_corners_2d,
+                            check_conservation_2d, check_corners_2d, check_involution,
+                            check_poisson_maps, check_poisson_realizations,
                             check_pullbacks, check_symplecticity)
 
 H, ALPHA, EPS, BETA = 0.1, 0.3, 0.2, 0.1
@@ -406,6 +407,10 @@ _CRITERION_RECORDS = {
     "c5-conservation-2d": (check_conservation_2d, dict(seed=1, n_states=20),
                            1.6042722705833512e-14),
     "c5-corners-2d": (check_corners_2d, dict(seed=1, n_states=10), 1.912359159916832e-14),
+    "c7-poisson-maps": (check_poisson_maps, dict(seed=4, n_states=20), 1.167918206590457e-09),
+    "c7-poisson-realizations": (check_poisson_realizations, dict(seed=4, n_states=5),
+                                1.495407531137971e-08),
+    "c7-involution": (check_involution, dict(seed=4, n_states=10), 5.927046730630229e-12),
     "c7-symplecticity": (check_symplecticity, dict(seed=4), 9.897051501886528e-10),
     "c10-pullbacks": (check_pullbacks, dict(seed=7, n_states=3), 4.1300296516055823e-13),
 }
