@@ -18,8 +18,8 @@ class SingularStep(NumericalError):
 
 
 class SolveFailed(NumericalError):
-    """The solve of an implicit step failed: Newton did not converge, or an
-    exact ring solve overflowed or missed its tolerance."""
+    """The solve of an implicit step failed: a ring's closure did not converge
+    or its passes left a leg domain (the solver gave up), or a product overflowed."""
 
 
 class NoRealBranch(SolveFailed):

@@ -112,12 +112,17 @@ def spectral_nodes(s: FlaschkaState, alpha: float | None = None,
                    lambda_samples=None) -> np.ndarray:
     """Sample points of ``spectral_invariants``, one row of n nodes per lambda.
 
-    w_j = cos((2j - 1) pi / 2n) / (2R), j = 1..n, with R = 2^ceil(log2 rho)
-    and rho the spectral radius of the state's Lax matrix M at that lambda
-    (one ``eigvals`` call; R = 1 when rho = 0).  Every state with the spectrum of s has
-    |w_j z| <= 1/2 at each eigenvalue z, so det(I - w_j M) > 0.
+    w_j = cos((2j - 1) pi / 2m) / (2R), j = 1..m, m = n; odd n takes m = n + 1
+    less the negative node nearest zero (no node is the uninformative
+    cos(pi/2) ~ 0).  R = 2^ceil(log2 rho), rho the spectral radius of the
+    state's Lax matrix M at that lambda (one ``eigvals`` call; R = 1 when
+    rho = 0).  Every state with the spectrum of s has |w_j z| <= 1/2 at each
+    eigenvalue z, so det(I - w_j M) > 0.
     """
-    cheb = np.cos(np.pi * (2 * np.arange(1, s.n + 1) - 1) / (2 * s.n))
+    size = s.n + s.n % 2
+    cheb = np.cos(np.pi * (2 * np.arange(1, size + 1) - 1) / (2 * size))
+    if size > s.n:
+        cheb = np.delete(cheb, size // 2)
     rows = []
     for lam in _lambdas(s.boundary, lambda_samples):
         M = build_T(s, lam) if alpha is None else rtl_t1(s, alpha, lam)

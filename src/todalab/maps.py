@@ -36,12 +36,12 @@ The recurrences start from a_0 = 0 on open chains and run forward; on rings
 they are cyclic and double-valued.  Each update is Moebius in the previous
 factor, so the branch with beta_k -> 1 + h b_k (etc.) as h -> 0 is the
 attracting fixed point of the product of the 2x2 site matrices round the
-ring, the same exact solve as the exp and rel-exp-add chart rings use.
-Newton steps on the float recurrence's own closure, each followed by a
-forward pass, restore the digits the product loses to cancellation; the
-first pass whose residual at the closing site, the only site a pass leaves
-inexact, is below 1e-12 relative gives every factor.  A ring whose fixed-point
-quadratic has complex roots raises NoRealBranch.
+ring.  From it, Newton steps on the float recurrence's own closure, each
+followed by a forward pass (``_ring_chain``, the loop every chart ring uses
+too), restore the digits the product loses to cancellation; the first pass
+whose residual at the closing site, the only site a pass leaves inexact, is
+below 1e-12 relative gives every factor.  A ring whose fixed-point quadratic
+has complex roots raises NoRealBranch.
 
 The parameter coincidences alpha = h (plus) and alpha = -h (minus) collapse
 the recurrences; the resulting explicit rational maps are provided
@@ -55,11 +55,13 @@ import math
 import numpy as np
 
 from .core import Boundary, FlaschkaState, shifted
-from .errors import NoRealBranch, NumericalError, SingularStep, SolveFailed
+from .errors import (DomainError, NonInvertibleLeg, NoRealBranch, NumericalError,
+                     SingularStep, SolveFailed)
 
 _PIVOT = 1e-13          # singularity guard for denominators
 _ID_TOL = 1e-12         # internal two-expression identity tolerance
 _CLOSURE_STEPS = 8      # Newton corrections of a ring closure before it fails
+_HALVINGS = 40          # halvings of a correction whose pass leaves a leg domain
 _ADD_TOL = 1e-10        # addition-formula tolerance inside steps
 
 
@@ -154,33 +156,50 @@ def _ring_fixed_point(sites) -> float:
     return max(roots, key=lambda root: abs(p21 * root + p22), default=math.nan)
 
 
-def _ring_chain(update, sites) -> list:
-    """Values of the cyclic recurrence v_k = update(k, v_{k-1}) whose site maps
-    are the Moebius ``sites``.
+def _moebius_slope(sites):
+    """Slope dv_k/dv_{k-1} = det M_k / (m21 v_{k-1} + m22)^2 of Moebius site k."""
+    def slope(k, prev, val):
+        m11, m12, m21, m22 = sites[k]
+        return (m11 * m22 - m12 * m21) / (m21 * prev + m22) ** 2
+    return slope
 
-    The attracting fixed point t of the sites' product selects the branch.
-    The float product loses digits of t when sites are much larger than the
-    product, so Newton steps on the closure v_n(t) = t of the recurrence
-    itself, with dv_n/dt the product of the site slopes
-    det M_k / (m21 v_{k-1} + m22)^2, correct t, each followed by a forward
-    pass.  The first pass that closes at site 0 to 1e-12 relative is final;
-    a correction that leaves t as it is leaves the previous pass final.  Up
-    to _CLOSURE_STEPS corrections are made: most rings close after the
-    first, rings with sites of 1e4-1e8 need two to seven.
-    """
-    t = _ring_fixed_point(sites)
-    vals = _open_chain(update, update(0, t), len(sites))
+
+def _ring_chain(update, site_slope, closes, t: float, n: int) -> list:
+    """Values of the cyclic recurrence v_k = update(k, v_{k-1}) from a seed t
+    for v_{n-1}, the one closure loop of every map and chart ring: Newton
+    steps on the closure v_{n-1}(t) = t, with the product of the
+    ``site_slope(k, v_{k-1}, v_k)`` as derivative, each followed by a forward
+    pass; a correction whose pass leaves a leg domain is halved up to
+    _HALVINGS times.  The first corrected pass ``closes(vals, step)`` accepts,
+    given the correction ``step`` just made, is final (a correction that
+    leaves t as it is keeps the previous pass)."""
+    vals = _open_chain(update, update(0, t), n)
     for _ in range(_CLOSURE_STEPS):
-        slope = 1.0
-        for (m11, m12, m21, m22), v in zip(sites, [t] + vals[:-1]):
-            slope *= (m11 * m22 - m12 * m21) / (m21 * v + m22) ** 2
-        corrected = t + (vals[-1] - t) / (1.0 - slope)
-        if corrected != t:
-            t = corrected
-            vals = _open_chain(update, update(0, t), len(sites))
-        if abs(vals[0] - update(0, vals[-1])) <= 1e-12 * max(1.0, _amax(vals)):
+        slope = math.prod(site_slope(k, prev, val)
+                          for k, (prev, val) in enumerate(zip([t] + vals[:-1], vals)))
+        step = (vals[-1] - t) / (1.0 - slope)
+        for _ in range(_HALVINGS):
+            try:
+                if t + step != t:
+                    vals, t = _open_chain(update, update(0, t + step), n), t + step
+                break
+            except (DomainError, NonInvertibleLeg):
+                step *= 0.5
+        else:
+            raise SolveFailed("ring solver gave up: every halved correction leaves a leg domain")
+        if closes(vals, step):
             return vals
     raise SolveFailed("ring recurrence does not close at its fixed point")
+
+
+def _moebius_chain(update, sites) -> list:
+    """``_ring_chain`` of Moebius ``sites`` from their attracting fixed point,
+    final when a pass closes at site 0 (the one site a pass leaves inexact)
+    to 1e-12 relative: most rings after one correction, rings with sites of
+    1e4-1e8 after two to seven."""
+    def closes(vals, step):
+        return abs(vals[0] - update(0, vals[-1])) <= 1e-12 * max(1.0, _amax(vals))
+    return _ring_chain(update, _moebius_slope(sites), closes, _ring_fixed_point(sites), len(sites))
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +217,8 @@ def _dtl(s: FlaschkaState, floats, h: float, factor_only: bool = False):
         return 1.0 + h * bl[k] - hh * al[k - 1] / prev
 
     if ring:
-        beta = _ring_chain(update, [(1.0 + h * b, -hh * ap, 1.0, 0.0)
-                                    for b, ap in zip(bl, _prev(al, ring))])
+        beta = _moebius_chain(update, [(1.0 + h * b, -hh * ap, 1.0, 0.0)
+                                       for b, ap in zip(bl, _prev(al, ring))])
     else:
         beta = _open_chain(update, 1.0 + h * bl[0], s.n)
     _guard(beta, "beta")
@@ -236,8 +255,8 @@ def _drtl_plus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: bo
         return 1.0 + h * bl[k] + coupling * al[k - 1] / prev
 
     if ring:
-        d1 = _ring_chain(update, [(1.0 + h * b, coupling * ap, 1.0, 0.0)
-                                  for b, ap in zip(bl, _prev(al, ring))])
+        d1 = _moebius_chain(update, [(1.0 + h * b, coupling * ap, 1.0, 0.0)
+                                     for b, ap in zip(bl, _prev(al, ring))])
     else:
         d1 = _open_chain(update, 1.0 + h * bl[0], s.n)
     _guard(d1, "d1")
@@ -305,7 +324,8 @@ def _drtl_minus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: b
         return al[k] / den
 
     if ring:
-        dm = _ring_chain(update, [(0.0, a, -rate * h, 1.0 + rate * b) for a, b in zip(al, bl)])
+        dm = _moebius_chain(update, [(0.0, a, -rate * h, 1.0 + rate * b)
+                                     for a, b in zip(al, bl)])
     else:
         dm = _open_chain(update, update(0, 0.0), s.n)     # a_0 = 0 before the chain
     h_dm = [h * d for d in dm]

@@ -29,7 +29,6 @@ chart at alpha = h, where that chart's phi leg vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -37,12 +36,9 @@ from scipy.special import spence
 
 from .core import Boundary, CanonicalState, FlaschkaState, random_canonical, shifted
 from .errors import DomainError, NoRealBranch, NonInvertibleLeg, SolveFailed
-from .maps import _ring_fixed_point
+from .maps import _moebius_slope, _open_chain, _ring_chain, _ring_fixed_point
 from .poisson import Bracket, _central_differences, combo
 from .systems import SYSTEMS
-
-_NEWTON_TOL = 1e-12
-_NEWTON_ITERS = 60
 
 
 def _li2(z):
@@ -84,7 +80,7 @@ class Legs:
     psi0: Optional[Callable] = None
     Psi0: Optional[Callable] = None
     # (q, s) when psi(v) = expm1(v)/h and h*phi(u) = q e^u / (1 - s e^u): the
-    # ring step is then a Moebius recurrence, solved exactly (_mobius_ring)
+    # ring step is then a Moebius recurrence, seeded at its exact fixed point
     mobius: Optional[tuple] = None
     v_range: tuple = (-0.5, 0.5)   # sampling window for derivative checks
     u_range: tuple = (-1.0, 1.0)
@@ -845,28 +841,23 @@ def _first_equation_rhs(spec, c):
 def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
     """One step of the chart's map.
 
-    Open chains solve by a forward sweep.  Rings of a chart with a Moebius
-    leg pair (``Legs.mobius``: exp and the plus family of rel-exp-add) solve
-    exactly by a 2x2 matrix product round the ring; rings of the other
-    charts by a damped Newton iteration on the full position vector.
+    The first step equation psi(x~_k - x_k) + phi(x_k - x~_{k-1}) = rhs_k is
+    a chain giving x~_k from x~_{k-1}: open chains run it forward from
+    x~_1 = x_1 + psi_inv(rhs_1), rings solve it for one unknown, x~_n, by the
+    closure Newton of ``maps._ring_chain`` (``_ring_step``).
     """
     if c.boundary is Boundary.OPEN and not spec.supports_open:
         raise DomainError(f"chart {spec.name} is periodic-only")
-    x, p, n, bc = c.x, c.p, c.n, c.boundary
+    x, bc = c.x, c.boundary
     legs = spec.legs
     rhs = _first_equation_rhs(spec, c)
 
     if legs.phi is None:   # the explicit family: a closed-form step
         xt = x + legs.psi_inv(rhs)
     elif bc is Boundary.OPEN:
-        xt = np.empty(n)
-        for k in range(n):
-            r = rhs[k] if k == 0 else rhs[k] - legs.phi(x[k] - xt[k - 1])
-            xt[k] = x[k] + legs.psi_inv(r)
-    elif legs.mobius is not None:
-        xt = _mobius_ring(spec, x, rhs)
+        xt = np.array(_open_chain(_leg_sites(legs, x, rhs)[0], x[0] + legs.psi_inv(rhs[0]), c.n))
     else:
-        xt = _newton_ring(spec, x, rhs)
+        xt = _ring_step(spec, x, rhs)
 
     v = xt - x
     pt = legs.psi(v)
@@ -877,6 +868,16 @@ def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
     return CanonicalState(xt, pt, bc)
 
 
+def _leg_sites(legs, x, rhs):
+    """Site update x~_k = x_k + psi_inv(rhs_k - phi(u_k)), u_k = x_k - x~_{k-1},
+    and its slope dx~_k/dx~_{k-1} = dphi(u_k)/dpsi(v_k), v_k = x~_k - x_k."""
+    def update(k, prev):
+        return x[k] + legs.psi_inv(rhs[k] - legs.phi(x[k] - prev))
+    def site_slope(k, prev, val):
+        return legs.dphi(x[k] - prev) / legs.dpsi(val - x[k])
+    return update, site_slope
+
+
 def _ring_residual(legs, x, rhs, xt):
     """psi(x~_k - x_k) + phi(x_k - x~_{k-1}) - rhs_k on a ring."""
     return legs.psi(xt - x) + legs.phi(x - shifted(xt, -1, Boundary.PERIODIC)) - rhs
@@ -884,89 +885,62 @@ def _ring_residual(legs, x, rhs, xt):
 
 def _tolerance(rhs):
     """Inf-norm bound a ring solve must bring the residual below."""
-    return _NEWTON_TOL * max(1.0, float(np.max(np.abs(rhs))))
+    return 1e-12 * max(1.0, float(np.max(np.abs(rhs))))
 
 
-def _mobius_ring(spec, x, rhs):
-    """Exact ring solve for beta_k = e^{x~_k - x_k} of a Moebius chart.
+def _ring_step(spec, x, rhs):
+    """x~ of a ring step by ``maps._ring_chain``, final once the step equation
+    holds to ``_tolerance(rhs)`` after a correction below it (relative to the
+    closing value).  Without a Moebius leg pair the chain runs in x~, seeded
+    at x~_n of a pass with x~_{n-1} = x_{n-1}; a seed, or a pass no halved
+    correction keeps inside the leg domains, raises SolveFailed (the solver
+    gave up: one pass does not show that no closing value exists)."""
+    legs = spec.legs
+    tol = _tolerance(rhs)
+    to_xt = np.array if legs.mobius is None else (lambda beta: x + np.log(beta))
 
-    With g_k = e^{x_k - x_{k-1}}, c_k = 1 + h rhs_k and the legs' (q, s), the
-    first step equation is beta_k = c_k - q g_k / (beta_{k-1} - s g_k): the
-    site matrix [[c_k, -(q + s c_k) g_k], [1, -s g_k]] acting on
-    (beta_{k-1}, 1).  The ring closes at the attracting fixed point t = beta_n
-    of their product (``maps._ring_fixed_point``); one forward pass from t
-    gives every beta_k.
-    """
+    def closes(vals, step):
+        return (abs(step) <= tol * max(1.0, abs(vals[-1]))
+                and np.max(np.abs(_ring_residual(legs, x, rhs, to_xt(vals)))) < tol)
+
+    try:
+        if legs.mobius is None:
+            update, site_slope = _leg_sites(legs, x, rhs)
+            t = update(len(x) - 1, x[-2])
+        else:
+            update, site_slope, t = _mobius_sites(spec, x, rhs)
+        return to_xt(_ring_chain(update, site_slope, closes, t, len(x)))
+    except (DomainError, NonInvertibleLeg) as exc:
+        raise SolveFailed(f"ring solver gave up: a pass leaves a leg domain ({exc})") from exc
+
+
+def _mobius_sites(spec, x, rhs):
+    """Site update, slope and seed of the ring chain in beta_k = e^{x~_k - x_k}:
+    with g_k = e^{x_k - x_{k-1}}, c_k = 1 + h rhs_k and the legs' (q, s),
+    beta_k = c_k - q g_k / (beta_{k-1} - s g_k), the site matrix
+    [[c_k, -(q + s c_k) g_k], [1, -s g_k]]; the seed is the attracting fixed
+    point of their product.  A beta that is not positive, or a leg pole,
+    raises NoRealBranch with its site."""
     q, s = spec.legs.mobius
-    h = spec.h
-    n = len(x)
     g = np.exp(x - shifted(x, -1, Boundary.PERIODIC)).tolist()
-    c = [1.0 + h * r for r in rhs.tolist()]
-    t = _ring_fixed_point((ck, -(q + s * ck) * gk, 1.0, -s * gk) for ck, gk in zip(c, g))
+    c = [1.0 + spec.h * r for r in rhs.tolist()]
+    sites = [(ck, -(q + s * ck) * gk, 1.0, -s * gk) for ck, gk in zip(c, g)]
+    t = _ring_fixed_point(sites)
     if not t > 0.0:
-        raise NoRealBranch(f"ring step has no real solution: beta at site {n - 1} "
-                           f"is {t:.3g}", site=n - 1)
-    beta = []
-    prev = t
-    for k in range(n):
+        raise NoRealBranch(f"ring step has no real solution: beta at site {len(x) - 1} "
+                           f"is {t:.3g}", site=len(x) - 1)
+
+    def update(k, prev):
         den = prev - s * g[k]
         if not den > 0.0:
-            raise NoRealBranch(f"ring step has no real solution: leg pole at site {k}",
-                               site=k)
-        prev = c[k] - q * g[k] / den
-        if not prev > 0.0:
+            raise NoRealBranch(f"ring step has no real solution: leg pole at site {k}", site=k)
+        beta = c[k] - q * g[k] / den
+        if not beta > 0.0:
             raise NoRealBranch(f"ring step has no real solution: beta at site {k} "
-                               f"is {prev:.3g}", site=k)
-        beta.append(prev)
-    xt = x + np.log(beta)
-    if not np.max(np.abs(_ring_residual(spec.legs, x, rhs, xt))) < _tolerance(rhs):
-        raise SolveFailed("exact ring step misses the step equation tolerance")
-    return xt
+                               f"is {beta:.3g}", site=k)
+        return beta
 
-
-def _newton_ring(spec, x, rhs):
-    legs = spec.legs
-    n = len(x)
-    idx = np.arange(n)
-    prev = (idx - 1) % n
-    residual = partial(_ring_residual, legs, x, rhs)
-
-    try:
-        xt = x + legs.psi_inv(rhs)
-    except (DomainError, NonInvertibleLeg):
-        xt = x + 2.0 * abs(spec.h)   # small positive shift is inside every leg domain
-    try:
-        r = residual(xt)
-    except DomainError as exc:
-        raise SolveFailed("Newton seed lies outside the leg domain") from exc
-    r_max = np.max(np.abs(r))
-    tol = _tolerance(rhs)
-    for _ in range(_NEWTON_ITERS):
-        if r_max < tol:
-            return xt
-        J = np.zeros((n, n))
-        J[idx, idx] = legs.dpsi(xt - x)
-        J[idx, prev] -= legs.dphi(x - shifted(xt, -1, Boundary.PERIODIC))
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError as exc:
-            raise SolveFailed("singular Newton system") from exc
-        t = 1.0
-        for _ in range(40):
-            trial = xt + t * step
-            try:
-                r_new = residual(trial)
-            except DomainError:
-                t *= 0.5
-                continue
-            r_new_max = np.max(np.abs(r_new))
-            if r_new_max < r_max:
-                xt, r, r_max = trial, r_new, r_new_max
-                break
-            t *= 0.5
-        else:
-            raise SolveFailed("Newton line search stalled")
-    raise SolveFailed("Newton did not reach tolerance")
+    return update, _moebius_slope(sites), t
 
 
 def lagrangian_value(spec: Realization, x, xt, boundary: Boundary) -> float:

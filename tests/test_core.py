@@ -54,6 +54,16 @@ def test_package_has_one_central_difference_loop():
     assert len(step_rules) == 1, step_rules
 
 
+def test_package_has_one_ring_closure_loop():
+    """Every ring of every map and chart closes through maps._ring_chain: one
+    line forms the closure correction, and the charts make no dense solve."""
+    corrections = _package_lines_with("/ (1.0 - slope)")
+    assert len(corrections) == 1, corrections
+    dense = [line for line in _package_lines_with("np.linalg.solve")
+             if line.startswith("realizations.py:")]
+    assert not dense, dense
+
+
 def test_package_does_not_use_scipy_linalg():
     """Dense solves go through numpy: scipy.linalg's triangular solve took
     milliseconds per 5x5 call under multi-threaded BLAS."""

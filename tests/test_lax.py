@@ -354,3 +354,46 @@ def test_spectral_invariants_hand_values():
     inv = lax.spectral_invariants(S2)
     assert abs(inv[0] - np.log(1.0 - 3.0 * w - w * w)) < 1e-14
     assert abs(inv[1] - np.log(1.0 + 3.0 * w - w * w)) < 1e-14
+
+
+def _open_jacobi_with_spectrum(z):
+    """Open state whose Lax matrix has the real spectrum z (Lanczos on diag(z))."""
+    n = len(z)
+    q, q_prev, off = np.ones(n) / np.sqrt(n), np.zeros(n), 0.0
+    b, a = [], []
+    for k in range(n):
+        w = z * q - off * q_prev
+        b.append(q @ w)
+        w = w - b[-1] * q
+        if k < n - 1:
+            off = np.linalg.norm(w)
+            a.append(off * off)
+            q_prev, q = q, w / off
+    return FlaschkaState(a + [0.0], b, Boundary.OPEN)
+
+
+def test_odd_n_nodes_see_the_direction_the_middle_node_missed():
+    """For odd n the old middle node cos(pi/2)/(2R) ~ 1e-17 carried no
+    information: det(I - wM) + c w prod_{j != mid}(w - w_j) keeps det = 1 at
+    w = 0 and every other old node, yet moves the spectrum."""
+    n = 5
+    z = np.array([-1.7, -0.9, 0.6, 1.2, 1.9])
+    s = _open_jacobi_with_spectrum(z)
+    two_r = 4.0                                               # R = 2 >= rho = 1.9
+    old = np.cos(np.pi * (2 * np.arange(1, n + 1) - 1) / (2 * n)) / two_r
+    det = np.poly1d(np.poly(1.0 / z)) * np.prod(-z)        # det(I - wT) = prod(1 - w z_i)
+    free = np.poly1d([1.0, 0.0]) * np.poly1d(np.poly(np.delete(old, n // 2)))
+    moved = det + 1e-4 * two_r ** n * free
+    roots = moved.roots
+    assert np.isrealobj(roots) and abs(moved(0.0) - 1.0) < 1e-14
+    t = _open_jacobi_with_spectrum(np.sort(1.0 / roots))
+    at_old = lax.spectral_invariants(t, nodes=old[None]) - lax.spectral_invariants(
+        s, nodes=old[None])
+    assert np.max(np.abs(at_old)) < 1e-12                  # invisible to the old nodes
+    nodes = lax.spectral_nodes(s)
+    drift = lax.drift(lax.spectral_invariants(t, nodes=nodes),
+                      lax.spectral_invariants(s, nodes=nodes))
+    assert np.max(drift) > 1e-8
+    # n + 1 = 6 Chebyshev nodes less -cos(5 pi / 12), all scaled by the same 2R
+    want = np.delete(np.cos(np.pi * (2 * np.arange(1, n + 2) - 1) / (2 * n + 2)), 3) / two_r
+    np.testing.assert_array_equal(nodes, [want])

@@ -355,9 +355,10 @@ _CYCLIC_EDGES = [
 def test_cyclic_fixed_point_edge_paths(label, update, sites, expected):
     if expected is SolveFailed:
         with pytest.raises(SolveFailed, match="does not close"):
-            maps._ring_chain(update, sites)
+            maps._moebius_chain(update, sites)
     else:
-        np.testing.assert_allclose(maps._ring_chain(update, sites), expected, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(maps._moebius_chain(update, sites), expected, rtol=1e-15,
+                                   atol=0)
 
 
 @pytest.mark.parametrize("update", [
@@ -367,7 +368,7 @@ def test_cyclic_fixed_point_edge_paths(label, update, sites, expected):
 ], ids=["closing update raises", "closing update raises before later nan"])
 def test_cyclic_fixed_point_closing_update_raises(update):
     with pytest.raises(SingularStep, match="^closing pivot$"):
-        maps._ring_chain(update, _CONTRACT_SITES)
+        maps._moebius_chain(update, _CONTRACT_SITES)
 
 
 def _fixed_point_iteration(update, start, tol):
