@@ -17,7 +17,6 @@ Submodules:
 from .core import (Boundary, CanonicalState, FlaschkaState, load_state,
                    neighbor_index, random_canonical, random_state, save_state,
                    state_from_json, state_to_json)
-from .flows import TL, Flow, rk4_trajectory, rtl_minus, rtl_plus, vector_field
 from .maps import (drtl_minus_explicit_step, drtl_minus_factors, drtl_minus_step,
                    drtl_plus_explicit_inverse, drtl_plus_explicit_step,
                    drtl_plus_factors, drtl_plus_step, dtl_factor_diag, dtl_step)
@@ -29,7 +28,6 @@ __all__ = [
     "Boundary", "CanonicalState", "FlaschkaState", "load_state",
     "neighbor_index", "random_canonical", "random_state", "save_state",
     "state_from_json", "state_to_json",
-    "TL", "Flow", "rk4_trajectory", "rtl_minus", "rtl_plus", "vector_field",
     "dtl_factor_diag", "dtl_step", "drtl_plus_factors", "drtl_plus_step",
     "drtl_minus_factors", "drtl_minus_step", "drtl_plus_explicit_step",
     "drtl_plus_explicit_inverse", "drtl_minus_explicit_step",

@@ -206,8 +206,8 @@ def _trajectory(step, first, steps, invariants, out, report):
     traj = [first]
     with np.errstate(all="ignore"):
         try:
-            for _ in range(steps):
-                traj.append(step(traj[-1]))
+            for state in verify.trajectory(step, first, steps):
+                traj.append(state)
         except (NumericalError, ValueError) as exc:
             _report_failure(out, report, exc, f"at step {len(traj)}", failing_step=len(traj))
             return traj, None
@@ -252,7 +252,8 @@ def cmd_simulate(args) -> int:
     out = args.out or "run"
     traj, inv = _trajectory(
         step, first, args.steps,
-        lambda states: lax.trajectory_invariants([to_ab(s) for s in states], alpha=alpha),
+        lambda states: np.concatenate(list(lax.trajectory_invariants(map(to_ab, states),
+                                                                     alpha=alpha))),
         out, report)
     if inv is None:
         return 3

@@ -11,14 +11,14 @@ The three vector fields, in (a, b) variables:
     rtl-:  db_k = a_k/(1 + alpha b_{k+1}) - a_{k-1}/(1 + alpha b_{k-1})
            da_k = a_k (b_{k+1}/(1 + alpha b_{k+1}) - b_k/(1 + alpha b_k))
 
-Out-of-range couplings vanish on open chains; indices wrap on rings.
-RK4 is deliberately non-geometric: it serves as an independent reference
-for order-of-accuracy comparisons against the discrete maps.
+Each field returns the time derivatives (db, da) at a state; the rows of
+``systems.SYSTEMS`` bind alpha.  Out-of-range couplings vanish on open
+chains; indices wrap on rings.  RK4 is deliberately non-geometric: it serves
+as an independent reference for order-of-accuracy comparisons against the
+discrete maps.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,52 +28,34 @@ from .errors import DomainError
 _GUARD = 1e-13
 
 
-@dataclass(frozen=True)
-class Flow:
-    kind: str  # "tl", "rtl+", "rtl-"
-    alpha: float = 0.0
-
-
-TL = Flow("tl")
-
-
-def rtl_plus(alpha: float) -> Flow:
-    return Flow("rtl+", alpha)
-
-
-def rtl_minus(alpha: float) -> Flow:
-    return Flow("rtl-", alpha)
-
-
-def vector_field(flow: Flow, s: FlaschkaState):
-    """Time derivatives (db, da) of the given flow at state s."""
+def tl_field(s: FlaschkaState):
     a, b, bc = s.a, s.b, s.boundary
-    a_prev = shifted(a, -1, bc)
-    b_next = shifted(b, +1, bc)
-    if flow.kind == "tl":
-        db = a - a_prev
-        da = a * (b_next - b)
-    elif flow.kind == "rtl+":
-        al = flow.alpha
-        a_next = shifted(a, +1, bc)
-        db = (1.0 + al * b) * (a - a_prev)
-        da = a * (b_next - b + al * (a_next - a_prev))
-    elif flow.kind == "rtl-":
-        al = flow.alpha
-        denom = 1.0 + al * b
-        if np.min(np.abs(denom)) < _GUARD:
-            raise DomainError("1 + alpha*b_k vanishes")
-        b_prev = shifted(b, -1, bc)
-        db = a / (1.0 + al * b_next) - a_prev / (1.0 + al * b_prev)
-        da = a * (b_next / (1.0 + al * b_next) - b / denom)
-    else:
-        raise ValueError(f"unknown flow kind {flow.kind!r}")
+    return a - shifted(a, -1, bc), a * (shifted(b, +1, bc) - b)
+
+
+def rtl_plus_field(s: FlaschkaState, alpha: float):
+    a, b, bc = s.a, s.b, s.boundary
+    a_prev, a_next = shifted(a, -1, bc), shifted(a, +1, bc)
+    db = (1.0 + alpha * b) * (a - a_prev)
+    da = a * (shifted(b, +1, bc) - b + alpha * (a_next - a_prev))
     return db, da
 
 
-def rk4_step(flow: Flow, s: FlaschkaState, dt: float) -> FlaschkaState:
+def rtl_minus_field(s: FlaschkaState, alpha: float):
+    a, b, bc = s.a, s.b, s.boundary
+    denom = 1.0 + alpha * b
+    if np.min(np.abs(denom)) < _GUARD:
+        raise DomainError("1 + alpha*b_k vanishes")
+    b_next = shifted(b, +1, bc)
+    db = a / (1.0 + alpha * b_next) - shifted(a, -1, bc) / (1.0 + alpha * shifted(b, -1, bc))
+    da = a * (b_next / (1.0 + alpha * b_next) - b / denom)
+    return db, da
+
+
+def rk4_step(field, s: FlaschkaState, dt: float) -> FlaschkaState:
+    """One classical RK4 step of size dt of the vector field ``field(state)``."""
     def rhs(a, b):
-        return vector_field(flow, FlaschkaState(a, b, s.boundary))
+        return field(FlaschkaState(a, b, s.boundary))
 
     a, b = s.a, s.b
     db1, da1 = rhs(a, b)
@@ -83,17 +65,3 @@ def rk4_step(flow: Flow, s: FlaschkaState, dt: float) -> FlaschkaState:
     a_new = a + dt / 6.0 * (da1 + 2 * da2 + 2 * da3 + da4)
     b_new = b + dt / 6.0 * (db1 + 2 * db2 + 2 * db3 + db4)
     return FlaschkaState(a_new, b_new, s.boundary)
-
-
-def rk4_trajectory(flow: Flow, s0: FlaschkaState, dt: float, steps: int):
-    """All states s0, s1, ..., s_steps of the classical one-step RK4 scheme."""
-    if dt == 0.0:
-        raise ValueError("dt must be nonzero")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    out = [s0]
-    s = s0
-    for _ in range(steps):
-        s = rk4_step(flow, s, dt)
-        out.append(s)
-    return out

@@ -29,6 +29,7 @@ uses it to evaluate n discrete steps in closed form by factoring
 from __future__ import annotations
 
 import math
+from itertools import chain, islice
 
 import numpy as np
 
@@ -99,17 +100,11 @@ _LN2 = math.log(2.0)
 _RENORM = 8      # sites between two frexp renormalisations of the continuants
 
 
-def _lambdas(boundary: Boundary, lambda_samples) -> tuple:
-    if boundary is Boundary.OPEN:
-        return (1.0,)
-    lams = tuple(lambda_samples) if lambda_samples is not None else DEFAULT_LAMBDAS
-    if 0.0 in lams:
-        raise DomainError("spectral parameter must be nonzero on a ring")
-    return lams
+def _lambdas(boundary: Boundary) -> tuple:
+    return (1.0,) if boundary is Boundary.OPEN else DEFAULT_LAMBDAS
 
 
-def spectral_nodes(s: FlaschkaState, alpha: float | None = None,
-                   lambda_samples=None) -> np.ndarray:
+def spectral_nodes(s: FlaschkaState, alpha: float | None = None) -> np.ndarray:
     """Sample points of ``spectral_invariants``, one row of n nodes per lambda.
 
     w_j = cos((2j - 1) pi / 2m) / (2R), j = 1..m, m = n; odd n takes m = n + 1
@@ -124,7 +119,7 @@ def spectral_nodes(s: FlaschkaState, alpha: float | None = None,
     if size > s.n:
         cheb = np.delete(cheb, size // 2)
     rows = []
-    for lam in _lambdas(s.boundary, lambda_samples):
+    for lam in _lambdas(s.boundary):
         M = build_T(s, lam) if alpha is None else rtl_t1(s, alpha, lam)
         try:
             rho = float(np.max(np.abs(np.linalg.eigvals(M))))
@@ -136,25 +131,23 @@ def spectral_nodes(s: FlaschkaState, alpha: float | None = None,
 
 
 def spectral_invariants(s: FlaschkaState, alpha: float | None = None,
-                        lambda_samples=None, nodes=None) -> np.ndarray:
+                        nodes=None) -> np.ndarray:
     """log det(I - w_j M) at the nodes, one block of n values per lambda.
 
     M is the Lax matrix T (alpha None) or T1 = L U^{-1} of the relativistic
-    pair.  Open chains evaluate at lambda = 1; rings sample the default four
-    spectral-parameter values (or the given ones).  ``nodes`` defaults to
-    ``spectral_nodes(s, alpha, lambda_samples)``; pass the nodes of a
+    pair.  Open chains evaluate at lambda = 1; rings at the four fixed
+    spectral-parameter values ``DEFAULT_LAMBDAS``.  ``nodes`` defaults to
+    ``spectral_nodes(s, alpha)``; pass the nodes of a
     trajectory's first state to compare states.  Each value is the
     generating function -sum_k tr(M^k) w^k / k of the power traces.
     """
     if nodes is None:
-        nodes = spectral_nodes(s, alpha, lambda_samples)
-    return spectral_invariants_stacked(s.a[None], s.b[None], s.boundary, nodes,
-                                       alpha, lambda_samples)[0]
+        nodes = spectral_nodes(s, alpha)
+    return spectral_invariants_stacked(s.a[None], s.b[None], s.boundary, nodes, alpha)[0]
 
 
 def spectral_invariants_stacked(a: np.ndarray, b: np.ndarray, boundary: Boundary,
-                                nodes, alpha: float | None = None,
-                                lambda_samples=None) -> np.ndarray:
+                                nodes, alpha: float | None = None) -> np.ndarray:
     """``spectral_invariants`` of B states at the same nodes, one state per row
     of (B, n) a, b.
 
@@ -172,7 +165,7 @@ def spectral_invariants_stacked(a: np.ndarray, b: np.ndarray, boundary: Boundary
     b = np.asarray(b, dtype=float)
     count, n = b.shape
     ring = boundary is Boundary.PERIODIC
-    lam = np.repeat(_lambdas(boundary, lambda_samples), n)
+    lam = np.repeat(_lambdas(boundary), n)
     w = np.asarray(nodes, dtype=float).reshape(-1)
     if w.shape != lam.shape:
         raise ValueError(f"expected {lam.size} nodes, got {w.size}")
@@ -231,26 +224,25 @@ def states_per_chunk(n: int) -> int:
     return max(1, _CHUNK_BYTES // (64 * n))
 
 
-def trajectory_invariants(states, alpha: float | None = None,
-                          lambda_samples=None, nodes=None) -> np.ndarray:
-    """``spectral_invariants`` of each state of a sequence, one row per state.
+def trajectory_invariants(states, alpha: float | None = None, nodes=None):
+    """``spectral_invariants`` of an iterable of states, one block of rows per
+    ``states_per_chunk(n)`` states, read from it one chunk at a time.
 
     The states share n and boundary; they are evaluated at the nodes of the
-    first state (or the given ones), a chunk of ``states_per_chunk(n)``
-    states at a time by the stacked kernel.
+    first state (or the given ones) by the stacked kernel.
     """
-    states = list(states)
-    first = states[0]
+    states = iter(states)
+    first = next(states, None)
+    if first is None:
+        return
     if nodes is None:
-        nodes = spectral_nodes(first, alpha, lambda_samples)
+        nodes = spectral_nodes(first, alpha)
+    states = chain([first], states)
     chunk = states_per_chunk(first.n)
-    rows = []
-    for i in range(0, len(states), chunk):
-        part = states[i:i + chunk]
-        rows.append(spectral_invariants_stacked(np.array([s.a for s in part]),
-                                                np.array([s.b for s in part]),
-                                                first.boundary, nodes, alpha, lambda_samples))
-    return np.concatenate(rows)
+    while part := list(islice(states, chunk)):
+        yield spectral_invariants_stacked(np.array([s.a for s in part]),
+                                          np.array([s.b for s in part]),
+                                          first.boundary, nodes, alpha)
 
 
 def crout_lu(m: np.ndarray):

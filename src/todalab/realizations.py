@@ -29,6 +29,7 @@ chart at alpha = h, where that chart's phi leg vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import count
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -36,7 +37,7 @@ from scipy.special import spence
 
 from .core import Boundary, CanonicalState, FlaschkaState, random_canonical, shifted
 from .errors import DomainError, NoRealBranch, NonInvertibleLeg, SolveFailed
-from .maps import _moebius_slope, _open_chain, _ring_chain, _ring_fixed_point
+from .maps import _CLOSURE_STEPS, _moebius_slope, _open_chain, _ring_chain, _ring_fixed_point
 from .poisson import Bracket, _central_differences, combo
 from .systems import SYSTEMS
 
@@ -894,14 +895,22 @@ def _ring_step(spec, x, rhs):
     closing value).  Without a Moebius leg pair the chain runs in x~, seeded
     at x~_n of a pass with x~_{n-1} = x_{n-1}; a seed, or a pass no halved
     correction keeps inside the leg domains, raises SolveFailed (the solver
-    gave up: one pass does not show that no closing value exists)."""
+    gave up: one pass does not show that no closing value exists); so does a
+    last correction that closes the ring while the residual stays above it."""
     legs = spec.legs
     tol = _tolerance(rhs)
     to_xt = np.array if legs.mobius is None else (lambda beta: x + np.log(beta))
+    checks = count(1)
 
     def closes(vals, step):
-        return (abs(step) <= tol * max(1.0, abs(vals[-1]))
-                and np.max(np.abs(_ring_residual(legs, x, rhs, to_xt(vals)))) < tol)
+        last = next(checks) == _CLOSURE_STEPS      # _ring_chain gives up after it
+        if abs(step) > tol * max(1.0, abs(vals[-1])):
+            return False
+        residual = float(np.max(np.abs(_ring_residual(legs, x, rhs, to_xt(vals)))))
+        if last and not residual < tol:
+            raise SolveFailed(f"ring step residual {residual:.2g} stays above its tolerance "
+                              f"{tol:.2g} although the ring closes")
+        return residual < tol
 
     try:
         if legs.mobius is None:

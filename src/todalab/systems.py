@@ -1,7 +1,8 @@
 """The eight systems: three lattice flows and five discrete maps.
 
 Each row gives the system's one-step map, bound to (h, alpha) once per
-trajectory, the alpha of the Lax pair whose spectrum the system conserves
+trajectory (a flow's is the RK4 step of its vector field, alpha bound to
+the field), the alpha of the Lax pair whose spectrum the system conserves
 (None for the Toda matrix T) and the label of its checks.  A row looks its
 step function up in ``maps`` or ``flows`` when it is bound, so a function
 replaced in those modules (by a profiler's wrapper, say) is the one run.
@@ -34,11 +35,11 @@ def _alpha(h, alpha):
 
 
 SYSTEMS = {row.name: row for row in (
-    System("tl", "tl", lambda h, al: partial(flows.rk4_step, flows.TL, dt=h), _toda, True),
-    System("rtl+", "rtl+", lambda h, al: partial(flows.rk4_step, flows.rtl_plus(al), dt=h),
-           _alpha, True),
-    System("rtl-", "rtl-", lambda h, al: partial(flows.rk4_step, flows.rtl_minus(al), dt=h),
-           _alpha, True),
+    System("tl", "tl", lambda h, al: partial(flows.rk4_step, flows.tl_field, dt=h), _toda, True),
+    System("rtl+", "rtl+", lambda h, al: partial(
+        flows.rk4_step, partial(flows.rtl_plus_field, alpha=al), dt=h), _alpha, True),
+    System("rtl-", "rtl-", lambda h, al: partial(
+        flows.rk4_step, partial(flows.rtl_minus_field, alpha=al), dt=h), _alpha, True),
     System("dtl", "dtl", lambda h, al: partial(maps.dtl_step, h=h), _toda),
     System("drtl+", "drtl-plus", lambda h, al: partial(maps.drtl_plus_step, alpha=al, h=h),
            _alpha),

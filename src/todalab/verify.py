@@ -11,12 +11,12 @@ re-run the same code at its own scales.
 from __future__ import annotations
 
 import fnmatch
+from functools import partial
 
 import numpy as np
 
 from . import lax, maps, pluri, poisson
 from .core import Boundary, random_canonical, random_state
-from .flows import TL, rk4_trajectory
 from .realizations import (CATALOG, canonical_step, chart_specs, chart_state,
                            lagrangian_value, pullback_consistency, realization,
                            symplectic_defect)
@@ -29,18 +29,22 @@ def _record(check, params, samples, max_residual, tol):
             "pass": bool(max_residual < tol)}
 
 
+def trajectory(step, state, steps):
+    """The states step(state), step(step(state)), ... after each of `steps`
+    steps: the one loop that steps a state repeatedly."""
+    for _ in range(steps):
+        state = step(state)
+        yield state
+
+
 def simulate(system, n, boundary, seed, h, alpha, steps, state0=None):
     """Trajectory (list of states) and per-step invariant table of a run."""
     row = SYSTEMS[system]
-    if row.flow and h == 0.0:
-        raise ValueError("dt must be nonzero")
     if state0 is None:
         state0 = random_state(n, boundary, seed)
-    step = row.stepper(h, alpha)
-    traj = [state0]
-    for _ in range(steps):
-        traj.append(step(traj[-1]))
-    return traj, lax.trajectory_invariants(traj, alpha=row.lax_alpha(h, alpha))
+    traj = [state0, *trajectory(row.stepper(h, alpha), state0, steps)]
+    inv = lax.trajectory_invariants(traj, alpha=row.lax_alpha(h, alpha))
+    return traj, np.concatenate(list(inv))
 
 
 # ---------------------------------------------------------------------------
@@ -52,27 +56,17 @@ def check_isospectral(seed=0, system="dtl", n=8, steps=10_000, h=0.05, alpha=0.3
     """Largest drift of the spectral invariants along a trajectory.
 
     The invariants are log det(I - w_j M) at the nodes of the first state,
-    and the drift is their largest absolute change (``lax.drift``).  The
-    states after each step are buffered, and their invariants are evaluated
-    a chunk of states at a time by the stacked kernel.
+    and the drift is their largest absolute change (``lax.drift``), folded
+    over the invariants of the states after each step a chunk at a time.
     """
     row = SYSTEMS[system]
     lax_alpha = row.lax_alpha(h, alpha)
-    step = row.stepper(h, alpha)
     s = random_state(n, boundary, seed)
     nodes = lax.spectral_nodes(s, alpha=lax_alpha)
     ref = lax.spectral_invariants(s, alpha=lax_alpha, nodes=nodes)
-    chunk = lax.states_per_chunk(n)
-    pending = []
-    drifts = [0.0]
-    for k in range(steps):
-        s = step(s)
-        pending.append(s)
-        if len(pending) == chunk or k == steps - 1:
-            inv = lax.trajectory_invariants(pending, alpha=lax_alpha, nodes=nodes)
-            drifts.append(float(lax.drift(inv, ref).max()))
-            pending = []
-    worst = max(drifts)
+    blocks = lax.trajectory_invariants(trajectory(row.stepper(h, alpha), s, steps),
+                                       alpha=lax_alpha, nodes=nodes)
+    worst = max((float(lax.drift(inv, ref).max()) for inv in blocks), default=0.0)
     return _record(f"isospectral-{row.label}", dict(n=n, steps=steps, h=h, alpha=alpha),
                    steps, worst, tol)
 
@@ -80,9 +74,7 @@ def check_isospectral(seed=0, system="dtl", n=8, steps=10_000, h=0.05, alpha=0.3
 def check_factorization_oracle(seed=0, n=5, h=0.05, max_steps=20, tol=1e-8):
     s0 = random_state(n, Boundary.OPEN, seed)
     worst = 0.0
-    s = s0
-    for m in range(1, max_steps + 1):
-        s = maps.dtl_step(s, h)
+    for m, s in enumerate(trajectory(partial(maps.dtl_step, h=h), s0, max_steps), 1):
         closed = lax.exact_solution(s0, h, m)
         worst = max(worst, float(np.max(np.abs(closed.a - s.a))),
                     float(np.max(np.abs(closed.b - s.b))))
@@ -280,7 +272,7 @@ def check_step_order(seed=0, n=6, h=1e-2, levels=3, min_order=1.9):
 
     def defect(hh):
         d = maps.dtl_step(s, hh)
-        f = rk4_trajectory(TL, s, hh, 1)[-1]
+        f = SYSTEMS["tl"].stepper(hh, 0.0)(s)
         return max(float(np.max(np.abs(d.a - f.a))), float(np.max(np.abs(d.b - f.b))))
 
     return _order_record("order-dtl-vs-flow", dict(n=n, h=h),
@@ -306,10 +298,14 @@ def check_lagrangian_order(seed=0, n=6, h=4e-2, levels=3, min_order=0.9):
 
 def check_rk4_order(seed=0, n=5, dt=0.05, steps=8, min_order=3.8):
     s = random_state(n, Boundary.OPEN, seed)
-    ref = rk4_trajectory(TL, s, dt / 8, steps * 8)[-1]
+
+    def endpoint(ddt, nst):
+        return [s, *trajectory(SYSTEMS["tl"].stepper(ddt, 0.0), s, nst)][-1]
+
+    ref = endpoint(dt / 8, steps * 8)
 
     def endpoint_err(ddt, nst):
-        out = rk4_trajectory(TL, s, ddt, nst)[-1]
+        out = endpoint(ddt, nst)
         return max(float(np.max(np.abs(out.a - ref.a))), float(np.max(np.abs(out.b - ref.b))))
 
     return _order_record("order-rk4", dict(n=n, dt=dt),

@@ -79,14 +79,23 @@ def test_invalid_input_exits_2_with_error_line(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("x*"))
 
 
+def _step_failure_report(tmp_path, out, step):
+    """The error report of a run that failed at `step`; it wrote no CSV."""
+    assert not (tmp_path / f"{out}.trajectory.csv").exists()
+    assert not (tmp_path / f"{out}.invariants.csv").exists()
+    report = json.loads((tmp_path / f"{out}.error.json").read_text())
+    assert report["failed"] and report["failing_step"] == step
+    assert "failing_stage" not in report
+    return report
+
+
 def test_numerical_failure_exits_3_with_step_report(tmp_path):
     save_state(FlaschkaState([1.0, 0.0], [-2.0, 1.0], Boundary.OPEN),
                tmp_path / "bad.json")
     rc = run(tmp_path, "simulate", "--system", "dtl", "--h", "0.5",
              "--state", "bad.json", "--steps", "5", "--out", "crash")
     assert rc == 3
-    report = json.loads((tmp_path / "crash.error.json").read_text())
-    assert report["failed"] and report["failing_step"] == 1
+    report = _step_failure_report(tmp_path, "crash", 1)
     assert report["error"] == "SingularStep"
 
 
@@ -99,8 +108,8 @@ def test_numerical_failure_exits_3_with_step_report(tmp_path):
 def test_ring_without_a_real_branch_reports_why(tmp_path, argv, negative_discriminant, site):
     assert run(tmp_path, "simulate", *argv, "--boundary", "periodic", "--h", "0.5",
                "--steps", "1", "--out", "x") == 3
-    report = json.loads((tmp_path / "x.error.json").read_text())
-    assert report["error"] == "NoRealBranch" and report["failing_step"] == 1
+    report = _step_failure_report(tmp_path, "x", 1)
+    assert report["error"] == "NoRealBranch"
     assert report["site"] == site
     if negative_discriminant:
         assert report["discriminant"] < 0.0
@@ -112,10 +121,21 @@ def test_chart_ring_the_solver_gives_up_on_reports_a_typed_error(tmp_path):
     # every pass of the hyperbolic chart's ring chain leaves the leg domain at step 8
     assert run(tmp_path, "simulate", "--realization", "hyp-mult", "--boundary", "periodic",
                "--seed", "0", "--out", "x") == 3
-    report = json.loads((tmp_path / "x.error.json").read_text())
-    assert report["error"] == "SolveFailed" and report["failing_step"] == 8
+    report = _step_failure_report(tmp_path, "x", 8)
+    assert report["error"] == "SolveFailed"
     assert report["message"].startswith("ring solver gave up: a pass leaves a leg domain")
     assert "Newton" not in report["message"]
+
+
+def test_chart_ring_whose_closure_holds_but_residual_fails_names_the_residual(tmp_path):
+    # at step 78 the last closure correction closes the ring, but the step
+    # equation holds only to 6.5e-12 against the tolerance 3.8e-12
+    assert run(tmp_path, "simulate", "--realization", "rel-rat-mult", "--boundary",
+               "periodic", "--seed", "6", "--out", "x") == 3
+    report = _step_failure_report(tmp_path, "x", 78)
+    assert report["error"] == "SolveFailed"
+    assert report["message"] == ("ring step residual 6.5e-12 stays above its tolerance "
+                                 "3.8e-12 although the ring closes")
 
 
 _AT_STEP_1 = ("at step 1", {"failing_step": 1})

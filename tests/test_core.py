@@ -64,6 +64,16 @@ def test_package_has_one_ring_closure_loop():
     assert not dense, dense
 
 
+def test_package_has_one_trajectory_loop():
+    """Every trajectory of the package is stepped by verify.trajectory, and
+    the flows are plain vector fields with no dispatch on a kind string."""
+    loops = _package_lines_with("in range(steps)")
+    assert len(loops) == 1 and loops[0].startswith("verify.py:"), loops
+    dispatch = [line for line in _package_lines_with("kind", '== "', "== '")
+                if line.startswith("flows.py:")]
+    assert not dispatch, dispatch
+
+
 def test_package_does_not_use_scipy_linalg():
     """Dense solves go through numpy: scipy.linalg's triangular solve took
     milliseconds per 5x5 call under multi-threaded BLAS."""

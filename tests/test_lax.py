@@ -8,6 +8,7 @@ from todalab.core import Boundary, FlaschkaState, random_canonical, random_state
 from todalab.errors import DomainError, FactorizationOutsideDomain
 from todalab.realizations import canonical_step, realization
 from todalab.systems import SYSTEMS
+from todalab.verify import trajectory
 
 S2 = FlaschkaState([3.0, 0.0], [1.0, 2.0], Boundary.OPEN)
 
@@ -65,10 +66,8 @@ def _power_traces(s, alpha):
 
 
 def _trajectory(name, n, boundary, seed, steps):
-    step = SYSTEMS[name].stepper(0.05, 0.3)
-    traj = [random_state(n, boundary, seed)]
-    for _ in range(steps):
-        traj.append(step(traj[-1]))
+    s = random_state(n, boundary, seed)
+    traj = [s, *trajectory(SYSTEMS[name].stepper(0.05, 0.3), s, steps)]
     return traj, SYSTEMS[name].lax_alpha(0.05, 0.3)
 
 
@@ -132,13 +131,16 @@ def test_stacked_invariants_bitwise_equal_per_state(name, boundary, n):
     assert np.array_equal(lax.spectral_invariants(traj[0], alpha=alpha), stacked[0])
 
 
-# a trajectory of two full chunks and a partial one
+# a trajectory of two full chunks and a partial one, read from a generator
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
 @pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-"])
 def test_trajectory_invariants_across_chunks(name, boundary):
     traj, alpha = _trajectory(name, 8, boundary, 12, 2 * lax.states_per_chunk(8) + 2)
     nodes = lax.spectral_nodes(traj[0], alpha=alpha)
-    inv = lax.trajectory_invariants(traj, alpha=alpha)
+    blocks = list(lax.trajectory_invariants(iter(traj), alpha=alpha))
+    chunk = lax.states_per_chunk(8)
+    assert [len(block) for block in blocks] == [chunk, chunk, 3]
+    inv = np.concatenate(blocks)
     whole = lax.spectral_invariants_stacked(np.array([s.a for s in traj]),
                                             np.array([s.b for s in traj]), boundary, nodes,
                                             alpha=alpha)
@@ -146,10 +148,8 @@ def test_trajectory_invariants_across_chunks(name, boundary):
     assert lax.drift(inv, inv[0]).max() < 1e-12
 
 
-def test_invariants_reject_zero_lambda_on_rings():
-    s = random_state(4, Boundary.PERIODIC, 3)
-    with pytest.raises(DomainError):
-        lax.spectral_invariants(s, lambda_samples=(1.0, 0.0))
+def test_trajectory_invariants_of_no_states_is_empty():
+    assert list(lax.trajectory_invariants([])) == []
 
 
 # the drift sees a relative change of 1e-9 in the largest coupling: to first
@@ -178,14 +178,14 @@ def test_spectrum_leaving_the_node_disc_is_a_domain_error(name, boundary):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="left the disc"):
-            lax.trajectory_invariants(traj[:2] + [bad] + traj[3:], alpha=alpha)
+            list(lax.trajectory_invariants(traj[:2] + [bad] + traj[3:], alpha=alpha))
 
 
 # tr(T^k) overflows near n = 600; the rescaled continuant does not
 @pytest.mark.parametrize("name", ["dtl", "drtl+"])
 def test_invariants_at_n_1024(name):
     traj, alpha = _trajectory(name, 1024, Boundary.OPEN, 0, 10)
-    inv = lax.trajectory_invariants(traj, alpha=alpha)
+    inv = np.concatenate(list(lax.trajectory_invariants(traj, alpha=alpha)))
     assert inv.shape == (11, 1024) and np.all(np.isfinite(inv))
     assert lax.drift(inv, inv[0]).max() < 1e-8
 

@@ -6,7 +6,7 @@ import pytest
 from todalab import maps
 from todalab.core import Boundary, FlaschkaState, random_state, shifted, state_to_json
 from todalab.errors import NoRealBranch, NumericalError, SingularStep, SolveFailed
-from todalab.flows import TL, vector_field
+from todalab.flows import tl_field
 from todalab.lax import drift, spectral_invariants, spectral_nodes
 
 S2 = FlaschkaState([3.0, 0.0], [1.0, 2.0], Boundary.OPEN)
@@ -256,7 +256,7 @@ def test_explicit_maps_limit_to_tl_field(stepper):
     s = random_state(6, Boundary.OPEN, 14)
     h = 1e-6
     out = stepper(s, h)
-    db, da = vector_field(TL, s)
+    db, da = tl_field(s)
     assert np.max(np.abs((out.b - s.b) / h - db)) < 1e-5
     assert np.max(np.abs((out.a - s.a) / h - da)) < 1e-5
 

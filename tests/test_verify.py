@@ -4,7 +4,7 @@ import pytest
 from todalab.core import Boundary
 from todalab.lax import drift, states_per_chunk
 from todalab.verify import (CHECKS, check_commutativity, check_isospectral, run_suite,
-                            simulate)
+                            simulate, trajectory)
 
 
 def test_registry_names_match_records():
@@ -74,3 +74,8 @@ def test_criterion_3_ring_commutator_floor(system):
     rec = check_commutativity(seed=0, system=system, n=4, n_states=50,
                               boundary=Boundary.PERIODIC, tol=1e-9)
     assert rec["max_residual"] <= 1e-13
+
+
+def test_trajectory_yields_the_state_after_each_step():
+    assert list(trajectory(lambda k: k + 1, 0, 3)) == [1, 2, 3]
+    assert list(trajectory(lambda k: k + 1, 0, 0)) == []
