@@ -84,11 +84,16 @@ def _apply_config(args, argv):
     if not args.config:
         return args
     parser = configparser.ConfigParser()
-    with open(args.config, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if not text.lstrip().startswith("["):
-        text = "[run]\n" + text
-    parser.read_string(text)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        if not text.lstrip().startswith("["):
+            text = "[run]\n" + text
+        parser.read_string(text)
+    except (UnicodeDecodeError, configparser.Error) as exc:
+        raise SystemExit2(f"bad config file {args.config}: {' '.join(str(exc).split())}")
+    if len(parser.sections()) != 1:
+        raise SystemExit2(f"config file {args.config} must hold exactly one section")
     section = parser[parser.sections()[0]]
     explicit = {tok.split("=")[0].lstrip("-") for tok in argv if tok.startswith("--")}
     for key, value in section.items():
@@ -96,7 +101,11 @@ def _apply_config(args, argv):
             raise SystemExit2(f"unknown config key {key!r}")
         if key in explicit or _DEST.get(key, key) in explicit:
             continue   # flags win
-        setattr(args, _DEST.get(key, key), _CONFIG_KEYS[key](value))
+        try:
+            setattr(args, _DEST.get(key, key), _CONFIG_KEYS[key](value))
+        except ValueError:
+            raise SystemExit2(f"config key {key!r}: {value!r} is not a valid "
+                              f"{_CONFIG_KEYS[key].__name__}")
     return args
 
 
@@ -347,7 +356,7 @@ def main(argv=None) -> int:
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:   # a missing file, or a directory given as one
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

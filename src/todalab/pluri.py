@@ -23,18 +23,21 @@ The second half implements the corner-equation apparatus for commuting
 one-parameter step families: corner residuals, superposition solves, closure
 defects and the spectrality/conservation quantities, for the exponential
 chain (1-form case) and its relativistic extension (three-point 2-form).
+Every leg of one parameter is a leg of the step's chart, ``exp`` or
+``rel-exp-add`` (``_chain_spec``); only the two-parameter cross leg of the
+2-form and its antiderivative are defined here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .core import Boundary, CanonicalState, shifted
 from .errors import BranchMismatch, DegenerateFace, DomainError
-from .realizations import _leg_at_mixed_next, _leg_at_mixed_prev, canonical_step, realization
+from .realizations import (_leg_at_mixed_next, _leg_at_mixed_prev, _need, canonical_step,
+                           lagrangian_value, realization)
 
 _COEF_GUARD = 1e-13
 
@@ -177,6 +180,8 @@ def site_faces(k, x_prev, x, x_next, white) -> dict:
 
 @lru_cache(maxsize=64)
 def _chain_spec(lam: float, alpha: float | None):
+    """Chart of the lam step, ``exp`` (alpha None) or ``rel-exp-add``: its legs
+    are the one-parameter legs of every corner equation below."""
     if alpha is None:
         return realization("exp", lam)
     return realization("rel-exp-add", lam, alpha=alpha)
@@ -188,48 +193,24 @@ def chain_step(c: CanonicalState, lam: float, alpha: float | None = None) -> Can
     return canonical_step(_chain_spec(float(lam), alpha), c)
 
 
-@dataclass(frozen=True)
-class CornerSystem1D:
-    """Legs and slice action of the exponential-chain step family."""
-
-    def psi(self, xi, lam):
-        return np.expm1(xi) / lam
-
-    def phi(self, xi, lam):
-        return lam * np.exp(xi)
-
-    def lagrangian(self, x, xt, lam, boundary) -> float:
-        x = np.asarray(x, dtype=float)
-        xt = np.asarray(xt, dtype=float)
-        val = float(np.sum(np.expm1(xt - x) - (xt - x)) / lam)
-        return val - lam * float(np.sum(_leg_at_mixed_next(np.exp, x, xt, boundary)))
-
-    def dlambda(self, x, xt, lam, boundary) -> float:
-        x = np.asarray(x, dtype=float)
-        xt = np.asarray(xt, dtype=float)
-        val = -float(np.sum(np.expm1(xt - x) - (xt - x))) / lam ** 2
-        return val - float(np.sum(_leg_at_mixed_next(np.exp, x, xt, boundary)))
+def _momenta(legs, base, img, boundary):
+    """psi(img_k - base_k) + phi(base_k - img_{k-1}), and the same with
+    phi(base_{k+1} - img_k): the momenta before and after a step, less psi0."""
+    kin = legs.psi(img - base)
+    return (kin + _leg_at_mixed_prev(legs.phi, base, img, boundary),
+            kin + _leg_at_mixed_next(legs.phi, base, img, boundary))
 
 
-def corner_system_1d() -> CornerSystem1D:
-    return CornerSystem1D()
-
-
-def corner_residuals_1d(system, x, xt, xh, xth, lam, mu, boundary):
-    """Residual vectors of the four corner equations on a parameter square."""
+def corner_residuals_1d(x, xt, xh, xth, lam, mu, boundary):
+    """Residual vectors of the four corner equations on a parameter square:
+    the steps leaving and reaching a corner agree on its momentum."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
-
-    def one_sided(base, img, par):
-        return system.psi(img - base, par) + par * _leg_at_mixed_prev(np.exp, base, img, boundary)
-
-    def upshift(base, img, par):
-        return system.psi(img - base, par) + par * _leg_at_mixed_next(np.exp, base, img, boundary)
-
-    e = one_sided(x, xt, lam) - one_sided(x, xh, mu)
-    ei = upshift(x, xt, lam) - one_sided(xt, xth, mu)
-    ej = upshift(x, xh, mu) - one_sided(xh, xth, lam)
-    eij = upshift(xh, xth, lam) - upshift(xt, xth, mu)
-    return e, ei, ej, eij
+    legs_l, legs_m = _chain_spec(lam, None).legs, _chain_spec(mu, None).legs
+    p_t, pt_t = _momenta(legs_l, x, xt, boundary)
+    p_h, pt_h = _momenta(legs_m, x, xh, boundary)
+    p_th, pt_th = _momenta(legs_m, xt, xth, boundary)
+    p_ht, pt_ht = _momenta(legs_l, xh, xth, boundary)
+    return p_t - p_h, pt_t - p_th, pt_h - p_ht, pt_ht - pt_th
 
 
 def superposition_1d(x, xt, xh, lam, mu, boundary):
@@ -240,11 +221,12 @@ def superposition_1d(x, xt, xh, lam, mu, boundary):
     the first exactly by the base corner equation).
     """
     x, xt, xh = (np.asarray(v, dtype=float) for v in (x, xt, xh))
+    legs_l, legs_m = _chain_spec(lam, None).legs, _chain_spec(mu, None).legs
     # coefficient of e^{xth_k} and the constant term of relation S1
     coef = np.exp(-xh) / lam - np.exp(-xt) / mu
     const = (1.0 / lam - 1.0 / mu
-             - lam * _leg_at_mixed_next(np.exp, x, xt, boundary)
-             + mu * _leg_at_mixed_next(np.exp, x, xh, boundary))
+             - _leg_at_mixed_next(legs_l.phi, x, xt, boundary)
+             + _leg_at_mixed_next(legs_m.phi, x, xh, boundary))
     if np.min(np.abs(coef)) < _COEF_GUARD:
         raise DegenerateFace("superposition relation degenerates")
     val = const / coef
@@ -253,10 +235,10 @@ def superposition_1d(x, xt, xh, lam, mu, boundary):
     xth = np.log(val)
 
     # second relation, shifted form: psi-differences against long legs at level k+1
-    s2 = (np.expm1(_up(xt, boundary) - _up(x, boundary)) / lam
-          - np.expm1(_up(xh, boundary) - _up(x, boundary)) / mu
-          + lam * _leg_at_mixed_next(np.exp, xh, xth, boundary)
-          - mu * _leg_at_mixed_next(np.exp, xt, xth, boundary))
+    s2 = (legs_l.psi(_up(xt, boundary) - _up(x, boundary))
+          - legs_m.psi(_up(xh, boundary) - _up(x, boundary))
+          + _leg_at_mixed_next(legs_l.phi, xh, xth, boundary)
+          - _leg_at_mixed_next(legs_m.phi, xt, xth, boundary))
     if boundary is Boundary.OPEN:
         s2 = s2[:-1]
     if np.max(np.abs(s2)) > 1e-8:
@@ -264,130 +246,86 @@ def superposition_1d(x, xt, xh, lam, mu, boundary):
     return xth
 
 
-def closure_value_1d(system, x, xt, xh, xth, lam, mu, boundary) -> float:
+def closure_value_1d(x, xt, xh, xth, lam, mu, boundary) -> float:
     """Action defect around the parameter square (zero iff the 1-form closes)."""
-    return (system.lagrangian(x, xt, lam, boundary)
-            + system.lagrangian(xt, xth, mu, boundary)
-            - system.lagrangian(x, xh, mu, boundary)
-            - system.lagrangian(xh, xth, lam, boundary))
+    spec_l, spec_m = _chain_spec(lam, None), _chain_spec(mu, None)
+    return (lagrangian_value(spec_l, x, xt, boundary)
+            + lagrangian_value(spec_m, xt, xth, boundary)
+            - lagrangian_value(spec_m, x, xh, boundary)
+            - lagrangian_value(spec_l, xh, xth, boundary))
 
 
-def spectrality_residual(system, pair_a, pair_b, lam, boundary) -> float:
+def action_derivative(x, xt, lam, boundary) -> float:
+    """d/dlam of the exponential chain's slice action sum Psi - sum Phi: Psi
+    scales as 1/lam and Phi as lam, so it is -(sum Psi + sum Phi)/lam."""
+    x, xt = np.asarray(x, dtype=float), np.asarray(xt, dtype=float)
+    legs = _chain_spec(lam, None).legs
+    return -(float(np.sum(legs.Psi(xt - x)))
+             + float(np.sum(_leg_at_mixed_next(legs.Phi, x, xt, boundary)))) / lam
+
+
+def spectrality_residual(pair_a, pair_b, lam, boundary) -> float:
     """Drift of the parameter-derivative of the slice action between two
     step pairs related by an independent family member."""
-    da = system.dlambda(pair_a[0], pair_a[1], lam, boundary)
-    db = system.dlambda(pair_b[0], pair_b[1], lam, boundary)
-    return abs(da - db)
+    return abs(action_derivative(*pair_a, lam, boundary)
+               - action_derivative(*pair_b, lam, boundary))
 
 
 # ---------------------------------------------------------------------------
 # relativistic extension: three-point 2-form corner system
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThreePointForm2D:
-    alpha: float
-
-    # legs -------------------------------------------------------------
-    def psi(self, xi, lam):
-        return np.expm1(xi) / lam
-
-    def psi0(self, xi):
-        return self.alpha * np.exp(xi)
-
-    def phi0(self, xi, lam):
-        w = np.exp(xi)
-        den = 1.0 - lam * self.alpha * w
-        _require(den > 0, "leg pole: 1 - lam*alpha*e^xi <= 0")
-        return (lam - self.alpha) * w / den
-
-    def phi(self, xi, lam, mu):
-        w = np.exp(xi)
-        den = lam * w - mu
-        _require(np.abs(den) > 1e-300, "leg pole: lam e^xi = mu")
-        return (w - 1.0) / den
-
-    # antiderivatives ----------------------------------------------------
-    def Psi(self, xi, lam):
-        return (np.expm1(xi) - xi) / lam
-
-    def Psi0(self, xi):
-        return self.alpha * np.exp(xi)
-
-    def Phi0(self, xi, lam):
-        arg = 1.0 - lam * self.alpha * np.exp(xi)
-        _require(arg > 0, "leg pole: 1 - lam*alpha*e^xi <= 0")
-        return -((lam - self.alpha) / (lam * self.alpha)) * np.log(arg)
-
-    def Phi(self, xi, lam, mu):
-        arg = np.abs(lam * np.exp(xi) - mu)
-        _require(arg > 1e-300, "leg pole: lam e^xi = mu")
-        return xi / mu + (mu - lam) / (lam * mu) * np.log(arg)
-
-    # parameter derivatives ------------------------------------------------
-    def dlambda_Psi(self, xi, lam):
-        return -(np.expm1(xi) - xi) / lam ** 2
-
-    def dlambda_Phi0(self, xi, lam):
-        w = np.exp(xi)
-        arg = 1.0 - lam * self.alpha * w
-        _require(arg > 0, "leg pole")
-        return ((lam - self.alpha) * w / (lam * arg)
-                - np.log(arg) / lam ** 2)
-
-    def dlambda_Phi(self, xi, lam, mu):
-        w = np.exp(xi)
-        den = lam * w - mu
-        return (-1.0 / (lam * mu) + (w - 1.0) / (lam * den)
-                - np.log(np.abs(den)) / lam ** 2)
+def cross_phi(xi, lam, mu):
+    """The two-parameter leg (e^xi - 1)/(lam e^xi - mu) tying a lam step to a
+    mu step of the relativistic chain."""
+    w = np.exp(xi)
+    den = lam * w - mu
+    _need(np.abs(den) > 1e-300, "leg pole: lam e^xi = mu")
+    return (w - 1.0) / den
 
 
-def _require(cond, msg):
-    if not np.all(cond):
-        raise DomainError(msg)
+def cross_Phi(xi, lam, mu):
+    """Antiderivative of cross_phi in xi."""
+    arg = np.abs(lam * np.exp(xi) - mu)
+    _need(arg > 1e-300, "leg pole: lam e^xi = mu")
+    return xi / mu + (mu - lam) / (lam * mu) * np.log(arg)
 
 
-def bt_rtl_form(alpha: float) -> ThreePointForm2D:
-    return ThreePointForm2D(alpha)
-
-
-def corner_residuals_2d(form, x, xt, xh, xth, lam, mu, boundary):
+def corner_residuals_2d(alpha, x, xt, xh, xth, lam, mu, boundary):
     """The six corner equations of one elementary cube plus the octahedron
     relation, sitewise; keys E (shifted one site up), E12, S1a, S1b, S2a,
     S2b, oct."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
-    al = form.alpha
+    legs_l, legs_m = _chain_spec(lam, alpha).legs, _chain_spec(mu, alpha).legs
 
-    def base_leg(base, img, par):
-        return form.psi(img - base, par) + _phi0_mixed_prev(form, base, img, par, boundary)
+    def phi_next(legs, base, img):
+        return _leg_at_mixed_next(legs.phi, base, img, boundary)
 
-    e_site = (base_leg(x, xt, lam) - base_leg(x, xh, mu))
-    e_up = _up(e_site, boundary)
+    e_up = _up(_momenta(legs_l, x, xt, boundary)[0] - _momenta(legs_m, x, xh, boundary)[0],
+               boundary)
+    e12 = (legs_l.psi(xth - xh) + phi_next(legs_l, xh, xth)
+           - legs_m.psi(xth - xt) - phi_next(legs_m, xt, xth))
 
-    e12 = (form.psi(xth - xh, lam) + _phi0_mixed_next(form, xh, xth, lam, boundary)
-           - form.psi(xth - xt, mu) - _phi0_mixed_next(form, xt, xth, mu, boundary))
-
-    psi0_t = _leg_at_mixed_next(form.psi0, xt, xt, boundary)
-    psi0_h = _leg_at_mixed_next(form.psi0, xh, xh, boundary)
+    psi0_t = _leg_at_mixed_next(legs_l.psi0, xt, xt, boundary)
+    psi0_h = _leg_at_mixed_next(legs_l.psi0, xh, xh, boundary)
     xt_up, xh_up = _up(xt, boundary), _up(xh, boundary)
-    s1a = (form.psi(xth - xt, mu) + form.phi(xh - xt, lam, mu)
-           - psi0_t - _phi0_mixed_next(form, x, xt, lam, boundary))
-    s1b = (form.psi(xth - xh, lam) + form.phi(xt - xh, mu, lam)
-           - psi0_h - _phi0_mixed_next(form, x, xh, mu, boundary))
-    s2a = (_up(form.psi(xt - x, lam), boundary) + form.phi(xt_up - xh_up, mu, lam)
-           - psi0_t - _phi0_mixed_next(form, xt, xth, mu, boundary))
-    s2b = (_up(form.psi(xh - x, mu), boundary) + form.phi(xh_up - xt_up, lam, mu)
-           - psi0_h - _phi0_mixed_next(form, xh, xth, lam, boundary))
+    s1a = (legs_m.psi(xth - xt) + cross_phi(xh - xt, lam, mu)
+           - psi0_t - phi_next(legs_l, x, xt))
+    s1b = (legs_l.psi(xth - xh) + cross_phi(xt - xh, mu, lam)
+           - psi0_h - phi_next(legs_m, x, xh))
+    s2a = (_up(legs_l.psi(xt - x), boundary) + cross_phi(xt_up - xh_up, mu, lam)
+           - psi0_t - phi_next(legs_m, xt, xth))
+    s2b = (_up(legs_m.psi(xh - x), boundary) + cross_phi(xh_up - xt_up, lam, mu)
+           - psi0_h - phi_next(legs_l, xh, xth))
 
     oct_res = (_up(np.exp(xt - x), boundary) / lam - _up(np.exp(xh - x), boundary) / mu
                - np.exp(xth - xh) / lam + np.exp(xth - xt) / mu
-               + al * np.exp(xh_up - xh) - al * np.exp(xt_up - xt))
+               + alpha * np.exp(xh_up - xh) - alpha * np.exp(xt_up - xt))
+    res = {"E_up": e_up, "E12": e12, "S1a": s1a, "S1b": s1b,
+           "S2a": s2a, "S2b": s2b, "oct": oct_res}
     if boundary is Boundary.OPEN:
-        sl = slice(0, len(x) - 1)
-        return {"E_up": e_up[sl], "E12": e12[sl], "S1a": s1a[sl], "S1b": s1b[sl],
-                "S2a": s2a[sl], "S2b": s2b[sl], "oct": oct_res[sl]}
-    return {"E_up": e_up, "E12": e12, "S1a": s1a, "S1b": s1b,
-            "S2a": s2a, "S2b": s2b, "oct": oct_res}
+        return {key: val[:-1] for key, val in res.items()}
+    return res
 
 
 def _up(v, boundary):
@@ -395,70 +333,61 @@ def _up(v, boundary):
     return shifted(v, 1, boundary, fill=v[-1])
 
 
-def _phi0_mixed_prev(form, base, img, par, boundary):
-    """phi0(base_k - img_{k-1}; par) with the open-end zero at k = 1."""
-    return _leg_at_mixed_prev(lambda v: form.phi0(v, par), base, img, boundary)
-
-
-def _phi0_mixed_next(form, base, img, par, boundary):
-    """phi0(base_{k+1} - img_k; par) with the open-end zero at k = n."""
-    return _leg_at_mixed_next(lambda v: form.phi0(v, par), base, img, boundary)
-
-
-def superposition_2d(form, x, xt, xh, lam, mu, boundary):
+def superposition_2d(alpha, x, xt, xh, lam, mu, boundary):
     """Solve relation S1a for the top corner (affine in e^{xth_k})."""
     x, xt, xh = (np.asarray(v, dtype=float) for v in (x, xt, xh))
-    rhs = (_leg_at_mixed_next(form.psi0, xt, xt, boundary)
-           + _phi0_mixed_next(form, x, xt, lam, boundary)
-           - form.phi(xh - xt, lam, mu))
+    legs_l = _chain_spec(lam, alpha).legs
+    rhs = (_leg_at_mixed_next(legs_l.psi0, xt, xt, boundary)
+           + _leg_at_mixed_next(legs_l.phi, x, xt, boundary)
+           - cross_phi(xh - xt, lam, mu))
     arg = 1.0 + mu * rhs
     if np.any(arg <= 0.0):
         raise BranchMismatch("superposition produced a non-positive field")
     xth = xt + np.log(arg)
-    res = corner_residuals_2d(form, x, xt, xh, xth, lam, mu, boundary)
+    res = corner_residuals_2d(alpha, x, xt, xh, xth, lam, mu, boundary)
     if max(np.max(np.abs(res["S1b"])), np.max(np.abs(res["oct"]))) > 1e-8:
         raise BranchMismatch("superposition relations disagree")
     return xth
 
 
-def closure_values_2d(form, x, xt, xh, xth, lam, mu, boundary) -> np.ndarray:
+def closure_values_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> np.ndarray:
     """Signed dL per elementary cube (zero iff the 2-form closes)."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
+    legs_l, legs_m = _chain_spec(lam, alpha).legs, _chain_spec(mu, alpha).legs
     xu, xtu, xhu = _up(x, boundary), _up(xt, boundary), _up(xh, boundary)
-    val = (form.Psi(xtu - xu, lam) - form.Psi(xhu - xu, mu)
-           - form.Psi(xth - xh, lam) + form.Psi(xth - xt, mu)
-           - form.Psi0(xtu - xt) + form.Psi0(xhu - xh)
-           - form.Phi(xhu - xtu, lam, mu) + form.Phi(xh - xt, lam, mu)
-           + form.Phi0(xhu - xth, lam) - form.Phi0(xtu - xth, mu)
-           - form.Phi0(xu - xt, lam) + form.Phi0(xu - xh, mu))
+    val = (legs_l.Psi(xtu - xu) - legs_m.Psi(xhu - xu)
+           - legs_l.Psi(xth - xh) + legs_m.Psi(xth - xt)
+           - legs_l.Psi0(xtu - xt) + legs_l.Psi0(xhu - xh)
+           - cross_Phi(xhu - xtu, lam, mu) + cross_Phi(xh - xt, lam, mu)
+           + legs_l.Phi(xhu - xth) - legs_m.Phi(xtu - xth)
+           - legs_l.Phi(xu - xt) + legs_m.Phi(xu - xh))
     if boundary is Boundary.OPEN:
         val = val[:-1]
     return val
 
 
-def closure_value_2d(form, x, xt, xh, xth, lam, mu, boundary) -> float:
-    return float(np.max(np.abs(closure_values_2d(form, x, xt, xh, xth, lam, mu, boundary))))
+def closure_value_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> float:
+    return float(np.max(np.abs(closure_values_2d(alpha, x, xt, xh, xth, lam, mu, boundary))))
 
 
-def conservation_residual_2d(form, x, xt, xh, xth, lam, mu, boundary) -> float:
+def conservation_residual_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> float:
     """Sitewise defect of the lattice conservation law tying the parameter
     derivative across the two directions of the cube."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
-    al = form.alpha
+    legs_l = _chain_spec(lam, alpha).legs
 
     def R_i0(base, img):
-        egap = _leg_at_mixed_next(np.exp, base, img, boundary)
-        return np.expm1(img - base) / lam + (lam - al) * egap / (1.0 - lam * al * egap)
+        return legs_l.psi(img - base) + _leg_at_mixed_next(legs_l.phi, base, img, boundary)
 
     def S_i0(base, img):
         egap = _leg_at_mixed_next(np.exp, base, img, boundary)
-        arg = 1.0 - lam * al * egap
-        _require(arg > 0, "leg pole in the conserved density")
+        arg = 1.0 - lam * alpha * egap
+        _need(arg > 0, "leg pole in the conserved density")
         return (img - base) + np.log(arg)
 
     def R_ij(base, tilde, hat):
         den = lam * np.exp(hat) - mu * np.exp(tilde)
-        _require(np.abs(den) > 1e-300, "conserved density pole")
+        _need(np.abs(den) > 1e-300, "conserved density pole")
         return np.expm1(tilde - base) / lam + (np.exp(hat) - np.exp(tilde)) / den
 
     def S_ij(base, tilde, hat):

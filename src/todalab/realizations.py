@@ -305,14 +305,17 @@ def _legs_rat_add(h):
 # relativistic leg sets ------------------------------------------------------
 
 def _legs_rel_exp_add_plus(h, alpha):
-    def phi(u):
+    def off_pole(u):   # e^u where phi and Phi are defined
         w = np.exp(u)
         _need(1.0 - h * alpha * w > 0, "leg pole: 1 - h*alpha*e^u <= 0")
+        return w
+    def phi(u):
+        w = off_pole(u)
         return (h - alpha) * w / (1.0 - h * alpha * w)
     return replace(   # the kinetic leg of the exponential chart
         _legs_exp(h), phi=phi,
         dphi=lambda u: (h - alpha) * np.exp(u) / (1.0 - h * alpha * np.exp(u)) ** 2,
-        Phi=lambda u: -((h - alpha) / (h * alpha)) * np.log1p(-h * alpha * np.exp(u)),
+        Phi=lambda u: -((h - alpha) / (h * alpha)) * np.log1p(-h * alpha * off_pole(u)),
         mobius=(h * (h - alpha), h * alpha),
         psi0=lambda u: alpha * np.exp(u), Psi0=lambda u: alpha * np.exp(u))
 

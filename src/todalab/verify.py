@@ -125,48 +125,43 @@ def _on_positions(residual):
 
 def check_closure_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
                      boundary=Boundary.OPEN):
-    sys1 = pluri.corner_system_1d()
     return _square_check(
         "closure-1d", dict(n=n),
-        _on_positions(lambda *w: abs(pluri.closure_value_1d(sys1, *w, boundary))),
+        _on_positions(lambda *w: abs(pluri.closure_value_1d(*w, boundary))),
         seed, n, n_states, pairs, tol, boundary)
 
 
 def check_spectrality_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
                          boundary=Boundary.OPEN):
-    sys1 = pluri.corner_system_1d()
     return _square_check(
         "spectrality-1d", dict(n=n),
         _on_positions(lambda x, xt, xh, xth, lam, mu: pluri.spectrality_residual(
-            sys1, (x, xt), (xh, xth), lam, boundary)),
+            (x, xt), (xh, xth), lam, boundary)),
         seed, n, n_states, pairs, tol, boundary, lam_last=True)
 
 
 def check_closure_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3, tol=1e-10,
                      boundary=Boundary.PERIODIC):
-    form = pluri.bt_rtl_form(alpha)
     return _square_check(
         "closure-2d", dict(n=n, alpha=alpha),
-        _on_positions(lambda *w: pluri.closure_value_2d(form, *w, boundary)),
+        _on_positions(lambda *w: pluri.closure_value_2d(alpha, *w, boundary)),
         seed, n, n_states, pairs, tol, boundary, alpha)
 
 
 def check_conservation_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3,
                           tol=1e-10, boundary=Boundary.PERIODIC):
-    form = pluri.bt_rtl_form(alpha)
     return _square_check(
         "conservation-2d", dict(n=n, alpha=alpha),
-        _on_positions(lambda *w: pluri.conservation_residual_2d(form, *w, boundary)),
+        _on_positions(lambda *w: pluri.conservation_residual_2d(alpha, *w, boundary)),
         seed, n, n_states, pairs, tol, boundary, alpha, lam_last=True)
 
 
 def check_corners_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3,
                      tol=1e-10, boundary=Boundary.PERIODIC):
-    form = pluri.bt_rtl_form(alpha)
     return _square_check(
         "corners-2d", dict(n=n, alpha=alpha),
         _on_positions(lambda *w: max(float(np.max(np.abs(v))) for v in
-                                     pluri.corner_residuals_2d(form, *w, boundary).values())),
+                                     pluri.corner_residuals_2d(alpha, *w, boundary).values())),
         seed, n, n_states, pairs, tol, boundary, alpha)
 
 

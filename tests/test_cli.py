@@ -262,6 +262,28 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 12   # header + 11 states: the flag wins over the file
 
 
+@pytest.mark.parametrize("config,argv", [
+    (b"n = abc\n", ()),                          # a value that does not parse
+    (b"steps = 1e3\n", ()),
+    (b"n 4\n", ()),                              # a line configparser cannot parse
+    (b"n = 4\nn = 5\n", ()),                     # a duplicate key
+    (b"n = \xff\n", ()),                          # not UTF-8
+    (b"[a]\nn = 4\n[b]\nsteps = 3\n", ()),       # two sections
+    (None, ("--config", "d")),                   # directories given as files
+    (None, ("--state", "d")),
+    (None, ("--out", "d")),
+])
+def test_malformed_config_or_path_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
+    (tmp_path / "d").mkdir()
+    if config is not None:
+        (tmp_path / "cfg.ini").write_bytes(config)
+        argv = ("--config", "cfg.ini")
+    assert run(tmp_path, "invariants", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_verify_reports_are_deterministic(tmp_path):
     args = ("verify", "--filter", "closure*", "--seed", "5")
     assert run(tmp_path, *args, "--out", "r1.json") == 0

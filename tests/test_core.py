@@ -74,6 +74,20 @@ def test_package_has_one_trajectory_loop():
     assert not dispatch, dispatch
 
 
+def test_package_has_one_domain_guard():
+    """Every domain check of the package raises through realizations._need."""
+    guards = _package_lines_with("def _need(")
+    assert len(guards) == 1 and guards[0].startswith("realizations.py:"), guards
+    assert not _package_lines_with("def _require("), _package_lines_with("def _require(")
+
+
+def test_corner_systems_read_their_legs_from_the_chart_catalog():
+    """pluri keeps no leg table of its own: it defines no class, its legs are
+    those of the exp and rel-exp-add charts."""
+    classes = [line for line in _package_lines_with("class ") if line.startswith("pluri.py:")]
+    assert not classes, classes
+
+
 def test_package_does_not_use_scipy_linalg():
     """Dense solves go through numpy: scipy.linalg's triangular solve took
     milliseconds per 5x5 call under multi-threaded BLAS."""

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from todalab import pluri
+from todalab import pluri, verify
 from todalab.core import Boundary, random_canonical
-from todalab.errors import BranchMismatch, DegenerateFace, DomainError
+from todalab.errors import (BranchMismatch, DegenerateFace, DomainError, NonInvertibleLeg,
+                            NoRealBranch)
 
 H, ALPHA, LAM = 0.1, 0.3, 0.7
 
@@ -133,24 +136,21 @@ def _square(seed=5, n=6, boundary=Boundary.OPEN, alpha=None):
 
 def test_corner_residuals_on_valid_square():
     c, ct, ch, cth = _square()
-    sys1 = pluri.corner_system_1d()
-    for r in pluri.corner_residuals_1d(sys1, c.x, ct.x, ch.x, cth.x, *LAMMU, Boundary.OPEN):
+    for r in pluri.corner_residuals_1d(c.x, ct.x, ch.x, cth.x, *LAMMU, Boundary.OPEN):
         assert np.max(np.abs(r)) < 1e-11
 
 
 def test_corner_base_equation_symmetric_data():
-    sys1 = pluri.corner_system_1d()
     c = random_canonical(5, Boundary.OPEN, 6)
     ct = pluri.chain_step(c, 0.17)
-    e, *_ = pluri.corner_residuals_1d(sys1, c.x, ct.x, ct.x, ct.x, 0.17, 0.17, Boundary.OPEN)
+    e, *_ = pluri.corner_residuals_1d(c.x, ct.x, ct.x, ct.x, 0.17, 0.17, Boundary.OPEN)
     assert np.max(np.abs(e)) == 0.0
 
 
 def test_corner_residuals_negative_control():
-    sys1 = pluri.corner_system_1d()
     rng = np.random.default_rng(7)
     vecs = [rng.uniform(-1, 1, 5) for _ in range(4)]
-    res = pluri.corner_residuals_1d(sys1, *vecs, *LAMMU, Boundary.OPEN)
+    res = pluri.corner_residuals_1d(*vecs, *LAMMU, Boundary.OPEN)
     assert max(np.max(np.abs(r)) for r in res) > 0.1
 
 
@@ -203,39 +203,34 @@ def test_superposition_quotient_identity_on_rings():
 
 
 def test_closure_and_swap_negation():
-    sys1 = pluri.corner_system_1d()
     c, ct, ch, cth = _square(seed=11)
     lam, mu = LAMMU
-    ell = pluri.closure_value_1d(sys1, c.x, ct.x, ch.x, cth.x, lam, mu, Boundary.OPEN)
+    ell = pluri.closure_value_1d(c.x, ct.x, ch.x, cth.x, lam, mu, Boundary.OPEN)
     assert abs(ell) < 1e-10
-    swapped = pluri.closure_value_1d(sys1, c.x, ch.x, ct.x, cth.x, mu, lam, Boundary.OPEN)
+    swapped = pluri.closure_value_1d(c.x, ch.x, ct.x, cth.x, mu, lam, Boundary.OPEN)
     assert abs(ell + swapped) < 1e-12
 
 
 def test_closure_negative_control():
-    sys1 = pluri.corner_system_1d()
     rng = np.random.default_rng(12)
     vecs = [rng.uniform(-1, 1, 5) for _ in range(4)]
-    assert abs(pluri.closure_value_1d(sys1, *vecs, *LAMMU, Boundary.OPEN)) > 0.01
+    assert abs(pluri.closure_value_1d(*vecs, *LAMMU, Boundary.OPEN)) > 0.01
 
 
 def test_spectrality():
-    sys1 = pluri.corner_system_1d()
     lam, mu = LAMMU
     c = random_canonical(6, Boundary.OPEN, 13)
     ct = pluri.chain_step(c, lam)
     ch = pluri.chain_step(c, mu)
     cth = pluri.chain_step(ch, lam)
-    assert pluri.spectrality_residual(sys1, (c.x, ct.x), (ch.x, cth.x), lam,
-                                      Boundary.OPEN) < 1e-10
+    assert pluri.spectrality_residual((c.x, ct.x), (ch.x, cth.x), lam, Boundary.OPEN) < 1e-10
     # the analytic form of the parameter derivative
     direct = (-np.sum(c.p) / lam + np.sum(ct.x - c.x) / lam ** 2)
-    assert abs(sys1.dlambda(c.x, ct.x, lam, Boundary.OPEN) - direct) < 1e-11
+    assert abs(pluri.action_derivative(c.x, ct.x, lam, Boundary.OPEN) - direct) < 1e-11
     # sensitivity
     bad = cth.x.copy()
     bad[1] += 1e-3
-    assert pluri.spectrality_residual(sys1, (c.x, ct.x), (ch.x, bad), lam,
-                                      Boundary.OPEN) > 1e-5
+    assert pluri.spectrality_residual((c.x, ct.x), (ch.x, bad), lam, Boundary.OPEN) > 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -243,29 +238,15 @@ def test_spectrality():
 # ---------------------------------------------------------------------------
 
 def test_form_skew_symmetries():
-    form = pluri.bt_rtl_form(ALPHA)
     lam, mu = 0.14, 0.22
     xi = np.linspace(-0.7, 0.1, 9)   # stay clear of the lam e^xi = mu pole
-    assert np.max(np.abs(form.Phi(xi, lam, mu) + form.Phi(-xi, mu, lam))) < 1e-12
-    assert np.max(np.abs(form.phi(xi, lam, mu) - form.phi(-xi, mu, lam))) < 1e-14
-
-
-def test_form_parameter_derivatives():
-    form = pluri.bt_rtl_form(ALPHA)
-    lam, mu, d = 0.14, 0.22, 1e-6
-    xi = np.linspace(-0.5, 0.1, 7)   # stay clear of the lam e^xi = mu pole
-    fd = (form.Psi(xi, lam + d) - form.Psi(xi, lam - d)) / (2 * d)
-    assert np.max(np.abs(fd - form.dlambda_Psi(xi, lam))) < 1e-7
-    fd = (form.Phi0(xi, lam + d) - form.Phi0(xi, lam - d)) / (2 * d)
-    assert np.max(np.abs(fd - form.dlambda_Phi0(xi, lam))) < 1e-7
-    fd = (form.Phi(xi, lam + d, mu) - form.Phi(xi, lam - d, mu)) / (2 * d)
-    assert np.max(np.abs(fd - form.dlambda_Phi(xi, lam, mu))) < 1e-7
+    assert np.max(np.abs(pluri.cross_Phi(xi, lam, mu) + pluri.cross_Phi(-xi, mu, lam))) < 1e-12
+    assert np.max(np.abs(pluri.cross_phi(xi, lam, mu) - pluri.cross_phi(-xi, mu, lam))) < 1e-14
 
 
 def test_corner_residuals_2d_on_valid_cube():
     c, ct, ch, cth = _square(seed=14, n=5, boundary=Boundary.PERIODIC, alpha=ALPHA)
-    form = pluri.bt_rtl_form(ALPHA)
-    res = pluri.corner_residuals_2d(form, c.x, ct.x, ch.x, cth.x, *LAMMU, Boundary.PERIODIC)
+    res = pluri.corner_residuals_2d(ALPHA, c.x, ct.x, ch.x, cth.x, *LAMMU, Boundary.PERIODIC)
     for key, val in res.items():
         assert np.max(np.abs(val)) < 1e-10, key
 
@@ -292,9 +273,8 @@ def test_two_corner_equations_force_the_rest():
     c = random_canonical(5, Boundary.PERIODIC, 16)
     ct = pluri.chain_step(c, lam, ALPHA)
     ch = pluri.chain_step(c, mu, ALPHA)
-    form = pluri.bt_rtl_form(ALPHA)
-    xth = pluri.superposition_2d(form, c.x, ct.x, ch.x, lam, mu, Boundary.PERIODIC)
-    res = pluri.corner_residuals_2d(form, c.x, ct.x, ch.x, xth, lam, mu, Boundary.PERIODIC)
+    xth = pluri.superposition_2d(ALPHA, c.x, ct.x, ch.x, lam, mu, Boundary.PERIODIC)
+    res = pluri.corner_residuals_2d(ALPHA, c.x, ct.x, ch.x, xth, lam, mu, Boundary.PERIODIC)
     for key, val in res.items():
         assert np.max(np.abs(val)) < 1e-9, key
 
@@ -302,27 +282,38 @@ def test_two_corner_equations_force_the_rest():
 def test_closure_2d_and_swap_negation():
     lam, mu = LAMMU
     c, ct, ch, cth = _square(seed=17, n=5, boundary=Boundary.PERIODIC, alpha=ALPHA)
-    form = pluri.bt_rtl_form(ALPHA)
-    vals = pluri.closure_values_2d(form, c.x, ct.x, ch.x, cth.x, lam, mu, Boundary.PERIODIC)
+    vals = pluri.closure_values_2d(ALPHA, c.x, ct.x, ch.x, cth.x, lam, mu, Boundary.PERIODIC)
     assert np.max(np.abs(vals)) < 1e-10
-    swapped = pluri.closure_values_2d(form, c.x, ch.x, ct.x, cth.x, mu, lam, Boundary.PERIODIC)
+    swapped = pluri.closure_values_2d(ALPHA, c.x, ch.x, ct.x, cth.x, mu, lam, Boundary.PERIODIC)
     assert np.max(np.abs(vals + swapped)) < 1e-12
 
 
 def test_closure_2d_negative_control():
     rng = np.random.default_rng(18)
     vecs = [rng.uniform(-0.5, 0.5, 5) for _ in range(4)]
-    form = pluri.bt_rtl_form(ALPHA)
-    vals = pluri.closure_values_2d(form, *vecs, *LAMMU, Boundary.PERIODIC)
+    vals = pluri.closure_values_2d(ALPHA, *vecs, *LAMMU, Boundary.PERIODIC)
     assert np.max(np.abs(vals)) > 0.01
 
 
 def test_conservation_law_2d():
     c, ct, ch, cth = _square(seed=19, n=6, boundary=Boundary.PERIODIC, alpha=ALPHA)
-    form = pluri.bt_rtl_form(ALPHA)
-    res = pluri.conservation_residual_2d(form, c.x, ct.x, ch.x, cth.x, *LAMMU,
+    res = pluri.conservation_residual_2d(ALPHA, c.x, ct.x, ch.x, cth.x, *LAMMU,
                                          Boundary.PERIODIC)
     assert res < 1e-10
+
+
+@pytest.mark.parametrize("check", ["closure-1d", "spectrality-1d", "closure-2d",
+                                   "conservation-2d", "corners-2d"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_corner_checks_pass_at_any_seed(check, seed):
+    """The closure, spectrality, conservation and corner identities hold for
+    any seeded state; only a step without a real solution is not a sample."""
+    try:
+        rec = verify.CHECKS[check](seed=seed, n_states=1)
+    except (NoRealBranch, NonInvertibleLeg):
+        reject()
+    assert rec["pass"], rec
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +351,9 @@ def test_conserved_product_matches_monodromy_quantities():
 
     lam = 0.15
     c = random_canonical(6, Boundary.OPEN, 4)
-    sys1 = pluri.corner_system_1d()
     ct = pluri.chain_step(c, lam)
     _, P = lax.monodromy_rtl(c, ct.x, 0.0, lam)
-    dl = sys1.dlambda(c.x, ct.x, lam, Boundary.OPEN)
+    dl = pluri.action_derivative(c.x, ct.x, lam, Boundary.OPEN)
     assert abs(np.log(P) - (lam ** 2 * dl + lam * np.sum(c.p))) < 1e-11
 
     ct2 = pluri.chain_step(c, lam, ALPHA)
