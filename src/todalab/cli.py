@@ -21,6 +21,7 @@ import argparse
 import configparser
 import json
 import math
+import re
 import sys
 from functools import partial
 
@@ -83,15 +84,20 @@ _DEST = {"lambda": "lam", "filter": "filter_glob"}
 def _apply_config(args, argv):
     if not args.config:
         return args
-    parser = configparser.ConfigParser()
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-        if not text.lstrip().startswith("["):
-            text = "[run]\n" + text
-        parser.read_string(text)
-    except (UnicodeDecodeError, configparser.Error) as exc:
-        raise SystemExit2(f"bad config file {args.config}: {' '.join(str(exc).split())}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit2(f"bad config file {args.config}: {exc}")
+    header = "" if text.lstrip().startswith("[") else "[run]\n"
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_string(header + text, source=args.config)
+    except configparser.Error as exc:
+        msg = " ".join(str(exc).split())
+        if header:   # number the file's own lines, not the header put before them
+            msg = re.sub(r"\[line (\d+)\]", lambda m: f"[line {int(m[1]) - 1}]", msg)
+        raise SystemExit2(f"bad config file {args.config}: {msg}")
     if len(parser.sections()) != 1:
         raise SystemExit2(f"config file {args.config} must hold exactly one section")
     section = parser[parser.sections()[0]]

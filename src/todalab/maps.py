@@ -402,27 +402,20 @@ def drtl_plus_explicit_step(s: FlaschkaState, h: float) -> FlaschkaState:
 
 
 def drtl_plus_explicit_inverse(s: FlaschkaState, h: float) -> FlaschkaState:
-    """Invert drtl+(h, h) through 1 + h b~_k + h^2 a~_{k-1} = 1 + h b_k + h^2 a_k."""
-    a_new, b_new = s.a, s.b
-    a_new_prev = shifted(a_new, -1, s.boundary)
-    d = 1.0 + h * b_new + h * h * a_new_prev       # equals D_k of the preimage
+    """Invert drtl+(h, h) through 1 + h b~_k + h^2 a~_{k-1} = 1 + h b_k + h^2 a_k.
+
+    With delta_k = (D_k - 1)/h = b~_k + h a~_{k-1}, the first step equation
+    gives b_k = (delta_k - delta_{k+1} + b~_{k+1} D_k) / D_{k+1} and then
+    a_k = (delta_k - b_k)/h: rounding errors grow like 1/h, not 1/h^2.  On
+    open chains the fills b~_{n+1} = 0, D_{n+1} = 1 give b_n = delta_n, so
+    a_n = 0 exactly.
+    """
+    delta = s.b + h * shifted(s.a, -1, s.boundary)
+    d = 1.0 + h * delta       # equals D_k of the preimage
     _check(d, "reconstructed D")
-    n = s.n
-    b = np.empty(n)
-    if s.boundary is Boundary.OPEN:
-        # site n has a_n = 0, so D_n determines b_n directly; the two-term
-        # relation then walks b_{k-1} out of b~_k for k = n..2
-        b[-1] = (d[-1] - 1.0) / h
-        for k in range(n - 1, 0, -1):
-            b[k - 1] = ((1.0 + h * b_new[k]) * d[k - 1] / d[k] - 1.0) / h
-    else:
-        for k in range(n):
-            j = (k + 1) % n
-            b[k] = ((1.0 + h * b_new[j]) * d[k] / d[j] - 1.0) / h
-    a = (d - 1.0 - h * b) / (h * h)
-    if s.boundary is Boundary.OPEN:
-        a[-1] = 0.0
-    return s.replace(a=a, b=b)
+    b = ((delta - shifted(delta, +1, s.boundary) + shifted(s.b, +1, s.boundary) * d)
+         / shifted(d, +1, s.boundary, fill=1.0))
+    return s.replace(a=(delta - b) / h, b=b)
 
 
 def drtl_minus_explicit_step(s: FlaschkaState, h: float) -> FlaschkaState:

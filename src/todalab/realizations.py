@@ -33,7 +33,6 @@ from itertools import count
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import spence
 
 from .core import Boundary, CanonicalState, FlaschkaState, random_canonical, shifted
 from .errors import DomainError, NoRealBranch, NonInvertibleLeg, SolveFailed
@@ -42,12 +41,42 @@ from .poisson import Bracket, _central_differences, combo
 from .systems import SYSTEMS
 
 
+# B_2k / (2k+1)!, k = 1..9: Li2(1 - e^-u) = u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)!.
+# For |u| <= log 2 the k = 9 term is below 1e-18 and the k = 10 term 5e-21.
+_LI2_BERNOULLI = (1 / 36, -1 / 3600, 1 / 211680, -1 / 10886400, 1 / 526901760,
+                  -691 / 16999766784000, 1 / 1120863744000,
+                  -3617 / 181400588328960000, 43867 / 97072790126247936000)
+_PI2_6 = np.pi ** 2 / 6
+
+
 def _li2(z):
-    """Real dilogarithm Li2(z), z <= 1."""
+    """Real dilogarithm Li2(z), z <= 1 (arguments up to 1 + 1e-12 read as 1).
+
+    Reflection Li2(z) = pi^2/6 - log z log(1-z) - Li2(1-z) for z > 1/2 and
+    inversion Li2(z) = -pi^2/6 - log^2(-z)/2 - Li2(1/z) for z < -1 map every
+    argument to y in [-1, 1/2], where the Bernoulli series in u = -log(1-y)
+    ('t Hooft & Veltman 1979) is summed once for the whole array.
+    """
     z = np.asarray(z, dtype=float)
     if np.any(z > 1.0 + 1e-12):
         raise DomainError("dilogarithm argument exceeds 1")
-    return spence(1.0 - np.minimum(z, 1.0))
+    z = np.minimum(z, 1.0)
+    reflect, invert = z > 0.5, z < -1.0
+    y = np.where(reflect, 1.0 - z, z)
+    np.divide(1.0, z, out=y, where=invert)
+    u = -np.log1p(-y)
+    u2 = u * u
+    tail = _LI2_BERNOULLI[-1]
+    for c in _LI2_BERNOULLI[-2::-1]:
+        tail = tail * u2 + c
+    series = u - 0.25 * u2 + u * u2 * tail
+    mapped = reflect | invert
+    log_z = np.log(np.abs(z), out=np.zeros_like(z), where=mapped)
+    # log(1-z) where reflected (0 at z = 1), log(-z)/2 where inverted
+    log_w = np.where(invert, 0.5 * log_z, 0.0)
+    np.log(y, out=log_w, where=reflect & (y > 0.0))
+    pi_term = np.where(reflect, _PI2_6, np.where(invert, -_PI2_6, 0.0))
+    return pi_term - log_z * log_w + np.where(mapped, -series, series)
 
 
 def _need(cond, msg, err=DomainError):

@@ -262,6 +262,11 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 12   # header + 11 states: the flag wins over the file
 
 
+# the config file's own line that a parse error reports
+_BAD_CONFIG_LINE = {b"n 4\n": 1, b"n = 4\nn = 5\n": 2, b"n = 4\nsteps 3\n": 2,
+                    b"[run]\nn 4\n": 2}
+
+
 @pytest.mark.parametrize("config,argv", [
     (b"n = abc\n", ()),                          # a value that does not parse
     (b"steps = 1e3\n", ()),
@@ -272,16 +277,20 @@ def test_config_file_with_flag_override(tmp_path):
     (None, ("--config", "d")),                   # directories given as files
     (None, ("--state", "d")),
     (None, ("--out", "d")),
+    (b"n = 4\nsteps 3\n", ()),
+    (b"[run]\nn 4\n", ()),
 ])
 def test_malformed_config_or_path_exits_2_with_one_error_line(tmp_path, capsys, config, argv):
     (tmp_path / "d").mkdir()
     if config is not None:
-        (tmp_path / "cfg.ini").write_bytes(config)
-        argv = ("--config", "cfg.ini")
+        (tmp_path / "c.ini").write_bytes(config)
+        argv = ("--config", "c.ini")
     assert run(tmp_path, "invariants", *argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    if config in _BAD_CONFIG_LINE:
+        assert "c.ini" in err and f"[line {_BAD_CONFIG_LINE[config]}]" in err, err
 
 
 def test_verify_reports_are_deterministic(tmp_path):

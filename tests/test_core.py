@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +96,17 @@ def test_package_does_not_use_scipy_linalg():
     offenders = _package_lines_with("scipy.linalg", "from scipy import linalg")
     assert not offenders, offenders
 
+
+def test_importing_the_package_loads_no_scipy():
+    """todalab depends on numpy alone: a fresh interpreter that imports the
+    package and its CLI holds no scipy module, whose import would dominate
+    every start."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import todalab, todalab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(todalab.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]", out.stdout
 
 def test_random_state_deterministic():
     s1 = random_state(6, Boundary.PERIODIC, 42)

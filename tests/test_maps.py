@@ -2,10 +2,13 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from todalab import maps
 from todalab.core import Boundary, FlaschkaState, random_state, shifted, state_to_json
-from todalab.errors import NoRealBranch, NumericalError, SingularStep, SolveFailed
+from todalab.errors import (DomainError, NoRealBranch, NumericalError, SingularStep,
+                            SolveFailed)
 from todalab.flows import tl_field
 from todalab.lax import drift, spectral_invariants, spectral_nodes
 
@@ -240,6 +243,18 @@ def test_explicit_plus_inverse_roundtrip(boundary):
     assert np.max(np.abs(back.a - s.a)) < 1e-12
     assert np.max(np.abs(back.b - s.b)) < 1e-12
 
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(2, 9), h=st.floats(0.01, 0.2), seed=st.integers(0, 2 ** 32 - 1),
+       boundary=st.sampled_from(Boundary))
+def test_explicit_plus_inverse_roundtrip_at_any_state(n, h, seed, boundary):
+    s = random_state(n, boundary, seed)
+    try:
+        back = maps.drtl_plus_explicit_inverse(maps.drtl_plus_explicit_step(s, h), h)
+    except (SingularStep, DomainError):
+        reject()
+    assert np.max(np.abs(back.a - s.a)) < 1e-12
+    assert np.max(np.abs(back.b - s.b)) < 1e-12
 
 def test_explicit_plus_birationality_identity():
     s = random_state(5, Boundary.PERIODIC, 3)

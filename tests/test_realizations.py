@@ -10,7 +10,7 @@ from todalab import maps
 from todalab.core import Boundary, CanonicalState, random_canonical
 from todalab.errors import (DomainError, NonInvertibleLeg, NoRealBranch, NumericalError,
                             SolveFailed)
-from todalab.realizations import (_first_equation_rhs, _tolerance, canonical_step,
+from todalab.realizations import (_first_equation_rhs, _li2, _tolerance, canonical_step,
                                   chart_specs, chart_state, flaschka_of,
                                   lagrangian_value, newtonian_residual,
                                   pullback_consistency, realization,
@@ -304,6 +304,27 @@ def test_lagrangian_generates_the_step(spec):
                      - lagrangian_value(spec, c.x, xm, bc)) / (2 * d)
             assert abs(sign * g - ref) < 1e-6
 
+
+def test_dilogarithm_matches_a_50_digit_reference():
+    """_li2 against mpmath's Li2 at 50 digits over (-1e12, 1]: within
+    1e-15 max(1, |Li2|) everywhere, and 1e-15 relative for |z| < 1e-8."""
+    mp = pytest.importorskip("mpmath")
+    mag = np.logspace(-300, 12, 600, endpoint=False)
+    z = np.concatenate([-mag, mag[mag <= 1.0], np.linspace(-1e12, 1.0, 201)[1:],
+                        np.linspace(-4.0, 1.0, 501), [-1.0, 0.0, 0.5, 1.0, 1e-300, -1e-300]])
+    got = _li2(z)
+    assert got.shape == z.shape
+    with mp.workdps(50):
+        ref = [mp.polylog(2, mp.mpf(x)) for x in z.tolist()]
+        err = np.array([float(abs(mp.mpf(g) - r)) for g, r in zip(got.tolist(), ref)])
+        pi2_6 = float(mp.pi ** 2 / 6)
+    ref = np.array([float(r) for r in ref])
+    assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(ref))), np.max(err)
+    small = (np.abs(z) < 1e-8) & (z != 0.0)
+    assert np.all(err[small] <= 1e-15 * np.abs(ref[small]))
+    assert abs(_li2(1.0) - pi2_6) <= np.spacing(pi2_6)
+    with pytest.raises(DomainError):
+        _li2(1.0 + 1e-9)
 
 @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
 def test_leg_antiderivatives(spec):
