@@ -8,9 +8,9 @@ Subcommands:
     dump-lax     write the Lax matrices of a state as row-major JSON
     consistency  Monte-Carlo cube-consistency sweep
 
-A flat INI-style config file (``--config``) may supply any option; explicit
-flags win.  All numeric output uses 17 significant digits so files
-round-trip exactly; identical config + seed gives byte-identical output.
+A flat INI-style config file (``--config``) may supply any option of its
+command; explicit flags win.  All numeric output uses 17 significant digits so
+files round-trip exactly; identical config + seed gives byte-identical output.
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical failure.
 """
@@ -45,80 +45,99 @@ class SystemExit2(Exception):
     """Validation failure mapped to exit code 2."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="todalab",
-                                description="discrete Toda lattice laboratory")
+class _Parser(argparse.ArgumentParser):
+    """Its parse errors, like every other exit-2 failure, are one `error:` line."""
+
+    def error(self, message):
+        raise SystemExit2(message)
+
+    def _get_option_tuples(self, option_string):
+        # --help only in full: `verify --h 0` is an unread option, not a help request
+        return [t for t in super()._get_option_tuples(option_string) if t[1] != "--help"]
+
+
+# every option, --<name>: (dest, type, default)
+_OPTIONS = {"config": ("config", str, None), "system": ("system", str, "dtl"),
+            "realization": ("realization", str, None), "n": ("n", int, 6),
+            "boundary": ("boundary", str, "open"), "seed": ("seed", int, 0),
+            "h": ("h", float, 0.05), "alpha": ("alpha", float, 0.3),
+            "epsilon": ("epsilon", float, 0.2), "beta": ("beta", float, 0.1),
+            "lambda": ("lam", float, 1.0), "steps": ("steps", int, 100),
+            "out": ("out", str, None), "state": ("state", str, None),
+            "filter": ("filter_glob", str, "*")}
+_HELP = {"config": "flat INI config file of the command's options; flags override it",
+         "state": "JSON state file overriding n/boundary/seed"}
+# the options each command reads, and so accepts
+_READS = {command: names.split() for command, names in {
+    "simulate": "config system realization n boundary seed h alpha epsilon beta steps out state",
+    "invariants": "config system realization n boundary seed h alpha epsilon beta out state",
+    "verify": "config seed filter out",
+    "dump-lax": "config system n boundary seed h alpha lambda out state",
+    "consistency": "config h alpha lambda steps seed out",
+}.items()}
+
+
+def _build_parser() -> _Parser:
+    """The parser; its `commands` dict holds the subparser of each command."""
+    p = _Parser(prog="todalab", description="discrete Toda lattice laboratory")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="flat INI config file; flags override it")
-        sp.add_argument("--system", default="dtl")
-        sp.add_argument("--realization", default=None)
-        sp.add_argument("--n", type=int, default=6)
-        sp.add_argument("--boundary", default="open")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--h", type=float, default=0.05)
-        sp.add_argument("--alpha", type=float, default=0.3)
-        sp.add_argument("--epsilon", type=float, default=0.2)
-        sp.add_argument("--beta", type=float, default=0.1)
-        sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
-        sp.add_argument("--mu", type=float, default=0.2)
-        sp.add_argument("--steps", type=int, default=100)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--state", default=None,
-                        help="JSON state file overriding n/boundary/seed")
-        sp.add_argument("--filter", dest="filter_glob", default="*")
-
-    for name in ("simulate", "invariants", "verify", "dump-lax", "consistency"):
-        common(sub.add_parser(name))
+    p.commands = {}
+    for command, names in _READS.items():
+        sp = p.commands[command] = sub.add_parser(command)
+        for name in names:
+            dest, kind, default = _OPTIONS[name]
+            sp.add_argument(f"--{name}", dest=dest, type=kind, default=default,
+                            help=_HELP.get(name))
     return p
 
 
-_CONFIG_KEYS = {"system": str, "realization": str, "n": int, "boundary": str,
-                "seed": int, "h": float, "alpha": float, "epsilon": float,
-                "beta": float, "lambda": float, "mu": float, "steps": int,
-                "out": str, "state": str, "filter": str}
-_DEST = {"lambda": "lam", "filter": "filter_glob"}
-
-
-def _apply_config(args, argv):
-    if not args.config:
-        return args
+def _read_config(path, command) -> dict:
+    """The values of a config file by dest: each key must be an option of the
+    command, each value converts with that option's type."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
-        raise SystemExit2(f"bad config file {args.config}: {exc}")
+        raise SystemExit2(f"bad config file {path}: {exc}")
     header = "" if text.lstrip().startswith("[") else "[run]\n"
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(header + text, source=args.config)
+        parser.read_string(header + text, source=path)
     except configparser.Error as exc:
         msg = " ".join(str(exc).split())
         if header:   # number the file's own lines, not the header put before them
             msg = re.sub(r"\[line (\d+)\]", lambda m: f"[line {int(m[1]) - 1}]", msg)
-        raise SystemExit2(f"bad config file {args.config}: {msg}")
+        raise SystemExit2(f"bad config file {path}: {msg}")
     if len(parser.sections()) != 1:
-        raise SystemExit2(f"config file {args.config} must hold exactly one section")
-    section = parser[parser.sections()[0]]
-    explicit = {tok.split("=")[0].lstrip("-") for tok in argv if tok.startswith("--")}
-    for key, value in section.items():
-        if key not in _CONFIG_KEYS:
-            raise SystemExit2(f"unknown config key {key!r}")
-        if key in explicit or _DEST.get(key, key) in explicit:
-            continue   # flags win
+        raise SystemExit2(f"config file {path} must hold exactly one section")
+    values = {}
+    for key, value in parser[parser.sections()[0]].items():
+        if key == "config" or key not in _READS[command]:
+            raise SystemExit2(f"config file {path}: {key!r} is not an option of {command}")
+        dest, kind, _ = _OPTIONS[key]
         try:
-            setattr(args, _DEST.get(key, key), _CONFIG_KEYS[key](value))
+            values[dest] = kind(value)
         except ValueError:
-            raise SystemExit2(f"config key {key!r}: {value!r} is not a valid "
-                              f"{_CONFIG_KEYS[key].__name__}")
+            raise SystemExit2(f"config key {key!r}: {value!r} is not a valid {kind.__name__}")
+    return values
+
+
+def _parse(argv):
+    """The options of argv over those of its --config file, whose values
+    become the command's defaults: argparse lets every flag win, an
+    abbreviated one too.  Every float must be finite, the seed >= 0."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        parser.commands[args.command].set_defaults(**_read_config(args.config, args.command))
+        args = parser.parse_args(argv)
+    for name in _READS[args.command]:
+        dest, kind, _ = _OPTIONS[name]
+        if kind is float and not math.isfinite(getattr(args, dest)):
+            raise SystemExit2(f"--{name} must be finite")
+    if args.seed < 0:
+        raise SystemExit2("--seed must be >= 0")
     return args
-
-
-def _validate_numbers(args):
-    for key, kind in _CONFIG_KEYS.items():
-        if kind is float and not math.isfinite(getattr(args, _DEST.get(key, key))):
-            raise SystemExit2(f"--{key} must be finite")
 
 
 def _lattice_size(args) -> int:
@@ -143,28 +162,21 @@ def _initial_state(args) -> FlaschkaState:
     return random_state(_lattice_size(args), _boundary(args.boundary), args.seed)
 
 
-def _chart_boundary(spec, boundary: Boundary) -> Boundary:
+def _initial_canonical(args, spec) -> CanonicalState:
+    state = _load_state(args.state) if args.state else None
+    if state is not None and not isinstance(state, CanonicalState):
+        raise SystemExit2("state file must hold (x, p) variables")
+    boundary = _boundary(args.boundary) if state is None else state.boundary
     if boundary is Boundary.OPEN and not spec.supports_open:
         raise SystemExit2(f"chart {spec.name} is periodic-only")
-    return boundary
+    return chart_state(spec, _lattice_size(args), args.seed, boundary) if state is None else state
 
 
-def _initial_canonical(args, spec) -> CanonicalState:
-    if args.state:
-        state = _load_state(args.state)
-        if not isinstance(state, CanonicalState):
-            raise SystemExit2("state file must hold (x, p) variables")
-        _chart_boundary(spec, state.boundary)
-        return state
-    boundary = _chart_boundary(spec, _boundary(args.boundary))
-    return chart_state(spec, _lattice_size(args), args.seed, boundary)
-
-
-def _validate_system(args):
-    if args.system not in SYSTEMS:
-        raise SystemExit2(f"unknown system {args.system!r}")
-    if args.realization is not None and args.realization not in CATALOG:
-        raise SystemExit2(f"unknown realization {args.realization!r}")
+def _validate_system(system, chart=None):
+    if system not in SYSTEMS:
+        raise SystemExit2(f"unknown system {system!r}")
+    if chart is not None and chart not in CATALOG:
+        raise SystemExit2(f"unknown realization {chart!r}")
 
 
 def _write(path, text):
@@ -212,12 +224,9 @@ def _trajectory(step, first, steps, invariants, out, report):
     """States first, step(first), ... and their invariants.
 
     A numerical failure, or a state that fails validation (a ValueError: an
-    entry overflowed or became NaN), writes <out>.error.json and one stderr
-    line and gives no invariants; numpy's floating-point warnings are off, so
-    that line is the only one.  The report names the failing step, or
-    ``"failing_stage": "invariants"`` when every step ran and the invariants
-    of the trajectory failed.
-    """
+    entry overflowed or became NaN), writes <out>.error.json naming the failing
+    step, or ``"failing_stage": "invariants"``, and one stderr line (numpy's
+    floating-point warnings are off) and gives no invariants."""
     traj = [first]
     with np.errstate(all="ignore"):
         try:
@@ -258,11 +267,12 @@ def _subject(args):
 
 
 def cmd_simulate(args) -> int:
-    _validate_system(args)
+    _validate_system(args.system, args.realization)
     if args.steps < 0:
         raise SystemExit2("--steps must be >= 0")
-    if SYSTEMS[args.system].flow and args.h == 0.0:
-        raise SystemExit2("--h must be nonzero for a flow")
+    if args.h == 0.0 and (args.realization or SYSTEMS[args.system].flow):
+        kind = "chart" if args.realization else "flow"   # every chart leg divides by h
+        raise SystemExit2(f"--h must be nonzero for a {kind}")
     first, step, to_ab, alpha, report = _subject(args)
     out = args.out or "run"
     traj, inv = _trajectory(
@@ -272,7 +282,6 @@ def cmd_simulate(args) -> int:
         out, report)
     if inv is None:
         return 3
-
     n = first.n
     inv_names = _inv_names(n, inv.shape[1] // n)
     names = ("x", "p") if isinstance(first, CanonicalState) else ("b", "a")
@@ -283,7 +292,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    _validate_system(args)
+    _validate_system(args.system, args.realization)
     state, _, to_ab, alpha, obj = _subject(args)
     with np.errstate(all="ignore"):
         try:
@@ -302,8 +311,7 @@ def cmd_verify(args) -> int:
     records = verify.run_suite(args.filter_glob, seed=args.seed)
     if not records:
         raise SystemExit2(f"no check matches {args.filter_glob!r}")
-    text = _json_report({"seed": args.seed, "filter": args.filter_glob,
-                         "checks": records})
+    text = _json_report({"seed": args.seed, "filter": args.filter_glob, "checks": records})
     if args.out:
         _write(args.out, text)
     for rec in records:
@@ -313,8 +321,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dump_lax(args) -> int:
-    _validate_system(args)
+    _validate_system(args.system)
     s = _initial_state(args)
+    if args.lam == 0.0 and s.boundary is Boundary.PERIODIC:
+        raise SystemExit2("lambda must be nonzero on a ring")
     obj = {"T": lax.build_T(s, args.lam).tolist()}
     alpha = SYSTEMS[args.system].lax_alpha(args.h, args.alpha)
     if alpha is not None:   # the system's Lax pair is relativistic
@@ -329,9 +339,8 @@ def cmd_consistency(args) -> int:
         raise SystemExit2("--steps (the number of sampled cubes) must be >= 1")
     worst = pluri.check_3d_consistency(args.h, args.alpha, args.lam,
                                        n_samples=args.steps, seed=args.seed)
-    obj = {"check": "consistency-3d", "h": args.h, "alpha": args.alpha,
-           "lambda": args.lam, "samples": args.steps,
-           "max_discrepancy": worst, "pass": bool(worst < 1e-9)}
+    obj = {"check": "consistency-3d", "h": args.h, "alpha": args.alpha, "lambda": args.lam,
+           "samples": args.steps, "max_discrepancy": worst, "pass": bool(worst < 1e-9)}
     text = _json_report(obj)
     if args.out:
         _write(args.out, text)
@@ -344,25 +353,16 @@ def _numerical_failure(exc) -> int:
     return 3
 
 
-_COMMANDS = {"simulate": cmd_simulate, "invariants": cmd_invariants,
-             "verify": cmd_verify, "dump-lax": cmd_dump_lax,
-             "consistency": cmd_consistency}
+_COMMANDS = {"simulate": cmd_simulate, "invariants": cmd_invariants, "verify": cmd_verify,
+             "dump-lax": cmd_dump_lax, "consistency": cmd_consistency}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(args, argv)
-        _validate_numbers(args)
-        if args.lam == 0.0 and args.boundary == "periodic":
-            raise SystemExit2("lambda must be nonzero on a ring")
+        args = _parse(argv)
         return _COMMANDS[args.command](args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:   # a missing file, or a directory given as one
+    except (SystemExit2, OSError) as exc:   # OSError: a missing file, or a directory
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -40,6 +40,7 @@ from .realizations import (_leg_at_mixed_next, _leg_at_mixed_prev, _need, canoni
                            lagrangian_value, realization)
 
 _COEF_GUARD = 1e-13
+_CORNER_RANGE = (0.3, 2.0)   # the corner values check_3d_consistency draws from
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +87,12 @@ def cube_consistency(h, alpha, lam, w000, w100, w010, w001) -> float:
     return float(max(vals) - min(vals))
 
 
-def check_3d_consistency(h, alpha, lam, n_samples=100, seed=0,
-                         value_range=(0.3, 2.0)) -> float:
+def check_3d_consistency(h, alpha, lam, n_samples=100, seed=0) -> float:
     """Monte-Carlo sweep of cube_consistency over random positive corners."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_samples):
-        w = rng.uniform(value_range[0], value_range[1], 4)
+        w = rng.uniform(*_CORNER_RANGE, 4)
         worst = max(worst, cube_consistency(h, alpha, lam, *w))
     return worst
 

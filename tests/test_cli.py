@@ -1,18 +1,25 @@
+import contextlib
 import hashlib
+import io
 import json
+import os
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from todalab import lax, maps
-from todalab.cli import main
+from todalab.cli import _OPTIONS, _READS, _build_parser, main
 from todalab.core import Boundary, FlaschkaState, save_state
 from todalab.realizations import CATALOG, chart_specs, realization
 from todalab.systems import SYSTEMS
 
 
 def run(tmp_path, *argv):
-    import os
     old = os.getcwd()
     os.chdir(tmp_path)
     try:
@@ -399,3 +406,159 @@ def test_invariants_realization(tmp_path):
                "--seed", "3", "--h", "0.1", "--out", "ri.json") == 0
     rec = json.loads((tmp_path / "ri.json").read_text())
     assert rec["realization"] == "exp" and len(rec["invariants"]) == 4
+
+
+def _accepted_options(parser):
+    """The option strings each subparser accepts, --help aside."""
+    return {command: sorted(s for action in sp._actions for s in action.option_strings
+                            if s not in ("-h", "--help"))
+            for command, sp in parser.commands.items()}
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    accepted = _accepted_options(_build_parser())
+    assert {c: len(names) for c, names in accepted.items()} == {
+        "simulate": 13, "invariants": 12, "verify": 4, "dump-lax": 10, "consistency": 7}
+    assert sum(map(len, accepted.values())) == 46
+    assert not any("--mu" in names for names in accepted.values())
+
+
+def test_readme_option_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = {m[1]: sorted(re.findall(r"--[a-z]+", m[2]))
+             for m in re.finditer(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M)}
+    assert table == _accepted_options(_build_parser())
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_negative_seed_exits_2_with_error_line(tmp_path, capsys, command):
+    assert run(tmp_path, command, "--seed", "-1", "--out", "x") == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("chart,boundary", [("exp", "periodic"), ("explicit-a", "open")])
+def test_chart_simulation_at_zero_step_exits_2(tmp_path, capsys, chart, boundary):
+    assert run(tmp_path, "simulate", "--realization", chart, "--boundary", boundary,
+               "--h", "0", "--out", "x") == 2
+    assert capsys.readouterr().err == "error: --h must be nonzero for a chart\n"
+    assert not list(tmp_path.glob("x*"))
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    # options no command, or not this command, reads
+    (("verify", "--n", "99", "--mu", "5"), None, "unrecognized arguments: --n 99 --mu 5"),
+    (("dump-lax", "--realization", "exp"), None, "unrecognized arguments: --realization exp"),
+    (("consistency", "--boundary", "periodic", "--lambda", "0"), None,
+     "unrecognized arguments: --boundary periodic"),
+    (("verify", "--config", "c.ini"), "lambda = 0\nboundary = periodic\n",
+     "config file c.ini: 'lambda' is not an option of verify"),
+    (("verify", "--h", "0"), None, "unrecognized arguments: --h 0"),   # not --help
+    # argparse's own errors
+    (("simulate", "--n", "abc"), None, "argument --n: invalid int value: 'abc'"),
+    (("simulate", "--nosuch", "1"), None, "unrecognized arguments: --nosuch 1"),
+    (("simulate", "--s", "1"), None, "ambiguous option: --s could match"),
+    (("nosuch",), None, "argument command: invalid choice: 'nosuch'"),
+    ((), None, "the following arguments are required: command"),
+], ids=["verify-n-mu", "dump-lax-realization", "consistency-boundary", "verify-config",
+        "verify-h", "bad-int", "unknown-flag", "ambiguous-flag", "unknown-command",
+        "no-command"])
+def test_unread_option_or_parse_error_exits_2_with_one_error_line(tmp_path, capsys, argv,
+                                                                   config, message):
+    if config is not None:
+        (tmp_path / "c.ini").write_text(config)
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+def test_abbreviated_flag_wins_over_the_config_file(tmp_path):
+    (tmp_path / "c.ini").write_text("steps = 10\nn = 4\nout = c\n")
+    assert run(tmp_path, "simulate", "--config", "c.ini", "--ste", "3") == 0
+    assert len((tmp_path / "c.trajectory.csv").read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize("config,message", [
+    ("filter = *\n", "config file c.ini: 'filter' is not an option of simulate"),
+    ("config = d.ini\n", "config file c.ini: 'config' is not an option of simulate"),
+    ("steps = 1e3\n", "config key 'steps': '1e3' is not a valid int"),
+], ids=["other-command", "config", "bad-value"])
+def test_config_key_the_command_does_not_read_exits_2(tmp_path, capsys, config, message):
+    (tmp_path / "c.ini").write_text(config)
+    assert run(tmp_path, "simulate", "--config", "c.ini") == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_dump_lax_of_a_ring_state_at_lambda_zero_exits_2(tmp_path, capsys):
+    save_state(FlaschkaState([1.0, 0.5, 0.7], [0.1, 0.2, 0.3], Boundary.PERIODIC),
+               tmp_path / "ring.json")
+    assert run(tmp_path, "dump-lax", "--state", "ring.json", "--lambda", "0") == 2
+    assert capsys.readouterr().err == "error: lambda must be nonzero on a ring\n"
+
+
+# values drawn for the fuzzed command lines: every int and float option sees a
+# negative, zero and (for floats) non-finite value, and n <= 5, steps <= 3 and
+# cheap verify filters keep each run short
+_INTS = {"n": ["3", "2", "5", "1", "0", "-1"], "steps": ["1", "3", "0", "-1"],
+         "seed": ["0", "7", "-1", "-2", "x"]}
+_FLOATS = ["0.05", "0.3", "2", "0", "-1", "1e300", "nan", "inf", "-inf", "x"]
+_WORDS = {"system": [*SYSTEMS, "nosuch"], "realization": ["exp", "rel-exp-add", "explicit-a",
+                                                          "rat-add", "nosuch"],
+          "boundary": ["open", "periodic", "closed"], "out": ["o"],
+          "state": ["ring.json", "xp.json", "missing.json"],
+          "filter": ["limit*", "closure-1d", "nomatch"], "config": ["c.ini", "missing.ini"]}
+_FUZZ_NAMES = sorted(set(_OPTIONS) - {"config"}) + ["mu"]
+
+
+def _value(name):
+    return st.sampled_from(_INTS.get(name) or _WORDS.get(name) or _FLOATS)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command with flags and config lines drawn mostly from its own options,
+    one time in four with an option of another command (or --mu) as well."""
+    command = draw(st.sampled_from(list(_READS)))
+    own = [name for name in _READS[command] if name != "config"]
+    cheap = {"n", "steps", "filter"} & set(own)   # never left at a default
+    names = draw(st.sets(st.sampled_from(own + ["config"]), max_size=4)) | cheap
+    keys = draw(st.sets(st.sampled_from(own), max_size=3))
+    if draw(st.integers(0, 3)) == 0:
+        (names if draw(st.booleans()) else keys).add(draw(st.sampled_from(_FUZZ_NAMES)))
+    argv = [command]
+    for name in sorted(names):
+        argv += [f"--{name}", draw(_value(name))]
+    return argv, "".join(f"{key} = {draw(_value(key))}\n" for key in sorted(keys))
+
+
+def _run_in(directory, argv, config):
+    """Exit code and stderr of main(argv) run in a directory that holds the
+    config and state files argv may name."""
+    save_state(FlaschkaState([1.0, 0.5, 0.7], [0.1, 0.2, 0.3], Boundary.PERIODIC),
+               directory / "ring.json")
+    (directory / "xp.json").write_text(
+        '{"n": 3, "boundary": "open", "x": [0, 1, 2], "p": [0.5, 0.6, 0.7]}\n')
+    (directory / "c.ini").write_text(config)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return run(directory, *argv), err.getvalue()
+
+
+def _outputs(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(_command_lines())
+def test_fuzzed_command_lines_keep_the_exit_code_contract(line):
+    argv, config = line
+    with tempfile.TemporaryDirectory() as tmp:
+        one, two = Path(tmp, "one"), Path(tmp, "two")
+        one.mkdir(), two.mkdir()
+        code, err = _run_in(one, argv, config)
+        assert code in (0, 2, 3) and "Traceback" not in err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+        if code == 0 and argv[0] == "simulate":
+            assert _run_in(two, argv, config)[0] == 0
+            assert _outputs(one) == _outputs(two)
