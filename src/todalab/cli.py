@@ -202,12 +202,24 @@ def _inv_names(n, samples):
             for m in range(samples) for j in range(n)]
 
 
+_CSV_BLOCK_ROWS = 128     # rows formatted together, so the writer's memory is flat in rows
+
+
 def _write_csv(path, header, table):
-    """Header, then one line per row of table: its index and 17-digit values."""
-    line = "%d" + ",%.17g" * table.shape[1] + "\n"
+    """Header, then one line per row of table: its index and 17-digit values.
+
+    The values of a trajectory repeat (its invariants stay within a few
+    ulps), so each distinct value of a block of rows is formatted once;
+    values are keyed by their bits, which keeps -0.0 apart from 0.0."""
+    table = np.asarray(table, dtype=float)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % (i, *row.tolist()) for i, row in enumerate(table))
+        for start in range(0, len(table), _CSV_BLOCK_ROWS):
+            block = table[start:start + _CSV_BLOCK_ROWS]
+            keys, index = np.unique(block.view(np.int64), return_inverse=True)
+            text = np.array([",%.17g" % v for v in keys.view(float).tolist()], dtype=object)
+            fh.writelines(f"{i}{''.join(cells)}\n" for i, cells in
+                          enumerate(text[index.reshape(block.shape)].tolist(), start))
 
 
 def _write_run_outputs(out, header, state_rows, inv, inv_names):

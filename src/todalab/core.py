@@ -29,14 +29,32 @@ class Boundary(Enum):
     PERIODIC = "periodic"
 
 
-def _frozen_vector(v, name: str) -> np.ndarray:
+def _checked_vector(v, name: str) -> np.ndarray:
     arr = np.array(v, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
-    arr.setflags(write=False)
     return arr
+
+
+def _frozen_pair(u, v, names):
+    """The two vectors of a state as the rows of one read-only (2, n) copy,
+    with one finiteness test.  Input that fails it goes through the checks
+    of each vector in turn, which word the error."""
+    try:
+        pair = np.array((u, v), dtype=float)
+    except (TypeError, ValueError):    # ragged, or not numbers
+        pair = None
+    if pair is None or pair.ndim != 2 or not np.isfinite(pair).all():
+        u, v = _checked_vector(u, names[0]), _checked_vector(v, names[1])
+        if len(u) != len(v):
+            raise ValueError(f"{names[0]} and {names[1]} must have equal length")
+        pair = np.array((u, v))
+    if pair.shape[1] < 2:
+        raise ValueError("lattice size must be >= 2")
+    pair.setflags(write=False)
+    return pair[0], pair[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,12 +64,7 @@ class FlaschkaState:
     boundary: Boundary
 
     def __post_init__(self):
-        a = _frozen_vector(self.a, "a")
-        b = _frozen_vector(self.b, "b")
-        if len(a) != len(b):
-            raise ValueError("a and b must have equal length")
-        if len(a) < 2:
-            raise ValueError("lattice size must be >= 2")
+        a, b = _frozen_pair(self.a, self.b, ("a", "b"))
         if self.boundary is Boundary.OPEN and a[-1] != 0.0:
             raise ValueError("open-end states require a[n] == 0 exactly")
         object.__setattr__(self, "a", a)
@@ -74,12 +87,7 @@ class CanonicalState:
     boundary: Boundary
 
     def __post_init__(self):
-        x = _frozen_vector(self.x, "x")
-        p = _frozen_vector(self.p, "p")
-        if len(x) != len(p):
-            raise ValueError("x and p must have equal length")
-        if len(x) < 2:
-            raise ValueError("lattice size must be >= 2")
+        x, p = _frozen_pair(self.x, self.p, ("x", "p"))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
 

@@ -29,7 +29,7 @@ uses it to evaluate n discrete steps in closed form by factoring
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -216,20 +216,22 @@ def drift(inv: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.abs(np.asarray(inv) - ref)
 
 
-_CHUNK_BYTES = 1 << 17      # working set of a stacked evaluation: about eight (B, n) arrays
+_CHUNK_BYTES = 1 << 19      # working set of a stacked evaluation: about eight (B, S) arrays
 
 
-def states_per_chunk(n: int) -> int:
-    """States per stacked invariant evaluation, so peak memory stays flat in n."""
-    return max(1, _CHUNK_BYTES // (64 * n))
+def states_per_chunk(nodes: int) -> int:
+    """States B per stacked evaluation at S = ``nodes`` nodes (n per lambda
+    sample), so the working set stays flat in n and in the samples."""
+    return max(1, _CHUNK_BYTES // (64 * nodes))
 
 
 def trajectory_invariants(states, alpha: float | None = None, nodes=None):
     """``spectral_invariants`` of an iterable of states, one block of rows per
-    ``states_per_chunk(n)`` states, read from it one chunk at a time.
+    ``states_per_chunk`` states, read from it one chunk at a time.
 
     The states share n and boundary; they are evaluated at the nodes of the
-    first state (or the given ones) by the stacked kernel.
+    first state (or the given ones) by the stacked kernel.  Each state's
+    vectors are copied into two (B, n) buffers, which every chunk reuses.
     """
     states = iter(states)
     first = next(states, None)
@@ -237,12 +239,17 @@ def trajectory_invariants(states, alpha: float | None = None, nodes=None):
         return
     if nodes is None:
         nodes = spectral_nodes(first, alpha)
-    states = chain([first], states)
-    chunk = states_per_chunk(first.n)
-    while part := list(islice(states, chunk)):
-        yield spectral_invariants_stacked(np.array([s.a for s in part]),
-                                          np.array([s.b for s in part]),
-                                          first.boundary, nodes, alpha)
+    chunk = states_per_chunk(np.size(nodes))
+    a, b = np.empty((chunk, first.n)), np.empty((chunk, first.n))
+    k = 0
+    for s in chain([first], states):
+        a[k], b[k] = s.a, s.b
+        k += 1
+        if k == chunk:
+            yield spectral_invariants_stacked(a, b, first.boundary, nodes, alpha)
+            k = 0
+    if k:
+        yield spectral_invariants_stacked(a[:k], b[:k], first.boundary, nodes, alpha)
 
 
 def crout_lu(m: np.ndarray):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab import lax, maps
-from todalab.cli import _OPTIONS, _READS, _build_parser, main
+from todalab.cli import _CSV_BLOCK_ROWS, _OPTIONS, _READS, _build_parser, _write_csv, main
 from todalab.core import Boundary, FlaschkaState, save_state
 from todalab.realizations import CATALOG, chart_specs, realization
 from todalab.systems import SYSTEMS
@@ -180,56 +180,114 @@ def test_invariants_of_a_state_without_finite_image_exit_3(tmp_path, capsys):
     assert not (tmp_path / "i.json").exists()
 
 
-# sha256 of the (trajectory, invariants) CSVs of seeded n = 5 runs: step and
-# state columns, then the log det(I - w_j M) columns and their drifts; taken
-# after odd n moved to n + 1 Chebyshev nodes less one and chart rings to the
-# closure solve (the state columns of every row but the rat-add and dual rings
-# are byte-identical to those of the previous hashes)
+# sha256 of the (trajectory, invariants) CSVs of seeded runs: step and state
+# columns, then the log det(I - w_j M) columns and their drifts; the n = 5 rows
+# taken after odd n moved to n + 1 Chebyshev nodes less one and chart rings to
+# the closure solve (the state columns of every row but the rat-add and dual
+# rings are byte-identical to those of the previous hashes); the n = 8 rings of
+# 500 steps, the runs the benchmark times, span several blocks of CSV rows
 _GOLDEN_SHA256 = [
-    ("dtl", "open", 1, 0.1, 40,
+    ("dtl", "open", 5, 1, 0.1, 40,
      "78bffcaa447d01c6e5af8d8b36077e76e92cd90fb885a9e630eb28c68666c6e2",
      "0c69315331a79ee4a8e049341425c5f2c8b0e18e05b54b50616760ea2dd4aabb"),
-    ("dtl", "periodic", 2, 0.1, 40,
+    ("dtl", "periodic", 5, 2, 0.1, 40,
      "34073ce274f418868b635e37e598689aa803dd8fbc4ffa7929d803f0bf84d42f",
      "9f0c3ea42795173085b18972509d5ded439f3774ca3e338f722e3cff025ecc1a"),
-    ("drtl+", "open", 3, 0.1, 40,
+    ("drtl+", "open", 5, 3, 0.1, 40,
      "46799bf85e866b80900e91d0a69c2fc3fac77c6cd7568a7ddf6a7d0c8e6b246b",
      "045d51b8a3de060c76617db39ef7dcc43127ea7205cc04011446bf161a3a120e"),
-    ("drtl+", "periodic", 4, 0.1, 40,
+    ("drtl+", "periodic", 5, 4, 0.1, 40,
      "9fa0301b645007426d23b32afc23bf5eba56d953d4d86a61f19f6615f9664c98",
      "4c4c0053507ed653cdf034c90f28c764b8945f986e331beefe1617bf383b2de0"),
-    ("drtl-", "open", 5, 0.1, 40,
+    ("drtl-", "open", 5, 5, 0.1, 40,
      "33833231a35bfea173c11f22233d8fb7ad837a08256ea226a3a0cf184b124445",
      "0143b2b11ff063509f9ca711bae4a9c02de9a4c2656ddf201f3b2955a9e57d3e"),
-    ("drtl-", "periodic", 6, 0.1, 40,
+    ("drtl-", "periodic", 5, 6, 0.1, 40,
      "ad12902d5d4ab6f6554095fb1c065f5ddad3c63a3e3fd39311bbe518064a9ca5",
      "7f23f3b02483e1eaadc51f4e13d0831ad8f71f55312083cf41e2ff65576970d4"),
-    ("rtl+", "periodic", 7, 0.05, 40,
+    ("rtl+", "periodic", 5, 7, 0.05, 40,
      "d7e637547e93678d341e4a03ca44822558ddc7a1d97983cfe9136b78ac654b3e",
      "720aa113538ecf70cdacacf76ee50022c5584501c50ab40252681d2fc296b194"),
-    ("rel-exp-add", "open", 8, 0.1, 40,
+    ("rel-exp-add", "open", 5, 8, 0.1, 40,
      "3b937e7b7a34b85670437faa53851f54e4f8621156b1e9502335078812649717",
      "77c950a457bd0be6ea007dd5036635899e1e72b61da95fbd7fe93bc88e66601d"),
-    ("rat-add", "periodic", 9, 0.1, 5,
+    ("rat-add", "periodic", 5, 9, 0.1, 5,
      "ce7d7bdf50e62745fd0ec8135afa93d796791ed34db670fefeb355dbc51ce83d",
      "441bce09314a309293839a142d9942cfbfa23ef3a3d12d3a0397dfccd3119fd2"),
-    ("dual", "periodic", 10, 0.1, 5,
+    ("dual", "periodic", 5, 10, 0.1, 5,
      "241b10dae455e24b356931117f55c34a9d6685e8110dbe7df4ae9c6d482b0ec4",
      "73f208a301cb97ba01b7a7a14f0e2ccaadce331a691d47dcc9ec5a14ac90c019"),
+    ("dtl", "periodic", 8, 0, 0.05, 500,
+     "ab03a3321286c39cf4ab488eba283904d5ee2dc7ef348de1d8556a967664b3fd",
+     "ba43203769470732ecd73c56b950999e953b4de4aeddde65a4b7c6e51e4a21f2"),
+    ("drtl+", "periodic", 8, 0, 0.05, 500,
+     "e8ea39de04c274edb98dfda460a8056a4636ecc52e9423aa9bfe2e9f858fadf1",
+     "550f9cbbda15133054a1ce4193505e79e0005229067d280d7f1021970d5ea8f2"),
+    ("drtl-", "periodic", 8, 0, 0.05, 500,
+     "c62f8a9ab1b88b4ef7876be0472b895b986a79643af34dce790b5af261fc21c0",
+     "9eb33786ee36c1fcd8b72c5c1b5d23760f30630b634ea3828814c2667ce1319e"),
 ]
 
 
-@pytest.mark.parametrize("system,boundary,seed,h,steps,traj_sha,inv_sha", _GOLDEN_SHA256,
-                         ids=[f"{c[0]}-{c[1]}" for c in _GOLDEN_SHA256])
-def test_simulate_outputs_match_golden_sha256(tmp_path, system, boundary, seed, h, steps,
+@pytest.mark.parametrize("system,boundary,n,seed,h,steps,traj_sha,inv_sha", _GOLDEN_SHA256,
+                         ids=[f"{c[0]}-{c[1]}" + (f"-n{c[2]}" if c[2] != 5 else "")
+                              for c in _GOLDEN_SHA256])
+def test_simulate_outputs_match_golden_sha256(tmp_path, system, boundary, n, seed, h, steps,
                                               traj_sha, inv_sha):
     kind = "--realization" if system in CATALOG else "--system"
-    assert run(tmp_path, "simulate", kind, system, "--boundary", boundary, "--n", "5",
+    assert run(tmp_path, "simulate", kind, system, "--boundary", boundary, "--n", str(n),
                "--steps", str(steps), "--h", str(h), "--alpha", "0.3", "--seed", str(seed),
                "--out", "g") == 0
     for ext, want in (("trajectory", traj_sha), ("invariants", inv_sha)):
         data = (tmp_path / f"g.{ext}.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == want, ext
+
+
+def _reference_csv(header, table):
+    """The CSV writer's bytes as one %-format call per row."""
+    line = "%d" + ",%.17g" * table.shape[1] + "\n"
+    return (",".join(header) + "\n"
+            + "".join(line % (i, *row.tolist()) for i, row in enumerate(table))).encode()
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e308, -1e308, 1.0, -3.0, 2.0 ** 53,
+                1e16, 0.1, 1.1102230246251565e-16]
+
+
+@st.composite
+def _tables(draw):
+    """Tables of values drawn from a small pool, so that values repeat, with
+    row counts on both sides of the writer's block boundaries."""
+    pool = draw(st.lists(st.floats() | st.sampled_from(_EDGE_FLOATS), min_size=1, max_size=10))
+    rows = draw(st.sampled_from([1, _CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS, _CSV_BLOCK_ROWS + 1,
+                                 2 * _CSV_BLOCK_ROWS + 3]) | st.integers(1, 3 * _CSV_BLOCK_ROWS))
+    picks = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return np.array(pool)[picks.integers(0, len(pool), (rows, draw(st.integers(1, 5))))]
+
+
+def _written(header, table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "t.csv")
+        _write_csv(str(path), header, table)
+        return path.read_bytes()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(_tables())
+def test_csv_writer_matches_one_format_call_per_row(table):
+    header = ["step"] + [f"c{j}" for j in range(table.shape[1])]
+    assert _written(header, table) == _reference_csv(header, table)
+
+
+# -0.0 and 0.0 are one key of a float dict; the writer keeps them apart
+def test_csv_writer_keeps_the_sign_of_zero_across_blocks():
+    rows = 2 * _CSV_BLOCK_ROWS + 1
+    table = np.zeros((rows, 2))
+    table[1::2, 0] = -0.0
+    table[:, 1] = np.where(np.arange(rows) % 3 == 0, 5e-324, -1e308)
+    written = _written(["step", "z", "w"], table)
+    assert written == _reference_csv(["step", "z", "w"], table)
+    assert written.count(b",-0,") == rows // 2 and written.count(b",0,") == rows - rows // 2
 
 
 def test_registry_counts():

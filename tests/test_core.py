@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,14 +127,60 @@ def test_random_state_ranges():
 
 
 def test_open_state_rejects_nonzero_tail():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^open-end states require a\[n\] == 0 exactly$"):
         FlaschkaState([1.0, 0.5], [0.0, 0.0], Boundary.OPEN)
+    assert CanonicalState([1.0, 0.5], [0.0, 0.0], Boundary.OPEN).x[-1] == 0.5
 
 
 def test_states_are_frozen():
     s = random_state(4, Boundary.PERIODIC, 0)
     with pytest.raises(ValueError):
         s.a[0] = 2.0
+
+
+_STATE_CLASSES = pytest.mark.parametrize("cls,names", [(FlaschkaState, "ab"),
+                                                       (CanonicalState, "xp")],
+                                         ids=["flaschka", "canonical"])
+_BAD = float("nan")
+
+
+# each invalid pair of vectors names the first check it fails, in this order:
+# shape and finiteness of the first vector, then of the second, then equal
+# length, then size
+@_STATE_CLASSES
+@pytest.mark.parametrize("first,second,message", [
+    ([1.0, 2.0, 0.0], [0.0, 1.0], "{0} and {1} must have equal length"),
+    ([[1.0, 2.0], [3.0, 0.0]], [0.0, 1.0], "{0} must be one-dimensional"),
+    ([0.5, 0.0], [[1.0, 2.0], [3.0, 4.0]], "{1} must be one-dimensional"),
+    ([[1.0, 0.0]], [[3.0, 4.0]], "{0} must be one-dimensional"),
+    (1.0, 2.0, "{0} must be one-dimensional"),
+    ([0.5, 0.0], 2.0, "{1} must be one-dimensional"),
+    ([_BAD, 1.0, 0.0], [0.0, 1.0, 2.0], "{0} must be finite"),
+    ([float("inf"), 0.0], [0.0, 1.0, 2.0], "{0} must be finite"),
+    ([1.0, 1.0, 0.0], [0.0, -float("inf"), 2.0], "{1} must be finite"),
+    ([1.0, 0.0], [0.0, _BAD, 2.0], "{1} must be finite"),
+    ([0.0], [1.0], "lattice size must be >= 2"),
+    ([], [], "lattice size must be >= 2"),
+])
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+def test_invalid_state_vectors_name_the_failed_check(cls, names, first, second, message,
+                                                     boundary):
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(*names))}$"):
+        cls(first, second, boundary)
+
+
+@_STATE_CLASSES
+@pytest.mark.parametrize("kind", [np.array, list])
+def test_state_vectors_are_read_only_copies_of_the_input(cls, names, kind):
+    first, second = kind([1, 2, 0]), kind([0.25, -1.0, 3.0])
+    s = cls(first, second, Boundary.PERIODIC)
+    stored = [getattr(s, name) for name in names]
+    first[0], second[1] = 7, 7.5
+    for vector, want in zip(stored, ([1.0, 2.0, 0.0], [0.25, -1.0, 3.0])):
+        assert vector.dtype == float and vector.tolist() == want
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError):
+            vector[0] = 2.0
 
 
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])

@@ -131,14 +131,16 @@ def test_stacked_invariants_bitwise_equal_per_state(name, boundary, n):
     assert np.array_equal(lax.spectral_invariants(traj[0], alpha=alpha), stacked[0])
 
 
-# a trajectory of two full chunks and a partial one, read from a generator
+# a trajectory of two full chunks and a partial one, read from a generator; a
+# chunk holds as many states as fit at the state's nodes, n per lambda sample
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
 @pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-"])
 def test_trajectory_invariants_across_chunks(name, boundary):
-    traj, alpha = _trajectory(name, 8, boundary, 12, 2 * lax.states_per_chunk(8) + 2)
+    lams = 1 if boundary is Boundary.OPEN else len(lax.DEFAULT_LAMBDAS)
+    chunk = lax.states_per_chunk(lams * 8)
+    traj, alpha = _trajectory(name, 8, boundary, 12, 2 * chunk + 2)
     nodes = lax.spectral_nodes(traj[0], alpha=alpha)
     blocks = list(lax.trajectory_invariants(iter(traj), alpha=alpha))
-    chunk = lax.states_per_chunk(8)
     assert [len(block) for block in blocks] == [chunk, chunk, 3]
     inv = np.concatenate(blocks)
     whole = lax.spectral_invariants_stacked(np.array([s.a for s in traj]),

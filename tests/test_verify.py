@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from todalab.core import Boundary
-from todalab.lax import drift, states_per_chunk
+from todalab.core import Boundary, random_state
+from todalab.lax import drift, spectral_invariants, spectral_nodes, states_per_chunk
+from todalab.systems import SYSTEMS
 from todalab.verify import (CHECKS, check_commutativity, check_isospectral, run_suite,
                             simulate, trajectory)
 
@@ -47,6 +48,28 @@ def test_isospectral_drift_matches_per_state_invariants(system, steps):
     _, inv = simulate(system, 8, Boundary.OPEN, 4, 0.05, 0.3, steps)
     assert rec["samples"] == steps
     assert rec["max_residual"] == float(drift(inv, inv[0]).max())
+
+
+@pytest.mark.parametrize("system", ["dtl", "drtl+", "drtl-"])
+def test_isospectral_check_of_no_steps_has_no_drift(system):
+    rec = check_isospectral(seed=0, system=system, n=8, steps=0)
+    assert rec["samples"] == 0 and rec["max_residual"] == 0.0
+
+
+# the check folds stacked invariant blocks; its record is the drift of each
+# state's own invariants from the first state's, within one chunk at n = 8
+# and across two at n = 128
+@pytest.mark.parametrize("n,steps", [(8, 40), (128, states_per_chunk(128) + 6)])
+@pytest.mark.parametrize("system", ["dtl", "drtl+", "drtl-"])
+def test_isospectral_record_matches_per_state_invariants(system, n, steps):
+    rec = check_isospectral(seed=2, system=system, n=n, steps=steps)
+    row, s = SYSTEMS[system], random_state(n, Boundary.OPEN, 2)
+    alpha = row.lax_alpha(0.05, 0.3)
+    nodes = spectral_nodes(s, alpha=alpha)
+    ref = spectral_invariants(s, alpha=alpha, nodes=nodes)
+    worst = max(float(drift(spectral_invariants(t, alpha=alpha, nodes=nodes), ref).max())
+                for t in trajectory(row.stepper(0.05, 0.3), s, steps))
+    assert rec["samples"] == steps and rec["max_residual"] == worst
 
 
 # the explicit maps are drtl+ at alpha = h and drtl- at alpha = -h; their
