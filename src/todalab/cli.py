@@ -23,7 +23,7 @@ import json
 import math
 import re
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -77,8 +77,10 @@ _READS = {command: names.split() for command, names in {
 }.items()}
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
-    """The parser; its `commands` dict holds the subparser of each command."""
+    """The parser, built once per process; its `commands` dict holds the
+    subparser of each command."""
     p = _Parser(prog="todalab", description="discrete Toda lattice laboratory")
     sub = p.add_subparsers(dest="command", required=True)
     p.commands = {}
@@ -129,8 +131,14 @@ def _parse(argv):
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        parser.commands[args.command].set_defaults(**_read_config(args.config, args.command))
-        args = parser.parse_args(argv)
+        command = parser.commands[args.command]
+        values = _read_config(args.config, args.command)
+        command.set_defaults(**values)
+        try:
+            args = parser.parse_args(argv)
+        finally:   # the parser outlives this call: give it back its own defaults
+            command.set_defaults(**{dest: default for dest, _, default in _OPTIONS.values()
+                                    if dest in values})
     for name in _READS[args.command]:
         dest, kind, _ = _OPTIONS[name]
         if kind is float and not math.isfinite(getattr(args, dest)):

@@ -16,6 +16,7 @@ mutate a state.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,13 +41,14 @@ def _checked_vector(v, name: str) -> np.ndarray:
 
 def _frozen_pair(u, v, names):
     """The two vectors of a state as the rows of one read-only (2, n) copy,
-    with one finiteness test.  Input that fails it goes through the checks
-    of each vector in turn, which word the error."""
+    with one finiteness test, of the sum of its entries (which is finite
+    unless an entry is not, or the sum overflows).  Input that fails it goes
+    through the checks of each vector in turn, which word the error."""
     try:
         pair = np.array((u, v), dtype=float)
     except (TypeError, ValueError):    # ragged, or not numbers
         pair = None
-    if pair is None or pair.ndim != 2 or not np.isfinite(pair).all():
+    if pair is None or pair.ndim != 2 or not math.isfinite(pair.sum()):
         u, v = _checked_vector(u, names[0]), _checked_vector(v, names[1])
         if len(u) != len(v):
             raise ValueError(f"{names[0]} and {names[1]} must have equal length")
@@ -57,18 +59,17 @@ def _frozen_pair(u, v, names):
     return pair[0], pair[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FlaschkaState:
     a: np.ndarray
     b: np.ndarray
     boundary: Boundary
 
-    def __post_init__(self):
-        a, b = _frozen_pair(self.a, self.b, ("a", "b"))
-        if self.boundary is Boundary.OPEN and a[-1] != 0.0:
+    def __init__(self, a, b, boundary: Boundary):
+        a, b = _frozen_pair(a, b, ("a", "b"))
+        if boundary is Boundary.OPEN and a[-1] != 0.0:
             raise ValueError("open-end states require a[n] == 0 exactly")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        vars(self).update(a=a, b=b, boundary=boundary)   # frozen: one write per field
 
     @property
     def n(self) -> int:
@@ -80,20 +81,37 @@ class FlaschkaState:
                              self.boundary)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CanonicalState:
     x: np.ndarray
     p: np.ndarray
     boundary: Boundary
 
-    def __post_init__(self):
-        x, p = _frozen_pair(self.x, self.p, ("x", "p"))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "p", p)
+    def __init__(self, x, p, boundary: Boundary):
+        x, p = _frozen_pair(x, p, ("x", "p"))
+        vars(self).update(x=x, p=p, boundary=boundary)   # frozen: one write per field
 
     @property
     def n(self) -> int:
         return len(self.x)
+
+
+def stack_is_valid(u: np.ndarray, v: np.ndarray, open_end: bool = False) -> bool:
+    """Whether every row of the (..., n) stacks u, v passes the checks of a
+    state: equal shapes, n >= 2 and finite entries, and with ``open_end``
+    the structural u[..., -1] == 0 of an open chain's a.  A caller whose
+    stack fails builds its rows as states one at a time, whose checks word
+    the error."""
+    return (u.shape == v.shape and u.shape[-1] >= 2
+            and bool(np.isfinite(u).all()) and bool(np.isfinite(v).all())
+            and not (open_end and np.any(u[..., -1] != 0.0)))
+
+
+def worst(values) -> float:
+    """The largest of the residuals ``values`` (0.0 if there are none), NaN
+    if any of them is NaN: Python's max keeps its first argument when a
+    comparison with NaN is false, so it would pass a NaN sample."""
+    return float(np.max(np.fromiter(values, dtype=float), initial=0.0))
 
 
 def neighbor_index(k: int, offset: int, n: int, boundary: Boundary):
@@ -107,21 +125,22 @@ def neighbor_index(k: int, offset: int, n: int, boundary: Boundary):
 
 
 def shifted(v: np.ndarray, offset: int, boundary: Boundary, fill: float = 0.0) -> np.ndarray:
-    """Vector of neighbour values v_{k+offset}; out-of-range entries -> fill.
+    """Neighbour values v_{k+offset} along the last axis of v, so each row of
+    a (..., n) stack is shifted on its own; out-of-range entries -> fill.
 
-    On open chains |offset| must not exceed len(v), and the result is float.
+    On open chains |offset| must not exceed n, and the result is float.
     """
-    n = len(v)
+    n = v.shape[-1]
     if boundary is Boundary.PERIODIC:
         k = offset % n
-        return np.concatenate((v[k:], v[:k]))
-    out = np.empty(n)
+        return np.concatenate((v[..., k:], v[..., :k]), axis=-1)
+    out = np.empty(v.shape)
     if offset >= 0:
-        out[:n - offset] = v[offset:]
-        out[n - offset:] = fill
+        out[..., :n - offset] = v[..., offset:]
+        out[..., n - offset:] = fill
     else:
-        out[-offset:] = v[:offset]
-        out[:-offset] = fill
+        out[..., -offset:] = v[..., :offset]
+        out[..., :-offset] = fill
     return out
 
 

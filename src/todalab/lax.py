@@ -33,7 +33,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import Boundary, CanonicalState, FlaschkaState
+from .core import Boundary, CanonicalState, FlaschkaState, worst
 from .errors import (DomainError, FactorizationOutsideDomain, NumericalError,
                      ShapeViolation, SingularMatrix)
 from .realizations import _exp_prev, _leg_at_mixed_next
@@ -371,17 +371,17 @@ def zcr_residual_drtl(c: CanonicalState, ct: CanonicalState,
     x, p = c.x, c.p
     xt, pt = ct.x, ct.p
     n = c.n
-    res = 0.0
     if c.boundary is Boundary.PERIODIC:
         ks = range(n)
     else:
         ks = range(1, n - 1)   # M_k needs layer data at k-1, M_{k+1} at k+1
-    for k in ks:
+
+    def defect(k):
         km = (k - 1) % n
         kp = (k + 1) % n
         Lk = drtl_transition_L(x[k], p[k], alpha, lam)
         Ltk = drtl_transition_L(xt[k], pt[k], alpha, lam)
         Mk = drtl_transition_M(x[k], xt[km], pt[km], alpha, h, lam)
         Mkp = drtl_transition_M(x[kp], xt[k], pt[k], alpha, h, lam)
-        res = max(res, float(np.max(np.abs(Ltk @ Mk - Mkp @ Lk))))
-    return res
+        return float(np.max(np.abs(Ltk @ Mk - Mkp @ Lk)))
+    return worst(defect(k) for k in ks)

@@ -24,7 +24,7 @@ one-parameter step families: corner residuals, superposition solves, closure
 defects and the spectrality/conservation quantities, for the exponential
 chain (1-form case) and its relativistic extension (three-point 2-form).
 Every leg of one parameter is a leg of the step's chart, ``exp`` or
-``rel-exp-add`` (``_chain_spec``); only the two-parameter cross leg of the
+``rel-exp-add`` (``chain_spec``); only the two-parameter cross leg of the
 2-form and its antiderivative are defined here.
 """
 
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Boundary, CanonicalState, shifted
+from .core import Boundary, CanonicalState, shifted, worst
 from .errors import BranchMismatch, DegenerateFace, DomainError
 from .realizations import (_leg_at_mixed_next, _leg_at_mixed_prev, _need, canonical_step,
                            lagrangian_value, realization)
@@ -83,18 +83,14 @@ def cube_consistency(h, alpha, lam, w000, w100, w010, w001) -> float:
     top_a = quad_solve("II", h, alpha, lam, X=w001, U=w101, V=w011)
     top_b = quad_solve("I", h, alpha, lam, X=w100, U=w110, V=w101)
     top_c = quad_solve("III", h, alpha, lam, V=w010, X=w110, Y=w011)
-    vals = (top_a, top_b, top_c)
-    return float(max(vals) - min(vals))
+    return float(np.ptp((top_a, top_b, top_c)))   # NaN if a top value is
 
 
 def check_3d_consistency(h, alpha, lam, n_samples=100, seed=0) -> float:
     """Monte-Carlo sweep of cube_consistency over random positive corners."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        w = rng.uniform(*_CORNER_RANGE, 4)
-        worst = max(worst, cube_consistency(h, alpha, lam, *w))
-    return worst
+    return worst(cube_consistency(h, alpha, lam, *rng.uniform(*_CORNER_RANGE, 4))
+                 for _ in range(n_samples))
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +175,7 @@ def site_faces(k, x_prev, x, x_next, white) -> dict:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=64)
-def _chain_spec(lam: float, alpha: float | None):
+def chain_spec(lam: float, alpha: float | None):
     """Chart of the lam step, ``exp`` (alpha None) or ``rel-exp-add``: its legs
     are the one-parameter legs of every corner equation below."""
     if alpha is None:
@@ -190,7 +186,7 @@ def _chain_spec(lam: float, alpha: float | None):
 def chain_step(c: CanonicalState, lam: float, alpha: float | None = None) -> CanonicalState:
     """One commuting-family step: exponential chain (alpha None) or its
     relativistic extension, with step/family parameter lam."""
-    return canonical_step(_chain_spec(float(lam), alpha), c)
+    return canonical_step(chain_spec(float(lam), alpha), c)
 
 
 def _momenta(legs, base, img, boundary):
@@ -205,7 +201,7 @@ def corner_residuals_1d(x, xt, xh, xth, lam, mu, boundary):
     """Residual vectors of the four corner equations on a parameter square:
     the steps leaving and reaching a corner agree on its momentum."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
-    legs_l, legs_m = _chain_spec(lam, None).legs, _chain_spec(mu, None).legs
+    legs_l, legs_m = chain_spec(lam, None).legs, chain_spec(mu, None).legs
     p_t, pt_t = _momenta(legs_l, x, xt, boundary)
     p_h, pt_h = _momenta(legs_m, x, xh, boundary)
     p_th, pt_th = _momenta(legs_m, xt, xth, boundary)
@@ -221,7 +217,7 @@ def superposition_1d(x, xt, xh, lam, mu, boundary):
     the first exactly by the base corner equation).
     """
     x, xt, xh = (np.asarray(v, dtype=float) for v in (x, xt, xh))
-    legs_l, legs_m = _chain_spec(lam, None).legs, _chain_spec(mu, None).legs
+    legs_l, legs_m = chain_spec(lam, None).legs, chain_spec(mu, None).legs
     # coefficient of e^{xth_k} and the constant term of relation S1
     coef = np.exp(-xh) / lam - np.exp(-xt) / mu
     const = (1.0 / lam - 1.0 / mu
@@ -248,7 +244,7 @@ def superposition_1d(x, xt, xh, lam, mu, boundary):
 
 def closure_value_1d(x, xt, xh, xth, lam, mu, boundary) -> float:
     """Action defect around the parameter square (zero iff the 1-form closes)."""
-    spec_l, spec_m = _chain_spec(lam, None), _chain_spec(mu, None)
+    spec_l, spec_m = chain_spec(lam, None), chain_spec(mu, None)
     return (lagrangian_value(spec_l, x, xt, boundary)
             + lagrangian_value(spec_m, xt, xth, boundary)
             - lagrangian_value(spec_m, x, xh, boundary)
@@ -259,7 +255,7 @@ def action_derivative(x, xt, lam, boundary) -> float:
     """d/dlam of the exponential chain's slice action sum Psi - sum Phi: Psi
     scales as 1/lam and Phi as lam, so it is -(sum Psi + sum Phi)/lam."""
     x, xt = np.asarray(x, dtype=float), np.asarray(xt, dtype=float)
-    legs = _chain_spec(lam, None).legs
+    legs = chain_spec(lam, None).legs
     return -(float(np.sum(legs.Psi(xt - x)))
              + float(np.sum(_leg_at_mixed_next(legs.Phi, x, xt, boundary)))) / lam
 
@@ -296,7 +292,7 @@ def corner_residuals_2d(alpha, x, xt, xh, xth, lam, mu, boundary):
     relation, sitewise; keys E (shifted one site up), E12, S1a, S1b, S2a,
     S2b, oct."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
-    legs_l, legs_m = _chain_spec(lam, alpha).legs, _chain_spec(mu, alpha).legs
+    legs_l, legs_m = chain_spec(lam, alpha).legs, chain_spec(mu, alpha).legs
 
     def phi_next(legs, base, img):
         return _leg_at_mixed_next(legs.phi, base, img, boundary)
@@ -336,7 +332,7 @@ def _up(v, boundary):
 def superposition_2d(alpha, x, xt, xh, lam, mu, boundary):
     """Solve relation S1a for the top corner (affine in e^{xth_k})."""
     x, xt, xh = (np.asarray(v, dtype=float) for v in (x, xt, xh))
-    legs_l = _chain_spec(lam, alpha).legs
+    legs_l = chain_spec(lam, alpha).legs
     rhs = (_leg_at_mixed_next(legs_l.psi0, xt, xt, boundary)
            + _leg_at_mixed_next(legs_l.phi, x, xt, boundary)
            - cross_phi(xh - xt, lam, mu))
@@ -353,7 +349,7 @@ def superposition_2d(alpha, x, xt, xh, lam, mu, boundary):
 def closure_values_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> np.ndarray:
     """Signed dL per elementary cube (zero iff the 2-form closes)."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
-    legs_l, legs_m = _chain_spec(lam, alpha).legs, _chain_spec(mu, alpha).legs
+    legs_l, legs_m = chain_spec(lam, alpha).legs, chain_spec(mu, alpha).legs
     xu, xtu, xhu = _up(x, boundary), _up(xt, boundary), _up(xh, boundary)
     val = (legs_l.Psi(xtu - xu) - legs_m.Psi(xhu - xu)
            - legs_l.Psi(xth - xh) + legs_m.Psi(xth - xt)
@@ -374,7 +370,7 @@ def conservation_residual_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> float:
     """Sitewise defect of the lattice conservation law tying the parameter
     derivative across the two directions of the cube."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
-    legs_l = _chain_spec(lam, alpha).legs
+    legs_l = chain_spec(lam, alpha).legs
 
     def R_i0(base, img):
         return legs_l.psi(img - base) + _leg_at_mixed_next(legs_l.phi, base, img, boundary)

@@ -18,8 +18,11 @@ skew-symmetry, indices truncate on open chains and wrap on rings):
 Verification is finite-difference based throughout: a map Phi is a Poisson
 map for Pi when J Pi(z) J^T = Pi(Phi(z)) with J the FD Jacobian.  Every FD
 quotient in the package (here and in ``realizations.symplectic_defect``) is
-formed by the one central-difference loop ``_central_differences``, with the
-fixed step h_i = _EPS3 max(1, |z_i|); there is no step option.  The map and
+formed by the one central-difference primitive ``_central_differences``, with
+the fixed step h_i = _EPS3 max(1, |z_i|); there is no step option.  It
+evaluates its whole stencil as one stack of points: the chart and chart-step
+residuals chart or step that stack at once, the map and bracket residuals
+take it one point at a time (``_each_row``).  The map and
 involution residuals take a sequence of brackets and form their Jacobian or
 gradients once per state.  On open chains the structural coordinate a_n is
 frozen, so all FD sweeps run on the reduced chart (b_1..b_n, a_1..a_{n-1}).
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Boundary, CanonicalState, FlaschkaState
+from .core import Boundary, FlaschkaState, worst
 
 _EPS3 = float(2.0 ** -52) ** (1.0 / 3.0)   # central-difference step factor
 
@@ -132,30 +135,43 @@ def _unpack(z: np.ndarray, template: FlaschkaState) -> FlaschkaState:
 
 
 def _central_differences(fn, w0: np.ndarray, indices) -> np.ndarray:
-    """(fn(w0 + h_i e_i) - fn(w0 - h_i e_i)) / 2h_i for each index i, with the
+    """(f(w0 + h_i e_i) - f(w0 - h_i e_i)) / 2h_i for each index i, with the
     step h_i = _EPS3 max(1, |w0_i|).
 
-    fn may return a scalar, a vector or a matrix: the quotients are stacked
-    as a vector, as the columns of a Jacobian, or along a new first axis.
+    fn evaluates f on the whole stencil at once: it takes the (2m, d) stack
+    of the points w0 + h_i e_i and w0 - h_i e_i, in this order for each of
+    the m indices in turn, and returns their values along its first axis
+    (``_each_row`` makes such an fn of a function of one point).  f may
+    return a scalar, a vector or a matrix: the quotients are stacked as a
+    vector, as the columns of a Jacobian, or along a new first axis.
     """
     hvec = _EPS3 * np.maximum(1.0, np.abs(w0))
-    out = []
-    for i in indices:
-        wp, wm = w0.copy(), w0.copy()
-        wp[i] += hvec[i]
-        wm[i] -= hvec[i]
-        out.append((fn(wp) - fn(wm)) / (2.0 * hvec[i]))
-    return np.column_stack(out) if np.ndim(out[0]) == 1 else np.array(out)
+    idx = np.asarray(indices)
+    steps = hvec[idx]
+    rows = np.arange(len(idx))
+    stencil = np.repeat(w0[None, :], 2 * len(idx), axis=0)
+    stencil[2 * rows, idx] += steps
+    stencil[2 * rows + 1, idx] -= steps
+    vals = np.asarray(fn(stencil))
+    across = (-1,) + (1,) * (vals.ndim - 1)   # one step per quotient, across its values
+    quotients = (vals[0::2] - vals[1::2]) / (2.0 * hvec[idx]).reshape(across)
+    return np.ascontiguousarray(quotients.T) if vals.ndim == 2 else quotients
+
+
+def _each_row(fn):
+    """The stencil form of fn, a function of one point: fn of each row."""
+    return lambda points: np.array([fn(w) for w in points])
 
 
 def fd_jacobian(map_fn, s: FlaschkaState):
     """Central FD Jacobian of a state map on the reduced chart."""
     act = _active(s)
-    return _central_differences(lambda z: _pack(map_fn(_unpack(z, s)))[act], _pack(s), act)
+    return _central_differences(_each_row(lambda z: _pack(map_fn(_unpack(z, s)))[act]),
+                                _pack(s), act)
 
 
 def fd_gradient(fn, s: FlaschkaState) -> np.ndarray:
-    return _central_differences(lambda z: fn(_unpack(z, s)), _pack(s), _active(s))
+    return _central_differences(_each_row(lambda z: fn(_unpack(z, s))), _pack(s), _active(s))
 
 
 def poisson_map_residual(map_fn, kinds, s: FlaschkaState) -> float:
@@ -165,9 +181,9 @@ def poisson_map_residual(map_fn, kinds, s: FlaschkaState) -> float:
     sub = np.ix_(act, act)
     J = fd_jacobian(map_fn, s)
     image = map_fn(s)
-    return max(float(np.max(np.abs(J @ bracket_matrix(kind, s)[sub] @ J.T
-                                   - bracket_matrix(kind, image)[sub])))
-               for kind in kinds)
+    return worst(float(np.max(np.abs(J @ bracket_matrix(kind, s)[sub] @ J.T
+                                     - bracket_matrix(kind, image)[sub])))
+                 for kind in kinds)
 
 
 def involution_residual(kinds, s: FlaschkaState, f, g) -> float:
@@ -183,7 +199,7 @@ def involution_residual(kinds, s: FlaschkaState, f, g) -> float:
         scale = max(1.0, float(np.linalg.norm(gf) * np.linalg.norm(P, np.inf) * np.linalg.norm(gg)))
         return float(abs(gf @ P @ gg)) / scale
 
-    return max(residual(kind) for kind in kinds)
+    return worst(residual(kind) for kind in kinds)
 
 
 def jacobi_residual(kind, s: FlaschkaState) -> float:
@@ -192,7 +208,8 @@ def jacobi_residual(kind, s: FlaschkaState) -> float:
     sub = np.ix_(act, act)
     P = bracket_matrix(kind, s)[sub]
     # dP[m, i, j] = d Pi_ij / d z_m
-    dP = _central_differences(lambda z: bracket_matrix(kind, _unpack(z, s))[sub], _pack(s), act)
+    dP = _central_differences(_each_row(lambda z: bracket_matrix(kind, _unpack(z, s))[sub]),
+                              _pack(s), act)
     # sum_m (dPi_ij/dz_m Pi_mk + dPi_jk/dz_m Pi_mi + dPi_ki/dz_m Pi_mj)
     t1 = np.einsum("mij,mk->ijk", dP, P)
     jac = t1 + np.transpose(t1, (1, 2, 0)) + np.transpose(t1, (2, 0, 1))
@@ -206,12 +223,16 @@ def realization_residual(spec, c) -> float:
     Dphi J_can Dphi^T is compared with Pi(phi(c)), Dphi the FD Jacobian of
     the chart (x,p) -> (b,a) and J_can the canonical tensor on (x,p).
     """
-    from .realizations import flaschka_of   # local: realizations imports Bracket/combo from here
+    # local: realizations imports Bracket/combo from here
+    from .realizations import chart_stack, flaschka_of
 
     n = c.n
-    D = _central_differences(
-        lambda w: _pack(flaschka_of(spec, CanonicalState(w[:n], w[n:], c.boundary))),
-        np.concatenate([c.x, c.p]), range(2 * n))
+
+    def chart(w):   # the stencil's (x, p) rows charted as one stack, packed as (b, a)
+        a, b = chart_stack(spec, w[:, :n], w[:, n:], c.boundary)
+        return np.concatenate([b, a], axis=-1)
+
+    D = _central_differences(chart, np.concatenate([c.x, c.p]), range(2 * n))
     # canonical tensor oriented so that flows read f' = {H, f}: {p_k, x_k} = +1
     Jcan = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
     target = bracket_matrix(spec.bracket, flaschka_of(spec, c))

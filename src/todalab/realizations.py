@@ -20,6 +20,10 @@ Open chains use x_0 = +inf, x_{n+1} = -inf, which zeroes every leg of an
 exponentiated gap; charts whose formulas do not degenerate that way
 (difference, rational and hyperbolic charts) are periodic-only.
 
+Charts and steps also act on (..., n) stacks of states, one state per row
+(``chart_stack``, ``step_stack``): every formula is elementwise along the
+last axis, so row i of a stack is bitwise the result for state i alone.
+
 All parameters (h, alpha, epsilon, beta) are bound when the Realization is
 constructed: for the explicit family alpha = h ties even the phase-space
 chart to the step size.  Each explicit-* chart is built from a relativistic
@@ -29,13 +33,15 @@ chart at alpha = h, where that chart's phi leg vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import count
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import Boundary, CanonicalState, FlaschkaState, random_canonical, shifted
-from .errors import DomainError, NoRealBranch, NonInvertibleLeg, SolveFailed
+from .core import (Boundary, CanonicalState, FlaschkaState, random_canonical, shifted,
+                   stack_is_valid)
+from .errors import DomainError, NoRealBranch, NonInvertibleLeg, NumericalError, SolveFailed
 from .maps import _CLOSURE_STEPS, _moebius_slope, _open_chain, _ring_chain, _ring_fixed_point
 from .poisson import Bracket, _central_differences, combo
 from .systems import SYSTEMS
@@ -80,6 +86,8 @@ def _li2(z):
 
 
 def _need(cond, msg, err=DomainError):
+    if cond is True or cond is np.True_:
+        return
     if not np.asarray(cond).all():
         raise err(msg)
 
@@ -125,7 +133,7 @@ class Realization:
     legs: Legs
     bracket: object
     supports_open: bool
-    to_flaschka: Callable
+    chart: Callable                # (x, p, boundary) arrays -> (a, b) arrays
     hamiltonian: Optional[Callable] = None
     ordered_domain: bool = False   # chart requires strictly increasing x
     # Lagrangian slicing: False puts the psi0 difference on the base level
@@ -139,10 +147,17 @@ class Realization:
         """The row of systems.SYSTEMS whose map this chart realizes."""
         return SYSTEMS[_FAMILY_SYSTEM[self.family]]
 
+    def to_flaschka(self, c: CanonicalState) -> FlaschkaState:
+        """The (a, b) state of the canonical state c."""
+        return FlaschkaState(*self.chart(c.x, c.p, c.boundary), c.boundary)
+
 
 # ---------------------------------------------------------------------------
 # gap helpers
 # ---------------------------------------------------------------------------
+
+# Every helper below and every chart body works along the last axis of its
+# arrays, so a (..., n) stack of states is evaluated row by row in one call.
 
 def _gaps(x, boundary):
     """(x_k - x_{k-1}, x_{k+1} - x_k) on a ring; rejects open chains."""
@@ -155,8 +170,8 @@ def _leg_at_mixed_prev(fn, x, xt, boundary):
     """fn(x_k - xt_{k-1}) with the open-end zero at k = 1."""
     if boundary is Boundary.PERIODIC:
         return fn(x - shifted(xt, -1, Boundary.PERIODIC))
-    out = np.zeros(len(x))
-    out[1:] = fn(x[1:] - xt[:-1])
+    out = np.zeros(x.shape)
+    out[..., 1:] = fn(x[..., 1:] - xt[..., :-1])
     return out
 
 
@@ -164,8 +179,8 @@ def _leg_at_mixed_next(fn, x, xt, boundary):
     """fn(x_{k+1} - xt_k) with the open-end zero at k = n."""
     if boundary is Boundary.PERIODIC:
         return fn(shifted(x, 1, Boundary.PERIODIC) - xt)
-    out = np.zeros(len(x))
-    out[:-1] = fn(x[1:] - xt[:-1])
+    out = np.zeros(x.shape)
+    out[..., :-1] = fn(x[..., 1:] - xt[..., :-1])
     return out
 
 
@@ -532,93 +547,96 @@ def _legs_rel_rat_add(h, alpha):
 # phase-space charts
 # ---------------------------------------------------------------------------
 
-def _chart_exp(c):
-    return FlaschkaState(_exp_next(c.x, c.boundary), c.p.copy(), c.boundary)
+# Each chart body maps (x, p, boundary) arrays to the (a, b) arrays of the
+# chart; Realization.to_flaschka wraps it for one state.
+
+def _chart_exp(x, p, boundary):
+    return _exp_next(x, boundary), p
 
 
-def _chart_dual(c):
-    gp, _ = _gaps(c.x, c.boundary)
-    return FlaschkaState(np.exp(c.p), gp, c.boundary)
+def _chart_dual(x, p, boundary):
+    gp, _ = _gaps(x, boundary)
+    return np.exp(p), gp
 
 
-def _chart_mod_exp(c):
-    a = _exp_next(c.x, c.boundary) * np.exp(c.p)
-    b = np.exp(c.p) + _exp_prev(c.x, c.boundary)
-    return FlaschkaState(a, b, c.boundary)
+def _chart_mod_exp(x, p, boundary):
+    a = _exp_next(x, boundary) * np.exp(p)
+    b = np.exp(p) + _exp_prev(x, boundary)
+    return a, b
 
 
 def _chart_hyp_mult(beta):
-    def chart(c):
-        gp, gn = _gaps(c.x, c.boundary)
+    def chart(x, p, boundary):
+        gp, gn = _gaps(x, boundary)
         _need((np.abs(gp) > 1e-300) & (np.abs(gn) > 1e-300),
               "hyperbolic chart needs distinct neighbours")
-        _need(np.abs(c.p) > 1e-300, "hyperbolic chart needs p != 0")
-        a = beta ** 2 * (_coth(gp) + 1.0) * (_coth(gn) - 1.0) / np.sinh(beta * c.p) ** 2
-        cp = _coth(beta * c.p)
+        _need(np.abs(p) > 1e-300, "hyperbolic chart needs p != 0")
+        a = beta ** 2 * (_coth(gp) + 1.0) * (_coth(gn) - 1.0) / np.sinh(beta * p) ** 2
+        cp = _coth(beta * p)
         cp_prev = shifted(cp, -1, Boundary.PERIODIC)
         b = (-beta * (cp + 1.0) * (_coth(gp) + 1.0)
              - beta * (cp_prev - 1.0) * (_coth(gp) - 1.0))
-        return FlaschkaState(a, b, c.boundary)
+        return a, b
     return chart
 
 
-def _chart_rat_mult(c):
-    gp, gn = _gaps(c.x, c.boundary)
+def _chart_rat_mult(x, p, boundary):
+    gp, gn = _gaps(x, boundary)
     _need((np.abs(gp) > 1e-300) & (np.abs(gn) > 1e-300), "chart needs distinct neighbours")
-    _need(np.abs(c.p) > 1e-300, "chart needs p != 0")
-    a = 1.0 / (gp * gn * np.sinh(c.p) ** 2)
-    b = -(_coth(shifted(c.p, -1, Boundary.PERIODIC)) + _coth(c.p)) / gp
-    return FlaschkaState(a, b, c.boundary)
+    _need(np.abs(p) > 1e-300, "chart needs p != 0")
+    a = 1.0 / (gp * gn * np.sinh(p) ** 2)
+    b = -(_coth(shifted(p, -1, Boundary.PERIODIC)) + _coth(p)) / gp
+    return a, b
 
 
-def _chart_rat_add(c):
-    gp, gn = _gaps(c.x, c.boundary)
+def _chart_rat_add(x, p, boundary):
+    gp, gn = _gaps(x, boundary)
     _need((np.abs(gp) > 1e-300) & (np.abs(gn) > 1e-300), "chart needs distinct neighbours")
-    _need(np.abs(c.p) > 1e-300, "chart needs p != 0")
-    a = 1.0 / (gp * gn * c.p ** 2)
-    b = -(1.0 / shifted(c.p, -1, Boundary.PERIODIC) + 1.0 / c.p) / gp
-    return FlaschkaState(a, b, c.boundary)
+    _need(np.abs(p) > 1e-300, "chart needs p != 0")
+    a = 1.0 / (gp * gn * p ** 2)
+    b = -(1.0 / shifted(p, -1, Boundary.PERIODIC) + 1.0 / p) / gp
+    return a, b
 
 
 def _chart_rel_exp_add(alpha):
-    def chart(c):
-        b = c.p - alpha * _exp_prev(c.x, c.boundary)
-        return FlaschkaState(_exp_next(c.x, c.boundary), b, c.boundary)
+    def chart(x, p, boundary):
+        b = p - alpha * _exp_prev(x, boundary)
+        return _exp_next(x, boundary), b
     return chart
 
 
 def _chart_ruijsenaars(alpha):
-    def chart(c):
-        b = np.expm1(alpha * c.p) / alpha
-        a = _exp_next(c.x, c.boundary) * np.exp(alpha * c.p)
-        return FlaschkaState(a, b, c.boundary)
+    def chart(x, p, boundary):
+        b = np.expm1(alpha * p) / alpha
+        a = _exp_next(x, boundary) * np.exp(alpha * p)
+        return a, b
     return chart
 
 
 def _chart_rel_dual(alpha):
-    def chart(c):
-        gp, _ = _gaps(c.x, c.boundary)
-        b = gp - alpha * np.exp(shifted(c.p, -1, Boundary.PERIODIC))
-        return FlaschkaState(np.exp(c.p), b, c.boundary)
+    def chart(x, p, boundary):
+        gp, _ = _gaps(x, boundary)
+        b = gp - alpha * np.exp(shifted(p, -1, Boundary.PERIODIC))
+        return np.exp(p), b
     return chart
 
 
 def _chart_rel_exp_gen(alpha, eps):
     """The eps-deformed chart; at alpha = 0 it is the chart of mod-exp-eps."""
-    def chart(c):
-        b = np.expm1(eps * c.p) / eps + (eps - alpha) * _exp_prev(c.x, c.boundary)
-        a = _exp_next(c.x, c.boundary) * np.exp(eps * c.p)
-        return FlaschkaState(a, b, c.boundary)
+    def chart(x, p, boundary):
+        b = np.expm1(eps * p) / eps + (eps - alpha) * _exp_prev(x, boundary)
+        a = _exp_next(x, boundary) * np.exp(eps * p)
+        return a, b
     return chart
 
 
 def _chart_rel_hyp_mult(alpha, beta):
     eps = 1.0 / (4.0 * beta)
     a0 = _reparametrized(beta, alpha)
-    def chart(c):
-        gp, gn = _gaps(c.x, c.boundary)
+    def chart(x, p, boundary):
+        gp, gn = _gaps(x, boundary)
         _need(np.abs(gn - beta * a0) > 1e-300, "hyperbolic chart hits a coth pole")
-        y = -2.0 * beta * (_coth(beta * c.p + beta * a0) + 1.0)
+        y = -2.0 * beta * (_coth(beta * p + beta * a0) + 1.0)
         z = 2.0 * beta * (_coth(gn - beta * a0) - 1.0)
         y_prev = shifted(y, -1, Boundary.PERIODIC)
         z_prev = shifted(z, -1, Boundary.PERIODIC)
@@ -627,36 +645,36 @@ def _chart_rel_hyp_mult(alpha, beta):
         _need((np.abs(du) > 1e-300) & (np.abs(dv) > 1e-300), "chart denominator vanishes")
         u = y * (1.0 + eps * z_prev) / du
         v = z * (1.0 + eps * y) / dv
-        return FlaschkaState(u * v, u + shifted(v, -1, Boundary.PERIODIC), c.boundary)
+        return u * v, u + shifted(v, -1, Boundary.PERIODIC)
     return chart
 
 
 def _chart_rel_rat_mult(alpha):
-    def chart(c):
-        gp, gn = _gaps(c.x, c.boundary)
-        cp = _coth(c.p)
+    def chart(x, p, boundary):
+        gp, gn = _gaps(x, boundary)
+        cp = _coth(p)
         cp_prev = shifted(cp, -1, Boundary.PERIODIC)
         dp = gp + alpha * cp_prev
         dn = gn + alpha * cp
         _need((np.abs(dp) > 1e-300) & (np.abs(dn) > 1e-300), "chart denominator vanishes")
-        a = 1.0 / (np.sinh(c.p) ** 2 * dp * dn)
+        a = 1.0 / (np.sinh(p) ** 2 * dp * dn)
         b = -(cp_prev + cp) / dp
-        return FlaschkaState(a, b, c.boundary)
+        return a, b
     return chart
 
 
 def _chart_rel_rat_add(alpha):
-    def chart(c):
-        gp, gn = _gaps(c.x, c.boundary)
-        _need(np.abs(c.p) > 1e-300, "chart needs p != 0")
-        ip = 1.0 / c.p
+    def chart(x, p, boundary):
+        gp, gn = _gaps(x, boundary)
+        _need(np.abs(p) > 1e-300, "chart needs p != 0")
+        ip = 1.0 / p
         ip_prev = shifted(ip, -1, Boundary.PERIODIC)
         dp = gp + alpha * ip_prev
         dn = gn + alpha * ip
         _need((np.abs(dp) > 1e-300) & (np.abs(dn) > 1e-300), "chart denominator vanishes")
-        a = 1.0 / (c.p ** 2 * dp * dn)
+        a = 1.0 / (p ** 2 * dp * dn)
         b = -(ip_prev + ip) / dp
-        return FlaschkaState(a, b, c.boundary)
+        return a, b
     return chart
 
 
@@ -700,7 +718,7 @@ class _Row(NamedTuple):
     families: tuple         # the first is the default
     supports_open: bool
     ordered: bool
-    build: Callable         # _Params -> (legs, to_flaschka, bracket, hamiltonian)
+    build: Callable         # _Params -> (legs, chart, bracket, hamiltonian)
     dual_type: bool = False   # see Realization.psi0_on_image
 
 
@@ -855,65 +873,109 @@ def flaschka_of(spec: Realization, c: CanonicalState) -> FlaschkaState:
     return spec.to_flaschka(c)
 
 
+def _on_stack(stacked, one, x, p, boundary, fields, open_end=False):
+    """stacked(x, p, boundary) of (..., n) stacks of positions and momenta,
+    whose row i is bitwise one(state i).  Stacks that fail the checks of a
+    state, on their way in or out, or whose call raises, are passed to one
+    a row at a time instead, its ``fields`` restacked: the rows become
+    states, so the error is the one the first failing row raises."""
+    try:
+        if stack_is_valid(x, p):
+            u, v = stacked(x, p, boundary)
+            if stack_is_valid(u, v, open_end):
+                return u, v
+    except (NumericalError, ValueError):
+        pass
+    n = x.shape[-1]
+    out = [one(CanonicalState(xr, pr, boundary))
+           for xr, pr in zip(x.reshape(-1, n), p.reshape(-1, n))]
+    return tuple(np.array([getattr(s, f) for s in out]).reshape(x.shape) for f in fields)
+
+
+def _chart(spec, x, p, boundary):
+    if boundary is Boundary.OPEN and not spec.supports_open:
+        raise DomainError(f"chart {spec.name} is periodic-only")
+    return spec.chart(x, p, boundary)
+
+
+def chart_stack(spec: Realization, x, p, boundary: Boundary):
+    """(a, b) stacks of the chart on (..., n) stacks of positions and
+    momenta; row i is bitwise ``flaschka_of`` of state i (see ``_on_stack``)."""
+    return _on_stack(partial(_chart, spec), partial(flaschka_of, spec), x, p, boundary,
+                     ("a", "b"), open_end=boundary is Boundary.OPEN)
+
+
 def _psi0_sums(spec, x, boundary):
-    """psi0(x_k - x_{k-1}) - psi0(x_{k+1} - x_k), zero where absent."""
+    """psi0(x_k - x_{k-1}) - psi0(x_{k+1} - x_k), zero where absent: psi0 of
+    each gap once, shifted for the first term."""
     if spec.legs.psi0 is None:
-        return np.zeros(len(x))
-    return (_leg_at_mixed_prev(spec.legs.psi0, x, x, boundary)
-            - _leg_at_mixed_next(spec.legs.psi0, x, x, boundary))
+        return np.zeros(x.shape)
+    nxt = _leg_at_mixed_next(spec.legs.psi0, x, x, boundary)
+    return shifted(nxt, -1, boundary) - nxt
 
 
-def _first_equation_rhs(spec, c):
+def _first_equation_rhs(spec, x, p, boundary):
     """p_k minus every term not involving x~; what psi + phi must equal."""
-    rhs = c.p.copy()
     if spec.legs.psi0 is not None and not spec.psi0_on_image:
-        rhs = rhs - _psi0_sums(spec, c.x, c.boundary)
-    return rhs
+        return p - _psi0_sums(spec, x, boundary)
+    return p
 
 
-def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
-    """One step of the chart's map.
+def _step(spec, x, p, bc):
+    """(x~, p~) of one step of the chart's map on (..., n) arrays.
 
     The first step equation psi(x~_k - x_k) + phi(x_k - x~_{k-1}) = rhs_k is
     a chain giving x~_k from x~_{k-1}: open chains run it forward from
-    x~_1 = x_1 + psi_inv(rhs_1), rings solve it for one unknown, x~_n, by the
-    closure Newton of ``maps._ring_chain`` (``_ring_step``).
+    x~_1 = x_1 + psi_inv(rhs_1), one site for every row at once; rings solve
+    it for one unknown, x~_n, by the closure Newton of ``maps._ring_chain``
+    (``_ring_step``), one row at a time.
     """
-    if c.boundary is Boundary.OPEN and not spec.supports_open:
+    if bc is Boundary.OPEN and not spec.supports_open:
         raise DomainError(f"chart {spec.name} is periodic-only")
-    x, bc = c.x, c.boundary
     legs = spec.legs
-    rhs = _first_equation_rhs(spec, c)
+    rhs = _first_equation_rhs(spec, x, p, bc)
 
     if legs.phi is None:   # the explicit family: a closed-form step
         xt = x + legs.psi_inv(rhs)
+        pt = legs.psi(xt - x)
     elif bc is Boundary.OPEN:
-        xt = np.array(_open_chain(_leg_sites(legs, x, rhs)[0], x[0] + legs.psi_inv(rhs[0]), c.n))
+        # site k of every row is column k of the transposed arrays
+        xs, rs = x.T, rhs.T
+        xt = np.stack(_open_chain(_leg_sites(legs, xs, rs)[0], xs[0] + legs.psi_inv(rs[0]),
+                                  len(xs)), axis=-1)
+        pt = legs.psi(xt - x) + _leg_at_mixed_next(legs.phi, x, xt, bc)
     else:
-        xt = _ring_step(spec, x, rhs)
-
-    v = xt - x
-    pt = legs.psi(v)
-    if legs.phi is not None:
-        pt = pt + _leg_at_mixed_next(legs.phi, x, xt, bc)
-    if spec.legs.psi0 is not None and spec.psi0_on_image:
+        n = x.shape[-1]
+        rows = [_ring_step(spec, xr, rr) for xr, rr in zip(x.reshape(-1, n), rhs.reshape(-1, n))]
+        xt, psi_v, phi_u = (np.array(part).reshape(x.shape) for part in zip(*rows))
+        pt = psi_v + shifted(phi_u, 1, bc)   # phi(x_{k+1} - x~_k) is phi_u at k + 1
+    if legs.psi0 is not None and spec.psi0_on_image:
         pt = pt - _psi0_sums(spec, xt, bc)
-    return CanonicalState(xt, pt, bc)
+    return xt, pt
+
+
+def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
+    """One step of the chart's map (see ``_step``)."""
+    return CanonicalState(*_step(spec, c.x, c.p, c.boundary), c.boundary)
+
+
+def step_stack(spec: Realization, x, p, boundary: Boundary):
+    """(x~, p~) stacks of one step of the chart's map on (..., n) stacks of
+    positions and momenta; row i is bitwise ``canonical_step`` of state i
+    (see ``_on_stack``)."""
+    return _on_stack(partial(_step, spec), partial(canonical_step, spec), x, p, boundary,
+                     ("x", "p"))
 
 
 def _leg_sites(legs, x, rhs):
     """Site update x~_k = x_k + psi_inv(rhs_k - phi(u_k)), u_k = x_k - x~_{k-1},
-    and its slope dx~_k/dx~_{k-1} = dphi(u_k)/dpsi(v_k), v_k = x~_k - x_k."""
+    and its slope dx~_k/dx~_{k-1} = dphi(u_k)/dpsi(v_k), v_k = x~_k - x_k;
+    site k is x[k], a value or a column of values."""
     def update(k, prev):
         return x[k] + legs.psi_inv(rhs[k] - legs.phi(x[k] - prev))
     def site_slope(k, prev, val):
         return legs.dphi(x[k] - prev) / legs.dpsi(val - x[k])
     return update, site_slope
-
-
-def _ring_residual(legs, x, rhs, xt):
-    """psi(x~_k - x_k) + phi(x_k - x~_{k-1}) - rhs_k on a ring."""
-    return legs.psi(xt - x) + legs.phi(x - shifted(xt, -1, Boundary.PERIODIC)) - rhs
 
 
 def _tolerance(rhs):
@@ -922,26 +984,33 @@ def _tolerance(rhs):
 
 
 def _ring_step(spec, x, rhs):
-    """x~ of a ring step by ``maps._ring_chain``, final once the step equation
-    holds to ``_tolerance(rhs)`` after a correction below it (relative to the
-    closing value).  Without a Moebius leg pair the chain runs in x~, seeded
-    at x~_n of a pass with x~_{n-1} = x_{n-1}; a seed, or a pass no halved
-    correction keeps inside the leg domains, raises SolveFailed (the solver
-    gave up: one pass does not show that no closing value exists); so does a
-    last correction that closes the ring while the residual stays above it."""
+    """(x~, psi(x~ - x), phi(x - x~_prev)) of a ring step by
+    ``maps._ring_chain``, final once the step equation psi + phi = rhs holds
+    to ``_tolerance(rhs)`` after a correction below it (relative to the
+    closing value); the two legs are those of the accepted pass's residual.
+    Without a Moebius leg pair the chain runs in x~, seeded at x~_n of a pass
+    with x~_{n-1} = x_{n-1}; a seed, or a pass no halved correction keeps
+    inside the leg domains, raises SolveFailed (the solver gave up: one pass
+    does not show that no closing value exists); so does a last correction
+    that closes the ring while the residual stays above it."""
     legs = spec.legs
     tol = _tolerance(rhs)
     to_xt = np.array if legs.mobius is None else (lambda beta: x + np.log(beta))
     checks = count(1)
+    accepted = []
 
     def closes(vals, step):
         last = next(checks) == _CLOSURE_STEPS      # _ring_chain gives up after it
         if abs(step) > tol * max(1.0, abs(vals[-1])):
             return False
-        residual = float(np.max(np.abs(_ring_residual(legs, x, rhs, to_xt(vals)))))
+        xt = to_xt(vals)
+        psi_v = legs.psi(xt - x)
+        phi_u = legs.phi(x - shifted(xt, -1, Boundary.PERIODIC))
+        residual = float(np.max(np.abs(psi_v + phi_u - rhs)))
         if last and not residual < tol:
             raise SolveFailed(f"ring step residual {residual:.2g} stays above its tolerance "
                               f"{tol:.2g} although the ring closes")
+        accepted[:] = xt, psi_v, phi_u
         return residual < tol
 
     try:
@@ -950,7 +1019,8 @@ def _ring_step(spec, x, rhs):
             t = update(len(x) - 1, x[-2])
         else:
             update, site_slope, t = _mobius_sites(spec, x, rhs)
-        return to_xt(_ring_chain(update, site_slope, closes, t, len(x)))
+        _ring_chain(update, site_slope, closes, t, len(x))
+        return tuple(accepted)
     except (DomainError, NonInvertibleLeg) as exc:
         raise SolveFailed(f"ring solver gave up: a pass leaves a leg domain ({exc})") from exc
 
@@ -1027,9 +1097,8 @@ def symplectic_defect(spec: Realization, c: CanonicalState) -> float:
     """|| J^T Omega J - Omega ||_inf for the FD Jacobian of the step map."""
     n = c.n
 
-    def step(w):
-        ct = canonical_step(spec, CanonicalState(w[:n], w[n:], c.boundary))
-        return np.concatenate([ct.x, ct.p])
+    def step(w):   # the stencil's (x, p) rows stepped as one stack
+        return np.concatenate(step_stack(spec, w[:, :n], w[:, n:], c.boundary), axis=-1)
 
     J = _central_differences(step, np.concatenate([c.x, c.p]), range(2 * n))
     omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])

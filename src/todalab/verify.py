@@ -17,10 +17,11 @@ from itertools import chain
 import numpy as np
 
 from . import lax, maps, pluri, poisson
-from .core import Boundary, random_canonical, random_state
+from .core import Boundary, CanonicalState, random_canonical, random_state, worst
+from .errors import NumericalError
 from .realizations import (CATALOG, canonical_step, chart_specs, chart_state,
                            lagrangian_value, pullback_consistency, realization,
-                           symplectic_defect)
+                           step_stack, symplectic_defect)
 from .systems import SYSTEMS
 
 
@@ -65,20 +66,21 @@ def check_isospectral(seed=0, system="dtl", n=8, steps=10_000, h=0.05, alpha=0.3
     blocks = lax.trajectory_invariants(chain([s], trajectory(row.stepper(h, alpha), s, steps)),
                                        alpha=row.lax_alpha(h, alpha))
     first = next(blocks)
-    worst = max(float(lax.drift(inv, first[0]).max()) for inv in chain([first], blocks))
+    drifts = (float(lax.drift(inv, first[0]).max()) for inv in chain([first], blocks))
     return _record(f"isospectral-{row.label}", dict(n=n, steps=steps, h=h, alpha=alpha),
-                   steps, worst, tol)
+                   steps, worst(drifts), tol)
 
 
 def check_factorization_oracle(seed=0, n=5, h=0.05, max_steps=20, tol=1e-8):
     s0 = random_state(n, Boundary.OPEN, seed)
-    worst = 0.0
-    for m, s in enumerate(trajectory(partial(maps.dtl_step, h=h), s0, max_steps), 1):
+
+    def gaps(m, s):
         closed = lax.exact_solution(s0, h, m)
-        worst = max(worst, float(np.max(np.abs(closed.a - s.a))),
-                    float(np.max(np.abs(closed.b - s.b))))
+        return float(np.max(np.abs(closed.a - s.a))), float(np.max(np.abs(closed.b - s.b)))
+
+    steps = enumerate(trajectory(partial(maps.dtl_step, h=h), s0, max_steps), 1)
     return _record("factorization-oracle", dict(n=n, h=h, max_steps=max_steps),
-                   max_steps, worst, tol)
+                   max_steps, worst(chain.from_iterable(gaps(m, s) for m, s in steps)), tol)
 
 
 _PAIRS = ((0.05, 0.19), (0.08, 0.13), (0.1, 0.23), (0.07, 0.29), (0.11, 0.17))
@@ -89,8 +91,9 @@ def check_commutativity(seed=0, system="bt-toda", n=6, n_states=50,
     al = None if system == "bt-toda" else alpha
 
     def commutator(c, ct, ch, cth, lam, mu):
-        other = pluri.chain_step(ch, lam, al)
-        return max(float(np.max(np.abs(cth.x - other.x))), float(np.max(np.abs(cth.p - other.p))))
+        ox, op = _chain_step(ch, lam, al, boundary)
+        return np.maximum(np.max(np.abs(cth[0] - ox), axis=-1),
+                          np.max(np.abs(cth[1] - op), axis=-1))
 
     return _square_check(f"commute-{system}-{boundary.value}",
                          dict(n=n, pairs=len(pairs), alpha=al), commutator,
@@ -98,28 +101,46 @@ def check_commutativity(seed=0, system="bt-toda", n=6, n_states=50,
 
 
 def check_3d_consistency(seed=0, h=0.1, alpha=0.3, lam=0.7, n_samples=100, tol=1e-9):
-    worst = pluri.check_3d_consistency(h, alpha, lam, n_samples=n_samples, seed=seed)
-    return _record("consistency-3d", dict(h=h, alpha=alpha, lam=lam), n_samples, worst, tol)
+    spread = pluri.check_3d_consistency(h, alpha, lam, n_samples=n_samples, seed=seed)
+    return _record("consistency-3d", dict(h=h, alpha=alpha, lam=lam), n_samples, spread, tol)
+
+
+def _chain_step(corner, lam, alpha, boundary):
+    """``pluri.chain_step`` of an (x, p) corner of stacked states."""
+    return step_stack(pluri.chain_spec(float(lam), alpha), *corner, boundary)
 
 
 def _square_check(name, params, residual, seed, n, n_states, pairs, tol, boundary,
                   alpha=None, lam_last=False):
     """Worst residual(c, ct, ch, cth, lam, mu) over seeded states and step
-    pairs: ct, ch step c by lam, mu; cth steps ct by mu, or ch by lam."""
-    worst = 0.0
-    for i in range(n_states):
-        c = random_canonical(n, boundary, seed + i)
-        for lam, mu in pairs:
-            ct = pluri.chain_step(c, lam, alpha)
-            ch = pluri.chain_step(c, mu, alpha)
-            cth = pluri.chain_step(ch, lam, alpha) if lam_last else pluri.chain_step(ct, mu, alpha)
-            worst = max(worst, residual(c, ct, ch, cth, lam, mu))
-    return _record(name, params, n_states * len(pairs), worst, tol)
+    pairs: ct, ch step c by lam, mu; cth steps ct by mu, or ch by lam.
+
+    Each corner is an (x, p) pair of (B, n) stacks, one row per state, and
+    residual returns one value per row.  All states are stepped as one
+    stack for each pair; if that raises, each state is stepped alone for
+    each pair in turn (state-major order), so the error raised is the one
+    a loop over the samples reaches first."""
+    states = [random_canonical(n, boundary, seed + i) for i in range(n_states)]
+    x, p = np.array([c.x for c in states]), np.array([c.p for c in states])
+
+    def square(c, lam, mu):
+        ct, ch = _chain_step(c, lam, alpha, boundary), _chain_step(c, mu, alpha, boundary)
+        cth = (_chain_step(ch, lam, alpha, boundary) if lam_last
+               else _chain_step(ct, mu, alpha, boundary))
+        return residual(c, ct, ch, cth, lam, mu)
+
+    try:
+        values = np.transpose([square((x, p), lam, mu) for lam, mu in pairs]).ravel()
+    except (NumericalError, ValueError):
+        values = [r for i in range(n_states) for lam, mu in pairs
+                  for r in square((x[i:i + 1], p[i:i + 1]), lam, mu)]
+    return _record(name, params, n_states * len(pairs), worst(values), tol)
 
 
 def _on_positions(residual):
-    """residual(x, xt, xh, xth, lam, mu) of the corner states' positions."""
-    return lambda c, ct, ch, cth, lam, mu: residual(c.x, ct.x, ch.x, cth.x, lam, mu)
+    """residual(x, xt, xh, xth, lam, mu) of each row of the corners' positions."""
+    return lambda c, ct, ch, cth, lam, mu: [residual(*w, lam, mu)
+                                            for w in zip(c[0], ct[0], ch[0], cth[0])]
 
 
 def check_closure_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
@@ -170,9 +191,11 @@ def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, lam=0.15, mu=0.2
     lax_alpha = 0.0 if al is None else al
 
     def drift(c, ct, ch, cth, lam, mu):
-        _, P0 = lax.monodromy_rtl(c, ct.x, lax_alpha, lam)
-        _, P1 = lax.monodromy_rtl(ch, cth.x, lax_alpha, lam)
-        return abs(P1 - P0) / max(1.0, abs(P0))
+        def one(x, p, xt, xh, ph, xth):
+            _, P0 = lax.monodromy_rtl(CanonicalState(x, p, boundary), xt, lax_alpha, lam)
+            _, P1 = lax.monodromy_rtl(CanonicalState(xh, ph, boundary), xth, lax_alpha, lam)
+            return abs(P1 - P0) / max(1.0, abs(P0))
+        return [one(*row) for row in zip(*c, ct[0], *ch, cth[0])]
 
     return _square_check(f"monodromy-{system}", dict(n=n, lam=lam, mu=mu, alpha=al), drift,
                          seed, n, n_states, ((lam, mu),), tol_invariant, boundary, al)
@@ -189,24 +212,20 @@ def _brackets(lax_alpha):
 def check_poisson_maps(seed=0, n=4, n_states=20, h=0.08, alpha=0.3, tol=1e-6,
                        boundary=Boundary.OPEN):
     """Each map preserves the three brackets of the Lax pair it conserves."""
-    worst = 0.0
     cases = [(row.stepper(h, alpha), _brackets(row.lax_alpha(h, alpha)))
              for row in SYSTEMS.values() if not row.flow]
-    for i in range(n_states):
-        s = random_state(n, boundary, seed + i)
-        for step, brackets in cases:
-            worst = max(worst, poisson.poisson_map_residual(step, brackets, s))
+    states = (random_state(n, boundary, seed + i) for i in range(n_states))
+    residuals = (poisson.poisson_map_residual(step, brackets, s)
+                 for s in states for step, brackets in cases)
     return _record("poisson-maps", dict(n=n, h=h, alpha=alpha),
-                   n_states * sum(len(brackets) for _, brackets in cases), worst, tol)
+                   n_states * sum(len(brackets) for _, brackets in cases), worst(residuals), tol)
 
 
 def _chart_check(name, params, specs, residual, n, seed, n_states, tol):
     """Worst residual(spec, state) over the specs and their seeded states."""
-    worst = 0.0
-    for spec in specs:
-        for i in range(n_states):
-            worst = max(worst, residual(spec, chart_state(spec, n, seed + i)))
-    return _record(name, params, len(specs) * n_states, worst, tol)
+    residuals = (residual(spec, chart_state(spec, n, seed + i))
+                 for spec in specs for i in range(n_states))
+    return _record(name, params, len(specs) * n_states, worst(residuals), tol)
 
 
 def check_poisson_realizations(seed=0, n=5, n_states=5, h=0.1, alpha=0.3,
@@ -231,32 +250,29 @@ def check_involution(seed=0, n=5, n_states=10, tol=1e-7):
         return float(np.log(det))
 
     brackets = _brackets(None)
-    worst = 0.0
-    for i in range(n_states):
-        s = random_state(n, Boundary.OPEN, seed + i, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
-        worst = max(worst, poisson.involution_residual(brackets, s, h1, h2),
-                    poisson.involution_residual(brackets, s, h0, h2))
-    return _record("involution", dict(n=n), n_states * 2 * len(brackets), worst, tol)
+    states = (random_state(n, Boundary.OPEN, seed + i, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
+              for i in range(n_states))
+    residuals = (poisson.involution_residual(brackets, s, f, h2)
+                 for s in states for f in (h1, h0))
+    return _record("involution", dict(n=n), n_states * 2 * len(brackets), worst(residuals), tol)
 
 
 def check_alpha_limit(seed=0, n=6, h=0.05, alpha=1e-8, tol=1e-6):
     s = random_state(n, Boundary.OPEN, seed)
     ref = maps.dtl_step(s, h)
-    worst = 0.0
-    for stepper in (maps.drtl_plus_step, maps.drtl_minus_step):
-        out = stepper(s, alpha, h)
-        worst = max(worst, float(np.max(np.abs(out.a - ref.a))),
-                    float(np.max(np.abs(out.b - ref.b))))
-    return _record("limit-alpha-zero", dict(n=n, h=h, alpha=alpha), 2, worst, tol)
+    outs = [stepper(s, alpha, h) for stepper in (maps.drtl_plus_step, maps.drtl_minus_step)]
+    gaps = (float(np.max(np.abs(getattr(out, v) - getattr(ref, v))))
+            for out in outs for v in ("a", "b"))
+    return _record("limit-alpha-zero", dict(n=n, h=h, alpha=alpha), 2, worst(gaps), tol)
 
 
 def _order_record(name, params, errors, min_order):
     """Record of the smallest observed order log2(e_i / e_{i+1}) over the
-    errors of successive step halvings; it passes when that order exceeds
-    min_order."""
-    worst = float(min(np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)))
-    rec = _record(name, params, len(errors), -worst, -min_order)
-    rec["observed_order"] = worst
+    errors of successive step halvings (NaN if any order is); it passes when
+    that order exceeds min_order."""
+    order = float(np.min([np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]))
+    rec = _record(name, params, len(errors), -order, -min_order)
+    rec["observed_order"] = order
     return rec
 
 
@@ -309,14 +325,11 @@ def check_rk4_order(seed=0, n=5, dt=0.05, steps=8, min_order=3.8):
 def check_zcr(seed=0, n=4, h=0.08, alpha=0.3, lams=(0.3, 0.8, 1.4), n_states=5,
               tol=1e-10, boundary=Boundary.PERIODIC):
     spec = realization("rel-exp-add", h, alpha=alpha)
-    worst = 0.0
-    for i in range(n_states):
-        c = random_canonical(n, boundary, seed + i)
-        ct = canonical_step(spec, c)
-        for lam in lams:
-            worst = max(worst, lax.zcr_residual_drtl(c, ct, alpha, h, lam))
+    states = (random_canonical(n, boundary, seed + i) for i in range(n_states))
+    residuals = (lax.zcr_residual_drtl(c, ct, alpha, h, lam)
+                 for c, ct in ((c, canonical_step(spec, c)) for c in states) for lam in lams)
     return _record("zcr-drtl", dict(n=n, h=h, alpha=alpha, lams=list(lams)),
-                   n_states * len(lams), worst, tol)
+                   n_states * len(lams), worst(residuals), tol)
 
 
 def check_pullbacks(seed=0, n=5, h=0.1, alpha=0.3, epsilon=0.2, beta=0.1,

@@ -327,6 +327,17 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 12   # header + 11 states: the flag wins over the file
 
 
+def test_config_defaults_do_not_outlive_their_call(tmp_path):
+    """The parser is built once per process; the defaults a config file sets
+    hold for its own call only."""
+    (tmp_path / "cfg.ini").write_text("steps = 3\n")
+    assert run(tmp_path, "simulate", "--config", "cfg.ini", "--n", "4", "--out", "cfg") == 0
+    assert run(tmp_path, "simulate", "--n", "4", "--out", "plain") == 0
+    rows = [len((tmp_path / f"{out}.trajectory.csv").read_text().splitlines())
+            for out in ("cfg", "plain")]
+    assert rows == [5, 102]   # header + 4 states, then header + the default 101
+
+
 # the config file's own line that a parse error reports
 _BAD_CONFIG_LINE = {b"n 4\n": 1, b"n = 4\nn = 5\n": 2, b"n = 4\nsteps 3\n": 2,
                     b"[run]\nn 4\n": 2}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -362,3 +364,16 @@ def test_conserved_product_matches_monodromy_quantities():
     egap[:-1] = np.exp(c.x[1:] - ct2.x[:-1])
     density = np.sum((ct2.x - c.x) + np.log1p(-lam * ALPHA * egap))
     assert abs(np.log(P2) - density) < 1e-11
+
+
+def test_a_nan_top_corner_is_not_dropped(monkeypatch):
+    """A NaN among the three top-corner values gives a NaN spread, which no
+    tolerance passes."""
+    solve, calls = pluri.quad_solve, []
+
+    def nan_second_top(*args, **kwargs):
+        calls.append(args)
+        return math.nan if len(calls) == 5 else solve(*args, **kwargs)
+
+    monkeypatch.setattr(pluri, "quad_solve", nan_second_top)
+    assert math.isnan(pluri.cube_consistency(0.1, 0.3, 0.7, 0.5, 0.9, 1.3, 0.7))

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from todalab import maps, poisson
-from todalab.core import Boundary, FlaschkaState, random_state
+from todalab.core import Boundary, CanonicalState, FlaschkaState, random_state
+from todalab.realizations import chart_specs, chart_stack, chart_state, flaschka_of
 
 TL1, TL2, TL3 = (poisson.Bracket(k) for k in ("tl1", "tl2", "tl3"))
 
@@ -56,7 +61,8 @@ def test_central_differences_are_exact_on_quadratics():
     A, B = rng.uniform(-1, 1, (4, 4)), rng.uniform(-1, 1, (3, 4))
     w = rng.uniform(-2, 2, 4)
     idx = [0, 2, 3]
-    cd = poisson._central_differences
+    def cd(f, w0, indices):   # f of one point, through the stencil's per-row form
+        return poisson._central_differences(poisson._each_row(f), w0, indices)
     grad = cd(lambda v: float(v @ A @ v), w, idx)
     np.testing.assert_allclose(grad, ((A + A.T) @ w)[idx], rtol=0, atol=1e-9)
     jac = cd(lambda v: B @ v + v[0] * v[:3], w, idx)
@@ -138,3 +144,64 @@ def test_h0_h2_in_involution():
 def test_self_involution_is_exactly_zero():
     s = random_state(5, Boundary.OPEN, 7)
     assert poisson.involution_residual((TL1,), s, _h2, _h2) < 1e-14
+
+
+def _loop_differences(f, w0, indices):
+    """The central differences of f, a function of one point, one index at a
+    time: the reference for the stencil of _central_differences."""
+    hvec = poisson._EPS3 * np.maximum(1.0, np.abs(w0))
+    out = []
+    for i in indices:
+        wp, wm = w0.copy(), w0.copy()
+        wp[i] += hvec[i]
+        wm[i] -= hvec[i]
+        out.append((f(wp) - f(wm)) / (2.0 * hvec[i]))
+    return np.column_stack(out) if np.ndim(out[0]) == 1 else np.array(out)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(d=st.integers(1, 9), kind=st.sampled_from(["scalar", "vector", "matrix"]),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+def test_stacked_central_differences_are_the_loop_over_the_indices_bitwise(d, kind, seed, data):
+    rng = np.random.default_rng(seed)
+    w0 = rng.uniform(-3.0, 3.0, d)
+    A = rng.uniform(-1.0, 1.0, (d, d))
+    indices = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True))
+    f = {"scalar": lambda w: float(np.sin(w) @ A @ np.exp(w)),
+         "vector": lambda w: A @ np.sin(w) * np.exp(w),
+         "matrix": lambda w: np.outer(np.sin(w), np.cosh(w)) @ A}[kind]
+    got = poisson._central_differences(poisson._each_row(f), w0, indices)
+    want = _loop_differences(f, w0, indices)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("index", range(0, 25, 3))
+def test_stacked_chart_jacobian_is_the_loop_over_the_points_bitwise(index):
+    """The chart stack of realization_residual gives the Jacobian of charting
+    each stencil point as a state."""
+    spec = chart_specs(0.1)[index]
+    c = chart_state(spec, 5, 4)
+    n = c.n
+
+    def stacked(w):
+        a, b = chart_stack(spec, w[:, :n], w[:, n:], c.boundary)
+        return np.concatenate([b, a], axis=-1)
+
+    def one(w):
+        return poisson._pack(flaschka_of(spec, CanonicalState(w[:n], w[n:], c.boundary)))
+
+    w0 = np.concatenate([c.x, c.p])
+    got = poisson._central_differences(stacked, w0, range(2 * n))
+    assert np.array_equal(got, _loop_differences(one, w0, range(2 * n)))
+
+
+def test_a_nan_bracket_residual_is_not_dropped(monkeypatch):
+    """The NaN residual of the second bracket survives the fold over them."""
+    s = random_state(4, Boundary.OPEN, 1)
+    bracket_matrix = poisson.bracket_matrix
+    monkeypatch.setattr(poisson, "bracket_matrix", lambda kind, st: bracket_matrix(kind, st)
+                        * (math.nan if kind is TL2 else 1.0))
+    assert math.isnan(poisson.poisson_map_residual(lambda st: st, (TL1, TL2), s))
+    assert math.isnan(poisson.involution_residual((TL1, TL2), s, lambda st: float(np.sum(st.b)),
+                                                  lambda st: float(np.sum(st.a))))

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from functools import partial
 
 import numpy as np
@@ -7,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab import maps
+from todalab.pluri import chain_spec
 from todalab.core import Boundary, CanonicalState, random_canonical
 from todalab.errors import (DomainError, NonInvertibleLeg, NoRealBranch, NumericalError,
                             SolveFailed)
 from todalab.realizations import (_first_equation_rhs, _li2, _tolerance, canonical_step,
-                                  chart_specs, chart_state, flaschka_of,
+                                  chart_specs, chart_stack, chart_state, flaschka_of,
                                   lagrangian_value, newtonian_residual,
-                                  pullback_consistency, realization,
+                                  pullback_consistency, realization, step_stack,
                                   symplectic_defect)
 from todalab.verify import (check_closure_2d, check_commutativity,
                             check_conservation_2d, check_corners_2d, check_involution,
@@ -237,7 +239,7 @@ def test_exact_ring_step_solves_the_step_equation_and_matches_newton(
         index, n, lam, alpha, seed):
     spec = chart_specs(lam, alpha=alpha, epsilon=EPS, beta=BETA)[index]
     c = chart_state(spec, n, seed, Boundary.PERIODIC)
-    rhs = _first_equation_rhs(spec, c)
+    rhs = _first_equation_rhs(spec, c.x, c.p, c.boundary)
     with np.errstate(all="ignore"):   # failing solves overflow on the way
         xn = _dense_newton_ring(spec, c.x, rhs)
         try:
@@ -263,7 +265,7 @@ def test_generating_equations_hold(spec):
     lhs = legs.psi(v)
     if spec.family != "explicit":
         lhs = lhs + _leg_at_mixed_prev(legs.phi, c.x, ct.x, bc)
-    assert np.max(np.abs(lhs - _first_equation_rhs(spec, c))) < 1e-10
+    assert np.max(np.abs(lhs - _first_equation_rhs(spec, c.x, c.p, c.boundary))) < 1e-10
     rhs2 = legs.psi(v)
     if spec.family != "explicit":
         rhs2 = rhs2 + _leg_at_mixed_next(legs.phi, c.x, ct.x, bc)
@@ -516,3 +518,100 @@ _CRITERION_RECORDS = {
 def test_criterion_records_match_golden_residual(check, kwargs, want):
     rec = check(**kwargs)
     assert rec["pass"] and rec["max_residual"] == want
+
+
+# ---------------------------------------------------------------------------
+# stacks of states: row i of a stacked chart or step is that of state i
+# ---------------------------------------------------------------------------
+
+def _per_state(fn, states, fields):
+    """fn of each state in turn, its fields restacked; or the first error's
+    type and message."""
+    try:
+        out = [fn(c) for c in states]
+    except (NumericalError, ValueError) as exc:
+        return type(exc), str(exc)
+    return tuple(np.array([getattr(s, f) for s in out]) for f in fields)
+
+
+def _stacked(fn, states):
+    """fn of the (B, n) stacks of the states' x and p; or its error's type and
+    message."""
+    x, p = np.array([c.x for c in states]), np.array([c.p for c in states])
+    try:
+        return fn(x, p, states[0].boundary)
+    except (NumericalError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _bitwise_equal(got, want):
+    if isinstance(want[0], type):   # both raised, the same error
+        return got == want
+    return (not isinstance(got[0], type) and len(got) == len(want)
+            and all(g.shape == w.shape and np.array_equal(g, w) for g, w in zip(got, want)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 9), boundary=st.sampled_from(list(Boundary)),
+       lam=st.floats(0.03, 0.3), alpha=st.sampled_from([None, 0.3]),
+       seed=st.integers(0, 2 ** 16), rows=st.integers(1, 5))
+def test_stacked_chain_step_is_the_per_state_step_bitwise(n, boundary, lam, alpha, seed, rows):
+    spec = chain_spec(lam, alpha)
+    states = [random_canonical(n, boundary, seed + i) for i in range(rows)]
+    with np.errstate(all="ignore"):
+        want = _per_state(partial(canonical_step, spec), states, ("x", "p"))
+        got = _stacked(partial(step_stack, spec), states)
+    assert _bitwise_equal(got, want), (got, want)
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+def test_every_chart_and_its_step_act_on_stacks_row_by_row(spec, boundary):
+    if boundary is Boundary.OPEN and not spec.supports_open:
+        boundary = Boundary.PERIODIC
+    states = [chart_state(spec, 5, seed, boundary) for seed in range(4)]
+    with np.errstate(all="ignore"):
+        for one, stacked, fields in ((partial(flaschka_of, spec), chart_stack, ("a", "b")),
+                                     (partial(canonical_step, spec), step_stack, ("x", "p"))):
+            want = _per_state(one, states, fields)
+            got = _stacked(partial(stacked, spec), states)
+            assert _bitwise_equal(got, want), (spec_id(spec), fields, got, want)
+
+
+def test_a_stack_raises_the_error_of_its_first_failing_row():
+    """Row 3 leaves the domain of psi_inv at site 1, row 1 hits a pole of phi
+    at site 3: the stack steps site 1 of every row first, but it raises row
+    1's error, as stepping the states in turn does."""
+    spec = realization("rel-exp-add", H, alpha=ALPHA)
+    states = [random_canonical(5, Boundary.OPEN, seed) for seed in range(5)]
+    x, p = np.array([c.x for c in states]), np.array([c.p for c in states])
+    p[3, 0] = -50.0                                # 1 + h p_1 < 0
+    x[1, 2] = x[1, 1] + 10.0                       # with p_2 below, x~_2 - x_2 is
+    p[1, 1] = -0.9 * ALPHA * np.exp(10.0)          # about 4.2: 1 - h alpha e^{5.8} < 0
+    errors = []
+    for row in (1, 3):
+        with pytest.raises(NumericalError) as exc:
+            canonical_step(spec, CanonicalState(x[row], p[row], Boundary.OPEN))
+        errors.append((type(exc.value), str(exc.value)))
+    assert errors[0] != errors[1], errors
+    with pytest.raises(errors[0][0], match=f"^{re.escape(errors[0][1])}$"):
+        step_stack(spec, x, p, Boundary.OPEN)
+
+
+def test_stacks_get_the_checks_of_a_state():
+    spec = realization("exp", H)
+    x = np.zeros((3, 4))
+    p = np.ones((3, 4))
+    p[2, 1] = np.inf
+    with pytest.raises(ValueError, match="^p must be finite$"):
+        step_stack(spec, x, p, Boundary.OPEN)
+    with pytest.raises(ValueError, match="^p must be finite$"):
+        chart_stack(spec, x, p, Boundary.OPEN)
+    x[0, 3] = 800.0   # e^{x_4 - x_3} overflows in the chart
+    with pytest.raises(ValueError, match="^a must be finite$"), np.errstate(over="ignore"):
+        chart_stack(spec, x, np.ones((3, 4)), Boundary.PERIODIC)
+    big = np.full((3, 4), 1.7e308)   # x~ = x + h p overflows in the step
+    with pytest.raises(ValueError, match="^x must be finite$"), np.errstate(over="ignore"):
+        step_stack(realization("explicit-b", H), big, big, Boundary.OPEN)
+    with pytest.raises(DomainError, match="periodic-only"):
+        step_stack(realization("dual", H), np.zeros((2, 4)), np.ones((2, 4)), Boundary.OPEN)

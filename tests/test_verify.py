@@ -1,8 +1,16 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from todalab.core import Boundary, random_state
+from todalab import lax, pluri, verify
+from todalab.core import Boundary, random_canonical, random_state
+from todalab.errors import NonInvertibleLeg, NumericalError
 from todalab.lax import drift, spectral_invariants, spectral_nodes, states_per_chunk
+from todalab.realizations import chart_specs
 from todalab.systems import SYSTEMS
 from todalab.verify import (CHECKS, check_commutativity, check_isospectral, run_suite,
                             simulate, trajectory)
@@ -102,3 +110,159 @@ def test_criterion_3_ring_commutator_floor(system):
 def test_trajectory_yields_the_state_after_each_step():
     assert list(trajectory(lambda k: k + 1, 0, 3)) == [1, 2, 3]
     assert list(trajectory(lambda k: k + 1, 0, 0)) == []
+
+
+# ---------------------------------------------------------------------------
+# square checks: stacked states give the records of a loop over the samples
+# ---------------------------------------------------------------------------
+
+def _commutator(al):
+    def residual(c, ct, ch, cth, lam, mu):
+        other = pluri.chain_step(ch, lam, al)
+        return max(float(np.max(np.abs(cth.x - other.x))), float(np.max(np.abs(cth.p - other.p))))
+    return residual
+
+
+def _positions(fn):
+    return lambda c, ct, ch, cth, lam, mu: fn(c.x, ct.x, ch.x, cth.x, lam, mu)
+
+
+def _drift(al):
+    lax_alpha = 0.0 if al is None else al
+
+    def residual(c, ct, ch, cth, lam, mu):
+        _, P0 = lax.monodromy_rtl(c, ct.x, lax_alpha, lam)
+        _, P1 = lax.monodromy_rtl(ch, cth.x, lax_alpha, lam)
+        return abs(P1 - P0) / max(1.0, abs(P0))
+    return residual
+
+
+def _reference_square(residual, seed, n, n_states, pairs, boundary, alpha=None, lam_last=False):
+    """The worst residual of a loop over the states and, for each, the pairs:
+    max_residual of the square check's record, or the first error raised."""
+    values = []
+    try:
+        for i in range(n_states):
+            c = random_canonical(n, boundary, seed + i)
+            for lam, mu in pairs:
+                ct = pluri.chain_step(c, lam, alpha)
+                ch = pluri.chain_step(c, mu, alpha)
+                cth = pluri.chain_step(ch, lam, alpha) if lam_last else pluri.chain_step(ct, mu,
+                                                                                         alpha)
+                values.append(residual(c, ct, ch, cth, lam, mu))
+    except (NumericalError, ValueError) as exc:
+        return type(exc), str(exc)
+    return max(values, key=lambda v: math.inf if math.isnan(v) else v)
+
+
+def _square_cases(boundary):
+    """(check, its kwargs, the reference loop's residual, alpha, lam_last)."""
+    pairs = verify._PAIRS
+    return [
+        (verify.check_commutativity, dict(system="bt-toda", boundary=boundary),
+         _commutator(None), None, False, pairs),
+        (verify.check_commutativity, dict(system="bt-rtl", boundary=boundary),
+         _commutator(0.3), 0.3, False, pairs),
+        (verify.check_closure_1d, dict(boundary=boundary),
+         _positions(lambda *w: abs(pluri.closure_value_1d(*w, boundary))), None, False, pairs[:3]),
+        (verify.check_spectrality_1d, dict(boundary=boundary),
+         _positions(lambda x, xt, xh, xth, lam, mu: pluri.spectrality_residual(
+             (x, xt), (xh, xth), lam, boundary)), None, True, pairs[:3]),
+        (verify.check_closure_2d, dict(boundary=boundary),
+         _positions(lambda *w: pluri.closure_value_2d(0.3, *w, boundary)), 0.3, False, pairs[:3]),
+        (verify.check_conservation_2d, dict(boundary=boundary),
+         _positions(lambda *w: pluri.conservation_residual_2d(0.3, *w, boundary)), 0.3, True,
+         pairs[:3]),
+        (verify.check_corners_2d, dict(boundary=boundary),
+         _positions(lambda *w: max(float(np.max(np.abs(v))) for v in
+                                   pluri.corner_residuals_2d(0.3, *w, boundary).values())),
+         0.3, False, pairs[:3]),
+        (verify.check_monodromy, dict(system="bt-toda", boundary=boundary),
+         _drift(None), None, False, ((0.15, 0.23),)),
+        (verify.check_monodromy, dict(system="bt-rtl", boundary=boundary),
+         _drift(0.3), 0.3, False, ((0.15, 0.23),)),
+    ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(case=st.integers(0, 8), boundary=st.sampled_from(list(Boundary)),
+       n=st.integers(2, 9), n_states=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_square_check_records_are_those_of_a_loop_over_the_samples(case, boundary, n,
+                                                                    n_states, seed):
+    check, kwargs, residual, alpha, lam_last, pairs = _square_cases(boundary)[case]
+    with np.errstate(all="ignore"):
+        want = _reference_square(residual, seed, n, n_states, pairs, boundary, alpha, lam_last)
+        try:
+            got = check(seed=seed, n=n, n_states=n_states, **kwargs)["max_residual"]
+        except (NumericalError, ValueError) as exc:
+            got = type(exc), str(exc)
+    if isinstance(want, float) and math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got == want
+
+
+def test_commutativity_raises_the_first_failure_of_the_loop_over_the_samples():
+    """Of the 250 samples of seed 12345, state 16 at the pair (0.07, 0.29) is
+    the one whose step has no real solution."""
+    want = _reference_square(_commutator(None), 12345, 6, 17, verify._PAIRS, Boundary.OPEN)
+    assert want == (NonInvertibleLeg, "step equation has no real solution")
+    assert isinstance(_reference_square(_commutator(None), 12345, 6, 16, verify._PAIRS,
+                                        Boundary.OPEN), float)
+    with pytest.raises(NonInvertibleLeg, match="^step equation has no real solution$"):
+        check_commutativity(seed=12345, system="bt-toda", n=6)
+
+
+def test_square_check_raises_the_error_of_the_first_sample_in_state_major_order(monkeypatch):
+    """The step's psi_inv fails for state 3 at the first pair and for state 1
+    at the third: stepped pair by pair, the stack meets state 3 first; the
+    check raises state 1's error, as the loop over states, then pairs, does."""
+    n, pairs = 6, verify._PAIRS[:3]
+    first_p = {random_canonical(n, Boundary.OPEN, i).p[0]: i for i in range(5)}
+    failing = {(3, pairs[0][0]), (1, pairs[2][0])}
+    chain_spec = pluri.chain_spec
+
+    def failing_spec(lam, alpha):
+        spec = chain_spec(lam, alpha)
+
+        def psi_inv(y):
+            for v in np.ravel(y):   # rhs_1 = p_1 at the first site of a step of c
+                if (first_p.get(v), lam) in failing:
+                    raise NonInvertibleLeg(f"state {first_p[v]}")
+            return spec.legs.psi_inv(y)
+        return replace(spec, legs=replace(spec.legs, psi_inv=psi_inv))
+
+    monkeypatch.setattr(pluri, "chain_spec", failing_spec)
+    with pytest.raises(NonInvertibleLeg, match="^state 1$"):
+        verify.check_closure_1d(seed=0, n=n, n_states=5, pairs=pairs)
+
+
+# ---------------------------------------------------------------------------
+# a NaN residual fails its record
+# ---------------------------------------------------------------------------
+
+def test_a_nan_square_residual_fails_its_record():
+    def residual(c, ct, ch, cth, lam, mu):   # NaN for the second state only
+        return np.where(np.arange(len(c[0])) == 1, np.nan, 1e-16)
+
+    rec = verify._square_check("t", {}, residual, 0, 4, 3, verify._PAIRS[:2], 1e-10,
+                               Boundary.OPEN)
+    assert math.isnan(rec["max_residual"]) and rec["pass"] is False
+
+
+def test_a_nan_chart_residual_fails_its_record():
+    specs = chart_specs(0.1)[:2]
+    seen = []
+
+    def residual(spec, c):   # NaN for the first sample only
+        seen.append(spec)
+        return math.nan if len(seen) == 1 else 1e-16
+
+    rec = verify._chart_check("t", {}, specs, residual, 4, 0, 2, 1e-10)
+    assert len(seen) == 4
+    assert math.isnan(rec["max_residual"]) and rec["pass"] is False
+
+
+def test_a_nan_order_fails_its_record():
+    rec = verify._order_record("t", {}, [1.0, 0.25, math.nan], 1.9)
+    assert math.isnan(rec["observed_order"]) and rec["pass"] is False
