@@ -157,14 +157,19 @@ def _ring_fixed_point(sites) -> float:
 
 
 def _moebius_slope(sites):
-    """Slope dv_k/dv_{k-1} = det M_k / (m21 v_{k-1} + m22)^2 of Moebius site k."""
+    """Slope dv_k/dv_{k-1} = det M_k / (m21 v_{k-1} + m22)^2 of Moebius site k,
+    whose entries are floats or columns of floats.  The square is libm's pow
+    on both: ``** 2`` of a float calls it, of a column it is x*x, which
+    differs in the last bit of about one square in a thousand."""
+    square = np.float_power if isinstance(sites[0][0], np.ndarray) else pow
+
     def slope(k, prev, val):
         m11, m12, m21, m22 = sites[k]
-        return (m11 * m22 - m12 * m21) / (m21 * prev + m22) ** 2
+        return (m11 * m22 - m12 * m21) / square(m21 * prev + m22, 2)
     return slope
 
 
-def _ring_chain(update, site_slope, closes, t: float, n: int) -> list:
+def _ring_chain(update, site_slope, closes, t, n: int) -> list:
     """Values of the cyclic recurrence v_k = update(k, v_{k-1}) from a seed t
     for v_{n-1}, the one closure loop of every map and chart ring: Newton
     steps on the closure v_{n-1}(t) = t, with the product of the
@@ -172,7 +177,16 @@ def _ring_chain(update, site_slope, closes, t: float, n: int) -> list:
     pass; a correction whose pass leaves a leg domain is halved up to
     _HALVINGS times.  The first corrected pass ``closes(vals, step)`` accepts,
     given the correction ``step`` just made, is final (a correction that
-    leaves t as it is keeps the previous pass)."""
+    leaves t as it is keeps the previous pass).
+
+    t may also be a column, one seed for each row of a stack of rings whose
+    site k is the column ``vals[k]``: every row runs the float arithmetic of
+    its own loop.  A correction that moves any row re-passes the stack, the
+    unmoved rows from their unchanged t, so each row's passes are bitwise
+    those of its own loop.  A stacked pass is never halved: a row that
+    leaves a leg domain raises for the stack, whose rows the caller then
+    solves one at a time."""
+    columns = isinstance(t, np.ndarray)
     vals = _open_chain(update, update(0, t), n)
     for _ in range(_CLOSURE_STEPS):
         slope = math.prod(site_slope(k, prev, val)
@@ -180,10 +194,17 @@ def _ring_chain(update, site_slope, closes, t: float, n: int) -> list:
         step = (vals[-1] - t) / (1.0 - slope)
         for _ in range(_HALVINGS):
             try:
-                if t + step != t:
+                if columns:
+                    moved = t + step != t
+                    if moved.any():
+                        t = np.where(moved, t + step, t)
+                        vals = _open_chain(update, update(0, t), n)
+                elif t + step != t:
                     vals, t = _open_chain(update, update(0, t + step), n), t + step
                 break
             except (DomainError, NonInvertibleLeg):
+                if columns:
+                    raise
                 step *= 0.5
         else:
             raise SolveFailed("ring solver gave up: every halved correction leaves a leg domain")

@@ -31,6 +31,7 @@ frozen, so all FD sweeps run on the reduced chart (b_1..b_n, a_1..a_{n-1}).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,66 +52,87 @@ def combo(*terms):
 
 
 def bracket_matrix(kind, s: FlaschkaState) -> np.ndarray:
-    """Poisson tensor Pi(z) in coordinates z = (b, a); exactly skew by fill."""
+    """Poisson tensor Pi(z) in coordinates z = (b, a); exactly skew by fill.
+
+    Each entry of ``_SITE_ENTRIES`` at each site k adds its value at (i, j)
+    and subtracts it at (j, i), site after site and entry after entry: one
+    np.bincount sums them from zero in that order, so entries that meet on
+    rings of two or three sites add up as they come.
+    """
     if isinstance(kind, tuple):
         out = np.zeros((2 * s.n, 2 * s.n))
         for coef, br in kind:
             out += coef * bracket_matrix(br, s)
         return out
 
-    a, b, n = s.a, s.b, s.n
-    wrap = s.boundary is Boundary.PERIODIC
-    al = kind.alpha
-    P = np.zeros((2 * n, 2 * n))
+    if kind.kind not in _SITE_ENTRIES:
+        raise ValueError(f"unknown bracket kind {kind.kind!r}")
+    n = s.n
+    pairs, values = _SITE_ENTRIES[kind.kind]
+    flat, order = _scatter(pairs, n, s.boundary is Boundary.PERIODIC)
+    vals = np.array([values(kind.alpha, *site) for site in _sites(s)]).ravel()
+    weights = np.concatenate((vals, -vals))[order]
+    return np.bincount(flat, weights, minlength=4 * n * n).reshape(2 * n, 2 * n)
 
-    def put(i, j, val):
-        P[i, j] += val
-        P[j, i] -= val
 
-    for k in range(n):
-        k1 = (k + 1) % n
-        k2 = (k + 2) % n
-        has1 = wrap or k + 1 < n
-        has2 = wrap or k + 2 < n
-        B, A = k, n + k
+def _sites(s: FlaschkaState):
+    """(a_k, b_k, a_{k+1}, b_{k+1}, a_{k+2}, b_{k+2}, a_k^2, b_k^2, b_{k+1}^2)
+    of each site k as Python floats, neighbours taken round the ring (the
+    table drops entries past an open end); the squares are libm's pow, as
+    ``x ** 2`` of a float."""
+    a, b = s.a.tolist(), s.b.tolist()
+    aa, bb = np.float_power(s.a, 2).tolist(), np.float_power(s.b, 2).tolist()
+    a1, b1, bb1 = a[1:] + a[:1], b[1:] + b[:1], bb[1:] + bb[:1]
+    return zip(a, b, a1, b1, a1[1:] + a1[:1], b1[1:] + b1[:1], aa, bb, bb1)
 
-        if kind.kind == "tl1":
-            put(B, A, -a[k])
-            if has1:
-                put(A, k1, -a[k])
-        elif kind.kind in ("tl2", "rtl2"):
-            put(B, A, -b[k] * a[k])
-            if has1:
-                put(A, k1, -a[k] * b[k1])
-                put(B, k1, -a[k])
-                put(A, n + k1, -a[k] * a[k1])
-        elif kind.kind == "tl3":
-            put(B, A, -a[k] * (b[k] ** 2 + a[k]))
-            if has1:
-                put(A, k1, -a[k] * (b[k1] ** 2 + a[k]))
-                put(B, k1, -a[k] * (b[k] + b[k1]))
-                put(A, n + k1, -2.0 * a[k] * a[k1] * b[k1])
-                put(B, n + k1, -a[k] * a[k1])
-            if has2:
-                put(A, k2, -a[k] * a[k1])
-        elif kind.kind == "rtl1":
-            put(B, A, -a[k])
-            if has1:
-                put(A, k1, -a[k])
-                put(B, k1, al * a[k])
-        elif kind.kind == "rtl3":
-            put(B, A, -a[k] * (b[k] ** 2 + a[k]) - al * b[k] * a[k] ** 2)
-            if has1:
-                put(A, k1, -a[k] * (b[k1] ** 2 + a[k]) - al * a[k] ** 2 * b[k1])
-                put(B, k1, -a[k] * (b[k] + b[k1]) - al * b[k] * a[k] * b[k1])
-                put(A, n + k1, -2.0 * a[k] * b[k1] * a[k1] - al * a[k] * a[k1] * (a[k] + a[k1]))
-                put(B, n + k1, -a[k] * a[k1] - al * b[k] * a[k] * a[k1])
-            if has2:
-                put(A, k2, -a[k] * a[k1] - al * a[k] * a[k1] * b[k2])
-                put(A, n + k2, -al * a[k] * a[k1] * a[k2])
-        else:
-            raise ValueError(f"unknown bracket kind {kind.kind!r}")
-    return P
+
+# z index of b_{k+d} (block 0) or a_{k+d} (block 1) at site k, as (block, d)
+_B, _A, _B1, _A1, _B2, _A2 = (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)
+
+# Each elementary bracket as the (i, j) of its entries {z_i, z_j} at site k,
+# in the order of the table above, and their values at site k from alpha and
+# the site's ``_sites`` floats.
+_SITE_ENTRIES = {
+    "tl1": (((_B, _A), (_A, _B1)),
+            lambda al, a, b, a1, b1, a2, b2, aa, bb, bb1: (-a, -a)),
+    "tl2": (((_B, _A), (_A, _B1), (_B, _B1), (_A, _A1)),
+            lambda al, a, b, a1, b1, a2, b2, aa, bb, bb1: (-b * a, -a * b1, -a, -a * a1)),
+    "tl3": (((_B, _A), (_A, _B1), (_B, _B1), (_A, _A1), (_B, _A1), (_A, _B2)),
+            lambda al, a, b, a1, b1, a2, b2, aa, bb, bb1: (
+                -a * (bb + a), -a * (bb1 + a), -a * (b + b1), -2.0 * a * a1 * b1,
+                -a * a1, -a * a1)),
+    "rtl1": (((_B, _A), (_A, _B1), (_B, _B1)),
+             lambda al, a, b, a1, b1, a2, b2, aa, bb, bb1: (-a, -a, al * a)),
+    "rtl3": (((_B, _A), (_A, _B1), (_B, _B1), (_A, _A1), (_B, _A1), (_A, _B2), (_A, _A2)),
+             lambda al, a, b, a1, b1, a2, b2, aa, bb, bb1: (
+                 -a * (bb + a) - al * b * aa,
+                 -a * (bb1 + a) - al * aa * b1,
+                 -a * (b + b1) - al * b * a * b1,
+                 -2.0 * a * b1 * a1 - al * a * a1 * (a + a1),
+                 -a * a1 - al * b * a * a1,
+                 -a * a1 - al * a * a1 * b2,
+                 -al * a * a1 * a2)),
+}
+_SITE_ENTRIES["rtl2"] = _SITE_ENTRIES["tl2"]
+
+
+@lru_cache(maxsize=None)
+def _scatter(pairs, n: int, wrap: bool):
+    """Where the site entries at ``pairs`` land in the flattened 2n x 2n
+    tensor: for each kept (site, entry), site-major, the flat index of
+    (i, j) and then of (j, i); and, in the same order, the position of its
+    value in the site-major list of values followed by their negatives.
+    On an open chain an entry reaching site k + d is kept for k + d < n."""
+    (bi, di), (bj, dj) = (np.array(side).T for side in zip(*pairs))
+    k = np.arange(n)[:, None]
+    i, j = bi * n + (k + di) % n, bj * n + (k + dj) % n
+    keep = wrap | (k + np.maximum(di, dj) < n)
+    at = (k * len(pairs) + np.arange(len(pairs)))[keep]
+    flat = np.stack([i * 2 * n + j, j * 2 * n + i], axis=-1)[keep].ravel()
+    order = np.stack([at, at + len(pairs) * n], axis=-1).ravel()
+    for shared in (flat, order):   # every later call gets these same arrays
+        shared.flags.writeable = False
+    return flat, order
 
 
 # ---------------------------------------------------------------------------

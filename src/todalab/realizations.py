@@ -22,7 +22,8 @@ exponentiated gap; charts whose formulas do not degenerate that way
 
 Charts and steps also act on (..., n) stacks of states, one state per row
 (``chart_stack``, ``step_stack``): every formula is elementwise along the
-last axis, so row i of a stack is bitwise the result for state i alone.
+last axis, and the chains of a step run site k of every row at once, so
+row i of a stack is bitwise the result for state i alone.
 
 All parameters (h, alpha, epsilon, beta) are bound when the Realization is
 constructed: for the explicit family alpha = h ties even the phase-space
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import count
+from itertools import count, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -371,8 +372,8 @@ def _legs_rel_exp_add_minus(h, alpha):
         den = h - alpha * w
         _need(np.abs(den) > 1e-300, "leg pole: h = alpha (e^v - 1)")
         return w / den
-    def dpsi(v):
-        return h * np.exp(v) / (h - alpha * np.expm1(v)) ** 2
+    def dpsi(v):   # libm's pow squares a float and a column alike (maps._moebius_slope)
+        return h * np.exp(v) / np.float_power(h - alpha * np.expm1(v), 2)
     def psi_inv(y):
         den = 1.0 + alpha * y
         _need(np.abs(den) > 1e-300, "step equation has no real solution", NonInvertibleLeg)
@@ -926,9 +927,10 @@ def _step(spec, x, p, bc):
 
     The first step equation psi(x~_k - x_k) + phi(x_k - x~_{k-1}) = rhs_k is
     a chain giving x~_k from x~_{k-1}: open chains run it forward from
-    x~_1 = x_1 + psi_inv(rhs_1), one site for every row at once; rings solve
-    it for one unknown, x~_n, by the closure Newton of ``maps._ring_chain``
-    (``_ring_step``), one row at a time.
+    x~_1 = x_1 + psi_inv(rhs_1), rings solve it for one unknown, x~_n, by
+    the closure Newton of ``maps._ring_chain`` (``_ring_step``).  Either way
+    site k of every row is column k of the transposed arrays, stepped at
+    once; a single ring is solved on floats.
     """
     if bc is Boundary.OPEN and not spec.supports_open:
         raise DomainError(f"chart {spec.name} is periodic-only")
@@ -939,15 +941,16 @@ def _step(spec, x, p, bc):
         xt = x + legs.psi_inv(rhs)
         pt = legs.psi(xt - x)
     elif bc is Boundary.OPEN:
-        # site k of every row is column k of the transposed arrays
         xs, rs = x.T, rhs.T
         xt = np.stack(_open_chain(_leg_sites(legs, xs, rs)[0], xs[0] + legs.psi_inv(rs[0]),
                                   len(xs)), axis=-1)
         pt = legs.psi(xt - x) + _leg_at_mixed_next(legs.phi, x, xt, bc)
     else:
         n = x.shape[-1]
-        rows = [_ring_step(spec, xr, rr) for xr, rr in zip(x.reshape(-1, n), rhs.reshape(-1, n))]
-        xt, psi_v, phi_u = (np.array(part).reshape(x.shape) for part in zip(*rows))
+        xs, rs = x.reshape(-1, n), rhs.reshape(-1, n)
+        if len(xs) == 1:   # one ring: its float loop is faster than columns of one row
+            xs, rs = xs[0], rs[0]
+        xt, psi_v, phi_u = (part.reshape(x.shape) for part in _ring_step(spec, xs, rs))
         pt = psi_v + shifted(phi_u, 1, bc)   # phi(x_{k+1} - x~_k) is phi_u at k + 1
     if legs.psi0 is not None and spec.psi0_on_image:
         pt = pt - _psi0_sums(spec, xt, bc)
@@ -979,8 +982,9 @@ def _leg_sites(legs, x, rhs):
 
 
 def _tolerance(rhs):
-    """Inf-norm bound a ring solve must bring the residual below."""
-    return 1e-12 * max(1.0, float(np.max(np.abs(rhs))))
+    """Inf-norm bound a ring solve must bring the residual below, one for
+    each row of a stack."""
+    return 1e-12 * np.fmax(1.0, np.max(np.abs(rhs), axis=-1))
 
 
 def _ring_step(spec, x, rhs):
@@ -992,8 +996,28 @@ def _ring_step(spec, x, rhs):
     with x~_{n-1} = x_{n-1}; a seed, or a pass no halved correction keeps
     inside the leg domains, raises SolveFailed (the solver gave up: one pass
     does not show that no closing value exists); so does a last correction
-    that closes the ring while the residual stays above it."""
+    that closes the ring while the residual stays above it.
+
+    x and rhs may also be (rows, n) stacks of rings, solved as columns
+    (``_accept_rows``); a row that fails raises for the whole stack, whose
+    rows ``step_stack`` then steps one at a time."""
     legs = spec.legs
+    closes, accepted = (_accept_row if x.ndim == 1 else _accept_rows)(legs, x, rhs)
+    try:
+        if legs.mobius is None:
+            update, site_slope = _leg_sites(legs, x.T, rhs.T)
+            t = update(x.shape[-1] - 1, x.T[-2])
+        else:
+            update, site_slope, t = _mobius_sites(spec, x, rhs)
+        _ring_chain(update, site_slope, closes, t, x.shape[-1])
+        return tuple(accepted)
+    except (DomainError, NonInvertibleLeg) as exc:
+        raise SolveFailed(f"ring solver gave up: a pass leaves a leg domain ({exc})") from exc
+
+
+def _accept_row(legs, x, rhs):
+    """The ``closes`` test of a single ring's chain and the list it fills
+    with the accepted (x~, psi, phi)."""
     tol = _tolerance(rhs)
     to_xt = np.array if legs.mobius is None else (lambda beta: x + np.log(beta))
     checks = count(1)
@@ -1012,17 +1036,34 @@ def _ring_step(spec, x, rhs):
                               f"{tol:.2g} although the ring closes")
         accepted[:] = xt, psi_v, phi_u
         return residual < tol
+    return closes, accepted
 
-    try:
-        if legs.mobius is None:
-            update, site_slope = _leg_sites(legs, x, rhs)
-            t = update(len(x) - 1, x[-2])
-        else:
-            update, site_slope, t = _mobius_sites(spec, x, rhs)
-        _ring_chain(update, site_slope, closes, t, len(x))
-        return tuple(accepted)
-    except (DomainError, NonInvertibleLeg) as exc:
-        raise SolveFailed(f"ring solver gave up: a pass leaves a leg domain ({exc})") from exc
+
+def _accept_rows(legs, x, rhs):
+    """``_accept_row`` of each row of a stack of rings solved as columns:
+    a row is accepted, its (x~, psi, phi) recorded, at its first pass that
+    meets the single ring's test, the legs evaluated on the rows that pass
+    then; the chain closes once every row is accepted.  A row still open
+    after the last correction leaves the stack unclosed."""
+    tol = _tolerance(rhs)
+    pending = np.ones(len(x), dtype=bool)
+    accepted = [np.empty(x.shape) for _ in range(3)]
+
+    def closes(vals, step):
+        rows = pending & ~(np.abs(step) > tol * np.fmax(1.0, np.abs(vals[-1])))
+        if rows.any():
+            xr, xt = x[rows], np.stack(vals, axis=-1)[rows]
+            if legs.mobius is not None:
+                xt = xr + np.log(xt)
+            psi_v = legs.psi(xt - xr)
+            phi_u = legs.phi(xr - shifted(xt, -1, Boundary.PERIODIC))
+            ok = np.max(np.abs(psi_v + phi_u - rhs[rows]), axis=-1) < tol[rows]
+            done = np.flatnonzero(rows)[ok]
+            for out, part in zip(accepted, (xt, psi_v, phi_u)):
+                out[done] = part[ok]
+            pending[done] = False
+        return not pending.any()
+    return closes, accepted
 
 
 def _mobius_sites(spec, x, rhs):
@@ -1031,9 +1072,14 @@ def _mobius_sites(spec, x, rhs):
     beta_k = c_k - q g_k / (beta_{k-1} - s g_k), the site matrix
     [[c_k, -(q + s c_k) g_k], [1, -s g_k]]; the seed is the attracting fixed
     point of their product.  A beta that is not positive, or a leg pole,
-    raises NoRealBranch with its site."""
+    raises NoRealBranch with its site.  A stack of rings gets the chain in
+    columns, each row seeded at the fixed point of its own sites
+    (``_mobius_columns``)."""
     q, s = spec.legs.mobius
-    g = np.exp(x - shifted(x, -1, Boundary.PERIODIC)).tolist()
+    g = np.exp(x - shifted(x, -1, Boundary.PERIODIC))
+    if x.ndim > 1:
+        return _mobius_columns(q, s, g.T, (1.0 + spec.h * rhs).T)
+    g = g.tolist()
     c = [1.0 + spec.h * r for r in rhs.tolist()]
     sites = [(ck, -(q + s * ck) * gk, 1.0, -s * gk) for ck, gk in zip(c, g)]
     t = _ring_fixed_point(sites)
@@ -1052,6 +1098,29 @@ def _mobius_sites(spec, x, rhs):
         return beta
 
     return update, _moebius_slope(sites), t
+
+
+def _mobius_columns(q, s, g, c):
+    """``_mobius_sites`` of a stack of rings whose site k is row k of the
+    (n, rows) arrays g and c; any row without a real step raises for the
+    stack, without naming its site."""
+    m12, m22 = -(q + s * c) * g, -s * g
+    t = np.array([_ring_fixed_point(zip(ck, m12k, repeat(1.0), m22k))
+                  for ck, m12k, m22k in zip(c.T.tolist(), m12.T.tolist(), m22.T.tolist())])
+    no_branch = "ring step has no real solution in a row of the stack"
+    if not (t > 0.0).all():
+        raise NoRealBranch(no_branch)
+
+    def update(k, prev):
+        den = prev - s * g[k]
+        if not (den > 0.0).all():
+            raise NoRealBranch(no_branch)
+        beta = c[k] - q * g[k] / den
+        if not (beta > 0.0).all():
+            raise NoRealBranch(no_branch)
+        return beta
+
+    return update, _moebius_slope(list(zip(c, m12, repeat(1.0), m22))), t
 
 
 def lagrangian_value(spec: Realization, x, xt, boundary: Boundary) -> float:

@@ -58,10 +58,16 @@ def test_package_has_one_central_difference_loop():
 
 
 def test_package_has_one_ring_closure_loop():
-    """Every ring of every map and chart closes through maps._ring_chain: one
-    line forms the closure correction, and the charts make no dense solve."""
+    """Every ring of every map and chart, a single ring or a stack solved as
+    columns, closes through maps._ring_chain: one line forms the closure
+    correction, one loop runs the corrections, one line forms the Moebius
+    fixed point's discriminant, and the charts make no dense solve."""
     corrections = _package_lines_with("/ (1.0 - slope)")
     assert len(corrections) == 1, corrections
+    loops = _package_lines_with("range(_CLOSURE_STEPS)")
+    assert len(loops) == 1 and loops[0].startswith("maps.py:"), loops
+    discriminants = _package_lines_with("half_b * half_b + p12 * p21")
+    assert len(discriminants) == 1, discriminants
     dense = [line for line in _package_lines_with("np.linalg.solve")
              if line.startswith("realizations.py:")]
     assert not dense, dense

@@ -205,3 +205,125 @@ def test_a_nan_bracket_residual_is_not_dropped(monkeypatch):
     assert math.isnan(poisson.poisson_map_residual(lambda st: st, (TL1, TL2), s))
     assert math.isnan(poisson.involution_residual((TL1, TL2), s, lambda st: float(np.sum(st.b)),
                                                   lambda st: float(np.sum(st.a))))
+
+
+# ---------------------------------------------------------------------------
+# bracket_matrix against the site loop it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_bracket(kind, s):
+    """The Poisson tensor by the site loop: for each site k in turn each
+    entry adds its value at (i, j) and subtracts it at (j, i), value by value
+    in the order of the table in poisson.py (``x ** 2`` of a float)."""
+    if isinstance(kind, tuple):
+        out = np.zeros((2 * s.n, 2 * s.n))
+        for coef, br in kind:
+            out += coef * _loop_bracket(br, s)
+        return out
+    a, b, n = s.a, s.b, s.n
+    wrap = s.boundary is Boundary.PERIODIC
+    al = kind.alpha
+    P = np.zeros((2 * n, 2 * n))
+
+    def put(i, j, val):
+        P[i, j] += val
+        P[j, i] -= val
+
+    for k in range(n):
+        k1, k2 = (k + 1) % n, (k + 2) % n
+        has1, has2 = wrap or k + 1 < n, wrap or k + 2 < n
+        B, A = k, n + k
+        if kind.kind == "tl1":
+            put(B, A, -a[k])
+            if has1:
+                put(A, k1, -a[k])
+        elif kind.kind in ("tl2", "rtl2"):
+            put(B, A, -b[k] * a[k])
+            if has1:
+                put(A, k1, -a[k] * b[k1])
+                put(B, k1, -a[k])
+                put(A, n + k1, -a[k] * a[k1])
+        elif kind.kind == "tl3":
+            put(B, A, -a[k] * (b[k] ** 2 + a[k]))
+            if has1:
+                put(A, k1, -a[k] * (b[k1] ** 2 + a[k]))
+                put(B, k1, -a[k] * (b[k] + b[k1]))
+                put(A, n + k1, -2.0 * a[k] * a[k1] * b[k1])
+                put(B, n + k1, -a[k] * a[k1])
+            if has2:
+                put(A, k2, -a[k] * a[k1])
+        elif kind.kind == "rtl1":
+            put(B, A, -a[k])
+            if has1:
+                put(A, k1, -a[k])
+                put(B, k1, al * a[k])
+        elif kind.kind == "rtl3":
+            put(B, A, -a[k] * (b[k] ** 2 + a[k]) - al * b[k] * a[k] ** 2)
+            if has1:
+                put(A, k1, -a[k] * (b[k1] ** 2 + a[k]) - al * a[k] ** 2 * b[k1])
+                put(B, k1, -a[k] * (b[k] + b[k1]) - al * b[k] * a[k] * b[k1])
+                put(A, n + k1, -2.0 * a[k] * b[k1] * a[k1] - al * a[k] * a[k1] * (a[k] + a[k1]))
+                put(B, n + k1, -a[k] * a[k1] - al * b[k] * a[k] * a[k1])
+            if has2:
+                put(A, k2, -a[k] * a[k1] - al * a[k] * a[k1] * b[k2])
+                put(A, n + k2, -al * a[k] * a[k1] * a[k2])
+    return P
+
+
+_KINDS = ("tl1", "tl2", "tl3", "rtl1", "rtl2", "rtl3")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(2, 9), boundary=st.sampled_from(list(Boundary)),
+       seed=st.integers(0, 2 ** 16), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       alpha=st.floats(-2.0, 2.0), coefs=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_bracket_matrix_is_the_site_loop_bitwise(n, boundary, seed, scale, alpha, coefs):
+    """Every kind and a pencil of two, on chains and rings of 2-9 sites; on
+    rings of two and three sites entries meet and must add up in the loop's
+    order."""
+    rng = np.random.default_rng(seed)
+    a = scale * rng.uniform(0.1, 3.0, n)
+    if boundary is Boundary.OPEN:
+        a[-1] = 0.0
+    s = FlaschkaState(a, scale * rng.standard_normal(n), boundary)
+    kinds = [poisson.Bracket(kind, alpha) for kind in _KINDS]
+    pencil = poisson.combo((coefs[0], kinds[2]), (coefs[1], kinds[5]))
+    for kind in kinds + [pencil]:
+        assert poisson.bracket_matrix(kind, s).tobytes() == _loop_bracket(kind, s).tobytes(), kind
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_bracket_squares_are_those_of_the_site_loop(boundary):
+    """On a state whose every entry squares differently under x ** 2
+    (libm's pow, the loop's square) and x * x, the cubic brackets are still
+    the loop's bitwise."""
+    v = np.random.default_rng(1).uniform(0.1, 3.0, 100_000)
+    v = v[[x ** 2 != x * x for x in v.tolist()]]
+    a = v[:9].copy()
+    if boundary is Boundary.OPEN:
+        a[-1] = 0.0
+    s = FlaschkaState(a, -v[9:18], boundary)
+    for kind in (poisson.Bracket("tl3"), poisson.Bracket("rtl3", 0.3)):
+        assert poisson.bracket_matrix(kind, s).tobytes() == _loop_bracket(kind, s).tobytes()
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("kind", _KINDS)
+def test_bracket_entries_are_at_most_quadratic_in_each_coordinate(kind, boundary):
+    """The third difference of every entry of every bracket along every
+    coordinate (a_n is frozen on open chains), with a unit step, vanishes
+    to rounding: no entry is of degree three in any one coordinate, so a
+    unit-step central difference of the tensor is exact up to rounding."""
+    br = poisson.Bracket(kind, 0.3)
+    s = random_state(6, boundary, 11)
+    z0 = poisson._pack(s)
+
+    def pi(z):
+        return poisson.bracket_matrix(br, poisson._unpack(z, s))
+
+    for m in poisson._active(s):
+        e = np.eye(len(z0))[m]
+        vals = [pi(z0 + t * e) for t in (-1.5, -0.5, 0.5, 1.5)]
+        third = vals[3] - 3.0 * vals[2] + 3.0 * vals[1] - vals[0]
+        scale = max(1.0, max(float(np.max(np.abs(v))) for v in vals))
+        assert np.max(np.abs(third)) < 1e-13 * scale, (kind, m)

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from todalab import maps
+from todalab import maps, realizations
 from todalab.pluri import chain_spec
 from todalab.core import Boundary, CanonicalState, random_canonical
 from todalab.errors import (DomainError, NonInvertibleLeg, NoRealBranch, NumericalError,
                             SolveFailed)
-from todalab.realizations import (_first_equation_rhs, _li2, _tolerance, canonical_step,
+from todalab.realizations import (_first_equation_rhs, _li2, _step, _tolerance, canonical_step,
                                   chart_specs, chart_stack, chart_state, flaschka_of,
                                   lagrangian_value, newtonian_residual,
                                   pullback_consistency, realization, step_stack,
@@ -615,3 +615,109 @@ def test_stacks_get_the_checks_of_a_state():
         step_stack(realization("explicit-b", H), big, big, Boundary.OPEN)
     with pytest.raises(DomainError, match="periodic-only"):
         step_stack(realization("dual", H), np.zeros((2, 4)), np.ones((2, 4)), Boundary.OPEN)
+
+
+# ---------------------------------------------------------------------------
+# stacks of rings: solved as columns, each row bitwise its own solve
+# ---------------------------------------------------------------------------
+
+# (name, family) of every chart with a ring chain, and the two chain specs of pluri
+_RING_CHARTS = [(s.name, s.family) for s in SPECS if s.legs.phi is not None] + ["bt-toda", "bt-rtl"]
+
+
+@pytest.mark.parametrize("chart", _RING_CHARTS, ids=str)
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(h=st.floats(0.03, 0.5), n=st.integers(2, 9), rows=st.integers(2, 60),
+       seed=st.integers(0, 2 ** 16))
+def test_ring_stacks_are_the_row_loop_bitwise(chart, h, n, rows, seed):
+    """A stack of rings steps as the states one at a time do, or raises the
+    first failing state's error; where the column solve alone (``_step``,
+    without the row fallback of ``step_stack``) returns, it is that too."""
+    if isinstance(chart, str):
+        spec = chain_spec(h, None if chart == "bt-toda" else ALPHA)
+    else:
+        spec = realization(chart[0], h, alpha=ALPHA, epsilon=EPS, beta=BETA, family=chart[1])
+    states = [chart_state(spec, n, seed + i, Boundary.PERIODIC) for i in range(rows)]
+    with np.errstate(all="ignore"):
+        want = _per_state(partial(canonical_step, spec), states, ("x", "p"))
+        got = _stacked(partial(step_stack, spec), states)
+        columns = _stacked(partial(_step, spec), states)
+    assert _bitwise_equal(got, want), (got, want)
+    if not isinstance(want[0], type) and not isinstance(columns[0], type):
+        assert _bitwise_equal(columns, want)
+
+
+def test_a_ring_stack_whose_rows_close_at_different_corrections(monkeypatch):
+    """rel-exp-add (minus) rings of seeds 0 and 3 close at the second
+    closing check of their own solve, those of seeds 1, 2, 4 and 5 at the
+    third: the column solve accepts each row at its own pass."""
+    spec = realization("rel-exp-add", H, alpha=ALPHA, family="drtl_minus")
+    states = [chart_state(spec, 5, seed, Boundary.PERIODIC) for seed in range(6)]
+    checks = []
+    accept_row = realizations._accept_row
+
+    def counted(legs, x, rhs):
+        closes, accepted = accept_row(legs, x, rhs)
+        checks.append(0)
+
+        def counting(vals, step):
+            checks[-1] += 1
+            return closes(vals, step)
+        return counting, accepted
+
+    monkeypatch.setattr(realizations, "_accept_row", counted)
+    want = _per_state(partial(canonical_step, spec), states, ("x", "p"))
+    assert checks == [2, 3, 3, 2, 3, 3]
+    got = _stacked(partial(_step, spec), states)
+    assert len(checks) == 6       # the stack made no single-ring solve
+    assert _bitwise_equal(got, want)
+
+
+def test_a_ring_stack_raises_the_error_of_its_first_failing_row():
+    """exp rings at h = 0.5: row 1 has no real step at site 2, row 2 no
+    real fixed point.  Seeding the columns meets row 2's discriminant
+    first, but the stack raises row 1's error, as stepping the states in
+    turn does."""
+    spec = realization("exp", 0.5)
+    states = [random_canonical(5, Boundary.PERIODIC, 0, x_range=(-0.1, 0.1),
+                               p_range=(-0.1, 0.1)),
+              chart_state(spec, 5, 2, Boundary.PERIODIC), chart_state(spec, 5, 1, Boundary.PERIODIC)]
+    canonical_step(spec, states[0])
+    x, p = np.array([c.x for c in states]), np.array([c.p for c in states])
+    with pytest.raises(NoRealBranch) as info:      # the column solve alone
+        _step(spec, x, p, Boundary.PERIODIC)
+    assert info.value.discriminant is not None
+    with pytest.raises(NoRealBranch) as info:
+        step_stack(spec, x, p, Boundary.PERIODIC)
+    assert info.value.site == 2 and info.value.discriminant is None
+
+
+# ruijsenaars rings at h = 1 and n = 3 (x in [-0.5, 0.5], p in [-3, 3]):
+# seeds 9 and 30 step, seed 26 steps after halving a correction twice, seed
+# 22 does not close and seed 5 leaves the phi leg's domain
+def _ruijsenaars_rings(*seeds):
+    return [random_canonical(3, Boundary.PERIODIC, seed, x_range=(-0.5, 0.5), p_range=(-3.0, 3.0))
+            for seed in seeds]
+
+
+def test_a_ring_stack_is_never_halved_but_its_rows_are():
+    """The columns of a stack make no halved correction: the row that needs
+    one makes the column solve raise, and the stack is stepped row by row,
+    each row with its own halvings."""
+    spec = realization("ruijsenaars", 1.0, alpha=ALPHA)
+    states = _ruijsenaars_rings(9, 26, 30)
+    with np.errstate(all="ignore"):
+        want = _per_state(partial(canonical_step, spec), states, ("x", "p"))
+        assert not isinstance(want[0], type)
+        assert _stacked(partial(_step, spec), states)[0] is SolveFailed
+        assert _bitwise_equal(_stacked(partial(step_stack, spec), states), want)
+
+
+def test_a_ring_stack_with_a_halving_row_raises_its_first_failing_row():
+    spec = realization("ruijsenaars", 1.0, alpha=ALPHA)
+    states = _ruijsenaars_rings(9, 26, 22, 5)
+    with np.errstate(all="ignore"):
+        errors = [_per_state(partial(canonical_step, spec), [c], ("x", "p")) for c in states[2:]]
+        assert errors[0] != errors[1] and all(isinstance(e[0], type) for e in errors), errors
+        assert "does not close" in errors[0][1]
+        assert _stacked(partial(step_stack, spec), states) == errors[0]
