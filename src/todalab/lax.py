@@ -225,20 +225,19 @@ def states_per_chunk(nodes: int) -> int:
     return max(1, _CHUNK_BYTES // (64 * nodes))
 
 
-def trajectory_invariants(states, alpha: float | None = None, nodes=None):
+def trajectory_invariants(states, alpha: float | None = None):
     """``spectral_invariants`` of an iterable of states, one block of rows per
     ``states_per_chunk`` states, read from it one chunk at a time.
 
     The states share n and boundary; they are evaluated at the nodes of the
-    first state (or the given ones) by the stacked kernel.  Each state's
-    vectors are copied into two (B, n) buffers, which every chunk reuses.
+    first state by the stacked kernel.  Each state's vectors are copied into
+    two (B, n) buffers, which every chunk reuses.
     """
     states = iter(states)
     first = next(states, None)
     if first is None:
         return
-    if nodes is None:
-        nodes = spectral_nodes(first, alpha)
+    nodes = spectral_nodes(first, alpha)
     chunk = states_per_chunk(np.size(nodes))
     a, b = np.empty((chunk, first.n)), np.empty((chunk, first.n))
     k = 0

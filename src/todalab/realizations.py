@@ -148,10 +148,6 @@ class Realization:
         """The row of systems.SYSTEMS whose map this chart realizes."""
         return SYSTEMS[_FAMILY_SYSTEM[self.family]]
 
-    def to_flaschka(self, c: CanonicalState) -> FlaschkaState:
-        """The (a, b) state of the canonical state c."""
-        return FlaschkaState(*self.chart(c.x, c.p, c.boundary), c.boundary)
-
 
 # ---------------------------------------------------------------------------
 # gap helpers
@@ -549,7 +545,7 @@ def _legs_rel_rat_add(h, alpha):
 # ---------------------------------------------------------------------------
 
 # Each chart body maps (x, p, boundary) arrays to the (a, b) arrays of the
-# chart; Realization.to_flaschka wraps it for one state.
+# chart; flaschka_of wraps it for one state.
 
 def _chart_exp(x, p, boundary):
     return _exp_next(x, boundary), p
@@ -868,10 +864,15 @@ def chart_state(spec: Realization, n: int, seed: int, boundary=None) -> Canonica
 # operations
 # ---------------------------------------------------------------------------
 
-def flaschka_of(spec: Realization, c: CanonicalState) -> FlaschkaState:
-    if c.boundary is Boundary.OPEN and not spec.supports_open:
+def _check_boundary(spec, boundary):
+    """The one guard of a periodic-only chart against an open chain."""
+    if boundary is Boundary.OPEN and not spec.supports_open:
         raise DomainError(f"chart {spec.name} is periodic-only")
-    return spec.to_flaschka(c)
+
+
+def flaschka_of(spec: Realization, c: CanonicalState) -> FlaschkaState:
+    """The (a, b) state of the canonical state c."""
+    return FlaschkaState(*_chart(spec, c.x, c.p, c.boundary), c.boundary)
 
 
 def _on_stack(stacked, one, x, p, boundary, fields, open_end=False):
@@ -894,8 +895,7 @@ def _on_stack(stacked, one, x, p, boundary, fields, open_end=False):
 
 
 def _chart(spec, x, p, boundary):
-    if boundary is Boundary.OPEN and not spec.supports_open:
-        raise DomainError(f"chart {spec.name} is periodic-only")
+    _check_boundary(spec, boundary)
     return spec.chart(x, p, boundary)
 
 
@@ -932,8 +932,7 @@ def _step(spec, x, p, bc):
     site k of every row is column k of the transposed arrays, stepped at
     once; a single ring is solved on floats.
     """
-    if bc is Boundary.OPEN and not spec.supports_open:
-        raise DomainError(f"chart {spec.name} is periodic-only")
+    _check_boundary(spec, bc)
     legs = spec.legs
     rhs = _first_equation_rhs(spec, x, p, bc)
 

@@ -4,8 +4,10 @@ Every check is deterministic given its seed and returns a plain record
 
     {"check", "params", "samples", "max_residual", "tol", "pass"}
 
-so the CLI can emit machine-readable reports and the acceptance suite can
-re-run the same code at its own scales.
+(order records also carry "observed_order"), so the CLI can emit
+machine-readable reports and the acceptance suite can re-run the same code
+at its own scales.  A check takes only the parameters some caller sets; its
+gate and every other value are constants of the check.
 """
 
 from __future__ import annotations
@@ -53,8 +55,11 @@ def simulate(system, n, boundary, seed, h, alpha, steps, state0=None):
 # checks
 # ---------------------------------------------------------------------------
 
-def check_isospectral(seed=0, system="dtl", n=8, steps=10_000, h=0.05, alpha=0.3,
-                      boundary=Boundary.OPEN, tol=1e-8):
+_ALPHA = 0.3       # alpha of the relativistic checks
+_CHART_H = 0.1     # h of the chart checks, at the charts' default parameters
+
+
+def check_isospectral(seed=0, system="dtl", n=8, steps=10_000, h=0.05, alpha=0.3):
     """Largest drift of the spectral invariants along a trajectory.
 
     The invariants are log det(I - w_j M) at the nodes of the first state,
@@ -62,16 +67,16 @@ def check_isospectral(seed=0, system="dtl", n=8, steps=10_000, h=0.05, alpha=0.3
     first state's row, folded over the trajectory a chunk at a time.
     """
     row = SYSTEMS[system]
-    s = random_state(n, boundary, seed)
+    s = random_state(n, Boundary.OPEN, seed)
     blocks = lax.trajectory_invariants(chain([s], trajectory(row.stepper(h, alpha), s, steps)),
                                        alpha=row.lax_alpha(h, alpha))
     first = next(blocks)
     drifts = (float(lax.drift(inv, first[0]).max()) for inv in chain([first], blocks))
     return _record(f"isospectral-{row.label}", dict(n=n, steps=steps, h=h, alpha=alpha),
-                   steps, worst(drifts), tol)
+                   steps, worst(drifts), 1e-8)
 
 
-def check_factorization_oracle(seed=0, n=5, h=0.05, max_steps=20, tol=1e-8):
+def check_factorization_oracle(seed=0, n=5, h=0.05, max_steps=20):
     s0 = random_state(n, Boundary.OPEN, seed)
 
     def gaps(m, s):
@@ -80,15 +85,15 @@ def check_factorization_oracle(seed=0, n=5, h=0.05, max_steps=20, tol=1e-8):
 
     steps = enumerate(trajectory(partial(maps.dtl_step, h=h), s0, max_steps), 1)
     return _record("factorization-oracle", dict(n=n, h=h, max_steps=max_steps),
-                   max_steps, worst(chain.from_iterable(gaps(m, s) for m, s in steps)), tol)
+                   max_steps, worst(chain.from_iterable(gaps(m, s) for m, s in steps)), 1e-8)
 
 
 _PAIRS = ((0.05, 0.19), (0.08, 0.13), (0.1, 0.23), (0.07, 0.29), (0.11, 0.17))
 
 
 def check_commutativity(seed=0, system="bt-toda", n=6, n_states=50,
-                        boundary=Boundary.OPEN, pairs=_PAIRS, tol=1e-10, alpha=0.3):
-    al = None if system == "bt-toda" else alpha
+                        boundary=Boundary.OPEN, tol=1e-10):
+    al = None if system == "bt-toda" else _ALPHA
 
     def commutator(c, ct, ch, cth, lam, mu):
         ox, op = _chain_step(ch, lam, al, boundary)
@@ -96,13 +101,13 @@ def check_commutativity(seed=0, system="bt-toda", n=6, n_states=50,
                           np.max(np.abs(cth[1] - op), axis=-1))
 
     return _square_check(f"commute-{system}-{boundary.value}",
-                         dict(n=n, pairs=len(pairs), alpha=al), commutator,
-                         seed, n, n_states, pairs, tol, boundary, al)
+                         dict(n=n, pairs=len(_PAIRS), alpha=al), commutator,
+                         seed, n, n_states, _PAIRS, tol, boundary, al)
 
 
-def check_3d_consistency(seed=0, h=0.1, alpha=0.3, lam=0.7, n_samples=100, tol=1e-9):
+def check_3d_consistency(seed=0, h=0.1, alpha=0.3, lam=0.7, n_samples=100):
     spread = pluri.check_3d_consistency(h, alpha, lam, n_samples=n_samples, seed=seed)
-    return _record("consistency-3d", dict(h=h, alpha=alpha, lam=lam), n_samples, spread, tol)
+    return _record("consistency-3d", dict(h=h, alpha=alpha, lam=lam), n_samples, spread, 1e-9)
 
 
 def _chain_step(corner, lam, alpha, boundary):
@@ -143,52 +148,47 @@ def _on_positions(residual):
                                             for w in zip(c[0], ct[0], ch[0], cth[0])]
 
 
-def check_closure_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
-                     boundary=Boundary.OPEN):
+def check_closure_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], boundary=Boundary.OPEN):
     return _square_check(
         "closure-1d", dict(n=n),
         _on_positions(lambda *w: abs(pluri.closure_value_1d(*w, boundary))),
-        seed, n, n_states, pairs, tol, boundary)
+        seed, n, n_states, pairs, 1e-10, boundary)
 
 
-def check_spectrality_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], tol=1e-10,
-                         boundary=Boundary.OPEN):
+def check_spectrality_1d(seed=0, n=6, n_states=10, boundary=Boundary.OPEN):
     return _square_check(
         "spectrality-1d", dict(n=n),
         _on_positions(lambda x, xt, xh, xth, lam, mu: pluri.spectrality_residual(
             (x, xt), (xh, xth), lam, boundary)),
-        seed, n, n_states, pairs, tol, boundary, lam_last=True)
+        seed, n, n_states, _PAIRS[:3], 1e-10, boundary, lam_last=True)
 
 
-def check_closure_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3, tol=1e-10,
-                     boundary=Boundary.PERIODIC):
+def check_closure_2d(seed=0, n=6, n_states=10, boundary=Boundary.PERIODIC):
     return _square_check(
-        "closure-2d", dict(n=n, alpha=alpha),
-        _on_positions(lambda *w: pluri.closure_value_2d(alpha, *w, boundary)),
-        seed, n, n_states, pairs, tol, boundary, alpha)
+        "closure-2d", dict(n=n, alpha=_ALPHA),
+        _on_positions(lambda *w: pluri.closure_value_2d(_ALPHA, *w, boundary)),
+        seed, n, n_states, _PAIRS[:3], 1e-10, boundary, _ALPHA)
 
 
-def check_conservation_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3,
-                          tol=1e-10, boundary=Boundary.PERIODIC):
+def check_conservation_2d(seed=0, n=6, n_states=10, boundary=Boundary.PERIODIC):
     return _square_check(
-        "conservation-2d", dict(n=n, alpha=alpha),
-        _on_positions(lambda *w: pluri.conservation_residual_2d(alpha, *w, boundary)),
-        seed, n, n_states, pairs, tol, boundary, alpha, lam_last=True)
+        "conservation-2d", dict(n=n, alpha=_ALPHA),
+        _on_positions(lambda *w: pluri.conservation_residual_2d(_ALPHA, *w, boundary)),
+        seed, n, n_states, _PAIRS[:3], 1e-10, boundary, _ALPHA, lam_last=True)
 
 
-def check_corners_2d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], alpha=0.3,
-                     tol=1e-10, boundary=Boundary.PERIODIC):
+def check_corners_2d(seed=0, n=6, n_states=10, boundary=Boundary.PERIODIC):
     return _square_check(
-        "corners-2d", dict(n=n, alpha=alpha),
+        "corners-2d", dict(n=n, alpha=_ALPHA),
         _on_positions(lambda *w: max(float(np.max(np.abs(v))) for v in
-                                     pluri.corner_residuals_2d(alpha, *w, boundary).values())),
-        seed, n, n_states, pairs, tol, boundary, alpha)
+                                     pluri.corner_residuals_2d(_ALPHA, *w, boundary).values())),
+        seed, n, n_states, _PAIRS[:3], 1e-10, boundary, _ALPHA)
 
 
-def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, lam=0.15, mu=0.23,
-                    alpha=0.3, tol_invariant=1e-10, boundary=Boundary.OPEN):
-    al = None if system == "bt-toda" else alpha
+def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, boundary=Boundary.OPEN):
+    al = None if system == "bt-toda" else _ALPHA
     lax_alpha = 0.0 if al is None else al
+    lam, mu = 0.15, 0.23
 
     def drift(c, ct, ch, cth, lam, mu):
         def one(x, p, xt, xh, ph, xth):
@@ -198,7 +198,7 @@ def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, lam=0.15, mu=0.2
         return [one(*row) for row in zip(*c, ct[0], *ch, cth[0])]
 
     return _square_check(f"monodromy-{system}", dict(n=n, lam=lam, mu=mu, alpha=al), drift,
-                         seed, n, n_states, ((lam, mu),), tol_invariant, boundary, al)
+                         seed, n, n_states, ((lam, mu),), 1e-10, boundary, al)
 
 
 def _brackets(lax_alpha):
@@ -209,16 +209,16 @@ def _brackets(lax_alpha):
             poisson.Bracket("rtl3", lax_alpha))
 
 
-def check_poisson_maps(seed=0, n=4, n_states=20, h=0.08, alpha=0.3, tol=1e-6,
-                       boundary=Boundary.OPEN):
+def check_poisson_maps(seed=0, n_states=20):
     """Each map preserves the three brackets of the Lax pair it conserves."""
-    cases = [(row.stepper(h, alpha), _brackets(row.lax_alpha(h, alpha)))
+    n, h = 4, 0.08
+    cases = [(row.stepper(h, _ALPHA), _brackets(row.lax_alpha(h, _ALPHA)))
              for row in SYSTEMS.values() if not row.flow]
-    states = (random_state(n, boundary, seed + i) for i in range(n_states))
+    states = (random_state(n, Boundary.OPEN, seed + i) for i in range(n_states))
     residuals = (poisson.poisson_map_residual(step, brackets, s)
                  for s in states for step, brackets in cases)
-    return _record("poisson-maps", dict(n=n, h=h, alpha=alpha),
-                   n_states * sum(len(brackets) for _, brackets in cases), worst(residuals), tol)
+    return _record("poisson-maps", dict(n=n, h=h, alpha=_ALPHA),
+                   n_states * sum(len(brackets) for _, brackets in cases), worst(residuals), 1e-6)
 
 
 def _chart_check(name, params, specs, residual, n, seed, n_states, tol):
@@ -228,14 +228,12 @@ def _chart_check(name, params, specs, residual, n, seed, n_states, tol):
     return _record(name, params, len(specs) * n_states, worst(residuals), tol)
 
 
-def check_poisson_realizations(seed=0, n=5, n_states=5, h=0.1, alpha=0.3,
-                               epsilon=0.2, beta=0.1, tol=1e-6):
-    return _chart_check("poisson-realizations", dict(n=n, h=h),
-                        chart_specs(h, alpha=alpha, epsilon=epsilon, beta=beta),
-                        poisson.realization_residual, n, seed, n_states, tol)
+def check_poisson_realizations(seed=0, n_states=5):
+    return _chart_check("poisson-realizations", dict(n=5, h=_CHART_H), chart_specs(_CHART_H),
+                        poisson.realization_residual, 5, seed, n_states, 1e-6)
 
 
-def check_involution(seed=0, n=5, n_states=10, tol=1e-7):
+def check_involution(seed=0, n_states=10):
     def h1(s):
         return float(np.sum(s.b))
 
@@ -250,20 +248,21 @@ def check_involution(seed=0, n=5, n_states=10, tol=1e-7):
         return float(np.log(det))
 
     brackets = _brackets(None)
-    states = (random_state(n, Boundary.OPEN, seed + i, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
+    states = (random_state(5, Boundary.OPEN, seed + i, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
               for i in range(n_states))
     residuals = (poisson.involution_residual(brackets, s, f, h2)
                  for s in states for f in (h1, h0))
-    return _record("involution", dict(n=n), n_states * 2 * len(brackets), worst(residuals), tol)
+    return _record("involution", dict(n=5), n_states * 2 * len(brackets), worst(residuals), 1e-7)
 
 
-def check_alpha_limit(seed=0, n=6, h=0.05, alpha=1e-8, tol=1e-6):
+def check_alpha_limit(seed=0, h=0.05, alpha=1e-8):
+    n = 6
     s = random_state(n, Boundary.OPEN, seed)
     ref = maps.dtl_step(s, h)
     outs = [stepper(s, alpha, h) for stepper in (maps.drtl_plus_step, maps.drtl_minus_step)]
     gaps = (float(np.max(np.abs(getattr(out, v) - getattr(ref, v))))
             for out in outs for v in ("a", "b"))
-    return _record("limit-alpha-zero", dict(n=n, h=h, alpha=alpha), 2, worst(gaps), tol)
+    return _record("limit-alpha-zero", dict(n=n, h=h, alpha=alpha), 2, worst(gaps), 1e-6)
 
 
 def _order_record(name, params, errors, min_order):
@@ -276,8 +275,9 @@ def _order_record(name, params, errors, min_order):
     return rec
 
 
-def check_step_order(seed=0, n=6, h=1e-2, levels=3, min_order=1.9):
+def check_step_order(seed=0, h=1e-2):
     """Defect of one discrete step against the time-h reference flow is O(h^2)."""
+    n = 6
     s = random_state(n, Boundary.OPEN, seed)
 
     def defect(hh):
@@ -286,11 +286,12 @@ def check_step_order(seed=0, n=6, h=1e-2, levels=3, min_order=1.9):
         return max(float(np.max(np.abs(d.a - f.a))), float(np.max(np.abs(d.b - f.b))))
 
     return _order_record("order-dtl-vs-flow", dict(n=n, h=h),
-                         [defect(h / 2 ** i) for i in range(levels)], min_order)
+                         [defect(h / 2 ** i) for i in range(3)], 1.9)
 
 
-def check_lagrangian_order(seed=0, n=6, h=4e-2, levels=3, min_order=0.9):
+def check_lagrangian_order(seed=0):
     """h^{-1} Lambda(x, x + h v) approaches the continuum Lagrangian at O(h)."""
+    n, h = 6, 4e-2
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
     v = rng.uniform(-1.0, 1.0, n)
@@ -303,10 +304,11 @@ def check_lagrangian_order(seed=0, n=6, h=4e-2, levels=3, min_order=0.9):
         return abs(val - continuum)
 
     return _order_record("order-lagrangian", dict(n=n, h=h),
-                         [err(h / 2 ** i) for i in range(levels)], min_order)
+                         [err(h / 2 ** i) for i in range(3)], 0.9)
 
 
-def check_rk4_order(seed=0, n=5, dt=0.05, steps=8, min_order=3.8):
+def check_rk4_order(seed=0):
+    n, dt, steps = 5, 0.05, 8
     s = random_state(n, Boundary.OPEN, seed)
 
     def endpoint(ddt, nst):
@@ -319,31 +321,28 @@ def check_rk4_order(seed=0, n=5, dt=0.05, steps=8, min_order=3.8):
         return max(float(np.max(np.abs(out.a - ref.a))), float(np.max(np.abs(out.b - ref.b))))
 
     return _order_record("order-rk4", dict(n=n, dt=dt),
-                         [endpoint_err(dt, steps), endpoint_err(dt / 2, steps * 2)], min_order)
+                         [endpoint_err(dt, steps), endpoint_err(dt / 2, steps * 2)], 3.8)
 
 
-def check_zcr(seed=0, n=4, h=0.08, alpha=0.3, lams=(0.3, 0.8, 1.4), n_states=5,
-              tol=1e-10, boundary=Boundary.PERIODIC):
-    spec = realization("rel-exp-add", h, alpha=alpha)
-    states = (random_canonical(n, boundary, seed + i) for i in range(n_states))
-    residuals = (lax.zcr_residual_drtl(c, ct, alpha, h, lam)
+def check_zcr(seed=0, n_states=5):
+    n, h, lams = 4, 0.08, [0.3, 0.8, 1.4]
+    spec = realization("rel-exp-add", h, alpha=_ALPHA)
+    states = (random_canonical(n, Boundary.PERIODIC, seed + i) for i in range(n_states))
+    residuals = (lax.zcr_residual_drtl(c, ct, _ALPHA, h, lam)
                  for c, ct in ((c, canonical_step(spec, c)) for c in states) for lam in lams)
-    return _record("zcr-drtl", dict(n=n, h=h, alpha=alpha, lams=list(lams)),
-                   n_states * len(lams), worst(residuals), tol)
+    return _record("zcr-drtl", dict(n=n, h=h, alpha=_ALPHA, lams=lams),
+                   n_states * len(lams), worst(residuals), 1e-10)
 
 
-def check_pullbacks(seed=0, n=5, h=0.1, alpha=0.3, epsilon=0.2, beta=0.1,
-                    n_states=3, tol=1e-9):
-    return _chart_check("pullback-all", dict(n=n, h=h, alpha=alpha),
-                        chart_specs(h, alpha=alpha, epsilon=epsilon, beta=beta),
-                        pullback_consistency, n, seed, n_states, tol)
+def check_pullbacks(seed=0, n_states=3):
+    return _chart_check("pullback-all", dict(n=5, h=_CHART_H, alpha=_ALPHA),
+                        chart_specs(_CHART_H), pullback_consistency, 5, seed, n_states, 1e-9)
 
 
-def check_symplecticity(seed=0, n=4, h=0.1, alpha=0.3, epsilon=0.2, beta=0.1,
-                        n_states=2, tol=1e-6):
-    specs = [realization(name, h, alpha=alpha, epsilon=epsilon, beta=beta) for name in CATALOG]
-    return _chart_check("symplecticity", dict(n=n, h=h), specs, symplectic_defect,
-                        n, seed, n_states, tol)
+def check_symplecticity(seed=0, n_states=2):
+    specs = [realization(name, _CHART_H) for name in CATALOG]
+    return _chart_check("symplecticity", dict(n=4, h=_CHART_H), specs, symplectic_defect,
+                        4, seed, n_states, 1e-6)
 
 
 CHECKS = {

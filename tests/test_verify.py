@@ -1,3 +1,6 @@
+import hashlib
+import inspect
+import json
 import math
 from dataclasses import replace
 
@@ -31,6 +34,69 @@ def test_suite_is_deterministic():
 def test_suite_glob_filter():
     names = [r["check"] for r in run_suite("order-*", seed=0)]
     assert names == ["order-dtl-vs-flow", "order-lagrangian", "order-rk4"]
+
+
+# the parameters each check takes; every other value, its gate included, is a
+# constant of the check
+_CHECK_PARAMETERS = {
+    "check_isospectral": ["seed", "system", "n", "steps", "h", "alpha"],
+    "check_factorization_oracle": ["seed", "n", "h", "max_steps"],
+    "check_commutativity": ["seed", "system", "n", "n_states", "boundary", "tol"],
+    "check_3d_consistency": ["seed", "h", "alpha", "lam", "n_samples"],
+    "check_closure_1d": ["seed", "n", "n_states", "pairs", "boundary"],
+    "check_spectrality_1d": ["seed", "n", "n_states", "boundary"],
+    "check_closure_2d": ["seed", "n", "n_states", "boundary"],
+    "check_conservation_2d": ["seed", "n", "n_states", "boundary"],
+    "check_corners_2d": ["seed", "n", "n_states", "boundary"],
+    "check_monodromy": ["seed", "system", "n", "n_states", "boundary"],
+    "check_poisson_maps": ["seed", "n_states"],
+    "check_poisson_realizations": ["seed", "n_states"],
+    "check_involution": ["seed", "n_states"],
+    "check_alpha_limit": ["seed", "h", "alpha"],
+    "check_step_order": ["seed", "h"],
+    "check_lagrangian_order": ["seed"],
+    "check_rk4_order": ["seed"],
+    "check_zcr": ["seed", "n_states"],
+    "check_pullbacks": ["seed", "n_states"],
+    "check_symplecticity": ["seed", "n_states"],
+}
+
+
+def _check_parameters():
+    return {name: list(inspect.signature(fn).parameters) for name, fn in vars(verify).items()
+            if name.startswith("check_") and callable(fn)}
+
+
+def test_checks_take_only_the_parameters_their_callers_set():
+    assert _check_parameters() == _CHECK_PARAMETERS
+    assert sum(map(len, _CHECK_PARAMETERS.values())) == 66
+    assert list(inspect.signature(lax.trajectory_invariants).parameters) == ["states", "alpha"]
+
+
+def test_only_the_commutativity_check_takes_its_tolerance():
+    gates = {name for name, params in _check_parameters().items()
+             for p in params if p.startswith(("tol", "min_"))}
+    assert gates == {"check_commutativity"}
+    assert inspect.signature(check_commutativity).parameters["tol"].default == 1e-10
+    tols = {r["check"]: r["tol"] for r in run_suite("commute-*", seed=0)}
+    assert tols == {"commute-bt-rtl-open": 1e-10, "commute-bt-rtl-periodic": 1e-9,
+                    "commute-bt-toda-open": 1e-10, "commute-bt-toda-periodic": 1e-9}
+
+
+# sha256 of the sorted-key JSON of run_suite("*", seed): every record's
+# params, samples, tol and residual, byte for byte
+_SUITE_SHA256 = {
+    0: "6b0f55a52165d3ca5651a66f0df9ad199d7a2f17d39ca9cd1c23a22e9dbc8613",
+    1: "178273defe3d4bb28e5c9be71d41755a63bd71291461fab384b44d6afaedcb4b",
+    4: "63aad886a76403ac62e062fa0497a49b6bc9d226382783f7e56b64327503e277",
+    7: "a79901b0810809fb9b8b908b5e724c04f5cc01fb99085f1bd4f1a92b0197dda3",
+}
+
+
+@pytest.mark.parametrize("seed", _SUITE_SHA256)
+def test_suite_records_match_golden_sha256(seed):
+    text = json.dumps(run_suite("*", seed), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _SUITE_SHA256[seed]
 
 
 def test_simulate_map_trajectory_shapes():
