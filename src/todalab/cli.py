@@ -27,7 +27,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from . import lax, pluri, verify
+from . import lax, verify
 from .core import (Boundary, CanonicalState, FlaschkaState, load_state, random_state,
                    state_to_json)
 from .errors import NoRealBranch, NumericalError
@@ -149,8 +149,13 @@ def _parse(argv):
 
 
 def _lattice_size(args) -> int:
+    """--n, at least 2, and small enough that numpy can size the command's
+    arrays (n x n matrices for dump-lax) before any is built."""
     if args.n < 2:
         raise SystemExit2("--n must be >= 2")
+    extent = args.n * args.n if args.command == "dump-lax" else args.n
+    if extent > np.iinfo(np.intp).max // np.dtype(float).itemsize:
+        raise SystemExit2(f"--n {args.n} is too large to allocate")
     return args.n
 
 
@@ -357,10 +362,11 @@ def cmd_dump_lax(args) -> int:
 def cmd_consistency(args) -> int:
     if args.steps < 1:
         raise SystemExit2("--steps (the number of sampled cubes) must be >= 1")
-    worst = pluri.check_3d_consistency(args.h, args.alpha, args.lam,
-                                       n_samples=args.steps, seed=args.seed)
-    obj = {"check": "consistency-3d", "h": args.h, "alpha": args.alpha, "lambda": args.lam,
-           "samples": args.steps, "max_discrepancy": worst, "pass": bool(worst < 1e-9)}
+    rec = verify.check_3d_consistency(seed=args.seed, h=args.h, alpha=args.alpha,
+                                      lam=args.lam, n_samples=args.steps)
+    obj = {"check": rec["check"], "h": args.h, "alpha": args.alpha, "lambda": args.lam,
+           "samples": rec["samples"], "max_discrepancy": rec["max_residual"],
+           "pass": rec["pass"]}
     text = _json_report(obj)
     if args.out:
         _write(args.out, text)
@@ -382,7 +388,8 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         return _COMMANDS[args.command](args)
-    except (SystemExit2, OSError) as exc:   # OSError: a missing file, or a directory
+    # OSError: a missing file, or a directory; MemoryError: a lattice too large to allocate
+    except (SystemExit2, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

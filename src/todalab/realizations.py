@@ -163,15 +163,6 @@ def _gaps(x, boundary):
     return x - shifted(x, -1, Boundary.PERIODIC), shifted(x, 1, Boundary.PERIODIC) - x
 
 
-def _leg_at_mixed_prev(fn, x, xt, boundary):
-    """fn(x_k - xt_{k-1}) with the open-end zero at k = 1."""
-    if boundary is Boundary.PERIODIC:
-        return fn(x - shifted(xt, -1, Boundary.PERIODIC))
-    out = np.zeros(x.shape)
-    out[..., 1:] = fn(x[..., 1:] - xt[..., :-1])
-    return out
-
-
 def _leg_at_mixed_next(fn, x, xt, boundary):
     """fn(x_{k+1} - xt_k) with the open-end zero at k = n."""
     if boundary is Boundary.PERIODIC:
@@ -179,6 +170,11 @@ def _leg_at_mixed_next(fn, x, xt, boundary):
     out = np.zeros(x.shape)
     out[..., :-1] = fn(x[..., 1:] - xt[..., :-1])
     return out
+
+
+def _leg_at_mixed_prev(fn, x, xt, boundary):
+    """fn(x_k - xt_{k-1}) with the open-end zero at k = 1: the next leg shifted."""
+    return shifted(_leg_at_mixed_next(fn, x, xt, boundary), -1, boundary)
 
 
 def _exp_next(x, boundary):    # e^{x_{k+1} - x_k}, 0 at k = n
@@ -331,16 +327,18 @@ def _legs_rat_mult(h):
                 v_range=(h + 0.1, h + 1.0), u_range=(h + 0.1, h + 1.0))
 
 
+def _reciprocal_leg(c):
+    """c/v, its derivative and its antiderivative c log|v|."""
+    return (lambda v: c / v), (lambda v: -c / np.asarray(v) ** 2), (lambda v: c * np.log(np.abs(v)))
+
+
 def _legs_rat_add(h):
     def inv(y):
         _need(np.abs(y) > 1e-300, "leg not invertible at 0", NonInvertibleLeg)
         return h / y
-    return Legs(
-        psi=lambda v: h / v, dpsi=lambda v: -h / np.asarray(v) ** 2,
-        psi_inv=inv, Psi=lambda v: h * np.log(np.abs(v)),
-        phi=lambda u: h / u, dphi=lambda u: -h / np.asarray(u) ** 2,
-        Phi=lambda u: h * np.log(np.abs(u)),
-        v_range=(0.15, 1.0), u_range=(0.15, 1.0))
+    psi, dpsi, Psi = _reciprocal_leg(h)
+    return Legs(psi=psi, dpsi=dpsi, psi_inv=inv, Psi=Psi, phi=psi, dphi=dpsi, Phi=Psi,
+                v_range=(0.15, 1.0), u_range=(0.15, 1.0))
 
 
 # relativistic leg sets ------------------------------------------------------
@@ -532,12 +530,10 @@ def _legs_rel_rat_mult(h, alpha):
 
 
 def _legs_rel_rat_add(h, alpha):
-    return replace(
-        _legs_rat_add(h),
-        phi=lambda u: (h - alpha) / u, dphi=lambda u: -(h - alpha) / np.asarray(u) ** 2,
-        Phi=lambda u: (h - alpha) * np.log(np.abs(u)),
-        psi0=lambda u: alpha / u, Psi0=lambda u: alpha * np.log(np.abs(u)),
-        u_range=(0.3, 1.3))
+    phi, dphi, Phi = _reciprocal_leg(h - alpha)
+    psi0, _, Psi0 = _reciprocal_leg(alpha)
+    return replace(_legs_rat_add(h), phi=phi, dphi=dphi, Phi=Phi, psi0=psi0, Psi0=Psi0,
+                   u_range=(0.3, 1.3))
 
 
 # ---------------------------------------------------------------------------
@@ -577,22 +573,22 @@ def _chart_hyp_mult(beta):
     return chart
 
 
-def _chart_rat_mult(x, p, boundary):
-    gp, gn = _gaps(x, boundary)
-    _need((np.abs(gp) > 1e-300) & (np.abs(gn) > 1e-300), "chart needs distinct neighbours")
-    _need(np.abs(p) > 1e-300, "chart needs p != 0")
-    a = 1.0 / (gp * gn * np.sinh(p) ** 2)
-    b = -(_coth(shifted(p, -1, Boundary.PERIODIC)) + _coth(p)) / gp
-    return a, b
+def _chart_rat(s, r):
+    """The rational chart over (s, r) = (sinh, coth) (rat-mult) or (p, 1/p) (rat-add)."""
+    def chart(x, p, boundary):
+        gp, gn = _gaps(x, boundary)
+        _need((np.abs(gp) > 1e-300) & (np.abs(gn) > 1e-300), "chart needs distinct neighbours")
+        _need(np.abs(p) > 1e-300, "chart needs p != 0")
+        rp = r(p)
+        a = 1.0 / (gp * gn * s(p) ** 2)
+        b = -(shifted(rp, -1, Boundary.PERIODIC) + rp) / gp
+        return a, b
+    return chart
 
 
-def _chart_rat_add(x, p, boundary):
-    gp, gn = _gaps(x, boundary)
-    _need((np.abs(gp) > 1e-300) & (np.abs(gn) > 1e-300), "chart needs distinct neighbours")
+def _reciprocal(p):
     _need(np.abs(p) > 1e-300, "chart needs p != 0")
-    a = 1.0 / (gp * gn * p ** 2)
-    b = -(1.0 / shifted(p, -1, Boundary.PERIODIC) + 1.0 / p) / gp
-    return a, b
+    return 1.0 / p
 
 
 def _chart_rel_exp_add(alpha):
@@ -646,31 +642,17 @@ def _chart_rel_hyp_mult(alpha, beta):
     return chart
 
 
-def _chart_rel_rat_mult(alpha):
+def _chart_rel_rat(alpha, s, r):
+    """The relativistic rational chart over (s, r) as in ``_chart_rat``."""
     def chart(x, p, boundary):
         gp, gn = _gaps(x, boundary)
-        cp = _coth(p)
-        cp_prev = shifted(cp, -1, Boundary.PERIODIC)
-        dp = gp + alpha * cp_prev
-        dn = gn + alpha * cp
+        rp = r(p)
+        rp_prev = shifted(rp, -1, Boundary.PERIODIC)
+        dp = gp + alpha * rp_prev
+        dn = gn + alpha * rp
         _need((np.abs(dp) > 1e-300) & (np.abs(dn) > 1e-300), "chart denominator vanishes")
-        a = 1.0 / (np.sinh(p) ** 2 * dp * dn)
-        b = -(cp_prev + cp) / dp
-        return a, b
-    return chart
-
-
-def _chart_rel_rat_add(alpha):
-    def chart(x, p, boundary):
-        gp, gn = _gaps(x, boundary)
-        _need(np.abs(p) > 1e-300, "chart needs p != 0")
-        ip = 1.0 / p
-        ip_prev = shifted(ip, -1, Boundary.PERIODIC)
-        dp = gp + alpha * ip_prev
-        dn = gn + alpha * ip
-        _need((np.abs(dp) > 1e-300) & (np.abs(dn) > 1e-300), "chart denominator vanishes")
-        a = 1.0 / (p ** 2 * dp * dn)
-        b = -(ip_prev + ip) / dp
+        a = 1.0 / (s(p) ** 2 * dp * dn)
+        b = -(rp_prev + rp) / dp
         return a, b
     return chart
 
@@ -735,9 +717,11 @@ _CHARTS = {
         _legs_hyp_mult(q.h, q.beta), _chart_hyp_mult(q.beta),
         combo((-1.0, Bracket("tl3")), (-4.0 * q.beta, Bracket("tl2"))), None)),
     "rat-mult": _Row(_DTL, False, True, lambda q: (
-        _legs_rat_mult(q.h), _chart_rat_mult, combo((-1.0, Bracket("tl3"))), None)),
+        _legs_rat_mult(q.h), _chart_rat(np.sinh, _coth), combo((-1.0, Bracket("tl3"))),
+        None)),
     "rat-add": _Row(_DTL, False, True, lambda q: (
-        _legs_rat_add(q.h), _chart_rat_add, combo((-1.0, Bracket("tl3"))), None)),
+        _legs_rat_add(q.h), _chart_rat(np.asarray, _reciprocal),
+        combo((-1.0, Bracket("tl3"))), None)),
     "rel-exp-add": _Row(_PLUS_MINUS, True, False, lambda q: (
         (_legs_rel_exp_add_minus if q.minus else _legs_rel_exp_add_plus)(q.h, q.alpha),
         _chart_rel_exp_add(q.alpha), Bracket("rtl1", q.alpha),
@@ -758,10 +742,10 @@ _CHARTS = {
         _legs_rel_hyp_mult(q.h, q.alpha, q.beta), _chart_rel_hyp_mult(q.alpha, q.beta),
         combo((-1.0, Bracket("rtl3", q.alpha)), (-4.0 * q.beta, Bracket("rtl2"))), None)),
     "rel-rat-mult": _Row(_PLUS, False, True, lambda q: (
-        _legs_rel_rat_mult(q.h, q.alpha), _chart_rel_rat_mult(q.alpha),
+        _legs_rel_rat_mult(q.h, q.alpha), _chart_rel_rat(q.alpha, np.sinh, _coth),
         combo((-1.0, Bracket("rtl3", q.alpha))), None)),
     "rel-rat-add": _Row(_PLUS, False, True, lambda q: (
-        _legs_rel_rat_add(q.h, q.alpha), _chart_rel_rat_add(q.alpha),
+        _legs_rel_rat_add(q.h, q.alpha), _chart_rel_rat(q.alpha, np.asarray, _reciprocal),
         combo((-1.0, Bracket("rtl3", q.alpha))), None)),
 }
 
@@ -907,10 +891,8 @@ def chart_stack(spec: Realization, x, p, boundary: Boundary):
 
 
 def _psi0_sums(spec, x, boundary):
-    """psi0(x_k - x_{k-1}) - psi0(x_{k+1} - x_k), zero where absent: psi0 of
-    each gap once, shifted for the first term."""
-    if spec.legs.psi0 is None:
-        return np.zeros(x.shape)
+    """psi0(x_k - x_{k-1}) - psi0(x_{k+1} - x_k) of a chart with a psi0 leg,
+    each zero past an open end: psi0 of each gap once, shifted for the first."""
     nxt = _leg_at_mixed_next(spec.legs.psi0, x, x, boundary)
     return shifted(nxt, -1, boundary) - nxt
 
@@ -981,8 +963,7 @@ def _leg_sites(legs, x, rhs):
 
 
 def _tolerance(rhs):
-    """Inf-norm bound a ring solve must bring the residual below, one for
-    each row of a stack."""
+    """Inf-norm bound of a ring solve's residual, one for each row of a stack."""
     return 1e-12 * np.fmax(1.0, np.max(np.abs(rhs), axis=-1))
 
 
@@ -991,15 +972,16 @@ def _ring_step(spec, x, rhs):
     ``maps._ring_chain``, final once the step equation psi + phi = rhs holds
     to ``_tolerance(rhs)`` after a correction below it (relative to the
     closing value); the two legs are those of the accepted pass's residual.
-    Without a Moebius leg pair the chain runs in x~, seeded at x~_n of a pass
-    with x~_{n-1} = x_{n-1}; a seed, or a pass no halved correction keeps
-    inside the leg domains, raises SolveFailed (the solver gave up: one pass
-    does not show that no closing value exists); so does a last correction
-    that closes the ring while the residual stays above it.
-
-    x and rhs may also be (rows, n) stacks of rings, solved as columns
-    (``_accept_rows``); a row that fails raises for the whole stack, whose
-    rows ``step_stack`` then steps one at a time."""
+    The chain runs in beta (``_mobius_sites``) for a Moebius leg pair, else
+    in x~ (``_leg_sites``) seeded at x~_n of a pass with x~_{n-1} = x_{n-1};
+    a seed, or a pass no halved correction keeps inside the leg domains,
+    raises SolveFailed (the solver gave up: one pass does not show that no
+    closing value exists); so does a last correction that closes the ring
+    while the residual stays above it.  x and rhs may also be (rows, n)
+    stacks of rings: each builder serves both, only the acceptance test has
+    a form for each (``_accept_row``, ``_accept_rows``); a row that fails
+    raises for the whole stack, whose rows ``step_stack`` then steps one at
+    a time."""
     legs = spec.legs
     closes, accepted = (_accept_row if x.ndim == 1 else _accept_rows)(legs, x, rhs)
     try:
@@ -1070,62 +1052,52 @@ def _mobius_sites(spec, x, rhs):
     with g_k = e^{x_k - x_{k-1}}, c_k = 1 + h rhs_k and the legs' (q, s),
     beta_k = c_k - q g_k / (beta_{k-1} - s g_k), the site matrix
     [[c_k, -(q + s c_k) g_k], [1, -s g_k]]; the seed is the attracting fixed
-    point of their product.  A beta that is not positive, or a leg pole,
-    raises NoRealBranch with its site.  A stack of rings gets the chain in
-    columns, each row seeded at the fixed point of its own sites
-    (``_mobius_columns``)."""
+    point of their product (``maps._ring_fixed_point``, row by row).  One
+    builder for a single ring, on Python floats, and for a (rows, n) stack,
+    whose site k is a column.  A beta that is not positive, or a leg pole,
+    raises NoRealBranch, naming its site on a single ring."""
     q, s = spec.legs.mobius
     g = np.exp(x - shifted(x, -1, Boundary.PERIODIC))
-    if x.ndim > 1:
-        return _mobius_columns(q, s, g.T, (1.0 + spec.h * rhs).T)
-    g = g.tolist()
-    c = [1.0 + spec.h * r for r in rhs.tolist()]
-    sites = [(ck, -(q + s * ck) * gk, 1.0, -s * gk) for ck, gk in zip(c, g)]
-    t = _ring_fixed_point(sites)
-    if not t > 0.0:
-        raise NoRealBranch(f"ring step has no real solution: beta at site {len(x) - 1} "
-                           f"is {t:.3g}", site=len(x) - 1)
+
+    def site(r, gk):   # the site matrix at c_k = 1 + h rhs_k
+        c = 1.0 + spec.h * r
+        return c, -(q + s * c) * gk, 1.0, -s * gk
+
+    if x.ndim == 1:   # one ring, on Python floats
+        g, holds = g.tolist(), bool
+        sites = list(map(site, rhs.tolist(), g))
+        t = _ring_fixed_point(sites)
+    else:             # a stack: site k is the column of the rows' entries k
+        m11, m12, _, m22 = site(rhs, g)
+        g, holds = g.T, np.ndarray.all
+        sites = list(zip(m11.T, m12.T, repeat(1.0), m22.T))
+        t = np.array([_ring_fixed_point(zip(a, b, repeat(1.0), d))
+                      for a, b, d in zip(m11.tolist(), m12.tolist(), m22.tolist())])
+
+    def no_branch(k, beta=None):
+        if x.ndim > 1:
+            return NoRealBranch("ring step has no real solution in a row of the stack")
+        what = f"leg pole at site {k}" if beta is None else f"beta at site {k} is {beta:.3g}"
+        return NoRealBranch(f"ring step has no real solution: {what}", site=k)
+
+    if not holds(t > 0.0):
+        raise no_branch(x.shape[-1] - 1, t)
 
     def update(k, prev):
         den = prev - s * g[k]
-        if not den > 0.0:
-            raise NoRealBranch(f"ring step has no real solution: leg pole at site {k}", site=k)
-        beta = c[k] - q * g[k] / den
-        if not beta > 0.0:
-            raise NoRealBranch(f"ring step has no real solution: beta at site {k} "
-                               f"is {beta:.3g}", site=k)
+        if not holds(den > 0.0):
+            raise no_branch(k)
+        beta = sites[k][0] - q * g[k] / den
+        if not holds(beta > 0.0):
+            raise no_branch(k, beta)
         return beta
 
     return update, _moebius_slope(sites), t
 
 
-def _mobius_columns(q, s, g, c):
-    """``_mobius_sites`` of a stack of rings whose site k is row k of the
-    (n, rows) arrays g and c; any row without a real step raises for the
-    stack, without naming its site."""
-    m12, m22 = -(q + s * c) * g, -s * g
-    t = np.array([_ring_fixed_point(zip(ck, m12k, repeat(1.0), m22k))
-                  for ck, m12k, m22k in zip(c.T.tolist(), m12.T.tolist(), m22.T.tolist())])
-    no_branch = "ring step has no real solution in a row of the stack"
-    if not (t > 0.0).all():
-        raise NoRealBranch(no_branch)
-
-    def update(k, prev):
-        den = prev - s * g[k]
-        if not (den > 0.0).all():
-            raise NoRealBranch(no_branch)
-        beta = c[k] - q * g[k] / den
-        if not (beta > 0.0).all():
-            raise NoRealBranch(no_branch)
-        return beta
-
-    return update, _moebius_slope(list(zip(c, m12, repeat(1.0), m22))), t
-
-
 def lagrangian_value(spec: Realization, x, xt, boundary: Boundary) -> float:
     """Discrete action of one time slice for the chart's family."""
-    x = np.asarray(x, dtype=float)
-    xt = np.asarray(xt, dtype=float)
+    x, xt = np.asarray(x, dtype=float), np.asarray(xt, dtype=float)
     legs = spec.legs
     total = float(np.sum(legs.Psi(xt - x)))
     if legs.Phi is not None:
@@ -1138,9 +1110,7 @@ def lagrangian_value(spec: Realization, x, xt, boundary: Boundary) -> float:
 
 def newtonian_residual(spec: Realization, x_prev, x, x_next, boundary: Boundary) -> np.ndarray:
     """Per-site defect of the three-level equation of motion."""
-    x_prev = np.asarray(x_prev, dtype=float)
-    x = np.asarray(x, dtype=float)
-    x_next = np.asarray(x_next, dtype=float)
+    x_prev, x, x_next = (np.asarray(v, dtype=float) for v in (x_prev, x, x_next))
     legs = spec.legs
     res = legs.psi(x_next - x) - legs.psi(x - x_prev)
     if legs.phi is not None:

@@ -74,15 +74,31 @@ def test_unknown_realization_exits_2(tmp_path):
     ("verify", "--filter", "nomatch"),
     # a periodic-only chart given an open state file, as with --boundary open
     ("simulate", "--realization", "rat-add", "--state", "open_xp.json", "--steps", "0"),
+    # state files of the wrong variables for the run, or whose n is not their length
+    ("simulate", "--system", "dtl", "--state", "open_xp.json", "--steps", "0"),
+    ("simulate", "--realization", "exp", "--state", "ring_ab.json", "--steps", "0"),
+    ("simulate", "--state", "wrong_n.json", "--steps", "0"),
+    # lattices numpy cannot allocate: 10**18 sites exceed any address space, and
+    # 2**62 exceed numpy's size limit; both fail before any memory is taken
+    ("simulate", "--steps", "1", "--n", "1000000000000000000"),
+    ("invariants", "--realization", "exp", "--n", "1000000000000000000"),
+    ("dump-lax", "--n", "1000000000000000000"),
+    ("simulate", "--steps", "1", "--n", "4611686018427387904"),
+    ("invariants", "--realization", "exp", "--n", "4611686018427387904"),
+    ("dump-lax", "--n", "4611686018427387904"),
 ])
 def test_invalid_input_exits_2_with_error_line(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"n": 3, "boundary": "open", "a": [1, 2\n')
     (tmp_path / "no_boundary.json").write_text('{"n": 2, "a": [1, 0], "b": [0, 0]}\n')
     (tmp_path / "open_xp.json").write_text(
         '{"n": 3, "boundary": "open", "x": [0, 1, 2], "p": [0.5, 0.6, 0.7]}\n')
+    (tmp_path / "ring_ab.json").write_text(
+        '{"n": 3, "boundary": "periodic", "a": [1, 1, 1], "b": [0, 0, 0]}\n')
+    (tmp_path / "wrong_n.json").write_text(
+        '{"n": 4, "boundary": "periodic", "a": [1, 1], "b": [0, 0]}\n')
     assert run(tmp_path, *argv, "--out", "x") == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not list(tmp_path.glob("x*"))
 
 

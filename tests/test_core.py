@@ -73,6 +73,13 @@ def test_package_has_one_ring_closure_loop():
     assert not dense, dense
 
 
+def test_package_forms_the_moebius_site_matrix_once():
+    """A single chart ring and a stack of chart rings build their Moebius
+    site matrices [[c, -(q + s c) g], [1, -s g]] on one line."""
+    entries = _package_lines_with("-(q + s * c")
+    assert len(entries) == 1 and entries[0].startswith("realizations.py:"), entries
+
+
 def test_package_has_one_trajectory_loop():
     """Every trajectory of the package is stepped by verify.trajectory, and
     the flows are plain vector fields with no dispatch on a kind string."""

@@ -329,6 +329,21 @@ def test_zcr_residual_on_valid_step():
         assert lax.zcr_residual_drtl(c, ct, 0.3, 0.08, lam) < 1e-10
 
 
+def test_zcr_residual_on_open_chains_reads_interior_sites_only():
+    spec = realization("rel-exp-add", 0.08, alpha=0.3)
+    for seed in range(5):
+        c = random_canonical(6, Boundary.OPEN, seed)
+        ct = canonical_step(spec, c)
+        for lam in (0.3, 0.8, 1.4):
+            assert lax.zcr_residual_drtl(c, ct, 0.3, 0.08, lam) < 1e-10
+    # the last site's p~ enters no interior defect; an interior one does
+    for k, moved in ((5, False), (2, True)):
+        pt = ct.p.copy()
+        pt[k] += 1e-3
+        bad = type(ct)(ct.x, pt, ct.boundary)
+        assert (lax.zcr_residual_drtl(c, bad, 0.3, 0.08, 0.8) > 1e-4) == moved
+
+
 def test_zcr_residual_detects_perturbation():
     c, ct = _drtl_step_pair()
     pt = ct.p.copy()

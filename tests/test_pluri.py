@@ -253,6 +253,13 @@ def test_corner_residuals_2d_on_valid_cube():
         assert np.max(np.abs(val)) < 1e-10, key
 
 
+def test_corner_residuals_2d_on_open_chains_drop_the_last_site():
+    c, ct, ch, cth = _square(seed=1, n=6, boundary=Boundary.OPEN, alpha=ALPHA)
+    res = pluri.corner_residuals_2d(ALPHA, c.x, ct.x, ch.x, cth.x, *LAMMU, Boundary.OPEN)
+    for key, val in res.items():
+        assert val.shape == (5,) and np.max(np.abs(val)) < 1e-10, key
+
+
 def test_octahedron_multi_affinity():
     lam, mu = LAMMU
     rng = np.random.default_rng(15)
