@@ -22,15 +22,19 @@ factorization, written out as closed recurrences:
 
       1 + alpha b~_k = (1 + alpha b_{k+1}) cm_k/dm_k,  a~_k = a_{k+1} cm_k/dm_{k+1}.
 
-Each step is one pass over the state's entries as Python floats (the same
-IEEE double arithmetic as numpy, without its per-call overhead on short
-vectors): the factor recurrence, the neighbour values, the pivot guards, the
-two-expression identity check, the update and the addition-formula checks.
-Every guard and check runs on every step.  Each value is formed by the same
-expression, in the same order, as the formulas evaluated elementwise on
-numpy vectors, so each result is bitwise that of the numpy evaluation and
-each failure raises the same error.  The public ``*_factors`` functions
-return the factors of the same pass as arrays.
+Each step runs on the state's entries as Python floats (the same IEEE
+double arithmetic as numpy, without its per-call overhead on short vectors),
+in two halves.  The step half forms the factor recurrence with its pivot
+test, the ring closure and the update.  The check half runs every other
+guard and check: the pivot guards, the two-expression identity and the
+addition formulas.  The public steps run both halves on every step.  The
+check half is written once, for one step's floats and for a block of steps
+as columns; ``verify.trajectory`` steps the step half alone and checks a
+block of steps at a time, rerunning a failing block through the public step.
+Each value is formed by the same expression, in the same order, as the
+formulas evaluated elementwise on numpy vectors, so each result is bitwise
+that of the numpy evaluation and each failure raises the same error.  The
+public ``*_factors`` functions return the factors of the same pass as arrays.
 
 The recurrences start from a_0 = 0 on open chains and run forward; on rings
 they are cyclic and double-valued.  Each update is Moebius in the previous
@@ -50,7 +54,10 @@ separately, together with the inverse of the explicit plus map.
 
 from __future__ import annotations
 
+import inspect
 import math
+from functools import partial
+from itertools import compress
 
 import numpy as np
 
@@ -71,25 +78,67 @@ def _check(val: np.ndarray, what: str) -> np.ndarray:
     return val
 
 
-# The step kernels below run on lists of floats.  Their reductions keep the
-# NaN semantics of the numpy reductions they replace: np.min and np.max
-# propagate a NaN entry, where Python's min and max skip it.  A product with
-# an open-end fill is formed as in the vector formulas (h * 0.0, not 0.0):
-# it is -0.0 or NaN for some parameters.
+# The step kernels below run on lists of floats, each in two halves.  The
+# step half forms the factors (with the pivot test of their recurrence), the
+# ring closure and the update, and returns (a~, b~, factors): factors are
+# the lists besides a, b, a~ and b~ that the check half reads.  The check
+# half runs every other guard and check, on one step's floats or on a block
+# of steps as columns (site k is the array ``vals[k]`` of one value per
+# step), where each row takes the float value of its step.  The reductions
+# keep the NaN semantics of the numpy reductions they replace: np.min and
+# np.max propagate a NaN entry, where Python's min and max skip it.  A
+# product with an open-end fill is formed as in the vector formulas
+# (h * 0.0, not 0.0): it is -0.0 or NaN for some parameters.
 
 def _guard(vals: list, what: str) -> None:
-    """``_check`` on a list: a NaN entry disarms the guard, as in np.min."""
-    if min(map(abs, vals)) < _PIVOT and not any(v != v for v in vals):
+    """``_check`` on a list: a NaN entry disarms the guard, as in np.min;
+    on columns, of each row."""
+    if isinstance(vals[0], np.ndarray):
+        low = (np.abs(vals).min(axis=0) < _PIVOT).any()   # a NaN row compares False
+    else:
+        low = min(map(abs, vals)) < _PIVOT and not any(v != v for v in vals)
+    if low:
         raise SingularStep(f"{what} fell below the singularity guard")
 
 
 def _amax(vals: list) -> float:
-    """``np.abs(vals).max()`` of a list: NaN if any entry is NaN."""
+    """``np.abs(vals).max()`` of a list: NaN if any entry is NaN; on
+    columns, of each row."""
+    if isinstance(vals[0], np.ndarray):
+        return np.abs(vals).max(axis=0)
     top = max(map(abs, vals))
     total = sum(vals)       # NaN if an entry is NaN (or if both infinities occur)
     if total != total and any(v != v for v in vals):
         return math.nan
     return top
+
+
+def _max(*vals):
+    """Python's max of floats (which passes over a NaN after the first
+    value), or of columns row by row."""
+    if not isinstance(vals[-1], np.ndarray):
+        return max(vals)
+    top = vals[0]
+    for v in vals[1:]:
+        top = np.where(v > top, v, top)
+    return top
+
+
+def _over(top, bound) -> bool:
+    """Whether top > bound: for a step, or in any row of a block."""
+    over = top > bound
+    return over if over.__class__ is bool else over.any()
+
+
+def _regular(den: list, cut, *lists):
+    """(den_k, *lists_k) of each site k where |den_k| > cut, where a factor's
+    second expression does not degenerate to 0/0.  On columns every site
+    comes, its rows where den is not regular set to den 1 and 0 elsewhere,
+    so an expression (...) / den - (...) of them is 0 there."""
+    if isinstance(den[0], np.ndarray):
+        return [(np.where(keep, q, 1.0), *(np.where(keep, v, 0.0) for v in rest))
+                for q, *rest in zip(den, *lists) for keep in [np.abs(q) > cut]]
+    return compress(zip(den, *lists), map(cut.__lt__, map(abs, den)))
 
 
 def _prev(v: list, ring: bool, fill: float = 0.0) -> list:
@@ -102,18 +151,29 @@ def _next(v: list, ring: bool, fill: float = 0.0) -> list:
     return v[1:] + [v[0] if ring else fill]
 
 
-def _on_floats(kernel, s: FlaschkaState, *params):
-    """Run a step kernel on the state's entries as Python floats.
+def _on_floats(halves, s: FlaschkaState, factor_only: bool, *params):
+    """(a~, b~, factors) of both halves of a step run on the state's entries
+    as Python floats (a~, b~ None with ``factor_only``).
 
     Python raises ZeroDivisionError on x/0 where numpy returns inf or nan.
-    A guarded denominator is 0 only beside a NaN that disarms its guard, and
-    the alpha = 0 form of drtl+ divides by h; such a call reruns on numpy
-    float64 scalars, which give numpy's IEEE results.
+    The step half divides by its denominators before the check half guards
+    them, and the alpha = 0 form of drtl+ divides by h; a call that divides
+    by 0 reruns on numpy float64 scalars, which give numpy's IEEE results,
+    with its floating-point warnings off: the guard or the state's check
+    then raises its error, not a warning.
     """
+    step_half, check_half = halves
+    ring = s.boundary is Boundary.PERIODIC
     try:
-        return kernel(s, np.ndarray.tolist, *params)
+        al, bl = s.a.tolist(), s.b.tolist()
+        a_new, b_new, factors = step_half(*params, al, bl, ring, factor_only)
+        check_half(*params, ring, al, bl, a_new, b_new, *factors)
     except ZeroDivisionError:
-        return kernel(s, list, *params)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            al, bl = list(s.a), list(s.b)
+            a_new, b_new, factors = step_half(*params, al, bl, ring, factor_only)
+            check_half(*params, ring, al, bl, a_new, b_new, *factors)
+    return a_new, b_new, factors
 
 
 def _open_chain(update, first: float, n: int) -> list:
@@ -227,9 +287,8 @@ def _moebius_chain(update, sites) -> list:
 # dtl(h)
 # ---------------------------------------------------------------------------
 
-def _dtl(s: FlaschkaState, floats, h: float, factor_only: bool = False):
-    al, bl = floats(s.a), floats(s.b)
-    ring = s.boundary is Boundary.PERIODIC
+def _dtl(h: float, al: list, bl: list, ring: bool, factor_only: bool = False):
+    """Step half of dtl(h); its factors are (beta,)."""
     hh = h * h
 
     def update(k, prev):
@@ -241,33 +300,41 @@ def _dtl(s: FlaschkaState, floats, h: float, factor_only: bool = False):
         beta = _moebius_chain(update, [(1.0 + h * b, -hh * ap, 1.0, 0.0)
                                        for b, ap in zip(bl, _prev(al, ring))])
     else:
-        beta = _open_chain(update, 1.0 + h * bl[0], s.n)
-    _guard(beta, "beta")
+        beta = _open_chain(update, 1.0 + h * bl[0], len(bl))
     if factor_only:
-        return beta
+        return None, None, (beta,)
 
     ratio = [a / be for a, be in zip(al, beta)]
     b_new = [b + h * (r - rp) for b, r, rp in zip(bl, ratio, _prev(ratio, ring))]
     a_new = [a * bn / be for a, bn, be in zip(al, _next(beta, ring, 1.0), beta)]
-    return s.replace(a=a_new, b=b_new)
+    return a_new, b_new, (beta,)
+
+
+def _dtl_checks(h: float, ring: bool, al, bl, a_new, b_new, beta) -> None:
+    """Check half of dtl(h)."""
+    _guard(beta, "beta")
+
+
+_DTL = (_dtl, _dtl_checks)
 
 
 def dtl_factor_diag(s: FlaschkaState, h: float) -> np.ndarray:
     """Diagonal beta of the lower factor in the LU splitting of I + h T."""
-    return np.array(_on_floats(_dtl, s, h, True))
+    return np.array(_on_floats(_DTL, s, True, h)[2][0])
 
 
 def dtl_step(s: FlaschkaState, h: float) -> FlaschkaState:
-    return _on_floats(_dtl, s, h)
+    a, b, _ = _on_floats(_DTL, s, False, h)
+    return s.replace(a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
 # drtl+(alpha, h)
 # ---------------------------------------------------------------------------
 
-def _drtl_plus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: bool = False):
-    al, bl = floats(s.a), floats(s.b)
-    ring = s.boundary is Boundary.PERIODIC
+def _drtl_plus(alpha: float, h: float, al: list, bl: list, ring: bool, factor_only: bool = False):
+    """Step half of drtl+(alpha, h); its factors are (d1, d2) and the
+    denominators d1_prev + h alpha a_prev of d2."""
     coupling = h * (alpha - h)
 
     def update(k, prev):
@@ -279,63 +346,72 @@ def _drtl_plus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: bo
         d1 = _moebius_chain(update, [(1.0 + h * b, coupling * ap, 1.0, 0.0)
                                      for b, ap in zip(bl, _prev(al, ring))])
     else:
-        d1 = _open_chain(update, 1.0 + h * bl[0], s.n)
-    _guard(d1, "d1")
+        d1 = _open_chain(update, 1.0 + h * bl[0], len(bl))
     ha = h * alpha
-    ha_a = [ha * a for a in al]
     d1_prev = _prev(d1, ring, 1.0)
-    denom = [dp + x for dp, x in zip(d1_prev, _prev(ha_a, ring, ha * 0.0))]
-    _guard(denom, "d1 + h*alpha*a")
-    d2 = [dp * (d + x) / de for dp, d, x, de in zip(d1_prev, d1, ha_a, denom)]
-
-    # cross-check against the equivalent second expression where it is regular
-    one_ab = [1.0 + alpha * b for b in bl]
-    h_one_ab = [h * x for x in one_ab]
-    h_one_ab_next = _next(h_one_ab, ring, h * (1.0 + alpha * 0.0))
-    d1_next = _next(d1, ring, 1.0)
-    den2 = [alpha * d - t for d, t in zip(d1, h_one_ab)]
-    scale = max(1.0, _amax(d2))
-    cut = 1e-8 * scale
-    gaps = [d * (alpha * dn - tn) / q - e
-            for d, dn, tn, q, e in zip(d1, d1_next, h_one_ab_next, den2, d2) if abs(q) > cut]
-    if gaps and _amax(gaps) > _ID_TOL * scale:
-        raise NumericalError("the two expressions for d2 disagree")
+    denom = [dp + ha * ap for dp, ap in zip(d1_prev, _prev(al, ring))]
+    d2 = [dp * (d + ha * a) / de for dp, d, a, de in zip(d1_prev, d1, al, denom)]
     if factor_only:
-        return d1, d2
+        return None, None, (d1, d2, denom)
 
     a_new = [a * en / d for a, en, d in zip(al, _next(d2, ring, 1.0), d1)]
     if alpha == 0.0:
         # removable singularity: eliminate d2 between the two addition formulas
-        b_new = [bn + (d - dn) / h for bn, d, dn in zip(_next(bl, ring), d1, d1_next)]
+        b_new = [bn + (d - dn) / h for bn, d, dn in zip(_next(bl, ring), d1, _next(d1, ring, 1.0))]
     else:
-        b_new = [(p * e / d - 1.0) / alpha for p, e, d in zip(one_ab, d2, d1)]
+        b_new = [((1.0 + alpha * b) * e / d - 1.0) / alpha for b, e, d in zip(bl, d2, d1)]
+    return a_new, b_new, (d1, d2, denom)
 
-    scale = max(1.0, _amax(d1), _amax(bl))
+
+def _drtl_plus_checks(alpha: float, h: float, ring: bool, al, bl, a_new, b_new,
+                      d1, d2, denom) -> None:
+    """Check half of drtl+(alpha, h): the addition formulas only where the
+    step half formed a~, b~."""
+    _guard(d1, "d1")
+    _guard(denom, "d1 + h*alpha*a")
+    # cross-check against the equivalent second expression where it is regular
+    h_one_ab = [h * (1.0 + alpha * b) for b in bl]
+    h_one_ab_next = _next(h_one_ab, ring, h * (1.0 + alpha * 0.0))
+    d1_next = _next(d1, ring, 1.0)
+    den2 = [alpha * d - t for d, t in zip(d1, h_one_ab)]
+    scale = _max(1.0, _amax(d2))
+    gaps = [d * (alpha * dn - tn) / q - e for q, d, dn, tn, e in
+            _regular(den2, 1e-8 * scale, d1, d1_next, h_one_ab_next, d2)]
+    if gaps and _over(_amax(gaps), _ID_TOL * scale):
+        raise NumericalError("the two expressions for d2 disagree")
+    if a_new is None:
+        return
+
+    scale = _max(1.0, _amax(d1), _amax(bl))
+    ha = h * alpha
     add1 = [h * (1.0 + alpha * bt) + alpha * dn - tn - alpha * e
             for bt, dn, tn, e in zip(b_new, d1_next, h_one_ab_next, d2)]
-    add2 = [d - ha * atp - e + x for d, atp, e, x in zip(d1, _prev(a_new, ring), d2, ha_a)]
-    if max(_amax(add1), _amax(add2)) > _ADD_TOL * scale:
+    add2 = [d - ha * atp - e + ha * a for d, atp, e, a in zip(d1, _prev(a_new, ring), d2, al)]
+    if _over(_max(_amax(add1), _amax(add2)), _ADD_TOL * scale):
         raise NumericalError("drtl+ addition formulas violated")
-    return s.replace(a=a_new, b=b_new)
+
+
+_DRTL_PLUS = (_drtl_plus, _drtl_plus_checks)
 
 
 def drtl_plus_factors(s: FlaschkaState, alpha: float, h: float):
     """Diagonals (d1, d2) of the two lower transition factors of drtl+."""
-    d1, d2 = _on_floats(_drtl_plus, s, alpha, h, True)
+    d1, d2, _ = _on_floats(_DRTL_PLUS, s, True, alpha, h)[2]
     return np.array(d1), np.array(d2)
 
 
 def drtl_plus_step(s: FlaschkaState, alpha: float, h: float) -> FlaschkaState:
-    return _on_floats(_drtl_plus, s, alpha, h)
+    a, b, _ = _on_floats(_DRTL_PLUS, s, False, alpha, h)
+    return s.replace(a=a, b=b)
 
 
 # ---------------------------------------------------------------------------
 # drtl-(alpha, h)
 # ---------------------------------------------------------------------------
 
-def _drtl_minus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: bool = False):
-    al, bl = floats(s.a), floats(s.b)
-    ring = s.boundary is Boundary.PERIODIC
+def _drtl_minus(alpha: float, h: float, al: list, bl: list, ring: bool, factor_only: bool = False):
+    """Step half of drtl-(alpha, h); its factors are (dm, cm) and the
+    denominators 1 + alpha (b_next - h dm) of cm."""
     rate = alpha + h
 
     def update(k, prev):
@@ -348,55 +424,89 @@ def _drtl_minus(s: FlaschkaState, floats, alpha: float, h: float, factor_only: b
         dm = _moebius_chain(update, [(0.0, a, -rate * h, 1.0 + rate * b)
                                      for a, b in zip(al, bl)])
     else:
-        dm = _open_chain(update, update(0, 0.0), s.n)     # a_0 = 0 before the chain
-    h_dm = [h * d for d in dm]
-    h_dm_prev = _prev(h_dm, ring, h * 0.0)
+        dm = _open_chain(update, update(0, 0.0), len(bl))     # a_0 = 0 before the chain
+    dm_prev = _prev(dm, ring)
     b_next = _next(bl, ring)
-    b_lag = [b - x for b, x in zip(bl, h_dm_prev)]            # b - h dm_prev
-    b_lead = [bn - x for bn, x in zip(b_next, h_dm)]          # b_next - h dm
+    b_lag = [b - h * dp for b, dp in zip(bl, dm_prev)]        # b - h dm_prev
+    b_lead = [bn - h * d for bn, d in zip(b_next, dm)]        # b_next - h dm
     lower = [1.0 + alpha * w for w in b_lead]
-    _guard(lower, "1 + alpha(b_next - h dm)")
     cm = [d * (1.0 + alpha * u) / lo for d, u, lo in zip(dm, b_lag, lower)]
-
-    # second expression, checked away from its 0/0 degenerations (on open
-    # chains the last site has no k+1 neighbour and is left out)
-    alpha_a = [alpha * a for a in al]
-    dm_max = _amax(dm)
-    scale = max(1.0, dm_max)
-    cut = 1e-8 * scale
-    den2 = [aan + hdn for aan, hdn in zip(_next(alpha_a, ring), _next(h_dm, ring))]
-    if not ring:
-        den2.pop()          # zip below stops before the open end
-    gaps = [dn * (aa + hd) / q - c
-            for dn, aa, hd, q, c in zip(_next(dm, ring), alpha_a, h_dm, den2, cm) if abs(q) > cut]
-    if gaps and _amax(gaps) > _ID_TOL * scale:
-        raise NumericalError("the two expressions for cm disagree")
     if factor_only:
-        return dm, cm
+        return None, None, (dm, cm, lower)
 
     # exact rational form of (1 + alpha b~) = (1 + alpha b_next) * cm/dm,
     # free of the 0/0 at alpha = 0 and at open boundaries where dm_n = 0
     b_new = [(b + h * (d - dp) + alpha * bn * u) / lo
-             for b, d, dp, bn, u, lo in zip(bl, dm, _prev(dm, ring), b_next, b_lag, lower)]
+             for b, d, dp, bn, u, lo in zip(bl, dm, dm_prev, b_next, b_lag, lower)]
     a_new = [c * (1.0 + rate * w) for c, w in zip(cm, b_lead)]
+    return a_new, b_new, (dm, cm, lower)
 
-    scale = max(1.0, _amax(bl), dm_max)
+
+def _drtl_minus_checks(alpha: float, h: float, ring: bool, al, bl, a_new, b_new,
+                       dm, cm, lower) -> None:
+    """Check half of drtl-(alpha, h): the addition formulas only where the
+    step half formed a~, b~."""
+    _guard(lower, "1 + alpha(b_next - h dm)")
+    # second expression, checked away from its 0/0 degenerations (on open
+    # chains the last site has no k+1 neighbour and is left out)
+    alpha_a = [alpha * a for a in al]
+    h_dm = [h * d for d in dm]
+    dm_max = _amax(dm)
+    scale = _max(1.0, dm_max)
+    den2 = [aan + hdn for aan, hdn in zip(_next(alpha_a, ring), _next(h_dm, ring))]
+    if not ring:
+        den2.pop()          # zip below stops before the open end
+    gaps = [dn * (aa + hd) / q - c for q, dn, aa, hd, c in
+            _regular(den2, 1e-8 * scale, _next(dm, ring), alpha_a, h_dm, cm)]
+    if gaps and _over(_amax(gaps), _ID_TOL * scale):
+        raise NumericalError("the two expressions for cm disagree")
+    if a_new is None:
+        return
+
+    scale = _max(1.0, _amax(bl), dm_max)
     h_cm = [h * c for c in cm]
-    add1 = [bt + hdp - b - hc for bt, hdp, b, hc in zip(b_new, h_dm_prev, bl, h_cm)]
+    add1 = [bt + hdp - b - hc
+            for bt, hdp, b, hc in zip(b_new, _prev(h_dm, ring, h * 0.0), bl, h_cm)]
     add2 = [alpha * at - hd - aa + hc for at, hd, aa, hc in zip(a_new, h_dm, alpha_a, h_cm)]
-    if max(_amax(add1), _amax(add2)) > _ADD_TOL * scale:
+    if _over(_max(_amax(add1), _amax(add2)), _ADD_TOL * scale):
         raise NumericalError("drtl- addition formulas violated")
-    return s.replace(a=a_new, b=b_new)
+
+
+_DRTL_MINUS = (_drtl_minus, _drtl_minus_checks)
 
 
 def drtl_minus_factors(s: FlaschkaState, alpha: float, h: float):
     """Superdiagonal coefficients (dm, cm) of the two upper factors of drtl-."""
-    dm, cm = _on_floats(_drtl_minus, s, alpha, h, True)
+    dm, cm, _ = _on_floats(_DRTL_MINUS, s, True, alpha, h)[2]
     return np.array(dm), np.array(cm)
 
 
 def drtl_minus_step(s: FlaschkaState, alpha: float, h: float) -> FlaschkaState:
-    return _on_floats(_drtl_minus, s, alpha, h)
+    a, b, _ = _on_floats(_DRTL_MINUS, s, False, alpha, h)
+    return s.replace(a=a, b=b)
+
+
+# the public factor-map steps and their (step half, check half)
+_HALVES = {dtl_step: _DTL, drtl_plus_step: _DRTL_PLUS, drtl_minus_step: _DRTL_MINUS}
+
+
+def _halves(step):
+    """(step half, check half) of ``step`` if it is a public factor-map step
+    (dtl, drtl+, drtl-), or a ``functools.wraps`` wrapper of one (a
+    profiler's, say), with its parameters bound by keyword as the
+    ``systems`` rows bind them: functions of (a, b, ring) and of
+    (ring, a, b, a~, b~, *factors) with the parameters bound.  None for any
+    other step, which a caller then runs as it is."""
+    if not isinstance(step, partial) or step.args:
+        return None
+    func = inspect.unwrap(step.func)
+    if func not in _HALVES:
+        return None
+    try:
+        params = inspect.signature(func).bind(None, **step.keywords).args[1:]
+    except TypeError:
+        return None
+    return tuple(partial(half, *params) for half in _HALVES[func])
 
 
 # ---------------------------------------------------------------------------

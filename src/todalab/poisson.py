@@ -76,14 +76,12 @@ def bracket_matrix(kind, s: FlaschkaState) -> np.ndarray:
 
 
 def _sites(s: FlaschkaState):
-    """(a_k, b_k, a_{k+1}, b_{k+1}, a_{k+2}, b_{k+2}, a_k^2, b_k^2, b_{k+1}^2)
-    of each site k as Python floats, neighbours taken round the ring (the
-    table drops entries past an open end); the squares are libm's pow, as
-    ``x ** 2`` of a float."""
+    """(a_k, b_k, a_{k+1}, b_{k+1}, a_{k+2}, b_{k+2}) of each site k as Python
+    floats, neighbours taken round the ring (the table drops entries past an
+    open end)."""
     a, b = s.a.tolist(), s.b.tolist()
-    aa, bb = np.float_power(s.a, 2).tolist(), np.float_power(s.b, 2).tolist()
-    a1, b1, bb1 = a[1:] + a[:1], b[1:] + b[:1], bb[1:] + bb[:1]
-    return zip(a, b, a1, b1, a1[1:] + a1[:1], b1[1:] + b1[:1], aa, bb, bb1)
+    a1, b1 = a[1:] + a[:1], b[1:] + b[:1]
+    return zip(a, b, a1, b1, a1[1:] + a1[:1], b1[1:] + b1[:1])
 
 
 # z index of b_{k+d} (block 0) or a_{k+d} (block 1) at site k, as (block, d)
@@ -91,22 +89,22 @@ _B, _A, _B1, _A1, _B2, _A2 = (0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)
 
 # Each elementary bracket as the (i, j) of its entries {z_i, z_j} at site k,
 # in the order of the table above, and their values at site k from alpha and
-# the site's ``_sites`` floats.
+# the site's ``_sites`` floats; a square is ``x ** 2`` of a float, libm's pow.
 _SITE_ENTRIES = {
     "tl1": (((_B, _A), (_A, _B1)),
-            lambda al, a, b, a1, b1, a2, b2, aa, bb, bb1: (-a, -a)),
+            lambda al, a, b, a1, b1, a2, b2: (-a, -a)),
     "tl2": (((_B, _A), (_A, _B1), (_B, _B1), (_A, _A1)),
-            lambda al, a, b, a1, b1, a2, b2, aa, bb, bb1: (-b * a, -a * b1, -a, -a * a1)),
+            lambda al, a, b, a1, b1, a2, b2: (-b * a, -a * b1, -a, -a * a1)),
     "tl3": (((_B, _A), (_A, _B1), (_B, _B1), (_A, _A1), (_B, _A1), (_A, _B2)),
-            lambda al, a, b, a1, b1, a2, b2, aa, bb, bb1: (
-                -a * (bb + a), -a * (bb1 + a), -a * (b + b1), -2.0 * a * a1 * b1,
+            lambda al, a, b, a1, b1, a2, b2: (
+                -a * (b ** 2 + a), -a * (b1 ** 2 + a), -a * (b + b1), -2.0 * a * a1 * b1,
                 -a * a1, -a * a1)),
     "rtl1": (((_B, _A), (_A, _B1), (_B, _B1)),
-             lambda al, a, b, a1, b1, a2, b2, aa, bb, bb1: (-a, -a, al * a)),
+             lambda al, a, b, a1, b1, a2, b2: (-a, -a, al * a)),
     "rtl3": (((_B, _A), (_A, _B1), (_B, _B1), (_A, _A1), (_B, _A1), (_A, _B2), (_A, _A2)),
-             lambda al, a, b, a1, b1, a2, b2, aa, bb, bb1: (
-                 -a * (bb + a) - al * b * aa,
-                 -a * (bb1 + a) - al * aa * b1,
+             lambda al, a, b, a1, b1, a2, b2: (
+                 -a * (b ** 2 + a) - al * b * a ** 2,
+                 -a * (b1 ** 2 + a) - al * a ** 2 * b1,
                  -a * (b + b1) - al * b * a * b1,
                  -2.0 * a * b1 * a1 - al * a * a1 * (a + a1),
                  -a * a1 - al * b * a * a1,

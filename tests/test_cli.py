@@ -161,6 +161,18 @@ def test_chart_ring_whose_closure_holds_but_residual_fails_names_the_residual(tm
                                  "3.8e-12 although the ring closes")
 
 
+def test_map_step_failing_its_identity_check_reports_the_step(tmp_path, capsys):
+    # the drtl- ring of the failing-step cases: twelve steps pass their checks
+    # as one block, the thirteenth fails the cm identity and is rerun alone
+    assert run(tmp_path, "simulate", "--system", "drtl-", "--boundary", "periodic", "--n", "6",
+               "--h", "0.3", "--alpha", "0.7", "--seed", "0", "--steps", "30", "--out", "x") == 3
+    report = _step_failure_report(tmp_path, "x", 13)
+    assert report["error"] == "NumericalError"
+    assert report["message"] == "the two expressions for cm disagree"
+    assert capsys.readouterr().err == ("numerical failure at step 13: "
+                                       "the two expressions for cm disagree\n")
+
+
 _AT_STEP_1 = ("at step 1", {"failing_step": 1})
 
 

@@ -80,6 +80,18 @@ def test_package_forms_the_moebius_site_matrix_once():
     assert len(entries) == 1 and entries[0].startswith("realizations.py:"), entries
 
 
+def test_package_forms_each_in_step_check_once():
+    """Each in-step identity and addition formula of the factor maps is
+    formed on one line of maps: its check half runs on one step's floats and
+    on a block of steps as columns alike."""
+    for expr in ("d * (alpha * dn - tn) / q - e", "dn * (aa + hd) / q - c",
+                 "h * (1.0 + alpha * bt) + alpha * dn - tn - alpha * e",
+                 "d - ha * atp - e + ha * a", "bt + hdp - b - hc", "alpha * at - hd - aa + hc",
+                 "min(axis=0) < _PIVOT", "min(map(abs, vals)) < _PIVOT"):
+        lines = _package_lines_with(expr)
+        assert len(lines) == 1 and lines[0].startswith("maps.py:"), (expr, lines)
+
+
 def test_package_has_one_trajectory_loop():
     """Every trajectory of the package is stepped by verify.trajectory, and
     the flows are plain vector fields with no dispatch on a kind string."""

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from todalab import maps
+from todalab import lax, maps, verify
 from todalab.core import Boundary, FlaschkaState, random_state, shifted, state_to_json
 from todalab.errors import (DomainError, NoRealBranch, NumericalError, SingularStep,
                             SolveFailed)
 from todalab.flows import tl_field
 from todalab.lax import drift, spectral_invariants, spectral_nodes
+from todalab.systems import SYSTEMS
 
 S2 = FlaschkaState([3.0, 0.0], [1.0, 2.0], Boundary.OPEN)
 
@@ -601,7 +602,6 @@ _FAILING = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered in scalar divide:RuntimeWarning")
 @pytest.mark.parametrize("name,boundary,n,h,alpha,seed,step,error,message", _FAILING)
 def test_failing_steps_keep_index_type_and_message(name, boundary, n, h, alpha, seed,
                                                     step, error, message):
@@ -615,6 +615,87 @@ def test_failing_steps_keep_index_type_and_message(name, boundary, n, h, alpha, 
         stepper(s)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def _same_bits(s, t):
+    return s.a.tobytes() == t.a.tobytes() and s.b.tobytes() == t.b.tobytes()
+
+
+# the same trajectories through verify.trajectory, which checks a factor map
+# a block of steps at a time, at the default block size and in blocks of
+# three (so full blocks pass before the failing one): the states before the
+# failing step are bitwise those of the public steps, and the failing step,
+# rerun through the public step, raises the same error
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("name,boundary,n,h,alpha,seed,step,error,message", _FAILING)
+def test_trajectory_blocks_replay_the_failing_step(monkeypatch, block, name, boundary, n, h,
+                                                   alpha, seed, step, error, message):
+    if block is not None:
+        monkeypatch.setattr(lax, "states_per_chunk", lambda nodes: block)
+    bound = SYSTEMS[name].stepper(h, alpha)
+    assert maps._halves(bound) is not None
+    s, expected = random_state(n, boundary, seed), []
+    for _ in range(step):
+        s = bound(s)
+        expected.append(s)
+    got = []
+    with pytest.raises(error) as info:
+        for t in verify.trajectory(bound, random_state(n, boundary, seed), step + 40):
+            got.append(t)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert len(got) == step and all(map(_same_bits, got, expected))
+
+
+def _step_halves(name, boundary, n, h, alpha, seed, steps):
+    """The check half of a system, with its ring flag bound, and the lists
+    (a, b, a~, b~, *factors) of each of `steps` step halves from a seeded
+    state."""
+    step_half, check_half = maps._halves(SYSTEMS[name].stepper(h, alpha))
+    ring = boundary is Boundary.PERIODIC
+    s = random_state(n, boundary, seed)
+    rows, taken = (s.a.tolist(), s.b.tolist()), []
+    for _ in range(steps):
+        a, b, factors = step_half(*rows, ring)
+        taken.append((*rows, a, b, *factors))
+        rows = a, b
+    return partial(check_half, ring), taken
+
+
+def _columns(taken):
+    """The lists of steps as the columns of one block: site k is column k."""
+    return [list(np.array(part).T) for part in zip(*taken)]
+
+
+# the check half passes a block of steps as columns exactly when each of its
+# steps passes on floats: the failing steps of the cases above fail their
+# block with their own error, the steps before them pass as one block, and
+# so do the steps of regular trajectories
+@pytest.mark.parametrize("name,boundary,n,h,alpha,seed,step,error,message",
+                         [case for case in _FAILING if case[-2] is NumericalError])
+def test_column_checks_fail_a_block_where_one_of_its_steps_fails(name, boundary, n, h, alpha,
+                                                                 seed, step, error, message):
+    check, taken = _step_halves(name, boundary, n, h, alpha, seed, step + 1)
+    with np.errstate(all="ignore"):
+        check(*_columns(taken[:-1]))
+        with pytest.raises(error) as info:
+            check(*_columns(taken))
+    assert str(info.value) == message
+    with pytest.raises(error):
+        check(*taken[-1])
+
+
+# (at alpha = h the second expression of d2 degenerates at every site)
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("name,alpha", [("dtl", 0.3), ("drtl+", 0.3), ("drtl+", 0.05),
+                                        ("drtl-", 0.3)])
+def test_column_checks_pass_a_regular_block(name, alpha, boundary):
+    for seed in range(3):
+        check, taken = _step_halves(name, boundary, 7, 0.05, alpha, seed, 50)
+        with np.errstate(all="ignore"):
+            check(*_columns(taken))
+        for lists in taken:
+            check(*lists)
 
 
 def test_list_reductions_follow_numpy_nan_semantics():
@@ -636,3 +717,25 @@ def test_list_reductions_follow_numpy_nan_semantics():
                 maps._guard(vals, "v")
         else:
             maps._guard(vals, "v")
+
+    # the column form: the cases as the rows of a block, site k the column k;
+    # the guard raises for a block when it raises for one of its rows
+    rows = np.array(cases)
+    ref = np.abs(rows).max(axis=1)
+    got = maps._amax(list(rows.T))
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert np.array_equal(got[~np.isnan(ref)], ref[~np.isnan(ref)])
+
+    def raises(guard, vals):
+        try:
+            guard(vals, "v")
+        except SingularStep as exc:
+            assert str(exc) == "v fell below the singularity guard"
+            return True
+        return False
+
+    per_row = [raises(maps._check, row) for row in rows]
+    for i, row in enumerate(rows):
+        assert raises(maps._guard, list(rows[i:i + 1].T)) == per_row[i]
+    assert raises(maps._guard, list(rows.T)) == any(per_row)
+    assert not raises(maps._guard, list(rows[[not r for r in per_row]].T))

@@ -1,15 +1,18 @@
+import functools
 import hashlib
 import inspect
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from todalab import lax, pluri, verify
+from todalab import lax, maps, pluri, verify
 from todalab.core import Boundary, random_canonical, random_state
 from todalab.errors import NonInvertibleLeg, NumericalError
 from todalab.lax import drift, spectral_invariants, spectral_nodes, states_per_chunk
@@ -176,6 +179,67 @@ def test_criterion_3_ring_commutator_floor(system):
 def test_trajectory_yields_the_state_after_each_step():
     assert list(trajectory(lambda k: k + 1, 0, 3)) == [1, 2, 3]
     assert list(trajectory(lambda k: k + 1, 0, 0)) == []
+
+
+def test_block_trajectory_calls_the_public_step_only_to_rerun_a_failing_block(monkeypatch):
+    # a functools.wraps wrapper of a factor-map step (a profiler's, say) is
+    # run as the map's halves: a regular trajectory never calls it, and a
+    # failing one calls it for the steps of its failing block, the first
+    # twelve of this drtl- ring and the thirteenth, which fails its check
+    calls = []
+    public = maps.drtl_minus_step
+
+    @functools.wraps(public)
+    def counted(s, alpha, h):
+        calls.append(s)
+        return public(s, alpha, h)
+
+    monkeypatch.setattr(maps, "drtl_minus_step", counted)
+    regular = SYSTEMS["drtl-"].stepper(0.05, 0.3)
+    assert len(list(trajectory(regular, random_state(8, Boundary.OPEN, 2), 300))) == 300
+    assert not calls
+    failing = SYSTEMS["drtl-"].stepper(0.3, 0.7)
+    with pytest.raises(NumericalError, match="the two expressions for cm disagree"):
+        list(trajectory(failing, random_state(6, Boundary.PERIODIC, 0), 30))
+    assert len(calls) == 13
+
+
+def _loop(step, state, steps):
+    """The states of `steps` public steps from state, and the error that
+    ended them early (None if none did)."""
+    states = []
+    try:
+        for _ in range(steps):
+            state = step(state)
+            states.append(state)
+    except Exception as exc:        # any error: the block path must raise it too
+        return states, exc
+    return states, None
+
+
+# a factor map's trajectory runs its checks a block of steps at a time: its
+# states are bitwise those of the loop of public steps, or both fail at the
+# same step with the same error; blocks of 1, 2 and 7 steps put block ends
+# inside the 60 steps (the default block holds them all)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(system=st.sampled_from(["dtl", "drtl+", "drtl-"]), boundary=st.sampled_from(list(Boundary)),
+       n=st.integers(2, 12), h=st.floats(0.01, 0.3), alpha=st.floats(-0.5, 0.5),
+       seed=st.integers(0, 2 ** 32 - 1), block=st.sampled_from([None, 1, 2, 7]))
+def test_block_trajectory_is_the_loop_of_public_steps(system, boundary, n, h, alpha, seed, block):
+    step = SYSTEMS[system].stepper(h, alpha)
+    expected, failure = _loop(step, random_state(n, boundary, seed), 60)
+    with (nullcontext() if block is None
+          else patch.object(lax, "states_per_chunk", lambda nodes: block)):
+        got, raised = [], None
+        try:
+            for t in trajectory(step, random_state(n, boundary, seed), 60):
+                got.append(t)
+        except Exception as exc:
+            raised = exc
+    assert len(got) == len(expected)
+    assert all(t.a.tobytes() == e.a.tobytes() and t.b.tobytes() == e.b.tobytes()
+               for t, e in zip(got, expected))
+    assert type(raised) is type(failure) and str(raised) == str(failure)
 
 
 # ---------------------------------------------------------------------------
