@@ -29,9 +29,10 @@ import numpy as np
 
 from . import lax, verify
 from .core import (Boundary, CanonicalState, FlaschkaState, load_state, random_state,
-                   state_to_json)
+                   state_to_json, vectors)
 from .errors import NoRealBranch, NumericalError
-from .realizations import CATALOG, canonical_step, chart_state, flaschka_of, realization
+from .realizations import (CATALOG, canonical_step, chart_stack, chart_state, flaschka_of,
+                           realization)
 from .systems import SYSTEMS
 
 def _boundary(text: str) -> Boundary:
@@ -246,26 +247,29 @@ def _write_run_outputs(out, header, state_rows, inv, inv_names):
 
 
 def _trajectory(step, first, steps, invariants, out, report):
-    """States first, step(first), ... and their invariants.
+    """The rows of first, step(first), ... as blocks of (B, n) arrays of
+    their two vectors (``verify.trajectory_blocks``), and ``invariants`` of
+    the blocks.
 
     A numerical failure, or a state that fails validation (a ValueError: an
     entry overflowed or became NaN), writes <out>.error.json naming the failing
     step, or ``"failing_stage": "invariants"``, and one stderr line (numpy's
-    floating-point warnings are off) and gives no invariants."""
-    traj = [first]
+    floating-point warnings are off) and gives None."""
+    blocks = [tuple(v[None] for v in vectors(first))]
     with np.errstate(all="ignore"):
         try:
-            for state in verify.trajectory(step, first, steps):
-                traj.append(state)
+            for block in verify.trajectory_blocks(step, first, steps):
+                blocks.append(block)
         except (NumericalError, ValueError) as exc:
-            _report_failure(out, report, exc, f"at step {len(traj)}", failing_step=len(traj))
-            return traj, None
+            done = sum(len(u) for u, _ in blocks)
+            _report_failure(out, report, exc, f"at step {done}", failing_step=done)
+            return None
         try:
-            return traj, invariants(traj)
+            return blocks, invariants(blocks)
         except (NumericalError, ValueError) as exc:
             _report_failure(out, report, exc, "in the trajectory invariants",
                             failing_stage="invariants")
-            return traj, None
+            return None
 
 
 def _report_failure(out, report, exc, where, **failing):
@@ -278,17 +282,28 @@ def _report_failure(out, report, exc, where, **failing):
 
 def _subject(args):
     """What a run starts from and steps: the --realization chart if one is
-    given, else the --system.  Returns the first state, the step, the (a, b)
-    image of a state, the alpha of the conserved Lax pair and the report key."""
+    given, else the --system.  Returns the first state, the step, the chart
+    (None for a system), the alpha of the conserved Lax pair and the report key."""
     if args.realization is None:
         row = SYSTEMS[args.system]
-        return (_initial_state(args), row.stepper(args.h, args.alpha), lambda s: s,
+        return (_initial_state(args), row.stepper(args.h, args.alpha), None,
                 row.lax_alpha(args.h, args.alpha), {"system": args.system})
-    spec = realization(args.realization, args.h, alpha=args.alpha,
-                       epsilon=args.epsilon, beta=args.beta)
-    return (_initial_canonical(args, spec), partial(canonical_step, spec),
-            partial(flaschka_of, spec), spec.system.lax_alpha(spec.h, spec.alpha),
-            {"realization": spec.name})
+    try:
+        spec = realization(args.realization, args.h, alpha=args.alpha,
+                           epsilon=args.epsilon, beta=args.beta)
+    except ValueError as exc:   # a parameter the chart divides by is 0
+        raise SystemExit2(str(exc))
+    return (_initial_canonical(args, spec), partial(canonical_step, spec), spec,
+            spec.system.lax_alpha(spec.h, spec.alpha), {"realization": spec.name})
+
+
+def _invariants(spec, first, alpha, blocks):
+    """The invariants of the rows of the blocks at the nodes of the first
+    state; a chart's rows are charted to (a, b) a block at a time."""
+    nodes = lax.spectral_nodes(first if spec is None else flaschka_of(spec, first), alpha)
+    return np.concatenate([lax.spectral_invariants_stacked(
+        *(block if spec is None else chart_stack(spec, *block, first.boundary)),
+        first.boundary, nodes, alpha) for block in blocks])
 
 
 def cmd_simulate(args) -> int:
@@ -298,30 +313,28 @@ def cmd_simulate(args) -> int:
     if args.h == 0.0 and (args.realization or SYSTEMS[args.system].flow):
         kind = "chart" if args.realization else "flow"   # every chart leg divides by h
         raise SystemExit2(f"--h must be nonzero for a {kind}")
-    first, step, to_ab, alpha, report = _subject(args)
+    first, step, spec, alpha, report = _subject(args)
     out = args.out or "run"
-    traj, inv = _trajectory(
-        step, first, args.steps,
-        lambda states: np.concatenate(list(lax.trajectory_invariants(map(to_ab, states),
-                                                                     alpha=alpha))),
-        out, report)
-    if inv is None:
+    run = _trajectory(step, first, args.steps, partial(_invariants, spec, first, alpha),
+                      out, report)
+    if run is None:
         return 3
+    blocks, inv = run
+    rows = [np.concatenate(part) for part in zip(*blocks)]
     n = first.n
     inv_names = _inv_names(n, inv.shape[1] // n)
-    names = ("x", "p") if isinstance(first, CanonicalState) else ("b", "a")
-    header = ["step"] + [f"{v}{k + 1}" for v in names for k in range(n)] + inv_names
-    _write_run_outputs(out, header, [np.concatenate([getattr(s, v) for v in names])
-                                     for s in traj], inv, inv_names)
+    names = ("x", "p") if spec else ("b", "a")
+    header = ["step"] + [f"{c}{k + 1}" for c in names for k in range(n)] + inv_names
+    _write_run_outputs(out, header, np.hstack(rows if spec else rows[::-1]), inv, inv_names)
     return 0
 
 
 def cmd_invariants(args) -> int:
     _validate_system(args.system, args.realization)
-    state, _, to_ab, alpha, obj = _subject(args)
+    state, _, spec, alpha, obj = _subject(args)
     with np.errstate(all="ignore"):
         try:
-            ab = to_ab(state)
+            ab = state if spec is None else flaschka_of(spec, state)
             nodes = lax.spectral_nodes(ab, alpha=alpha)
             inv = lax.spectral_invariants(ab, alpha=alpha, nodes=nodes)
         except (NumericalError, ValueError) as exc:   # ValueError: an entry overflowed

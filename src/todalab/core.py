@@ -16,7 +16,6 @@ mutate a state.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,14 +40,13 @@ def _checked_vector(v, name: str) -> np.ndarray:
 
 def _frozen_pair(u, v, names):
     """The two vectors of a state as the rows of one read-only (2, n) copy,
-    with one finiteness test, of the sum of its entries (which is finite
-    unless an entry is not, or the sum overflows).  Input that fails it goes
+    with one finiteness test of all its entries.  Input that fails it goes
     through the checks of each vector in turn, which word the error."""
     try:
         pair = np.array((u, v), dtype=float)
     except (TypeError, ValueError):    # ragged, or not numbers
         pair = None
-    if pair is None or pair.ndim != 2 or not math.isfinite(pair.sum()):
+    if pair is None or pair.ndim != 2 or not np.isfinite(pair).all():
         u, v = _checked_vector(u, names[0]), _checked_vector(v, names[1])
         if len(u) != len(v):
             raise ValueError(f"{names[0]} and {names[1]} must have equal length")
@@ -94,6 +92,11 @@ class CanonicalState:
     @property
     def n(self) -> int:
         return len(self.x)
+
+
+def vectors(state) -> tuple:
+    """The two vectors of a state: (a, b), or (x, p) of a canonical state."""
+    return (state.x, state.p) if isinstance(state, CanonicalState) else (state.a, state.b)
 
 
 def stack_is_valid(u: np.ndarray, v: np.ndarray, open_end: bool = False) -> bool:
@@ -190,9 +193,8 @@ def _vec_json(v: np.ndarray) -> str:
 
 
 def state_to_json(state) -> str:
-    kind = ("a", "b") if isinstance(state, FlaschkaState) else ("x", "p")
-    first = state.a if isinstance(state, FlaschkaState) else state.x
-    second = state.b if isinstance(state, FlaschkaState) else state.p
+    kind = ("x", "p") if isinstance(state, CanonicalState) else ("a", "b")
+    first, second = vectors(state)
     return ("{" + f'"n": {state.n}, "boundary": "{state.boundary.value}", '
             + f'"{kind[0]}": {_vec_json(first)}, "{kind[1]}": {_vec_json(second)}' + "}")
 

@@ -29,7 +29,6 @@ uses it to evaluate n discrete steps in closed form by factoring
 from __future__ import annotations
 
 import math
-from itertools import chain
 
 import numpy as np
 
@@ -221,34 +220,9 @@ _CHUNK_BYTES = 1 << 19      # working set of a stacked evaluation: about eight (
 
 def states_per_chunk(nodes: int) -> int:
     """States B per stacked evaluation at S = ``nodes`` nodes (n per lambda
-    sample), so the working set stays flat in n and in the samples."""
+    sample), so the working set stays flat in n and in the samples: the
+    most rows of a block of ``verify.trajectory_blocks``."""
     return max(1, _CHUNK_BYTES // (64 * nodes))
-
-
-def trajectory_invariants(states, alpha: float | None = None):
-    """``spectral_invariants`` of an iterable of states, one block of rows per
-    ``states_per_chunk`` states, read from it one chunk at a time.
-
-    The states share n and boundary; they are evaluated at the nodes of the
-    first state by the stacked kernel.  Each state's vectors are copied into
-    two (B, n) buffers, which every chunk reuses.
-    """
-    states = iter(states)
-    first = next(states, None)
-    if first is None:
-        return
-    nodes = spectral_nodes(first, alpha)
-    chunk = states_per_chunk(np.size(nodes))
-    a, b = np.empty((chunk, first.n)), np.empty((chunk, first.n))
-    k = 0
-    for s in chain([first], states):
-        a[k], b[k] = s.a, s.b
-        k += 1
-        if k == chunk:
-            yield spectral_invariants_stacked(a, b, first.boundary, nodes, alpha)
-            k = 0
-    if k:
-        yield spectral_invariants_stacked(a[:k], b[:k], first.boundary, nodes, alpha)
 
 
 def crout_lu(m: np.ndarray):

@@ -29,8 +29,9 @@ test, the ring closure and the update.  The check half runs every other
 guard and check: the pivot guards, the two-expression identity and the
 addition formulas.  The public steps run both halves on every step.  The
 check half is written once, for one step's floats and for a block of steps
-as columns; ``verify.trajectory`` steps the step half alone and checks a
-block of steps at a time, rerunning a failing block through the public step.
+as columns; ``verify.trajectory_blocks`` steps the step half alone and
+checks a block of steps at a time, rerunning a failing block through the
+public step.
 Each value is formed by the same expression, in the same order, as the
 formulas evaluated elementwise on numpy vectors, so each result is bitwise
 that of the numpy evaluation and each failure raises the same error.  The

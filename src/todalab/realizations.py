@@ -699,6 +699,7 @@ class _Row(NamedTuple):
     ordered: bool
     build: Callable         # _Params -> (legs, chart, bracket, hamiltonian)
     dual_type: bool = False   # see Realization.psi0_on_image
+    nonzero: tuple = ()       # the parameters its legs or chart divide by
 
 
 _DTL, _PLUS, _PLUS_MINUS = ("dtl",), ("drtl_plus",), ("drtl_plus", "drtl_minus")
@@ -712,10 +713,12 @@ _CHARTS = {
                 lambda q: (_legs_mod_exp(q.h), _chart_mod_exp, Bracket("tl2"), None)),
     "mod-exp-eps": _Row(_DTL, True, False, lambda q: (
         _legs_mod_exp_eps(q.h, q.epsilon), _chart_rel_exp_gen(0.0, q.epsilon),
-        combo((1.0, Bracket("tl1")), (q.epsilon, Bracket("tl2"))), None)),
+        combo((1.0, Bracket("tl1")), (q.epsilon, Bracket("tl2"))), None),
+        nonzero=("epsilon",)),
     "hyp-mult": _Row(_DTL, False, True, lambda q: (
         _legs_hyp_mult(q.h, q.beta), _chart_hyp_mult(q.beta),
-        combo((-1.0, Bracket("tl3")), (-4.0 * q.beta, Bracket("tl2"))), None)),
+        combo((-1.0, Bracket("tl3")), (-4.0 * q.beta, Bracket("tl2"))), None),
+        nonzero=("beta",)),
     "rat-mult": _Row(_DTL, False, True, lambda q: (
         _legs_rat_mult(q.h), _chart_rat(np.sinh, _coth), combo((-1.0, Bracket("tl3"))),
         None)),
@@ -728,7 +731,8 @@ _CHARTS = {
         (_ham_rel_exp_add_minus if q.minus else _ham_rel_exp_add_plus)(q.alpha))),
     "ruijsenaars": _Row(_PLUS, True, False, lambda q: (
         _legs_ruijsenaars(q.h, q.alpha), _chart_ruijsenaars(q.alpha),
-        combo((1.0, Bracket("rtl1", q.alpha)), (q.alpha, Bracket("rtl2"))), None)),
+        combo((1.0, Bracket("rtl1", q.alpha)), (q.alpha, Bracket("rtl2"))), None),
+        nonzero=("alpha",)),
     "rel-dual": _Row(_PLUS_MINUS, False, False, lambda q: (
         (_legs_rel_dual_minus if q.minus else _legs_rel_dual_plus)(q.h, q.alpha),
         _chart_rel_dual(q.alpha), Bracket("rtl1", q.alpha), None), dual_type=True),
@@ -737,10 +741,12 @@ _CHARTS = {
         _chart_mod_exp, Bracket("rtl2"), None)),
     "rel-exp-gen": _Row(_PLUS, True, False, lambda q: (
         _legs_rel_exp_gen(q.h, q.alpha, q.epsilon), _chart_rel_exp_gen(q.alpha, q.epsilon),
-        combo((1.0, Bracket("rtl1", q.alpha)), (q.epsilon, Bracket("rtl2"))), None)),
+        combo((1.0, Bracket("rtl1", q.alpha)), (q.epsilon, Bracket("rtl2"))), None),
+        nonzero=("epsilon",)),
     "rel-hyp-mult": _Row(_PLUS, False, True, lambda q: (
         _legs_rel_hyp_mult(q.h, q.alpha, q.beta), _chart_rel_hyp_mult(q.alpha, q.beta),
-        combo((-1.0, Bracket("rtl3", q.alpha)), (-4.0 * q.beta, Bracket("rtl2"))), None)),
+        combo((-1.0, Bracket("rtl3", q.alpha)), (-4.0 * q.beta, Bracket("rtl2"))), None),
+        nonzero=("beta",)),
     "rel-rat-mult": _Row(_PLUS, False, True, lambda q: (
         _legs_rel_rat_mult(q.h, q.alpha), _chart_rel_rat(q.alpha, np.sinh, _coth),
         combo((-1.0, Bracket("rtl3", q.alpha))), None)),
@@ -754,7 +760,8 @@ def _explicit(counterpart, own=lambda q: {}):
     """Row of an explicit chart: the drtl_plus chart `counterpart` at alpha = h,
     whose phi leg vanishes there, so it is dropped; `own(params)` gives the
     leg fields the explicit chart keeps of its own (a different kinetic leg,
-    sampling window or domain message), computed first."""
+    sampling window or domain message), computed first.  It binds alpha = h,
+    so alpha = 0 is no error for it."""
     row = _CHARTS[counterpart]
 
     def build(q):
@@ -762,7 +769,8 @@ def _explicit(counterpart, own=lambda q: {}):
         legs, chart, bracket, _ = row.build(q._replace(alpha=q.h, minus=False))
         return (replace(legs, phi=None, dphi=None, Phi=None, mobius=None, **kept),
                 chart, bracket, None)
-    return row._replace(families=("explicit",), build=build)
+    return row._replace(families=("explicit",), build=build,
+                        nonzero=tuple(p for p in row.nonzero if p != "alpha"))
 
 
 def _linear_kinetic(q):
@@ -811,12 +819,15 @@ def realization(name: str, h: float, *, alpha: float = 0.3, epsilon: float = 0.2
     family = family or row.families[0]
     if family not in row.families:
         raise ValueError(f"{name} supports the families {'/'.join(row.families)}")
-    minus = family == "drtl_minus"
-    legs, chart, bracket, ham = row.build(_Params(h, alpha, epsilon, beta, minus))
+    params = _Params(h, alpha, epsilon, beta, family == "drtl_minus")
+    for p in row.nonzero:
+        if getattr(params, p) == 0.0:
+            raise ValueError(f"{p} must be nonzero for the {name} chart")
+    legs, chart, bracket, ham = row.build(params)
     lax_alpha = SYSTEMS[_FAMILY_SYSTEM[family]].lax_alpha(h, alpha)
     return Realization(name, family, h, 0.0 if lax_alpha is None else lax_alpha, legs,
                        bracket, row.supports_open, chart, ham, row.ordered,
-                       psi0_on_image=minus != row.dual_type)
+                       psi0_on_image=params.minus != row.dual_type)
 
 
 def chart_specs(h: float, *, alpha: float = 0.3, epsilon: float = 0.2,
@@ -1057,7 +1068,8 @@ def _mobius_sites(spec, x, rhs):
     whose site k is a column.  A beta that is not positive, or a leg pole,
     raises NoRealBranch, naming its site on a single ring."""
     q, s = spec.legs.mobius
-    g = np.exp(x - shifted(x, -1, Boundary.PERIODIC))
+    with np.errstate(over="ignore"):   # a gap that overflows fails the ring product
+        g = np.exp(x - shifted(x, -1, Boundary.PERIODIC))
 
     def site(r, gk):   # the site matrix at c_k = 1 + h rhs_k
         c = 1.0 + spec.h * r
@@ -1068,7 +1080,8 @@ def _mobius_sites(spec, x, rhs):
         sites = list(map(site, rhs.tolist(), g))
         t = _ring_fixed_point(sites)
     else:             # a stack: site k is the column of the rows' entries k
-        m11, m12, _, m22 = site(rhs, g)
+        with np.errstate(invalid="ignore"):   # s g of an infinite gap at s = 0 is NaN
+            m11, m12, _, m22 = site(rhs, g)
         g, holds = g.T, np.ndarray.all
         sites = list(zip(m11.T, m12.T, repeat(1.0), m22.T))
         t = np.array([_ring_fixed_point(zip(a, b, repeat(1.0), d))

@@ -5,11 +5,12 @@ trajectory (a flow's is the RK4 step of its vector field, alpha bound to
 the field), the alpha of the Lax pair whose spectrum the system conserves
 (None for the Toda matrix T) and the label of its checks.  A row looks its
 step function up in ``maps`` or ``flows`` when it is bound, so a function
-replaced in those modules is the one bound.  ``verify.trajectory`` runs a
-bound dtl, drtl+ or drtl- step, or a ``functools.wraps`` wrapper of one (a
-profiler's, say), as the map's step and check halves a block of steps at a
-time, so such a wrapper is called only to rerun a block that fails; any
-other replacement is called for every step.
+replaced in those modules is the one bound.  ``verify.trajectory_blocks``
+runs a bound dtl, drtl+ or drtl- step, or a ``functools.wraps`` wrapper of
+one (a profiler's, say), as the map's step and check halves a block of
+steps at a time, so such a wrapper is called only to rerun a block that
+fails; any other step, a replacement too, is called for every step.  Every
+step's rows come in the same blocks.
 """
 
 from __future__ import annotations

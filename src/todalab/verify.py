@@ -9,9 +9,10 @@ machine-readable reports and the acceptance suite can re-run the same code
 at its own scales.  A check takes only the parameters some caller sets; its
 gate and every other value are constants of the check.
 
-``trajectory`` and the isospectrality check step through ``_blocks``, the
-one trajectory loop: a factor map's steps run on floats and their in-step
-checks once per block of steps, as columns.
+``trajectory`` and the isospectrality check step through
+``trajectory_blocks``, the one trajectory loop: it yields every trajectory
+as blocks of (B, n) rows, and runs a factor map's steps on floats and their
+in-step checks once per block of steps, as columns.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import lax, maps, pluri, poisson
 from .core import (Boundary, CanonicalState, FlaschkaState, random_canonical, random_state,
-                   worst)
+                   vectors, worst)
 from .errors import NumericalError
 from .realizations import (CATALOG, canonical_step, chart_specs, chart_state,
                            lagrangian_value, pullback_consistency, realization,
@@ -42,47 +43,46 @@ def _record(check, params, samples, max_residual, tol):
 
 def trajectory(step, state, steps):
     """The states step(state), step(step(state)), ... after each of `steps`
-    steps, one at a time from the blocks of ``_blocks``."""
-    for block in _blocks(step, state, steps):
-        if isinstance(block, list):
-            yield from block
-        else:
-            yield from (FlaschkaState(a, b, state.boundary) for a, b in zip(*block))
+    steps, built from the rows of ``trajectory_blocks``."""
+    kind, boundary = type(state), state.boundary
+    for u, v in trajectory_blocks(step, state, steps):
+        yield from (kind(x, y, boundary) for x, y in zip(u, v))
 
 
-def _blocks(step, state, steps):
+def trajectory_blocks(step, state, steps):
     """The states after each of `steps` steps from `state`, a block at a
-    time: the one loop that steps a state repeatedly.
+    time: the one loop that steps a state repeatedly.  A block is the (B, n)
+    arrays of its states' two vectors, (a, b) or (x, p), B at most
+    ``lax.states_per_chunk`` at the state's nodes; each step's vectors are
+    copied into flat float buffers as it is taken, so a block holds no
+    state and no float object.
 
     A factor map (dtl, drtl+, drtl-, see ``maps._halves``) runs its step
     half on the (a, b) lists of the state before, with one finiteness test
-    per step, and its check half once per block of ``lax.states_per_chunk``
-    steps, as columns (``_passes``); a checked block comes as the (B, n)
-    arrays (a, b) of its states.  Each step's lists are copied into flat float buffers
-    as it is taken, so a block holds no float objects.  A block that fails
-    its check, or ends at a step that raises or leaves an entry that is not
-    finite, is rerun through the public step: that gives the states before
-    the first failing step, as a block, and then the error the public step
-    raises there (or, if only the step half failed, the state).  Any other
-    step comes one state at a time, as a list.
+    per step, and its check half once per block, as columns (``_passes``).
+    A block that fails its check, or ends at a step that raises or leaves an
+    entry that is not finite, is rerun through the public step: that gives
+    the rows before the first failing step, and then the error the public
+    step raises there (or, if only the step half failed, the state).  Any
+    other step (a flow, an explicit map, a chart step) is called on the
+    state; a block that ends at a step that raises gives the rows before it,
+    and then that step's error.
     """
     halves = maps._halves(step)
-    if halves is not None:
-        step_half, check_half = halves
-        ring, n = state.boundary is Boundary.PERIODIC, state.n
-        size = lax.states_per_chunk(n * len(lax._lambdas(state.boundary)))
-        start = rows = state.a.tolist(), state.b.tolist()
-        bufs = []
+    ring, n = state.boundary is Boundary.PERIODIC, state.n
+    size = lax.states_per_chunk(n * len(lax._lambdas(state.boundary)))
+    start = rows = [v.tolist() for v in vectors(state)]
+    bufs = []
     for i in range(steps):
-        if halves is None:
-            state = step(state)
-            yield [state]
-            continue
         try:
-            out = step_half(*rows, ring)
-            ok = math.isfinite(sum(out[0]) + sum(out[1])) and (ring or out[0][-1] == 0.0)
-        except Exception:
-            ok = False
+            if halves is None:
+                state = step(state)
+                out, ok = (*(v.tolist() for v in vectors(state)), ()), True
+            else:
+                out = halves[0](*rows, ring)
+                ok = math.isfinite(sum(out[0]) + sum(out[1])) and (ring or out[0][-1] == 0.0)
+        except Exception as exc:
+            ok, error = False, exc
         if ok:
             rows = out[:2]
             bufs = bufs or [array("d") for _ in range(2 + len(out[2]))]
@@ -91,16 +91,14 @@ def _blocks(step, state, steps):
             if len(bufs[0]) < size * n and i < steps - 1:
                 continue
         block = [np.frombuffer(buf).reshape(-1, n) for buf in bufs]
-        if ok and _passes(check_half, ring, start, block):
+        if halves is not None and not (ok and _passes(halves[1], ring, start, block)):
+            block, error = _rerun(step, FlaschkaState(*start, state.boundary),
+                                  len(bufs[0]) // n + (not ok) if bufs else 1)
+            ok, rows = error is None, [v[-1].tolist() for v in block]
+        if block:
             yield block[0], block[1]
-        else:
-            states, error = _rerun(step, FlaschkaState(*start, state.boundary),
-                                   len(bufs[0]) // n + (not ok) if bufs else 1)
-            if states:
-                yield np.array([t.a for t in states]), np.array([t.b for t in states])
-            if error is not None:
-                raise error
-            rows = states[-1].a.tolist(), states[-1].b.tolist()
+        if not ok:
+            raise error
         start, bufs = rows, []
 
 
@@ -133,16 +131,18 @@ def _passes(check_half, ring, start, block):
 
 
 def _rerun(step, state, count):
-    """The states of up to `count` steps from `state`, ending at the first
-    that raises, and its error (None if none does)."""
-    states = []
-    for _ in range(count):
-        try:
+    """The (a, b) rows of up to `count` steps from `state`, ending at the
+    first that raises (no rows if it is the first), and its error (None if
+    none does)."""
+    states, error = [], None
+    try:
+        for _ in range(count):
             state = step(state)
-        except Exception as exc:
-            return states, exc
-        states.append(state)
-    return states, None
+            states.append(state)
+    except Exception as exc:
+        error = exc
+    return ([np.array([t.a for t in states]), np.array([t.b for t in states])]
+            if states else []), error
 
 
 def simulate(system, n, boundary, seed, h, alpha, steps, state0=None):
@@ -151,8 +151,10 @@ def simulate(system, n, boundary, seed, h, alpha, steps, state0=None):
     if state0 is None:
         state0 = random_state(n, boundary, seed)
     traj = [state0, *trajectory(row.stepper(h, alpha), state0, steps)]
-    inv = lax.trajectory_invariants(traj, alpha=row.lax_alpha(h, alpha))
-    return traj, np.concatenate(list(inv))
+    lax_alpha = row.lax_alpha(h, alpha)
+    return traj, lax.spectral_invariants_stacked(
+        [s.a for s in traj], [s.b for s in traj], state0.boundary,
+        lax.spectral_nodes(state0, lax_alpha), lax_alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +170,8 @@ def check_isospectral(seed=0, system="dtl", n=8, steps=10_000, h=0.05, alpha=0.3
 
     The invariants are log det(I - w_j M) at the nodes of the first state,
     and the drift is their largest absolute change (``lax.drift``) from the
-    first state's row, folded over the trajectory one block of ``_blocks``
-    at a time: a factor map's checked (B, n) rows go straight to the
+    first state's row, folded over the trajectory one block of
+    ``trajectory_blocks`` at a time: its (B, n) rows go straight to the
     stacked invariants, with no state built per step.
     """
     row = SYSTEMS[system]
@@ -177,8 +179,7 @@ def check_isospectral(seed=0, system="dtl", n=8, steps=10_000, h=0.05, alpha=0.3
     lax_alpha = row.lax_alpha(h, alpha)
     nodes = lax.spectral_nodes(s, lax_alpha)
     ref, top = None, 0.0
-    for block in _blocks(row.stepper(h, alpha), s, steps):
-        a, b = block if isinstance(block, tuple) else ([t.a for t in block], [t.b for t in block])
+    for a, b in trajectory_blocks(row.stepper(h, alpha), s, steps):
         if ref is None:     # the first state's row goes with the first block
             a, b = np.vstack((s.a, a)), np.vstack((s.b, b))
         inv = lax.spectral_invariants_stacked(a, b, s.boundary, nodes, lax_alpha)

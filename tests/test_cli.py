@@ -86,6 +86,14 @@ def test_unknown_realization_exits_2(tmp_path):
     ("simulate", "--steps", "1", "--n", "4611686018427387904"),
     ("invariants", "--realization", "exp", "--n", "4611686018427387904"),
     ("dump-lax", "--n", "4611686018427387904"),
+    # chart parameters the chart's legs or body divide by
+    ("simulate", "--realization", "mod-exp-eps", "--epsilon", "0"),
+    ("simulate", "--realization", "rel-exp-gen", "--epsilon", "0"),
+    ("simulate", "--realization", "ruijsenaars", "--alpha", "0"),
+    ("simulate", "--realization", "explicit-e", "--beta", "0"),
+    ("simulate", "--realization", "hyp-mult", "--beta", "0"),
+    ("simulate", "--realization", "rel-hyp-mult", "--beta", "-0.0"),
+    ("invariants", "--realization", "rel-hyp-mult", "--beta", "0"),
 ])
 def test_invalid_input_exits_2_with_error_line(tmp_path, capsys, argv):
     (tmp_path / "malformed.json").write_text('{"n": 3, "boundary": "open", "a": [1, 2\n')
@@ -197,6 +205,25 @@ def test_non_finite_state_exits_3_with_step_report(tmp_path, capsys, argv, key, 
     assert report == {"error": "ValueError", "message": message, key[0]: key[1],
                       "failed": True, **failing}
     assert not list(tmp_path.glob("x.*.csv"))
+
+
+# the rows of a run stream as blocks: the states it builds do not grow with
+# its steps (the first state, and the chart image that sets the nodes)
+@pytest.mark.parametrize("subject", [("--system", "dtl"), ("--realization", "exp")])
+def test_simulate_builds_no_state_per_step(tmp_path, monkeypatch, subject):
+    counts = []
+    init = FlaschkaState.__init__
+
+    def counted(self, *args):
+        counts[-1] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(FlaschkaState, "__init__", counted)
+    for steps in ("5", "500"):
+        counts.append(0)
+        assert run(tmp_path, "simulate", *subject, "--boundary", "periodic", "--n", "8",
+                   "--steps", steps, "--out", "c") == 0
+    assert counts[0] == counts[1] <= 2
 
 
 def test_invariants_of_a_state_without_finite_image_exit_3(tmp_path, capsys):

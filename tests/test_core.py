@@ -1,6 +1,7 @@
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -93,10 +94,17 @@ def test_package_forms_each_in_step_check_once():
 
 
 def test_package_has_one_trajectory_loop():
-    """Every trajectory of the package is stepped by verify.trajectory, and
-    the flows are plain vector fields with no dispatch on a kind string."""
+    """Every trajectory of the package is stepped by verify.trajectory_blocks,
+    which alone sizes its blocks and yields one block shape for every step
+    kind, and the flows are plain vector fields with no dispatch on a kind
+    string."""
     loops = _package_lines_with("in range(steps)")
     assert len(loops) == 1 and loops[0].startswith("verify.py:"), loops
+    sizers = set(_package_lines_with("states_per_chunk(")) - set(
+        _package_lines_with("def states_per_chunk("))
+    assert sizers and all(line.startswith("verify.py:") for line in sizers), sizers
+    forks = _package_lines_with("isinstance(block")
+    assert not forks, forks
     dispatch = [line for line in _package_lines_with("kind", '== "', "== '")
                 if line.startswith("flows.py:")]
     assert not dispatch, dispatch
@@ -184,6 +192,7 @@ _BAD = float("nan")
     ([float("inf"), 0.0], [0.0, 1.0, 2.0], "{0} must be finite"),
     ([1.0, 1.0, 0.0], [0.0, -float("inf"), 2.0], "{1} must be finite"),
     ([1.0, 0.0], [0.0, _BAD, 2.0], "{1} must be finite"),
+    ([float("inf"), -float("inf"), 1.0], [0.0, 0.0, 0.0], "{0} must be finite"),
     ([0.0], [1.0], "lattice size must be >= 2"),
     ([], [], "lattice size must be >= 2"),
 ])
@@ -192,6 +201,15 @@ def test_invalid_state_vectors_name_the_failed_check(cls, names, first, second, 
                                                      boundary):
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(*names))}$"):
         cls(first, second, boundary)
+
+
+# finite entries whose sum overflows make a state, with warnings as errors
+@_STATE_CLASSES
+def test_state_with_large_finite_entries_builds(cls, names):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = cls([1e308, 1e308, 1.0], [0, 0, 0], Boundary.PERIODIC)
+    assert getattr(s, names[0]).tolist() == [1e308, 1e308, 1.0]
 
 
 @_STATE_CLASSES

@@ -71,6 +71,13 @@ def _trajectory(name, n, boundary, seed, steps):
     return traj, SYSTEMS[name].lax_alpha(0.05, 0.3)
 
 
+def _stacked(traj, alpha):
+    """``spectral_invariants_stacked`` of the states of traj at the nodes of the first."""
+    return lax.spectral_invariants_stacked([s.a for s in traj], [s.b for s in traj],
+                                           traj[0].boundary,
+                                           lax.spectral_nodes(traj[0], alpha=alpha), alpha)
+
+
 _LAX_PAIRS = ["dtl", "drtl+", "drtl-", "drtl+explicit", "drtl-explicit"]   # alpha None, 0.3, +-h
 
 
@@ -131,29 +138,6 @@ def test_stacked_invariants_bitwise_equal_per_state(name, boundary, n):
     assert np.array_equal(lax.spectral_invariants(traj[0], alpha=alpha), stacked[0])
 
 
-# a trajectory of two full chunks and a partial one, read from a generator; a
-# chunk holds as many states as fit at the state's nodes, n per lambda sample
-@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
-@pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-"])
-def test_trajectory_invariants_across_chunks(name, boundary):
-    lams = 1 if boundary is Boundary.OPEN else len(lax.DEFAULT_LAMBDAS)
-    chunk = lax.states_per_chunk(lams * 8)
-    traj, alpha = _trajectory(name, 8, boundary, 12, 2 * chunk + 2)
-    nodes = lax.spectral_nodes(traj[0], alpha=alpha)
-    blocks = list(lax.trajectory_invariants(iter(traj), alpha=alpha))
-    assert [len(block) for block in blocks] == [chunk, chunk, 3]
-    inv = np.concatenate(blocks)
-    whole = lax.spectral_invariants_stacked(np.array([s.a for s in traj]),
-                                            np.array([s.b for s in traj]), boundary, nodes,
-                                            alpha=alpha)
-    assert np.array_equal(inv, whole)      # rows do not depend on the chunk size
-    assert lax.drift(inv, inv[0]).max() < 1e-12
-
-
-def test_trajectory_invariants_of_no_states_is_empty():
-    assert list(lax.trajectory_invariants([])) == []
-
-
 # the drift sees a relative change of 1e-9 in the largest coupling: to first
 # order it moves log det(I - w T) by w^2 a_k 1e-9, about 3e-11 at R = 4
 @pytest.mark.parametrize("n", [8, 128])
@@ -180,14 +164,14 @@ def test_spectrum_leaving_the_node_disc_is_a_domain_error(name, boundary):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="left the disc"):
-            list(lax.trajectory_invariants(traj[:2] + [bad] + traj[3:], alpha=alpha))
+            _stacked(traj[:2] + [bad] + traj[3:], alpha)
 
 
 # tr(T^k) overflows near n = 600; the rescaled continuant does not
 @pytest.mark.parametrize("name", ["dtl", "drtl+"])
 def test_invariants_at_n_1024(name):
     traj, alpha = _trajectory(name, 1024, Boundary.OPEN, 0, 10)
-    inv = np.concatenate(list(lax.trajectory_invariants(traj, alpha=alpha)))
+    inv = _stacked(traj, alpha)
     assert inv.shape == (11, 1024) and np.all(np.isfinite(inv))
     assert lax.drift(inv, inv[0]).max() < 1e-8
 

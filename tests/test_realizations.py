@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 from functools import partial
 
 import numpy as np
@@ -12,9 +13,9 @@ from todalab.pluri import chain_spec
 from todalab.core import Boundary, CanonicalState, random_canonical
 from todalab.errors import (DomainError, NonInvertibleLeg, NoRealBranch, NumericalError,
                             SolveFailed)
-from todalab.realizations import (_first_equation_rhs, _li2, _step, _tolerance, canonical_step,
-                                  chart_specs, chart_stack, chart_state, flaschka_of,
-                                  lagrangian_value, newtonian_residual,
+from todalab.realizations import (CATALOG, _first_equation_rhs, _li2, _step, _tolerance,
+                                  canonical_step, chart_specs, chart_stack, chart_state,
+                                  flaschka_of, lagrangian_value, newtonian_residual,
                                   pullback_consistency, realization, step_stack,
                                   symplectic_defect)
 from todalab.verify import (check_closure_2d, check_commutativity,
@@ -64,6 +65,34 @@ def test_periodic_only_charts_reject_open_chains():
         flaschka_of(spec, c)
     with pytest.raises(DomainError):
         canonical_step(spec, c)
+
+
+# the charts whose legs or body divide by a parameter reject 0 for it by name,
+# and no other chart takes a zero parameter for an error
+_DIVISORS = {"mod-exp-eps": "epsilon", "rel-exp-gen": "epsilon", "hyp-mult": "beta",
+             "rel-hyp-mult": "beta", "explicit-e": "beta", "ruijsenaars": "alpha"}
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_realization_rejects_a_zero_parameter_its_chart_divides_by(name):
+    for param in ("alpha", "epsilon", "beta"):
+        if _DIVISORS.get(name) == param:
+            with pytest.raises(ValueError, match=f"^{param} must be nonzero for the {name} chart$"):
+                realization(name, H, **{param: 0.0})
+        else:
+            assert realization(name, H, **{param: 0.0}).name == name
+
+
+# at alpha = 0 only their Lagrangian or Hamilton function divides by alpha
+@pytest.mark.parametrize("name,family", [("rel-exp-add", "drtl_plus"),
+                                         ("rel-exp-add", "drtl_minus"),
+                                         ("rel-dual", "drtl_plus"), ("rel-dual", "drtl_minus")])
+def test_relativistic_charts_chart_and_step_at_alpha_zero(name, family):
+    spec = realization(name, H, alpha=0.0, family=family)
+    c = chart_state(spec, 5, 0)
+    for state in (c, canonical_step(spec, c)):
+        s = flaschka_of(spec, state)
+        assert np.isfinite(s.a).all() and np.isfinite(s.b).all()
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +188,19 @@ def test_exp_ring_without_a_real_fixed_point_carries_the_discriminant():
     assert info.value.discriminant < 0.0 and info.value.site is None
 
 
+# with warnings as errors: the gap e^800 overflows, which the ring product
+# reports as its typed error, alone and in a stack after a regular ring
 def test_exact_ring_step_with_an_overflowing_gap_is_not_called_branchless():
     spec = realization("exp", H)
-    c = CanonicalState([0.0, 800.0, 1600.0], [0.1, 0.2, 0.3], Boundary.PERIODIC)
-    with np.errstate(over="ignore"), pytest.raises(SolveFailed, match="overflowed") as info:
-        canonical_step(spec, c)
-    assert not isinstance(info.value, NoRealBranch)
+    x, p = np.array([[0.0, 0.3, 0.5], [0.0, 800.0, 1600.0]]), np.array([[0.1, 0.2, 0.3]] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for step in (lambda: canonical_step(spec, CanonicalState(x[1], p[1], Boundary.PERIODIC)),
+                     lambda: step_stack(spec, x, p, Boundary.PERIODIC)):
+            with pytest.raises(SolveFailed) as info:
+                step()
+            assert type(info.value) is SolveFailed
+            assert str(info.value) == "ring product of the Moebius sites overflowed or vanished"
 
 
 def _first_equation_residual(legs, x, rhs, xt):

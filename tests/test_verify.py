@@ -5,6 +5,7 @@ import json
 import math
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -13,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab import lax, maps, pluri, verify
-from todalab.core import Boundary, random_canonical, random_state
+from todalab.core import Boundary, random_canonical, random_state, vectors
 from todalab.errors import NonInvertibleLeg, NumericalError
 from todalab.lax import drift, spectral_invariants, spectral_nodes, states_per_chunk
-from todalab.realizations import chart_specs
+from todalab.realizations import canonical_step, chart_specs, chart_state, realization
 from todalab.systems import SYSTEMS
 from todalab.verify import (CHECKS, check_commutativity, check_isospectral, run_suite,
                             simulate, trajectory)
@@ -73,7 +74,9 @@ def _check_parameters():
 def test_checks_take_only_the_parameters_their_callers_set():
     assert _check_parameters() == _CHECK_PARAMETERS
     assert sum(map(len, _CHECK_PARAMETERS.values())) == 66
-    assert list(inspect.signature(lax.trajectory_invariants).parameters) == ["states", "alpha"]
+    assert list(inspect.signature(verify.trajectory_blocks).parameters) == [
+        "step", "state", "steps"]
+    assert not hasattr(lax, "trajectory_invariants")
 
 
 def test_only_the_commutativity_check_takes_its_tolerance():
@@ -176,9 +179,35 @@ def test_criterion_3_ring_commutator_floor(system):
     assert rec["max_residual"] <= 1e-13
 
 
-def test_trajectory_yields_the_state_after_each_step():
-    assert list(trajectory(lambda k: k + 1, 0, 3)) == [1, 2, 3]
-    assert list(trajectory(lambda k: k + 1, 0, 0)) == []
+# a chart step's trajectory is of canonical states, a flow's of (a, b) states
+@pytest.mark.parametrize("step,state", [
+    (partial(canonical_step, realization("exp", 0.1)), random_canonical(5, Boundary.PERIODIC, 1)),
+    (SYSTEMS["tl"].stepper(0.05, 0.0), random_state(5, Boundary.OPEN, 1)),
+], ids=["chart", "flow"])
+def test_trajectory_yields_the_state_after_each_step(step, state):
+    want = [step(state)]
+    want.append(step(want[0]))
+    got = list(trajectory(step, state, 2))
+    assert [(type(t), t.boundary) for t in got] == [(type(state), state.boundary)] * 2
+    assert _same_rows([vectors(t) for t in got], want)
+    assert list(trajectory(step, state, 0)) == []
+    assert list(verify.trajectory_blocks(step, state, 0)) == []
+
+
+# a block holds as many states as fit at the state's nodes, n per lambda
+# sample: a trajectory of two full blocks and a partial one, of any step kind
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC])
+@pytest.mark.parametrize("name", ["dtl", "drtl+explicit", "exp"])
+def test_trajectory_blocks_hold_a_chunk_of_states(name, boundary):
+    chunk = states_per_chunk(8 * (1 if boundary is Boundary.OPEN else len(lax.DEFAULT_LAMBDAS)))
+    if name == "exp":
+        spec = realization(name, 0.05)
+        step, state = partial(canonical_step, spec), chart_state(spec, 8, 3, boundary)
+    else:
+        step, state = SYSTEMS[name].stepper(0.05, 0.3), random_state(8, boundary, 3)
+    blocks = list(verify.trajectory_blocks(step, state, 2 * chunk + 2))
+    assert [(len(u), len(v)) for u, v in blocks] == [(chunk, chunk)] * 2 + [(2, 2)]
+    assert all(u.shape[1] == v.shape[1] == 8 for u, v in blocks)
 
 
 def test_block_trajectory_calls_the_public_step_only_to_rerun_a_failing_block(monkeypatch):
@@ -239,6 +268,83 @@ def test_block_trajectory_is_the_loop_of_public_steps(system, boundary, n, h, al
     assert len(got) == len(expected)
     assert all(t.a.tobytes() == e.a.tobytes() and t.b.tobytes() == e.b.tobytes()
                for t, e in zip(got, expected))
+    assert type(raised) is type(failure) and str(raised) == str(failure)
+
+
+def _other_step(kind, boundary, n, h, seed):
+    """A flow or explicit map (a system name) or a chart step (a (chart,
+    family) pair), and a function giving its seeded first state; a
+    periodic-only chart takes a ring whatever the boundary."""
+    if isinstance(kind, str):
+        return SYSTEMS[kind].stepper(h, 0.3), lambda: random_state(n, boundary, seed)
+    spec = realization(kind[0], h, family=kind[1])
+    boundary = boundary if spec.supports_open else Boundary.PERIODIC
+    return partial(canonical_step, spec), lambda: chart_state(spec, n, seed, boundary)
+
+
+def _block_stream(step, state, steps, block):
+    """The rows of ``trajectory_blocks`` at blocks of `block` states (None:
+    the default), one (u, v) pair per state, and the error that ended them."""
+    rows = []
+    with (nullcontext() if block is None
+          else patch.object(lax, "states_per_chunk", lambda nodes: block)):
+        try:
+            for u, v in verify.trajectory_blocks(step, state, steps):
+                rows.extend(zip(u, v))
+        except Exception as exc:        # any error: it must be the loop's
+            return rows, exc
+    return rows, None
+
+
+def _same_rows(rows, states):
+    return len(rows) == len(states) and all(
+        u.tobytes() == vectors(t)[0].tobytes() and v.tobytes() == vectors(t)[1].tobytes()
+        for (u, v), t in zip(rows, states))
+
+
+_OTHER_STEPS = (["tl", "rtl+", "rtl-", "drtl+explicit", "drtl-explicit"]
+                + [(spec.name, spec.family) for spec in chart_specs(0.1)])
+
+
+# every other step kind streams the same blocks: flows, the explicit maps and
+# the chart steps, on open chains and rings; the rows are bitwise the states
+# of the loop of public steps, or both fail at the same step with the same
+# error (the larger h make many charts and flows fail within the 30 steps)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(_OTHER_STEPS), boundary=st.sampled_from(list(Boundary)),
+       n=st.integers(2, 10), h=st.floats(0.01, 1.2), seed=st.integers(0, 2 ** 32 - 1),
+       block=st.sampled_from([None, 1, 2, 7]))
+def test_block_stream_of_every_step_kind_is_the_loop_of_public_steps(kind, boundary, n, h,
+                                                                     seed, block):
+    step, first = _other_step(kind, boundary, n, h, seed)
+    with np.errstate(all="ignore"):
+        expected, failure = _loop(step, first(), 30)
+        rows, raised = _block_stream(step, first(), 30, block)
+    assert _same_rows(rows, expected)
+    assert type(raised) is type(failure) and str(raised) == str(failure)
+
+
+# a failing step of each kind, in blocks of four states: the stream gives
+# the rows of the steps before it, full blocks and then a partial one, and
+# then its error
+@pytest.mark.parametrize("kind,boundary,h,seed,rows,error", [
+    ("tl", Boundary.OPEN, 1.0, 0, 9, "ValueError: a must be finite"),
+    (("hyp-mult", "dtl"), Boundary.PERIODIC, 0.05, 0, 7,
+     "SolveFailed: ring solver gave up: a pass leaves a leg domain "
+     "(hyperbolic leg not invertible here)"),
+    (("explicit-e", "explicit"), Boundary.PERIODIC, 0.05, 1, 10,
+     "NonInvertibleLeg: hyperbolic leg not invertible here"),
+    (("exp", "dtl"), Boundary.OPEN, 0.6, 0, 0,
+     "NonInvertibleLeg: step equation has no real solution"),
+], ids=["flow", "chart-ring", "explicit-chart", "chart-open"])
+def test_block_stream_of_a_failing_step_ends_with_its_error(kind, boundary, h, seed, rows,
+                                                            error):
+    step, first = _other_step(kind, boundary, 6, h, seed)
+    with np.errstate(all="ignore"):
+        expected, failure = _loop(step, first(), 30)
+        got, raised = _block_stream(step, first(), 30, 4)
+    assert len(expected) == rows and f"{type(failure).__name__}: {failure}" == error
+    assert _same_rows(got, expected)
     assert type(raised) is type(failure) and str(raised) == str(failure)
 
 
