@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 
 class Boundary(Enum):
@@ -108,6 +108,32 @@ def stack_is_valid(u: np.ndarray, v: np.ndarray, open_end: bool = False) -> bool
     return (u.shape == v.shape and u.shape[-1] >= 2
             and bool(np.isfinite(u).all()) and bool(np.isfinite(v).all())
             and not (open_end and np.any(u[..., -1] != 0.0)))
+
+
+# What a numerical step of states can raise: a failed check or solve, Python
+# float arithmetic, a state's checks, a numpy warning raised as an error.
+STEP_ERRORS = (NumericalError, ArithmeticError, ValueError, Warning)
+
+
+def on_stack(stacked, one, kind, u, v, boundary: Boundary, open_in=False, open_out=False):
+    """stacked(u, v, boundary) of (..., n) stacks of the two vectors of
+    `kind` states, whose row i is bitwise ``vectors(one(state i))``.  A
+    stack that fails the checks of a state on its way in (``open_in``) or
+    out (``open_out``, see ``stack_is_valid``), or whose call raises one of
+    STEP_ERRORS, or any stack if `stacked` is None, is passed to one a row
+    at a time instead: the rows become states, so the error is the one the
+    first failing row raises."""
+    try:
+        if stacked is not None and stack_is_valid(u, v, open_in):
+            out = stacked(u, v, boundary)
+            if stack_is_valid(*out, open_out):
+                return out
+    except STEP_ERRORS:
+        pass
+    n = u.shape[-1]
+    rows = [vectors(one(kind(ur, vr, boundary)))
+            for ur, vr in zip(u.reshape(-1, n), v.reshape(-1, n))]
+    return tuple(np.array([row[i] for row in rows]).reshape(u.shape) for i in (0, 1))
 
 
 def worst(values) -> float:

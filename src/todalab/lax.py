@@ -10,7 +10,7 @@ lambda = 1.  The bidiagonal pair for the relativistic hierarchy:
     L = sum (1 + alpha b_k) E_{kk} + alpha lambda sum E_{k+1,k}
     U = I - alpha lambda^{-1} sum a_k E_{k,k+1}
 
-and T1 = L U^{-1}, T2 = U^{-1} L.
+and T1 = L U^{-1} (``rtl_t1``), similar to T2 = U^{-1} L.
 
 The spectral invariants of a state are f_j = log det(I - w_j M), M = T or
 T1, at n Chebyshev nodes w_j per lambda sample, scaled to the spectral
@@ -76,14 +76,6 @@ def build_LU_rtl(s: FlaschkaState, alpha: float, lam: float = 1.0):
 def rtl_t1(s: FlaschkaState, alpha: float, lam: float = 1.0) -> np.ndarray:
     L, U = build_LU_rtl(s, alpha, lam)
     return _right_divide(L, U)
-
-
-def rtl_t2(s: FlaschkaState, alpha: float, lam: float = 1.0) -> np.ndarray:
-    L, U = build_LU_rtl(s, alpha, lam)
-    try:
-        return np.linalg.solve(U, L)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("U is not invertible") from exc
 
 
 def _right_divide(L: np.ndarray, U: np.ndarray) -> np.ndarray:

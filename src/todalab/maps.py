@@ -28,14 +28,22 @@ in two halves.  The step half forms the factor recurrence with its pivot
 test, the ring closure and the update.  The check half runs every other
 guard and check: the pivot guards, the two-expression identity and the
 addition formulas.  The public steps run both halves on every step.  The
-check half is written once, for one step's floats and for a block of steps
-as columns; ``verify.trajectory_blocks`` steps the step half alone and
-checks a block of steps at a time, rerunning a failing block through the
-public step.
+check half is written once, for one step's floats and for a stack of steps
+as columns (``_passes``); ``verify.trajectory_blocks`` steps the step half
+alone and checks a block of steps at a time, rerunning a failing block
+through the public step.
 Each value is formed by the same expression, in the same order, as the
 formulas evaluated elementwise on numpy vectors, so each result is bitwise
 that of the numpy evaluation and each failure raises the same error.  The
 public ``*_factors`` functions return the factors of the same pass as arrays.
+
+``step_stack(step, a, b, boundary)`` steps a (B, n) stack of independent
+states, row i bitwise ``step(state i)``: a bound factor-map step runs its
+step half on each row's floats and its check half once for the stack, a
+bound explicit step its numpy body on the whole stack (the public explicit
+step is that body on one row), and any other step, or a stack that fails
+the checks of a state or raises, one row at a time through the public step,
+so the error raised is the first failing row's.
 
 The recurrences start from a_0 = 0 on open chains and run forward; on rings
 they are cyclic and double-valued.  Each update is Moebius in the previous
@@ -62,7 +70,7 @@ from itertools import compress
 
 import numpy as np
 
-from .core import Boundary, FlaschkaState, shifted
+from .core import STEP_ERRORS, Boundary, FlaschkaState, on_stack, shifted
 from .errors import (DomainError, NonInvertibleLeg, NoRealBranch, NumericalError,
                      SingularStep, SolveFailed)
 
@@ -185,7 +193,10 @@ def _open_chain(update, first: float, n: int) -> list:
     return vals
 
 
-def _ring_fixed_point(sites) -> float:
+_OVERFLOWED = "ring product of the Moebius sites overflowed or vanished"
+
+
+def _ring_fixed_point(sites):
     """Attracting fixed point of a ring of Moebius site maps.
 
     Site k maps v_{k-1} to v_k = (m11 v_{k-1} + m12)/(m21 v_{k-1} + m22), the
@@ -197,24 +208,49 @@ def _ring_fixed_point(sites) -> float:
     NoRealBranch (with the discriminant) if the roots are complex, and
     SolveFailed if the product overflows or vanishes; NaN if P has no finite
     fixed point.
+
+    The site entries may also be columns, one row for each ring of a stack,
+    under the caller's ``np.errstate(all="ignore")``: each row runs the float
+    arithmetic of its own ring (``_max`` is Python's max row by row), so a
+    row's seed is bitwise its ring's.  A row that would raise fails the
+    stack at the end instead, with the error of the first such row: a
+    negative discriminant raises NoRealBranch, the NaN that an overflowing,
+    vanishing or non-finite product leaves raises SolveFailed.
     """
+    columns = isinstance(sites[0][0], np.ndarray)
+    top = _max if columns else max
     p11, p12, p21, p22 = 1.0, 0.0, 0.0, 1.0
     for m11, m12, m21, m22 in sites:
         p11, p12, p21, p22 = (m11 * p11 + m12 * p21, m11 * p12 + m12 * p22,
                               m21 * p11 + m22 * p21, m21 * p12 + m22 * p22)
-        size = max(abs(p11), abs(p12), abs(p21), abs(p22))
-        if not 0.0 < size < math.inf:
-            raise SolveFailed("ring product of the Moebius sites overflowed or vanished")
+        size = top(abs(p11), abs(p12), abs(p21), abs(p22))
+        if not (columns or 0.0 < size < math.inf):
+            raise SolveFailed(_OVERFLOWED)
         p11, p12, p21, p22 = p11 / size, p12 / size, p21 / size, p22 / size
 
     half_b = 0.5 * (p22 - p11)
     disc = half_b * half_b + p12 * p21
-    if disc < 0.0:
-        raise NoRealBranch(f"ring step has no real solution: discriminant {disc:.3g} < 0",
-                           discriminant=disc)
-    big = -(half_b + math.copysign(math.sqrt(disc), half_b))   # no cancellation
-    roots = ([big / p21] if p21 else []) + ([-p12 / big] if big else [])
-    return max(roots, key=lambda root: abs(p21 * root + p22), default=math.nan)
+    low = disc
+    if columns:   # the first failing row's, NaN if its product is not finite
+        failing = ~(disc >= 0.0)
+        low = float(disc[failing.argmax()]) if failing.any() else 0.0
+        if low != low:
+            raise SolveFailed(_OVERFLOWED)
+    if low < 0.0:
+        raise NoRealBranch(f"ring step has no real solution: discriminant {low:.3g} < 0",
+                           discriminant=low)
+    sqrt, copysign = (np.sqrt, np.copysign) if columns else (math.sqrt, math.copysign)
+    big = -(half_b + copysign(sqrt(disc), half_b))   # no cancellation
+    if not (columns or p21 and big):   # one root, or none
+        return big / p21 if p21 else -p12 / big if big else math.nan
+    # of the roots big/p21 and -p12/big the attracting one, big/p21 on a tie;
+    # on columns the single root of a row with one, NaN in a row with none
+    first, second = big / p21, -p12 / big
+    take_second = abs(p21 * second + p22) > abs(p21 * first + p22)
+    if not columns:
+        return second if take_second else first
+    take_second = (big != 0.0) & (take_second | (p21 == 0.0))
+    return np.where(take_second, second, np.where(p21 != 0.0, first, math.nan))
 
 
 def _moebius_slope(sites):
@@ -491,28 +527,91 @@ def drtl_minus_step(s: FlaschkaState, alpha: float, h: float) -> FlaschkaState:
 _HALVES = {dtl_step: _DTL, drtl_plus_step: _DRTL_PLUS, drtl_minus_step: _DRTL_MINUS}
 
 
-def _halves(step):
-    """(step half, check half) of ``step`` if it is a public factor-map step
-    (dtl, drtl+, drtl-), or a ``functools.wraps`` wrapper of one (a
-    profiler's, say), with its parameters bound by keyword as the
-    ``systems`` rows bind them: functions of (a, b, ring) and of
-    (ring, a, b, a~, b~, *factors) with the parameters bound.  None for any
+def _bound(step, table):
+    """(entry, params) of ``step`` if it is a public step in ``table``, or a
+    ``functools.wraps`` wrapper of one (a profiler's, say), with its
+    parameters bound by keyword as the ``systems`` rows bind them: the
+    table's entry for it and the bound parameters in order.  None for any
     other step, which a caller then runs as it is."""
     if not isinstance(step, partial) or step.args:
         return None
     func = inspect.unwrap(step.func)
-    if func not in _HALVES:
+    if func not in table:
         return None
     try:
         params = inspect.signature(func).bind(None, **step.keywords).args[1:]
     except TypeError:
         return None
-    return tuple(partial(half, *params) for half in _HALVES[func])
+    return table[func], params
+
+
+def _halves(step):
+    """(step half, check half) of a bound factor-map step (dtl, drtl+,
+    drtl-; see ``_bound``): functions of (a, b, ring) and of
+    (ring, a, b, a~, b~, *factors) with the parameters bound.  None for any
+    other step."""
+    found = _bound(step, _HALVES)
+    return None if found is None else tuple(partial(half, *found[1]) for half in found[0])
+
+
+# Fewest steps a stack checks as columns: each operation of the check half
+# is one numpy call per site, whatever the rows, so a shorter stack checks
+# each step's floats in less time (below about 13 steps at n = 8 and 18 at
+# n = 128 for drtl+, 6 for dtl).
+_COLUMN_ROWS = 16
+
+
+def _passes(check_half, ring, parts) -> bool:
+    """Whether every step of a stack passes the check half: ``parts`` are
+    the (B, n) arrays (a, b, a~, b~, *factors), row i of each that of step
+    i, checked as columns (site k of every row is column k), or for fewer
+    than _COLUMN_ROWS steps, step by step on floats.  Each row of a column
+    takes the float value of its step, so a stack passes exactly when each
+    of its steps does."""
+    try:
+        if len(parts[0]) < _COLUMN_ROWS:
+            for k in range(len(parts[0])):
+                check_half(ring, *(v[k].tolist() for v in parts))
+        else:
+            with np.errstate(all="ignore"):
+                check_half(ring, *(list(v.T) for v in parts))
+    except STEP_ERRORS:
+        return False
+    return True
+
+
+def _factor_stack(halves, *args):
+    """(a~, b~) of a factor map of (step half, check half) ``halves`` on
+    (B, n) stacks, args (*params, a, b, boundary): its step half on the
+    floats of each row, its check half once for the stack (``_passes``),
+    which raises if a step fails it."""
+    *params, a, b, boundary = args
+    step_half, check_half = (partial(half, *params) for half in halves)
+    ring = boundary is Boundary.PERIODIC
+    taken = [(u, v, *factors) for u, v, factors in
+             (step_half(ar, br, ring) for ar, br in zip(a.tolist(), b.tolist()))]
+    parts = [np.array(part) for part in zip(*taken)]
+    if not _passes(check_half, ring, [a, b, *parts]):
+        raise NumericalError("a step of the stack fails its in-step checks")
+    return parts[0], parts[1]
 
 
 # ---------------------------------------------------------------------------
 # explicit rational degenerations
 # ---------------------------------------------------------------------------
+
+def _drtl_plus_explicit(h: float, a: np.ndarray, b: np.ndarray, boundary: Boundary):
+    """(a~, b~) of drtl+(h, h) on (..., n) stacks (``drtl_plus_explicit_step``)."""
+    d = 1.0 + h * b + h * h * a
+    _check(d, "1 + h b + h^2 a")
+    d_prev = shifted(d, -1, boundary, fill=1.0)
+    d_next = shifted(d, +1, boundary, fill=1.0)
+    b_prev = shifted(b, -1, boundary)
+    a_prev = shifted(a, -1, boundary)
+    # expanded form of ((1 + h b_prev) d/d_prev - 1)/h: no small-h cancellation
+    b_new = (b - b_prev + h * (a - a_prev) + b_prev * d) / d_prev
+    return a * d_next / d, b_new
+
 
 def drtl_plus_explicit_step(s: FlaschkaState, h: float) -> FlaschkaState:
     """drtl+(h, h): fully explicit birational discretization of the tl flow.
@@ -520,17 +619,7 @@ def drtl_plus_explicit_step(s: FlaschkaState, h: float) -> FlaschkaState:
         1 + h b~_k = (1 + h b_{k-1}) D_k / D_{k-1},
         a~_k = a_k D_{k+1} / D_k,        D_k = 1 + h b_k + h^2 a_k.
     """
-    a, b = s.a, s.b
-    d = 1.0 + h * b + h * h * a
-    _check(d, "1 + h b + h^2 a")
-    d_prev = shifted(d, -1, s.boundary, fill=1.0)
-    d_next = shifted(d, +1, s.boundary, fill=1.0)
-    b_prev = shifted(b, -1, s.boundary)
-    a_prev = shifted(a, -1, s.boundary)
-    # expanded form of ((1 + h b_prev) d/d_prev - 1)/h: no small-h cancellation
-    b_new = (b - b_prev + h * (a - a_prev) + b_prev * d) / d_prev
-    a_new = a * d_next / d
-    return s.replace(a=a_new, b=b_new)
+    return s.replace(*_drtl_plus_explicit(h, s.a, s.b, s.boundary))
 
 
 def drtl_plus_explicit_inverse(s: FlaschkaState, h: float) -> FlaschkaState:
@@ -550,20 +639,49 @@ def drtl_plus_explicit_inverse(s: FlaschkaState, h: float) -> FlaschkaState:
     return s.replace(a=(delta - b) / h, b=b)
 
 
+def _drtl_minus_explicit(h: float, a: np.ndarray, b: np.ndarray, boundary: Boundary):
+    """(a~, b~) of drtl-(-h, h) on (..., n) stacks (``drtl_minus_explicit_step``)."""
+    a_prev = shifted(a, -1, boundary)
+    e = 1.0 - h * b + h * h * a_prev
+    _check(e, "1 - h b + h^2 a_prev")
+    e_next = shifted(e, +1, boundary, fill=1.0)
+    _check(e_next, "E_next")
+    b_next = shifted(b, +1, boundary)
+    # expanded form of (1 - (1 - h b_next) e/e_next)/h: no small-h cancellation
+    b_new = (b - b_next + h * (a - a_prev) + b_next * e) / e_next
+    return a * e / e_next, b_new
+
+
 def drtl_minus_explicit_step(s: FlaschkaState, h: float) -> FlaschkaState:
     """drtl-(-h, h): the mirrored explicit rational discretization.
 
         1 - h b~_k = (1 - h b_{k+1}) E_k / E_{k+1},
         a~_k = a_k E_k / E_{k+1},        E_k = 1 - h b_k + h^2 a_{k-1}.
     """
-    a, b = s.a, s.b
-    a_prev = shifted(a, -1, s.boundary)
-    e = 1.0 - h * b + h * h * a_prev
-    _check(e, "1 - h b + h^2 a_prev")
-    e_next = shifted(e, +1, s.boundary, fill=1.0)
-    _check(e_next, "E_next")
-    b_next = shifted(b, +1, s.boundary)
-    # expanded form of (1 - (1 - h b_next) e/e_next)/h: no small-h cancellation
-    b_new = (b - b_next + h * (a - a_prev) + b_next * e) / e_next
-    a_new = a * e / e_next
-    return s.replace(a=a_new, b=b_new)
+    return s.replace(*_drtl_minus_explicit(h, s.a, s.b, s.boundary))
+
+
+# the public steps with a stacked form, a function of (*params, a, b,
+# boundary): a factor map's halves, an explicit map's numpy body
+_STACKED = {**{step: partial(_factor_stack, halves) for step, halves in _HALVES.items()},
+            drtl_plus_explicit_step: _drtl_plus_explicit,
+            drtl_minus_explicit_step: _drtl_minus_explicit}
+
+
+def step_stack(step, a: np.ndarray, b: np.ndarray, boundary: Boundary):
+    """(a~, b~) stacks of one step of ``step``, a function of one
+    FlaschkaState, on (B, n) stacks of a and b; row i is bitwise
+    ``step(state i)``, or the call raises the error of the first row whose
+    step raises.
+
+    A bound factor-map step (see ``_bound``) runs its step half on the
+    floats of each row and its check half once for the stack; a bound
+    explicit step runs its numpy body on the stack.  A stack that fails the
+    checks of a state on its way in or out, or whose stacked step raises,
+    and any other step (a flow, say), run one row at a time through the
+    public step (``core.on_stack``).
+    """
+    found = _bound(step, _STACKED)
+    stacked = None if found is None else partial(found[0], *found[1])
+    open_end = boundary is Boundary.OPEN
+    return on_stack(stacked, step, FlaschkaState, a, b, boundary, open_end, open_end)

@@ -20,9 +20,13 @@ map for Pi when J Pi(z) J^T = Pi(Phi(z)) with J the FD Jacobian.  Every FD
 quotient in the package (here and in ``realizations.symplectic_defect``) is
 formed by the one central-difference primitive ``_central_differences``, with
 the fixed step h_i = _EPS3 max(1, |z_i|); there is no step option.  It
-evaluates its whole stencil as one stack of points: the chart and chart-step
-residuals chart or step that stack at once, the map and bracket residuals
-take it one point at a time (``_each_row``).  The map and
+evaluates its whole stencil as one stack of points, for one base point or a
+batch of them: the chart-step residual steps that stack at once, the chart
+residuals chart the stencils of a batch of states as one stack
+(``realization_residuals``), and the map residuals step them with one
+``maps.step_stack`` call per map (``poisson_map_residuals``), each row
+bitwise the public function of that point; the gradient and Jacobi
+residuals take it one point at a time (``_each_row``).  The map and
 involution residuals take a sequence of brackets and form their Jacobian or
 gradients once per state.  On open chains the structural coordinate a_n is
 frozen, so all FD sweeps run on the reduced chart (b_1..b_n, a_1..a_{n-1}).
@@ -35,6 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import maps
 from .core import Boundary, FlaschkaState, worst
 
 _EPS3 = float(2.0 ** -52) ** (1.0 / 3.0)   # central-difference step factor
@@ -156,26 +161,32 @@ def _unpack(z: np.ndarray, template: FlaschkaState) -> FlaschkaState:
 
 def _central_differences(fn, w0: np.ndarray, indices) -> np.ndarray:
     """(f(w0 + h_i e_i) - f(w0 - h_i e_i)) / 2h_i for each index i, with the
-    step h_i = _EPS3 max(1, |w0_i|).
+    step h_i = _EPS3 max(1, |w0_i|); w0 is a base point, or an (S, d) batch
+    of them, each with its own quotients along a new first axis.
 
-    fn evaluates f on the whole stencil at once: it takes the (2m, d) stack
-    of the points w0 + h_i e_i and w0 - h_i e_i, in this order for each of
-    the m indices in turn, and returns their values along its first axis
-    (``_each_row`` makes such an fn of a function of one point).  f may
-    return a scalar, a vector or a matrix: the quotients are stacked as a
-    vector, as the columns of a Jacobian, or along a new first axis.
+    fn evaluates f on the whole stencil at once: it takes the (2m S, d)
+    stack of the points w0 + h_i e_i and w0 - h_i e_i, in this order for
+    each of the m indices in turn, base point after base point, and returns
+    their values along its first axis (``_each_row`` makes such an fn of a
+    function of one point).  f may return a scalar, a vector or a matrix:
+    the quotients are stacked as a vector, as the columns of a Jacobian, or
+    along a new first axis.
     """
-    hvec = _EPS3 * np.maximum(1.0, np.abs(w0))
+    base = np.atleast_2d(w0)
+    hvec = _EPS3 * np.maximum(1.0, np.abs(base))
     idx = np.asarray(indices)
-    steps = hvec[idx]
+    steps = hvec[:, idx]
     rows = np.arange(len(idx))
-    stencil = np.repeat(w0[None, :], 2 * len(idx), axis=0)
-    stencil[2 * rows, idx] += steps
-    stencil[2 * rows + 1, idx] -= steps
-    vals = np.asarray(fn(stencil))
-    across = (-1,) + (1,) * (vals.ndim - 1)   # one step per quotient, across its values
-    quotients = (vals[0::2] - vals[1::2]) / (2.0 * hvec[idx]).reshape(across)
-    return np.ascontiguousarray(quotients.T) if vals.ndim == 2 else quotients
+    stencil = np.repeat(base[:, None, :], 2 * len(idx), axis=1)
+    stencil[:, 2 * rows, idx] += steps
+    stencil[:, 2 * rows + 1, idx] -= steps
+    vals = np.asarray(fn(stencil.reshape(-1, base.shape[1])))
+    vals = vals.reshape(stencil.shape[:2] + vals.shape[1:])
+    across = steps.shape + (1,) * (vals.ndim - 2)   # one step per quotient, across its values
+    quotients = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * hvec[:, idx]).reshape(across)
+    if vals.ndim == 3:
+        quotients = np.ascontiguousarray(quotients.transpose(0, 2, 1))
+    return quotients if w0.ndim > 1 else quotients[0]
 
 
 def _each_row(fn):
@@ -183,27 +194,52 @@ def _each_row(fn):
     return lambda points: np.array([fn(w) for w in points])
 
 
-def fd_jacobian(map_fn, s: FlaschkaState):
-    """Central FD Jacobian of a state map on the reduced chart."""
-    act = _active(s)
-    return _central_differences(_each_row(lambda z: _pack(map_fn(_unpack(z, s)))[act]),
-                                _pack(s), act)
+def _map_rows(map_fn, s: FlaschkaState):
+    """The stencil form of a state map on packed points of s's size and
+    boundary: one ``maps.step_stack`` of all the rows, packed and reduced."""
+    n, act = s.n, _active(s)
+
+    def stepped(z):
+        a, b = maps.step_stack(map_fn, z[:, n:], z[:, :n], s.boundary)
+        return np.concatenate([b, a], axis=-1)[:, act]
+    return stepped
+
+
+def fd_jacobian(map_fn, states) -> np.ndarray:
+    """Central FD Jacobians of a state map on the reduced chart at each of
+    `states` (of one size and boundary), as an (S, m, m) stack: the
+    stencils of all the states are mapped by one ``maps.step_stack``."""
+    return _central_differences(_map_rows(map_fn, states[0]),
+                                np.array([_pack(s) for s in states]), _active(states[0]))
 
 
 def fd_gradient(fn, s: FlaschkaState) -> np.ndarray:
     return _central_differences(_each_row(lambda z: fn(_unpack(z, s))), _pack(s), _active(s))
 
 
-def poisson_map_residual(map_fn, kinds, s: FlaschkaState) -> float:
+def poisson_map_residuals(map_fn, kinds, states) -> list:
     """Worst || J Pi J^T - Pi(map(s)) ||_inf over the brackets `kinds`, on
-    the reduced chart; the FD Jacobian J is formed once."""
-    act = _active(s)
+    the reduced chart, of each of `states` (of one size and boundary): the
+    FD Jacobians come from one ``fd_jacobian`` call, the images from one
+    ``maps.step_stack``.  A map that fails raises the error of its first
+    failing stencil point, state after state, or else of its first failing
+    image; for one state, that of the loop over its points and its image."""
+    s0 = states[0]
+    act = _active(s0)
     sub = np.ix_(act, act)
-    J = fd_jacobian(map_fn, s)
-    image = map_fn(s)
-    return worst(float(np.max(np.abs(J @ bracket_matrix(kind, s)[sub] @ J.T
-                                     - bracket_matrix(kind, image)[sub])))
-                 for kind in kinds)
+    jacobians = fd_jacobian(map_fn, states)
+    images = maps.step_stack(map_fn, np.array([s.a for s in states]),
+                             np.array([s.b for s in states]), s0.boundary)
+    return [worst(float(np.max(np.abs(J @ bracket_matrix(kind, s)[sub] @ J.T
+                                      - bracket_matrix(kind, image)[sub])))
+                  for kind in kinds)
+            for J, s, image in zip(jacobians, states,
+                                   (FlaschkaState(a, b, s0.boundary) for a, b in zip(*images)))]
+
+
+def poisson_map_residual(map_fn, kinds, s: FlaschkaState) -> float:
+    """``poisson_map_residuals`` of the one state s."""
+    return poisson_map_residuals(map_fn, kinds, [s])[0]
 
 
 def involution_residual(kinds, s: FlaschkaState, f, g) -> float:
@@ -237,23 +273,33 @@ def jacobi_residual(kind, s: FlaschkaState) -> float:
     return float(np.max(np.abs(jac))) / scale
 
 
-def realization_residual(spec, c) -> float:
-    """Push-forward defect of a canonical chart against its target bracket.
+def realization_residuals(spec, states) -> list:
+    """Push-forward defect of a canonical chart against its target bracket,
+    of each of `states` (of one size and boundary).
 
     Dphi J_can Dphi^T is compared with Pi(phi(c)), Dphi the FD Jacobian of
-    the chart (x,p) -> (b,a) and J_can the canonical tensor on (x,p).
+    the chart (x,p) -> (b,a) and J_can the canonical tensor on (x,p).  The
+    stencils of all the states are charted as one stack, then their targets;
+    a failing chart raises the error of its first failing stencil point,
+    state after state, or else of its first failing target.
     """
     # local: realizations imports Bracket/combo from here
     from .realizations import chart_stack, flaschka_of
 
-    n = c.n
+    n, boundary = states[0].n, states[0].boundary
 
-    def chart(w):   # the stencil's (x, p) rows charted as one stack, packed as (b, a)
-        a, b = chart_stack(spec, w[:, :n], w[:, n:], c.boundary)
+    def chart(w):   # the stencils' (x, p) rows charted as one stack, packed as (b, a)
+        a, b = chart_stack(spec, w[:, :n], w[:, n:], boundary)
         return np.concatenate([b, a], axis=-1)
 
-    D = _central_differences(chart, np.concatenate([c.x, c.p]), range(2 * n))
+    D = _central_differences(chart, np.array([np.concatenate([c.x, c.p]) for c in states]),
+                             range(2 * n))
     # canonical tensor oriented so that flows read f' = {H, f}: {p_k, x_k} = +1
     Jcan = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    target = bracket_matrix(spec.bracket, flaschka_of(spec, c))
-    return float(np.max(np.abs(D @ Jcan @ D.T - target)))
+    targets = [bracket_matrix(spec.bracket, flaschka_of(spec, c)) for c in states]
+    return [float(np.max(np.abs(Dc @ Jcan @ Dc.T - target))) for Dc, target in zip(D, targets)]
+
+
+def realization_residual(spec, c) -> float:
+    """``realization_residuals`` of the one canonical state c."""
+    return realization_residuals(spec, [c])[0]

@@ -40,9 +40,8 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .core import (Boundary, CanonicalState, FlaschkaState, random_canonical, shifted,
-                   stack_is_valid)
-from .errors import DomainError, NoRealBranch, NonInvertibleLeg, NumericalError, SolveFailed
+from .core import Boundary, CanonicalState, FlaschkaState, on_stack, random_canonical, shifted
+from .errors import DomainError, NoRealBranch, NonInvertibleLeg, SolveFailed
 from .maps import _CLOSURE_STEPS, _moebius_slope, _open_chain, _ring_chain, _ring_fixed_point
 from .poisson import Bracket, _central_differences, combo
 from .systems import SYSTEMS
@@ -870,25 +869,6 @@ def flaschka_of(spec: Realization, c: CanonicalState) -> FlaschkaState:
     return FlaschkaState(*_chart(spec, c.x, c.p, c.boundary), c.boundary)
 
 
-def _on_stack(stacked, one, x, p, boundary, fields, open_end=False):
-    """stacked(x, p, boundary) of (..., n) stacks of positions and momenta,
-    whose row i is bitwise one(state i).  Stacks that fail the checks of a
-    state, on their way in or out, or whose call raises, are passed to one
-    a row at a time instead, its ``fields`` restacked: the rows become
-    states, so the error is the one the first failing row raises."""
-    try:
-        if stack_is_valid(x, p):
-            u, v = stacked(x, p, boundary)
-            if stack_is_valid(u, v, open_end):
-                return u, v
-    except (NumericalError, ValueError):
-        pass
-    n = x.shape[-1]
-    out = [one(CanonicalState(xr, pr, boundary))
-           for xr, pr in zip(x.reshape(-1, n), p.reshape(-1, n))]
-    return tuple(np.array([getattr(s, f) for s in out]).reshape(x.shape) for f in fields)
-
-
 def _chart(spec, x, p, boundary):
     _check_boundary(spec, boundary)
     return spec.chart(x, p, boundary)
@@ -896,9 +876,9 @@ def _chart(spec, x, p, boundary):
 
 def chart_stack(spec: Realization, x, p, boundary: Boundary):
     """(a, b) stacks of the chart on (..., n) stacks of positions and
-    momenta; row i is bitwise ``flaschka_of`` of state i (see ``_on_stack``)."""
-    return _on_stack(partial(_chart, spec), partial(flaschka_of, spec), x, p, boundary,
-                     ("a", "b"), open_end=boundary is Boundary.OPEN)
+    momenta; row i is bitwise ``flaschka_of`` of state i (see ``core.on_stack``)."""
+    return on_stack(partial(_chart, spec), partial(flaschka_of, spec), CanonicalState, x, p,
+                    boundary, open_out=boundary is Boundary.OPEN)
 
 
 def _psi0_sums(spec, x, boundary):
@@ -957,9 +937,9 @@ def canonical_step(spec: Realization, c: CanonicalState) -> CanonicalState:
 def step_stack(spec: Realization, x, p, boundary: Boundary):
     """(x~, p~) stacks of one step of the chart's map on (..., n) stacks of
     positions and momenta; row i is bitwise ``canonical_step`` of state i
-    (see ``_on_stack``)."""
-    return _on_stack(partial(_step, spec), partial(canonical_step, spec), x, p, boundary,
-                     ("x", "p"))
+    (see ``core.on_stack``)."""
+    return on_stack(partial(_step, spec), partial(canonical_step, spec), CanonicalState, x, p,
+                    boundary)
 
 
 def _leg_sites(legs, x, rhs):
@@ -1063,10 +1043,11 @@ def _mobius_sites(spec, x, rhs):
     with g_k = e^{x_k - x_{k-1}}, c_k = 1 + h rhs_k and the legs' (q, s),
     beta_k = c_k - q g_k / (beta_{k-1} - s g_k), the site matrix
     [[c_k, -(q + s c_k) g_k], [1, -s g_k]]; the seed is the attracting fixed
-    point of their product (``maps._ring_fixed_point``, row by row).  One
-    builder for a single ring, on Python floats, and for a (rows, n) stack,
-    whose site k is a column.  A beta that is not positive, or a leg pole,
-    raises NoRealBranch, naming its site on a single ring."""
+    point of their product (``maps._ring_fixed_point``).  One builder for a
+    single ring, on Python floats, and for a (rows, n) stack, whose site k
+    is a column, seeded by one column product.  A beta that is not
+    positive, or a leg pole, raises NoRealBranch, naming its site on a
+    single ring."""
     q, s = spec.legs.mobius
     with np.errstate(over="ignore"):   # a gap that overflows fails the ring product
         g = np.exp(x - shifted(x, -1, Boundary.PERIODIC))
@@ -1080,12 +1061,13 @@ def _mobius_sites(spec, x, rhs):
         sites = list(map(site, rhs.tolist(), g))
         t = _ring_fixed_point(sites)
     else:             # a stack: site k is the column of the rows' entries k
-        with np.errstate(invalid="ignore"):   # s g of an infinite gap at s = 0 is NaN
+        # s g of an infinite gap at s = 0 is NaN; a row whose product is not
+        # finite fails the column seed
+        with np.errstate(all="ignore"):
             m11, m12, _, m22 = site(rhs, g)
+            sites = list(zip(m11.T, m12.T, repeat(1.0), m22.T))
+            t = _ring_fixed_point(sites)
         g, holds = g.T, np.ndarray.all
-        sites = list(zip(m11.T, m12.T, repeat(1.0), m22.T))
-        t = np.array([_ring_fixed_point(zip(a, b, repeat(1.0), d))
-                      for a, b, d in zip(m11.tolist(), m12.tolist(), m22.tolist())])
 
     def no_branch(k, beta=None):
         if x.ndim > 1:

@@ -10,7 +10,9 @@ runs a bound dtl, drtl+ or drtl- step, or a ``functools.wraps`` wrapper of
 one (a profiler's, say), as the map's step and check halves a block of
 steps at a time, so such a wrapper is called only to rerun a block that
 fails; any other step, a replacement too, is called for every step.  Every
-step's rows come in the same blocks.
+step's rows come in the same blocks.  ``maps.step_stack`` recognises the
+bound maps, and such wrappers of them, the same way: it steps a stack of
+states through a factor map's halves or an explicit map's numpy body.
 """
 
 from __future__ import annotations

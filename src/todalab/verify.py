@@ -26,8 +26,8 @@ from itertools import chain
 import numpy as np
 
 from . import lax, maps, pluri, poisson
-from .core import (Boundary, CanonicalState, FlaschkaState, random_canonical, random_state,
-                   vectors, worst)
+from .core import (STEP_ERRORS, Boundary, CanonicalState, FlaschkaState, random_canonical,
+                   random_state, vectors, worst)
 from .errors import NumericalError
 from .realizations import (CATALOG, canonical_step, chart_specs, chart_state,
                            lagrangian_value, pullback_consistency, realization,
@@ -59,7 +59,7 @@ def trajectory_blocks(step, state, steps):
 
     A factor map (dtl, drtl+, drtl-, see ``maps._halves``) runs its step
     half on the (a, b) lists of the state before, with one finiteness test
-    per step, and its check half once per block, as columns (``_passes``).
+    per step, and its check half once per block, as columns (``maps._passes``).
     A block that fails its check, or ends at a step that raises or leaves an
     entry that is not finite, is rerun through the public step: that gives
     the rows before the first failing step, and then the error the public
@@ -91,7 +91,8 @@ def trajectory_blocks(step, state, steps):
             if len(bufs[0]) < size * n and i < steps - 1:
                 continue
         block = [np.frombuffer(buf).reshape(-1, n) for buf in bufs]
-        if halves is not None and not (ok and _passes(halves[1], ring, start, block)):
+        before = (np.vstack((first, rest[:-1])) for first, rest in zip(start, block))
+        if halves is not None and not (ok and maps._passes(halves[1], ring, [*before, *block])):
             block, error = _rerun(step, FlaschkaState(*start, state.boundary),
                                   len(bufs[0]) // n + (not ok) if bufs else 1)
             ok, rows = error is None, [v[-1].tolist() for v in block]
@@ -100,34 +101,6 @@ def trajectory_blocks(step, state, steps):
         if not ok:
             raise error
         start, bufs = rows, []
-
-
-# Fewest steps a block checks as columns: each operation of the check half
-# is one numpy call per site, whatever the rows, so a shorter block checks
-# each step's floats in less time (below about 13 steps at n = 8 and 18 at
-# n = 128 for drtl+, 6 for dtl).
-_COLUMN_ROWS = 16
-
-
-def _passes(check_half, ring, start, block):
-    """Whether a block of steps passes the check half: as columns (site k
-    of every row is column k), or for a block of fewer than _COLUMN_ROWS
-    steps, step by step on floats.  ``start`` holds the (a, b) lists of the
-    state before the block, ``block`` the (B, n) arrays of its steps' a~, b~
-    and factors.  Each row of a column takes the float value of its step,
-    so a block passes exactly when each of its steps does."""
-    a, b, *factors = block
-    parts = (np.vstack((start[0], a[:-1])), np.vstack((start[1], b[:-1])), a, b, *factors)
-    try:
-        if len(a) < _COLUMN_ROWS:
-            for k in range(len(a)):
-                check_half(ring, *(v[k].tolist() for v in parts))
-        else:
-            with np.errstate(all="ignore"):
-                check_half(ring, *(list(v.T) for v in parts))
-    except Exception:
-        return False
-    return True
 
 
 def _rerun(step, state, count):
@@ -323,13 +296,22 @@ def _brackets(lax_alpha):
 
 
 def check_poisson_maps(seed=0, n_states=20):
-    """Each map preserves the three brackets of the Lax pair it conserves."""
+    """Each map preserves the three brackets of the Lax pair it conserves.
+
+    Each map steps the stencils of all the states at once
+    (``poisson.poisson_map_residuals``); if that raises, the residual of
+    each state is formed alone for each map in turn (state-major order), so
+    the error raised is the one a loop over the states reaches first."""
     n, h = 4, 0.08
     cases = [(row.stepper(h, _ALPHA), _brackets(row.lax_alpha(h, _ALPHA)))
              for row in SYSTEMS.values() if not row.flow]
-    states = (random_state(n, Boundary.OPEN, seed + i) for i in range(n_states))
-    residuals = (poisson.poisson_map_residual(step, brackets, s)
-                 for s in states for step, brackets in cases)
+    states = [random_state(n, Boundary.OPEN, seed + i) for i in range(n_states)]
+    try:
+        residuals = [r for step, brackets in cases
+                     for r in poisson.poisson_map_residuals(step, brackets, states)]
+    except STEP_ERRORS:
+        residuals = [poisson.poisson_map_residual(step, brackets, s)
+                     for s in states for step, brackets in cases]
     return _record("poisson-maps", dict(n=n, h=h, alpha=_ALPHA),
                    n_states * sum(len(brackets) for _, brackets in cases), worst(residuals), 1e-6)
 
@@ -342,8 +324,23 @@ def _chart_check(name, params, specs, residual, n, seed, n_states, tol):
 
 
 def check_poisson_realizations(seed=0, n_states=5):
-    return _chart_check("poisson-realizations", dict(n=5, h=_CHART_H), chart_specs(_CHART_H),
-                        poisson.realization_residual, 5, seed, n_states, 1e-6)
+    """Each chart pushes the canonical bracket onto its target bracket.
+
+    The stencils of a spec's states are charted as one stack
+    (``poisson.realization_residuals``); if that raises, each state's
+    residual is formed alone, so the error raised is the one the loop over
+    the specs and their states reaches first."""
+    specs = chart_specs(_CHART_H)
+
+    def residuals(spec):
+        states = [chart_state(spec, 5, seed + i) for i in range(n_states)]
+        try:
+            return poisson.realization_residuals(spec, states)
+        except STEP_ERRORS:
+            return [poisson.realization_residual(spec, c) for c in states]
+
+    return _record("poisson-realizations", dict(n=5, h=_CHART_H), len(specs) * n_states,
+                   worst(chain.from_iterable(map(residuals, specs))), 1e-6)
 
 
 def check_involution(seed=0, n_states=10):

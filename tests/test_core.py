@@ -142,6 +142,41 @@ def test_importing_the_package_loads_no_scipy():
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]", out.stdout
 
+
+def test_a_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
+    """Under the project's pytest settings (warnings are errors) a failing
+    Hypothesis test is reported as a failure, and the tests after it run:
+    no INTERNALERROR from a warning raised while the plugin reports the
+    falsifying example."""
+    root = Path(__file__).parents[1]
+    (tmp_path / "pyproject.toml").write_text((root / "pyproject.toml").read_text(encoding="utf-8"),
+                                             encoding="utf-8")
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\ndef test_fails(x):\n    assert x < 0\n\n\n"
+        "def test_passes():\n    pass\n", encoding="utf-8")
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "test_two.py"], cwd=tmp_path, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "INTERNALERROR" not in out.stdout + out.stderr
+    assert "1 failed, 1 passed" in out.stdout, out.stdout
+
+
+def test_package_seeds_a_ring_stack_with_one_column_product():
+    """maps._ring_fixed_point seeds a stack of Moebius rings as columns: no
+    call of it sits in a loop over rows."""
+    calls = set(_package_lines_with("_ring_fixed_point(")) - set(
+        _package_lines_with("def _ring_fixed_point("))
+    assert calls and all(line.split(":")[0] in ("maps.py", "realizations.py")
+                         for line in calls), calls
+    for call in calls:   # neither the call nor the line after it iterates
+        name, number = call.split(":")
+        lines = (Path(todalab.__file__).parent / name).read_text(encoding="utf-8").splitlines()
+        window = " ".join(lines[int(number) - 1:int(number) + 1])
+        assert not re.search(r"\bfor\b|zip\(|map\(", window), (call, window)
+
+
 def test_random_state_deterministic():
     s1 = random_state(6, Boundary.PERIODIC, 42)
     s2 = random_state(6, Boundary.PERIODIC, 42)

@@ -1,4 +1,4 @@
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 import pytest
@@ -317,6 +317,8 @@ def test_ring_fixed_point_takes_the_attracting_root():
     # v -> (3v + 2)/(v + 2) fixes 2 (slope 1/4) and -1 (slope 4)
     for n in (1, 5):
         assert maps._ring_fixed_point([(3.0, 2.0, 1.0, 2.0)] * n) == pytest.approx(2.0, rel=1e-15)
+    # v -> 1/v fixes -1 and 1 with slopes of equal size: the first root, big/P21
+    assert maps._ring_fixed_point([(0.0, 1.0, 1.0, 0.0)]) == -1.0
 
 
 def test_ring_fixed_point_of_a_rotation_has_no_real_branch():
@@ -330,6 +332,70 @@ def test_ring_fixed_point_of_an_overflowing_product_fails():
     with pytest.raises(SolveFailed, match="overflowed") as info:
         maps._ring_fixed_point([(1.0, 0.0, 1.0, 0.0), (1e308, 1e308, 0.0, 1.0)])
     assert not isinstance(info.value, NoRealBranch)
+
+
+def _site_rows(kinds, n, seed):
+    """(rows, n, 4) Moebius sites, a ring per row of the given kind: positive
+    entries (two real roots), mixed signs (real or complex), upper
+    triangular (P21 = 0, one root), a shear (P21 = 0 and no root), a swap
+    (two roots of equal eigenvalue size), a rotation (complex roots), entries
+    whose product overflows (n >= 2), or a vanishing product."""
+    rng = np.random.default_rng(seed)
+    c, s = np.cos(0.4), np.sin(0.4)
+    make = {"positive": lambda: rng.uniform(0.1, 2.0, (n, 4)),
+            "signed": lambda: rng.uniform(-2.0, 2.0, (n, 4)),
+            "upper": lambda: rng.uniform(0.1, 2.0, (n, 4)) * [1.0, 1.0, 0.0, 1.0],
+            "shear": lambda: np.tile([1.0, 0.5, 0.0, 1.0], (n, 1)),   # no root: NaN
+            "swap": lambda: np.vstack(([[0.0, 1.0, 1.0, 0.0]],          # roots -1, 1 tie
+                                       np.tile([1.0, 0.0, 0.0, 1.0], (n - 1, 1)))),
+            "rotation": lambda: np.tile([c, -s, s, c], (n, 1)),
+            "overflow": lambda: np.full((n, 4), 1e308),   # 2e308 at the second site
+            "vanishing": lambda: np.vstack((rng.uniform(0.1, 2.0, (n - 1, 4)), [[0.0] * 4]))}
+    return np.array([make[kind]() for kind in kinds])
+
+
+def _scalar_outcome(sites):
+    try:
+        return maps._ring_fixed_point([tuple(site) for site in sites.tolist()])
+    except SolveFailed as exc:
+        return exc
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(kinds=st.lists(st.sampled_from(["positive", "positive", "upper", "shear", "swap",
+                                       "signed"]),
+                      min_size=2, max_size=12),
+       bad=st.sampled_from([None, None, "rotation", "overflow", "vanishing"]),
+       at=st.integers(0, 12), n=st.integers(2, 8), seed=st.integers(0, 2 ** 16))
+def test_column_ring_fixed_point_is_the_scalar_one_per_row_bitwise(kinds, bad, at, n, seed):
+    """Seeding a stack of rings as columns gives each row's scalar seed
+    bitwise (NaN where a row has no root), or raises the error type and
+    message of the first row whose scalar seed raises: a complex pair or an
+    overflowing or vanishing product."""
+    rows = _site_rows(kinds[:at] + [bad] * (bad is not None) + kinds[at:], n, seed)
+    outcomes = [_scalar_outcome(ring) for ring in rows]
+    columns = [tuple(site) for site in rows.transpose(1, 2, 0)]   # site k: four columns
+    failing = [out for out in outcomes if isinstance(out, Exception)]
+    with np.errstate(all="ignore"):
+        if failing:
+            with pytest.raises(SolveFailed) as info:
+                maps._ring_fixed_point(columns)
+            assert type(info.value) is type(failing[0])
+            assert str(info.value) == str(failing[0])
+        else:
+            got = maps._ring_fixed_point(columns)
+            assert got.tobytes() == np.array(outcomes).tobytes()
+
+
+def test_column_ring_fixed_point_raises_for_a_complex_or_overflowing_row():
+    regular = _site_rows(["positive"] * 3, 4, 0)
+    for kind, error in (("rotation", NoRealBranch), ("overflow", SolveFailed)):
+        rows = np.insert(regular, 1, _site_rows([kind], 4, 1)[0], axis=0)
+        want = _scalar_outcome(rows[1])
+        assert type(want) is error
+        with np.errstate(all="ignore"), pytest.raises(error) as info:
+            maps._ring_fixed_point([tuple(site) for site in rows.transpose(1, 2, 0)])
+        assert type(info.value) is error and str(info.value) == str(want)
 
 
 def _contract(k, p):
@@ -696,6 +762,107 @@ def test_column_checks_pass_a_regular_block(name, alpha, boundary):
             check(*_columns(taken))
         for lists in taken:
             check(*lists)
+
+
+# ---------------------------------------------------------------------------
+# step_stack: independent states stepped as one stack
+# ---------------------------------------------------------------------------
+
+_STACKED = ["dtl", "drtl+", "drtl-", "drtl+explicit", "drtl-explicit", "tl"]
+
+
+def _public_rows(step, states):
+    """The states step(state) of each of states, or the error of the first
+    whose step raises."""
+    out = []
+    for s in states:
+        try:
+            out.append(step(s))
+        except Exception as exc:    # any error: the stack must raise it too
+            return out, exc
+    return out, None
+
+
+def _assert_stack_is_the_public_rows(step, states, boundary):
+    want, error = _public_rows(step, states)
+    a, b = np.array([s.a for s in states]), np.array([s.b for s in states])
+    if error is not None:
+        with pytest.raises(type(error)) as info:
+            maps.step_stack(step, a, b, boundary)
+        assert str(info.value) == str(error)
+        return error
+    got_a, got_b = maps.step_stack(step, a, b, boundary)
+    assert got_a.tobytes() == np.array([t.a for t in want]).tobytes()
+    assert got_b.tobytes() == np.array([t.b for t in want]).tobytes()
+    return None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(_STACKED), boundary=st.sampled_from(list(Boundary)),
+       n=st.integers(2, 8), rows=st.sampled_from([16, 24, 7, 1, 15, 2]),
+       h=st.floats(0.01, 0.6), alpha=st.floats(-0.6, 0.6), seed=st.integers(0, 2 ** 16),
+       poison=st.sampled_from([None, None, "huge", "pivot"]), at=st.integers(0, 23))
+def test_step_stack_is_the_public_step_of_each_row_bitwise(name, boundary, n, rows, h, alpha,
+                                                           seed, poison, at):
+    """Each row of a stack is bitwise the public step of its state, for the
+    factor maps (columns checked from 16 rows), the explicit maps and a
+    flow, or the stack raises the error type and message of the first row
+    whose public step raises.  A poisoned row, its b scaled by 1e154 or set
+    to -1/h (a vanishing 1 + h b), fails or not as its own step does."""
+    states = [random_state(n, boundary, seed + i) for i in range(rows)]
+    if poison is not None:
+        s = states[at % rows]
+        b = s.b * 1e154 if poison == "huge" else np.full(n, -1.0 / h)
+        states[at % rows] = FlaschkaState(s.a, b, boundary)
+    _assert_stack_is_the_public_rows(SYSTEMS[name].stepper(h, alpha), states, boundary)
+
+
+@pytest.mark.parametrize("name,boundary,n,h,alpha,seed,step,error,message", _FAILING)
+def test_step_stack_with_one_failing_row_raises_its_error(name, boundary, n, h, alpha, seed,
+                                                          step, error, message):
+    """The failing state of each case above, stacked after and before the
+    regular states of its own trajectory (20 rows where it has some), makes
+    the stack raise its public step's error."""
+    bound = SYSTEMS[name].stepper(h, alpha)
+    trail = [random_state(n, boundary, seed)]
+    for _ in range(step):
+        trail.append(bound(trail[-1]))
+    regular = (trail[:-1] * 20)[:19]
+    states = regular[:3] + trail[-1:] + regular[3:]
+    got = _assert_stack_is_the_public_rows(bound, states, boundary)
+    assert type(got) is error and str(got) == message
+
+
+@pytest.mark.parametrize("name", ["drtl-", "drtl+explicit"])
+def test_step_stack_runs_a_wrapped_step_as_a_stack(monkeypatch, name):
+    """A functools.wraps wrapper of a public step (a profiler's, say) is
+    recognised: a regular stack never calls it, and a stack with a failing
+    row calls it once for each row up to that one."""
+    attr = {"drtl-": "drtl_minus_step", "drtl+explicit": "drtl_plus_explicit_step"}[name]
+    calls, public = [], getattr(maps, attr)
+
+    @wraps(public)
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return public(*args, **kwargs)
+
+    monkeypatch.setattr(maps, attr, counted)
+    h, alpha, bc = 0.05, 0.3, Boundary.OPEN
+    step = SYSTEMS[name].stepper(h, alpha)
+    states = [random_state(6, bc, seed) for seed in range(20)]
+    assert _assert_stack_is_the_public_rows(step, states, bc) is None
+    calls.clear()
+    got_a, _ = maps.step_stack(step, np.array([s.a for s in states]),
+                               np.array([s.b for s in states]), bc)
+    assert not calls and got_a.shape == (20, 6)
+    # a vanishing first pivot: 1 + (alpha + h) b_1 of drtl-, D_1 of drtl+(h, h)
+    s = states[4]
+    b = s.b.copy()
+    b[0] = -1.0 / (alpha + h) if name == "drtl-" else -(1.0 + h * h * s.a[0]) / h
+    states[4] = FlaschkaState(s.a, b, bc)
+    calls.clear()
+    assert isinstance(_assert_stack_is_the_public_rows(step, states, bc), SingularStep)
+    assert len(calls) == 2 * 5      # the public rows, then the stack's rerun rows
 
 
 def test_list_reductions_follow_numpy_nan_semantics():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from todalab import maps, poisson
 from todalab.core import Boundary, CanonicalState, FlaschkaState, random_state
 from todalab.realizations import chart_specs, chart_stack, chart_state, flaschka_of
+from todalab.systems import SYSTEMS
 
 TL1, TL2, TL3 = (poisson.Bracket(k) for k in ("tl1", "tl2", "tl3"))
 
@@ -174,6 +175,68 @@ def test_stacked_central_differences_are_the_loop_over_the_indices_bitwise(d, ki
     want = _loop_differences(f, w0, indices)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert got.flags.c_contiguous
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(d=st.integers(1, 7), batch=st.integers(1, 5), kind=st.sampled_from(["scalar", "vector"]),
+       seed=st.integers(0, 2 ** 16))
+def test_central_differences_of_a_batch_are_each_base_point_bitwise(d, batch, kind, seed):
+    """A batch of base points gives, along its first axis, the quotients of
+    each base point alone, from one call of fn on all their stencils."""
+    rng = np.random.default_rng(seed)
+    w0 = rng.uniform(-3.0, 3.0, (batch, d))
+    A = rng.uniform(-1.0, 1.0, (d, d))
+    f = {"scalar": lambda w: float(np.sin(w) @ A @ np.exp(w)),
+         "vector": lambda w: A @ np.sin(w) * np.exp(w)}[kind]
+    calls = []
+
+    def stencil(points):
+        calls.append(len(points))
+        return poisson._each_row(f)(points)
+
+    got = poisson._central_differences(stencil, w0, range(d))
+    assert calls == [2 * d * batch] and got.flags.c_contiguous
+    want = np.array([_loop_differences(f, w, range(d)) for w in w0])
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _pointwise_map_residual(step, kinds, s):
+    """The map residual with each stencil point and the image stepped as a
+    state of its own, one at a time: the reference for the stacked form."""
+    act = poisson._active(s)
+    sub = np.ix_(act, act)
+    J = _loop_differences(lambda z: poisson._pack(step(poisson._unpack(z, s)))[act],
+                          poisson._pack(s), act)
+    image = step(s)
+    return max(float(np.max(np.abs(J @ poisson.bracket_matrix(kind, s)[sub] @ J.T
+                                   - poisson.bracket_matrix(kind, image)[sub])))
+               for kind in kinds)
+
+
+@pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-", "drtl+explicit", "drtl-explicit"])
+def test_map_residuals_of_a_batch_are_the_pointwise_ones_bitwise(name):
+    """The Jacobians of a batch of states, their stencils stepped as one
+    stack, give bitwise the residuals of stepping each point as a state."""
+    row = SYSTEMS[name]
+    step = row.stepper(0.08, 0.3)
+    lax_alpha = row.lax_alpha(0.08, 0.3)
+    kinds = ((TL1, TL2, TL3) if lax_alpha is None else
+             (poisson.Bracket("rtl1", lax_alpha), poisson.Bracket("rtl2"),
+              poisson.Bracket("rtl3", lax_alpha)))
+    for boundary in Boundary:
+        states = [random_state(4, boundary, seed) for seed in range(6)]
+        got = poisson.poisson_map_residuals(step, kinds, states)
+        assert got == [_pointwise_map_residual(step, kinds, s) for s in states]
+
+
+@pytest.mark.parametrize("index", range(0, 25, 4))
+def test_realization_residuals_of_a_batch_are_each_state_alone_bitwise(index):
+    """Charting the stencils of several states as one stack gives each
+    state's residual bitwise."""
+    spec = chart_specs(0.1)[index]
+    states = [chart_state(spec, 5, seed) for seed in range(4)]
+    assert poisson.realization_residuals(spec, states) == [
+        poisson.realization_residual(spec, c) for c in states]
 
 
 @pytest.mark.parametrize("index", range(0, 25, 3))

@@ -473,6 +473,57 @@ def test_square_check_raises_the_error_of_the_first_sample_in_state_major_order(
         verify.check_closure_1d(seed=0, n=n, n_states=5, pairs=pairs)
 
 
+def test_poisson_maps_check_raises_the_error_of_the_first_state_in_state_major_order(
+        monkeypatch):
+    """dtl fails at state 4 and the last map, drtl-(-h, h), at state 2: the
+    stencils of all states stepped map by map meet dtl's failure first; the
+    check raises state 2's error, as the loop over states, then maps, does."""
+    states = [random_state(4, Boundary.OPEN, i) for i in range(6)]
+
+    def failing_at(public, index):
+        def step(s, **params):   # no functools.wraps: stepped row by row
+            near = [max(np.max(np.abs(s.a - t.a)), np.max(np.abs(s.b - t.b))) < 1e-4
+                    for t in states]
+            if near[index]:
+                raise NumericalError(f"state {index}")
+            return public(s, **params)
+        return step
+
+    monkeypatch.setattr(maps, "dtl_step", failing_at(maps.dtl_step, 4))
+    monkeypatch.setattr(maps, "drtl_minus_explicit_step",
+                        failing_at(maps.drtl_minus_explicit_step, 2))
+    with pytest.raises(NumericalError, match="^state 2$"):
+        verify.check_poisson_maps(seed=0, n_states=6)
+
+
+def test_poisson_realizations_check_raises_the_error_of_the_loop_over_the_states(monkeypatch):
+    """The first chart's target fails at state 0 and its stencil at state 1:
+    charted as one stack, the stencils meet state 1's failure first; the
+    check raises state 0's error, as the loop over the states does."""
+    from todalab import realizations
+    spec = chart_specs(0.1)[0]
+    states = [chart_state(spec, 5, i) for i in range(3)]
+    chart_stack, flaschka_of = realizations.chart_stack, realizations.flaschka_of
+
+    def near(x, c):
+        return np.max(np.abs(x - c.x)) < 1e-4
+
+    def failing_chart(sp, x, p, boundary):
+        if sp.name == spec.name and any(near(row, states[1]) for row in x):
+            raise NumericalError("stencil 1")
+        return chart_stack(sp, x, p, boundary)
+
+    def failing_target(sp, c):
+        if sp.name == spec.name and np.array_equal(c.x, states[0].x):
+            raise NumericalError("target 0")
+        return flaschka_of(sp, c)
+
+    monkeypatch.setattr(realizations, "chart_stack", failing_chart)
+    monkeypatch.setattr(realizations, "flaschka_of", failing_target)
+    with pytest.raises(NumericalError, match="^target 0$"):
+        verify.check_poisson_realizations(seed=0, n_states=3)
+
+
 # ---------------------------------------------------------------------------
 # a NaN residual fails its record
 # ---------------------------------------------------------------------------
