@@ -41,36 +41,53 @@ _PIVOT = 1e-13
 
 
 def build_T(s: FlaschkaState, lam: float = 1.0) -> np.ndarray:
-    n = s.n
-    if s.boundary is Boundary.OPEN:
-        lam = 1.0
-    elif lam == 0.0:
-        raise DomainError("spectral parameter must be nonzero on a ring")
-    T = np.diag(s.b.astype(float))
-    for k in range(n - 1):
-        T[k, k + 1] = s.a[k] / lam
-        T[k + 1, k] = lam
-    if s.boundary is Boundary.PERIODIC:
-        T[n - 1, 0] += s.a[n - 1] / lam
-        T[0, n - 1] += lam
+    return build_T_stack(s.a, s.b, s.boundary, lam)
+
+
+def build_T_stack(a: np.ndarray, b: np.ndarray, boundary: Boundary,
+                  lam: float = 1.0) -> np.ndarray:
+    """T of each row of (..., n) stacks a, b, as a (..., n, n) stack."""
+    lam = _ring_lambda(boundary, lam)
+    n = b.shape[-1]
+    T = np.zeros(b.shape + (n,))
+    diagonal, upper, lower = _bands(T)
+    diagonal[...] = b
+    upper[...] = a[..., :-1] / lam
+    lower[...] = lam
+    if boundary is Boundary.PERIODIC:    # after the band: a ring of two adds to it
+        T[..., n - 1, 0] += a[..., n - 1] / lam
+        T[..., 0, n - 1] += lam
     return T
 
 
 def build_LU_rtl(s: FlaschkaState, alpha: float, lam: float = 1.0):
+    lam = _ring_lambda(s.boundary, lam)
     n = s.n
-    if s.boundary is Boundary.OPEN:
-        lam = 1.0
-    elif lam == 0.0:
-        raise DomainError("spectral parameter must be nonzero on a ring")
-    L = np.diag(1.0 + alpha * s.b)
-    U = np.eye(n)
-    for k in range(n - 1):
-        L[k + 1, k] = alpha * lam
-        U[k, k + 1] = -alpha * s.a[k] / lam
-    if s.boundary is Boundary.PERIODIC:
+    L, U = np.diag(1.0 + alpha * s.b), np.eye(n)
+    _bands(L)[2][...] = alpha * lam
+    _bands(U)[1][...] = -alpha * s.a[:-1] / lam
+    if s.boundary is Boundary.PERIODIC:    # after the band: a ring of two adds to it
         L[0, n - 1] += alpha * lam
         U[n - 1, 0] += -alpha * s.a[n - 1] / lam
     return L, U
+
+
+def _bands(M: np.ndarray):
+    """Views of the diagonal, superdiagonal and subdiagonal of each matrix of
+    a C-contiguous (..., n, n) stack."""
+    n = M.shape[-1]
+    flat = M.reshape(M.shape[:-2] + (n * n,))
+    return flat[..., ::n + 1], flat[..., 1::n + 1], flat[..., n::n + 1]
+
+
+def _ring_lambda(boundary: Boundary, lam: float) -> float:
+    """The spectral parameter of a Lax matrix: 1 on open chains, nonzero on
+    rings."""
+    if boundary is Boundary.OPEN:
+        return 1.0
+    if lam == 0.0:
+        raise DomainError("spectral parameter must be nonzero on a ring")
+    return lam
 
 
 def rtl_t1(s: FlaschkaState, alpha: float, lam: float = 1.0) -> np.ndarray:

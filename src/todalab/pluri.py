@@ -30,11 +30,11 @@ Every leg of one parameter is a leg of the step's chart, ``exp`` or
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
-from .core import Boundary, CanonicalState, shifted, worst
+from .core import STEP_ERRORS, Boundary, CanonicalState, shifted, worst
 from .errors import BranchMismatch, DegenerateFace, DomainError
 from .realizations import (_leg_at_mixed_next, _leg_at_mixed_prev, _need, canonical_step,
                            lagrangian_value, realization)
@@ -189,6 +189,43 @@ def chain_step(c: CanonicalState, lam: float, alpha: float | None = None) -> Can
     return canonical_step(chain_spec(float(lam), alpha), c)
 
 
+def _first_failing_row(residual):
+    """residual, whose corners are one state's vectors or (B, n) stacks of
+    them, one state per row, raising the error of the first failing row: a
+    stack whose call raises one of STEP_ERRORS is passed again a row at a
+    time, so the error is the one that row raises alone."""
+    @wraps(residual)
+    def by_rows(*args):
+        try:
+            return residual(*args)
+        except STEP_ERRORS:
+            for i in range(_rows(args)):
+                residual(*_row(args, i))
+            raise
+    return by_rows
+
+
+def _rows(args):
+    """The number of rows of the (B, n) stacks among args, in pairs of them
+    too (0 if there are none)."""
+    return max((_rows(v) if isinstance(v, tuple)
+                else len(v) if isinstance(v, np.ndarray) and v.ndim == 2 else 0
+                for v in args), default=0)
+
+
+def _row(args, i):
+    """args with each (B, n) stack cut to its row i, as a (1, n) stack."""
+    return tuple(_row(v, i) if isinstance(v, tuple)
+                 else v[i:i + 1] if isinstance(v, np.ndarray) and v.ndim == 2 else v
+                 for v in args)
+
+
+def _per_row(values):
+    """Values of a residual's rows: an array for a stack, a float for one
+    state."""
+    return values if np.ndim(values) else float(values)
+
+
 def _momenta(legs, base, img, boundary):
     """psi(img_k - base_k) + phi(base_k - img_{k-1}), and the same with
     phi(base_{k+1} - img_k): the momenta before and after a step, less psi0."""
@@ -242,8 +279,10 @@ def superposition_1d(x, xt, xh, lam, mu, boundary):
     return xth
 
 
-def closure_value_1d(x, xt, xh, xth, lam, mu, boundary) -> float:
-    """Action defect around the parameter square (zero iff the 1-form closes)."""
+@_first_failing_row
+def closure_value_1d(x, xt, xh, xth, lam, mu, boundary):
+    """Action defect around the parameter square (zero iff the 1-form
+    closes), of each row of (B, n) stacks of the corners."""
     spec_l, spec_m = chain_spec(lam, None), chain_spec(mu, None)
     return (lagrangian_value(spec_l, x, xt, boundary)
             + lagrangian_value(spec_m, xt, xth, boundary)
@@ -251,18 +290,21 @@ def closure_value_1d(x, xt, xh, xth, lam, mu, boundary) -> float:
             - lagrangian_value(spec_l, xh, xth, boundary))
 
 
-def action_derivative(x, xt, lam, boundary) -> float:
+@_first_failing_row
+def action_derivative(x, xt, lam, boundary):
     """d/dlam of the exponential chain's slice action sum Psi - sum Phi: Psi
-    scales as 1/lam and Phi as lam, so it is -(sum Psi + sum Phi)/lam."""
+    scales as 1/lam and Phi as lam, so it is -(sum Psi + sum Phi)/lam; of
+    each row of (B, n) stacks, the sums taken row by row."""
     x, xt = np.asarray(x, dtype=float), np.asarray(xt, dtype=float)
     legs = chain_spec(lam, None).legs
-    return -(float(np.sum(legs.Psi(xt - x)))
-             + float(np.sum(_leg_at_mixed_next(legs.Phi, x, xt, boundary)))) / lam
+    return _per_row(-(np.sum(legs.Psi(xt - x), axis=-1)
+                      + np.sum(_leg_at_mixed_next(legs.Phi, x, xt, boundary), axis=-1)) / lam)
 
 
-def spectrality_residual(pair_a, pair_b, lam, boundary) -> float:
+@_first_failing_row
+def spectrality_residual(pair_a, pair_b, lam, boundary):
     """Drift of the parameter-derivative of the slice action between two
-    step pairs related by an independent family member."""
+    step pairs related by an independent family member, of each row."""
     return abs(action_derivative(*pair_a, lam, boundary)
                - action_derivative(*pair_b, lam, boundary))
 
@@ -287,10 +329,11 @@ def cross_Phi(xi, lam, mu):
     return xi / mu + (mu - lam) / (lam * mu) * np.log(arg)
 
 
+@_first_failing_row
 def corner_residuals_2d(alpha, x, xt, xh, xth, lam, mu, boundary):
     """The six corner equations of one elementary cube plus the octahedron
-    relation, sitewise; keys E (shifted one site up), E12, S1a, S1b, S2a,
-    S2b, oct."""
+    relation, sitewise along the last axis; keys E (shifted one site up),
+    E12, S1a, S1b, S2a, S2b, oct."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
     legs_l, legs_m = chain_spec(lam, alpha).legs, chain_spec(mu, alpha).legs
 
@@ -320,13 +363,15 @@ def corner_residuals_2d(alpha, x, xt, xh, xth, lam, mu, boundary):
     res = {"E_up": e_up, "E12": e12, "S1a": s1a, "S1b": s1b,
            "S2a": s2a, "S2b": s2b, "oct": oct_res}
     if boundary is Boundary.OPEN:
-        return {key: val[:-1] for key, val in res.items()}
+        return {key: val[..., :-1] for key, val in res.items()}
     return res
 
 
 def _up(v, boundary):
-    """v_{k+1}; on open chains the last entry repeats v_n and is never used."""
-    return shifted(v, 1, boundary, fill=v[-1])
+    """v_{k+1}; on open chains the last entry of each row repeats its v_n and
+    is never used."""
+    return shifted(v, 1, boundary, fill=v[..., -1:])
+
 
 
 def superposition_2d(alpha, x, xt, xh, lam, mu, boundary):
@@ -346,8 +391,10 @@ def superposition_2d(alpha, x, xt, xh, lam, mu, boundary):
     return xth
 
 
+@_first_failing_row
 def closure_values_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> np.ndarray:
-    """Signed dL per elementary cube (zero iff the 2-form closes)."""
+    """Signed dL per elementary cube (zero iff the 2-form closes), along the
+    last axis."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
     legs_l, legs_m = chain_spec(lam, alpha).legs, chain_spec(mu, alpha).legs
     xu, xtu, xhu = _up(x, boundary), _up(xt, boundary), _up(xh, boundary)
@@ -358,17 +405,22 @@ def closure_values_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> np.ndarray:
            + legs_l.Phi(xhu - xth) - legs_m.Phi(xtu - xth)
            - legs_l.Phi(xu - xt) + legs_m.Phi(xu - xh))
     if boundary is Boundary.OPEN:
-        val = val[:-1]
+        val = val[..., :-1]
     return val
 
 
-def closure_value_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> float:
-    return float(np.max(np.abs(closure_values_2d(alpha, x, xt, xh, xth, lam, mu, boundary))))
+@_first_failing_row
+def closure_value_2d(alpha, x, xt, xh, xth, lam, mu, boundary):
+    """Largest |dL| over the cubes of each row."""
+    return _per_row(np.max(np.abs(closure_values_2d(alpha, x, xt, xh, xth, lam, mu, boundary)),
+                           axis=-1))
 
 
-def conservation_residual_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> float:
-    """Sitewise defect of the lattice conservation law tying the parameter
-    derivative across the two directions of the cube."""
+@_first_failing_row
+def conservation_residual_2d(alpha, x, xt, xh, xth, lam, mu, boundary):
+    """Largest sitewise defect of the lattice conservation law tying the
+    parameter derivative across the two directions of the cube, of each
+    row."""
     x, xt, xh, xth = (np.asarray(v, dtype=float) for v in (x, xt, xh, xth))
     legs_l = chain_spec(lam, alpha).legs
 
@@ -395,5 +447,5 @@ def conservation_residual_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> float:
     f_ij = R_ij(x, xt, xh) - S_ij(x, xt, xh) / lam
     res = (f_i0_hat - f_i0) - (_up(f_ij, boundary) - f_ij)
     if boundary is Boundary.OPEN:
-        res = res[1:-1]
-    return float(np.max(np.abs(res)))
+        res = res[..., 1:-1]
+    return _per_row(np.max(np.abs(res), axis=-1))

@@ -25,11 +25,15 @@ batch of them: the chart-step residual steps that stack at once, the chart
 residuals chart the stencils of a batch of states as one stack
 (``realization_residuals``), and the map residuals step them with one
 ``maps.step_stack`` call per map (``poisson_map_residuals``), each row
-bitwise the public function of that point; the gradient and Jacobi
-residuals take it one point at a time (``_each_row``).  The map and
-involution residuals take a sequence of brackets and form their Jacobian or
-gradients once per state.  On open chains the structural coordinate a_n is
-frozen, so all FD sweeps run on the reduced chart (b_1..b_n, a_1..a_{n-1}).
+bitwise the public function of that point; the batch gradients
+(``fd_gradients``, ``involution_residuals``) evaluate a function of the
+(a, b) stacks of the states once on all their stencils.  A function of one
+state, as ``fd_gradient``, ``involution_residual`` and the Jacobi residual
+take it, is called on each point in turn.  The map and involution
+residuals take a sequence of brackets and form their Jacobian or gradients
+once per state, and each bracket's tensors at a batch of states with one
+``bracket_stack``.  On open chains the structural coordinate a_n is frozen,
+so all FD sweeps run on the reduced chart (b_1..b_n, a_1..a_{n-1}).
 """
 
 from __future__ import annotations
@@ -57,34 +61,41 @@ def combo(*terms):
 
 
 def bracket_matrix(kind, s: FlaschkaState) -> np.ndarray:
-    """Poisson tensor Pi(z) in coordinates z = (b, a); exactly skew by fill.
+    """Poisson tensor Pi(z) in coordinates z = (b, a); exactly skew by fill
+    (``bracket_stack`` of the one state)."""
+    return bracket_stack(kind, s.a[None], s.b[None], s.boundary)[0]
+
+
+def bracket_stack(kind, a: np.ndarray, b: np.ndarray, boundary: Boundary) -> np.ndarray:
+    """Pi(z) of each row of (S, n) stacks a, b, as an (S, 2n, 2n) stack.
 
     Each entry of ``_SITE_ENTRIES`` at each site k adds its value at (i, j)
     and subtracts it at (j, i), site after site and entry after entry: one
-    np.bincount sums them from zero in that order, so entries that meet on
-    rings of two or three sites add up as they come.
+    np.bincount sums them from zero in that order, each row in bins of its
+    own, so entries that meet on rings of two or three sites add up as they
+    come and row i is bitwise the site loop of state i.
     """
+    rows, n = a.shape
     if isinstance(kind, tuple):
-        out = np.zeros((2 * s.n, 2 * s.n))
+        out = np.zeros((rows, 2 * n, 2 * n))
         for coef, br in kind:
-            out += coef * bracket_matrix(br, s)
+            out += coef * bracket_stack(br, a, b, boundary)
         return out
 
     if kind.kind not in _SITE_ENTRIES:
         raise ValueError(f"unknown bracket kind {kind.kind!r}")
-    n = s.n
     pairs, values = _SITE_ENTRIES[kind.kind]
-    flat, order = _scatter(pairs, n, s.boundary is Boundary.PERIODIC)
-    vals = np.array([values(kind.alpha, *site) for site in _sites(s)]).ravel()
-    weights = np.concatenate((vals, -vals))[order]
-    return np.bincount(flat, weights, minlength=4 * n * n).reshape(2 * n, 2 * n)
+    flat, order = _scatter(pairs, n, boundary is Boundary.PERIODIC, rows)
+    vals = np.array([values(kind.alpha, *site) for ar, br in zip(a.tolist(), b.tolist())
+                     for site in _sites(ar, br)]).reshape(rows, -1)
+    weights = np.concatenate((vals, -vals), axis=1).ravel()[order]
+    return np.bincount(flat, weights, minlength=rows * 4 * n * n).reshape(rows, 2 * n, 2 * n)
 
 
-def _sites(s: FlaschkaState):
-    """(a_k, b_k, a_{k+1}, b_{k+1}, a_{k+2}, b_{k+2}) of each site k as Python
-    floats, neighbours taken round the ring (the table drops entries past an
-    open end)."""
-    a, b = s.a.tolist(), s.b.tolist()
+def _sites(a: list, b: list):
+    """(a_k, b_k, a_{k+1}, b_{k+1}, a_{k+2}, b_{k+2}) of each site k of the
+    Python floats a, b of a state, neighbours taken round the ring (the
+    table drops entries past an open end)."""
     a1, b1 = a[1:] + a[:1], b[1:] + b[:1]
     return zip(a, b, a1, b1, a1[1:] + a1[:1], b1[1:] + b1[:1])
 
@@ -120,19 +131,24 @@ _SITE_ENTRIES["rtl2"] = _SITE_ENTRIES["tl2"]
 
 
 @lru_cache(maxsize=None)
-def _scatter(pairs, n: int, wrap: bool):
+def _scatter(pairs, n: int, wrap: bool, rows: int):
     """Where the site entries at ``pairs`` land in the flattened 2n x 2n
     tensor: for each kept (site, entry), site-major, the flat index of
     (i, j) and then of (j, i); and, in the same order, the position of its
     value in the site-major list of values followed by their negatives.
-    On an open chain an entry reaching site k + d is kept for k + d < n."""
+    On an open chain an entry reaching site k + d is kept for k + d < n.
+    For a stack of `rows` tensors these come row after row, each row's
+    indices offset by the size of a tensor and of its list of values."""
     (bi, di), (bj, dj) = (np.array(side).T for side in zip(*pairs))
     k = np.arange(n)[:, None]
     i, j = bi * n + (k + di) % n, bj * n + (k + dj) % n
     keep = wrap | (k + np.maximum(di, dj) < n)
     at = (k * len(pairs) + np.arange(len(pairs)))[keep]
-    flat = np.stack([i * 2 * n + j, j * 2 * n + i], axis=-1)[keep].ravel()
-    order = np.stack([at, at + len(pairs) * n], axis=-1).ravel()
+    row = np.arange(rows)[:, None]
+    flat = (np.stack([i * 2 * n + j, j * 2 * n + i], axis=-1)[keep].ravel()
+            + 4 * n * n * row).ravel()
+    order = (np.stack([at, at + len(pairs) * n], axis=-1).ravel()
+             + 2 * len(pairs) * n * row).ravel()
     for shared in (flat, order):   # every later call gets these same arrays
         shared.flags.writeable = False
     return flat, order
@@ -213,8 +229,31 @@ def fd_jacobian(map_fn, states) -> np.ndarray:
                                 np.array([_pack(s) for s in states]), _active(states[0]))
 
 
+def fd_gradients(fn, states) -> np.ndarray:
+    """Central FD gradients on the reduced chart of fn at each of `states`
+    (of one size and boundary), as an (S, m) stack.  fn takes the (a, b)
+    stacks of a batch of states and returns one value per row: it is called
+    once, on the stencils of all the states."""
+    n = states[0].n
+    return _central_differences(lambda z: fn(z[:, n:], z[:, :n]),
+                                np.array([_pack(s) for s in states]), _active(states[0]))
+
+
 def fd_gradient(fn, s: FlaschkaState) -> np.ndarray:
-    return _central_differences(_each_row(lambda z: fn(_unpack(z, s))), _pack(s), _active(s))
+    """``fd_gradients`` at s of fn, a function of one state, called on each
+    stencil point as a state."""
+    return fd_gradients(_of_states(fn, s.boundary), [s])[0]
+
+
+def _of_states(fn, boundary: Boundary):
+    """The stack form of fn, a function of one state: fn of each row's state."""
+    return lambda a, b: np.array([fn(FlaschkaState(u, v, boundary)) for u, v in zip(a, b)])
+
+
+def _tensors(kind, a, b, boundary: Boundary, act) -> np.ndarray:
+    """The (S, m, m) stack of Pi on the reduced chart `act` of each row of
+    the (S, n) stacks a, b, each tensor C-contiguous."""
+    return np.ascontiguousarray(bracket_stack(kind, a, b, boundary)[:, act[:, None], act])
 
 
 def poisson_map_residuals(map_fn, kinds, states) -> list:
@@ -224,17 +263,32 @@ def poisson_map_residuals(map_fn, kinds, states) -> list:
     ``maps.step_stack``.  A map that fails raises the error of its first
     failing stencil point, state after state, or else of its first failing
     image; for one state, that of the loop over its points and its image."""
-    s0 = states[0]
-    act = _active(s0)
-    sub = np.ix_(act, act)
-    jacobians = fd_jacobian(map_fn, states)
-    images = maps.step_stack(map_fn, np.array([s.a for s in states]),
-                             np.array([s.b for s in states]), s0.boundary)
-    return [worst(float(np.max(np.abs(J @ bracket_matrix(kind, s)[sub] @ J.T
-                                      - bracket_matrix(kind, image)[sub])))
-                  for kind in kinds)
-            for J, s, image in zip(jacobians, states,
-                                   (FlaschkaState(a, b, s0.boundary) for a, b in zip(*images)))]
+    return poisson_map_table(((map_fn, kinds),), states)[0]
+
+
+def poisson_map_table(cases, states) -> list:
+    """``poisson_map_residuals`` of each (map_fn, kinds) of `cases` in turn,
+    at the same states.  The tensors of each bracket at the states are
+    formed once, by one ``bracket_stack``, for all the maps that share it;
+    those at a map's images by one more; the products J Pi J^T of all the
+    states are one stacked matmul per bracket."""
+    boundary, act = states[0].boundary, _active(states[0])
+    a, b = np.array([s.a for s in states]), np.array([s.b for s in states])
+    at_states = {}
+
+    def residuals(map_fn, kinds):
+        jacobians = fd_jacobian(map_fn, states)
+        images = maps.step_stack(map_fn, a, b, boundary)
+        top = np.zeros(len(states))   # worst's initial value; np.maximum keeps a NaN
+        for kind in kinds:
+            if kind not in at_states:
+                at_states[kind] = _tensors(kind, a, b, boundary, act)
+            moved = jacobians @ at_states[kind] @ jacobians.transpose(0, 2, 1)
+            top = np.maximum(top, np.max(np.abs(moved - _tensors(kind, *images, boundary, act)),
+                                         axis=(1, 2)))
+        return top.tolist()
+
+    return [residuals(map_fn, kinds) for map_fn, kinds in cases]
 
 
 def poisson_map_residual(map_fn, kinds, s: FlaschkaState) -> float:
@@ -242,20 +296,32 @@ def poisson_map_residual(map_fn, kinds, s: FlaschkaState) -> float:
     return poisson_map_residuals(map_fn, kinds, [s])[0]
 
 
-def involution_residual(kinds, s: FlaschkaState, f, g) -> float:
-    """Worst |grad f . Pi . grad g| over the brackets `kinds`, scale-free;
-    the FD gradients are formed once."""
-    act = _active(s)
-    sub = np.ix_(act, act)
-    gf = fd_gradient(f, s)
-    gg = fd_gradient(g, s)
+def involution_residuals(kinds, states, fs, g) -> list:
+    """Worst |grad f . Pi . grad g| over the brackets `kinds`, scale-free, of
+    each of `states` (of one size and boundary) for each f of `fs` in turn,
+    state after state.  f and g take the (a, b) stacks of a batch of states
+    and return one value per row; the FD gradients of each are formed by one
+    ``fd_gradients`` call at all the states, and each bracket's tensors by
+    one ``bracket_stack``."""
+    boundary, act = states[0].boundary, _active(states[0])
+    a, b = np.array([s.a for s in states]), np.array([s.b for s in states])
+    grads = [fd_gradients(f, states) for f in fs]
+    gg = fd_gradients(g, states)
+    tensors = [_tensors(kind, a, b, boundary, act) for kind in kinds]
 
-    def residual(kind):
-        P = bracket_matrix(kind, s)[sub]
+    def residual(gf, P, gg):
         scale = max(1.0, float(np.linalg.norm(gf) * np.linalg.norm(P, np.inf) * np.linalg.norm(gg)))
         return float(abs(gf @ P @ gg)) / scale
 
-    return worst(residual(kind) for kind in kinds)
+    return [worst(residual(gf[i], P[i], gg[i]) for P in tensors)
+            for i in range(len(states)) for gf in grads]
+
+
+def involution_residual(kinds, s: FlaschkaState, f, g) -> float:
+    """``involution_residuals`` of the one state s, for f and g functions of
+    one state."""
+    return involution_residuals(kinds, [s], [_of_states(f, s.boundary)],
+                                _of_states(g, s.boundary))[0]
 
 
 def jacobi_residual(kind, s: FlaschkaState) -> float:

@@ -1090,17 +1090,18 @@ def _mobius_sites(spec, x, rhs):
     return update, _moebius_slope(sites), t
 
 
-def lagrangian_value(spec: Realization, x, xt, boundary: Boundary) -> float:
-    """Discrete action of one time slice for the chart's family."""
+def lagrangian_value(spec: Realization, x, xt, boundary: Boundary):
+    """Discrete action of one time slice for the chart's family: a float, or
+    of each row of (B, n) stacks x, xt, summed row by row, a (B,) array."""
     x, xt = np.asarray(x, dtype=float), np.asarray(xt, dtype=float)
     legs = spec.legs
-    total = float(np.sum(legs.Psi(xt - x)))
+    total = np.sum(legs.Psi(xt - x), axis=-1)
     if legs.Phi is not None:
-        total -= float(np.sum(_leg_at_mixed_next(legs.Phi, x, xt, boundary)))
+        total = total - np.sum(_leg_at_mixed_next(legs.Phi, x, xt, boundary), axis=-1)
     if legs.Psi0 is not None:
         base = xt if spec.psi0_on_image else x
-        total -= float(np.sum(_leg_at_mixed_next(legs.Psi0, base, base, boundary)))
-    return total
+        total = total - np.sum(_leg_at_mixed_next(legs.Psi0, base, base, boundary), axis=-1)
+    return total if np.ndim(total) else float(total)
 
 
 def newtonian_residual(spec: Realization, x_prev, x, x_next, boundary: Boundary) -> np.ndarray:

@@ -28,7 +28,6 @@ import numpy as np
 from . import lax, maps, pluri, poisson
 from .core import (STEP_ERRORS, Boundary, CanonicalState, FlaschkaState, random_canonical,
                    random_state, vectors, worst)
-from .errors import NumericalError
 from .realizations import (CATALOG, canonical_step, chart_specs, chart_state,
                            lagrangian_value, pullback_consistency, realization,
                            step_stack, symplectic_defect)
@@ -222,29 +221,40 @@ def _square_check(name, params, residual, seed, n, n_states, pairs, tol, boundar
 
     try:
         values = np.transpose([square((x, p), lam, mu) for lam, mu in pairs]).ravel()
-    except (NumericalError, ValueError):
+    except STEP_ERRORS:
         values = [r for i in range(n_states) for lam, mu in pairs
                   for r in square((x[i:i + 1], p[i:i + 1]), lam, mu)]
     return _record(name, params, n_states * len(pairs), worst(values), tol)
 
 
-def _on_positions(residual):
-    """residual(x, xt, xh, xth, lam, mu) of each row of the corners' positions."""
-    return lambda c, ct, ch, cth, lam, mu: [residual(*w, lam, mu)
-                                            for w in zip(c[0], ct[0], ch[0], cth[0])]
+def _positions(residual):
+    """residual(x, xt, xh, xth, lam, mu) of the (B, n) stacks of the corners'
+    positions, one value per row."""
+    return lambda c, ct, ch, cth, lam, mu: residual(c[0], ct[0], ch[0], cth[0], lam, mu)
+
+
+def _corners_max(values):
+    """The largest of the corner residual vectors `values`, of each row,
+    taken in turn as Python's max takes floats (a NaN row value is kept only
+    when it comes first)."""
+    top = None
+    for v in values:
+        v = np.max(np.abs(v), axis=-1)
+        top = v if top is None else np.where(v > top, v, top)
+    return top
 
 
 def check_closure_1d(seed=0, n=6, n_states=10, pairs=_PAIRS[:3], boundary=Boundary.OPEN):
     return _square_check(
         "closure-1d", dict(n=n),
-        _on_positions(lambda *w: abs(pluri.closure_value_1d(*w, boundary))),
+        _positions(lambda *w: np.abs(pluri.closure_value_1d(*w, boundary))),
         seed, n, n_states, pairs, 1e-10, boundary)
 
 
 def check_spectrality_1d(seed=0, n=6, n_states=10, boundary=Boundary.OPEN):
     return _square_check(
         "spectrality-1d", dict(n=n),
-        _on_positions(lambda x, xt, xh, xth, lam, mu: pluri.spectrality_residual(
+        _positions(lambda x, xt, xh, xth, lam, mu: pluri.spectrality_residual(
             (x, xt), (xh, xth), lam, boundary)),
         seed, n, n_states, _PAIRS[:3], 1e-10, boundary, lam_last=True)
 
@@ -252,22 +262,22 @@ def check_spectrality_1d(seed=0, n=6, n_states=10, boundary=Boundary.OPEN):
 def check_closure_2d(seed=0, n=6, n_states=10, boundary=Boundary.PERIODIC):
     return _square_check(
         "closure-2d", dict(n=n, alpha=_ALPHA),
-        _on_positions(lambda *w: pluri.closure_value_2d(_ALPHA, *w, boundary)),
+        _positions(lambda *w: pluri.closure_value_2d(_ALPHA, *w, boundary)),
         seed, n, n_states, _PAIRS[:3], 1e-10, boundary, _ALPHA)
 
 
 def check_conservation_2d(seed=0, n=6, n_states=10, boundary=Boundary.PERIODIC):
     return _square_check(
         "conservation-2d", dict(n=n, alpha=_ALPHA),
-        _on_positions(lambda *w: pluri.conservation_residual_2d(_ALPHA, *w, boundary)),
+        _positions(lambda *w: pluri.conservation_residual_2d(_ALPHA, *w, boundary)),
         seed, n, n_states, _PAIRS[:3], 1e-10, boundary, _ALPHA, lam_last=True)
 
 
 def check_corners_2d(seed=0, n=6, n_states=10, boundary=Boundary.PERIODIC):
     return _square_check(
         "corners-2d", dict(n=n, alpha=_ALPHA),
-        _on_positions(lambda *w: max(float(np.max(np.abs(v))) for v in
-                                     pluri.corner_residuals_2d(_ALPHA, *w, boundary).values())),
+        _positions(lambda *w: _corners_max(
+            pluri.corner_residuals_2d(_ALPHA, *w, boundary).values())),
         seed, n, n_states, _PAIRS[:3], 1e-10, boundary, _ALPHA)
 
 
@@ -298,8 +308,9 @@ def _brackets(lax_alpha):
 def check_poisson_maps(seed=0, n_states=20):
     """Each map preserves the three brackets of the Lax pair it conserves.
 
-    Each map steps the stencils of all the states at once
-    (``poisson.poisson_map_residuals``); if that raises, the residual of
+    Each map steps the stencils of all the states at once, and the maps
+    that share a bracket share its tensors at the states
+    (``poisson.poisson_map_table``); if that raises, the residual of
     each state is formed alone for each map in turn (state-major order), so
     the error raised is the one a loop over the states reaches first."""
     n, h = 4, 0.08
@@ -307,8 +318,7 @@ def check_poisson_maps(seed=0, n_states=20):
              for row in SYSTEMS.values() if not row.flow]
     states = [random_state(n, Boundary.OPEN, seed + i) for i in range(n_states)]
     try:
-        residuals = [r for step, brackets in cases
-                     for r in poisson.poisson_map_residuals(step, brackets, states)]
+        residuals = chain.from_iterable(poisson.poisson_map_table(cases, states))
     except STEP_ERRORS:
         residuals = [poisson.poisson_map_residual(step, brackets, s)
                      for s in states for step, brackets in cases]
@@ -344,24 +354,34 @@ def check_poisson_realizations(seed=0, n_states=5):
 
 
 def check_involution(seed=0, n_states=10):
-    def h1(s):
-        return float(np.sum(s.b))
+    """h1 = sum b and the log det Hamiltonian h0 are each in involution with
+    h2 under the three Toda brackets.
 
-    def h2(s):
-        return float(0.5 * np.sum(s.b ** 2) + np.sum(s.a))
+    The Hamiltonians take the (a, b) stacks of a batch of states, so the
+    gradients of each at all the states come from one stencil
+    (``poisson.involution_residuals``); if that raises, each state's
+    residuals are formed alone (state-major order), so the error raised is
+    the one a loop over the states reaches first."""
+    def h1(a, b):
+        return np.sum(b, axis=-1)
 
-    def h0(s):
-        t = lax.build_T(s)
-        det = np.linalg.det(t)
-        if det <= 0:
+    def h2(a, b):
+        return 0.5 * np.sum(b ** 2, axis=-1) + np.sum(a, axis=-1)
+
+    def h0(a, b):
+        det = np.linalg.det(lax.build_T_stack(a, b, Boundary.OPEN))
+        if np.any(det <= 0):
             raise ValueError("state outside the log det domain")
-        return float(np.log(det))
+        return np.log(det)
 
     brackets = _brackets(None)
-    states = (random_state(5, Boundary.OPEN, seed + i, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
-              for i in range(n_states))
-    residuals = (poisson.involution_residual(brackets, s, f, h2)
-                 for s in states for f in (h1, h0))
+    states = [random_state(5, Boundary.OPEN, seed + i, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
+              for i in range(n_states)]
+    try:
+        residuals = poisson.involution_residuals(brackets, states, (h1, h0), h2)
+    except STEP_ERRORS:
+        residuals = [r for s in states
+                     for r in poisson.involution_residuals(brackets, [s], (h1, h0), h2)]
     return _record("involution", dict(n=5), n_states * 2 * len(brackets), worst(residuals), 1e-7)
 
 

@@ -110,6 +110,44 @@ def test_package_has_one_trajectory_loop():
     assert not dispatch, dispatch
 
 
+_CORNER_CHECKS = {"closure-1d": "closure_value_1d", "spectrality-1d": "spectrality_residual",
+                  "closure-2d": "closure_value_2d", "conservation-2d": "conservation_residual_2d",
+                  "corners-2d": "corner_residuals_2d"}
+
+
+@pytest.mark.parametrize("check", sorted(_CORNER_CHECKS))
+def test_corner_checks_have_no_per_row_residual_loop(check, monkeypatch):
+    """A criterion-5 check forms its residual once per step pair, on the
+    stack of all its states, not once per state."""
+    from todalab import pluri, verify
+    name, calls = _CORNER_CHECKS[check], []
+    residual = getattr(pluri, name)
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(pluri, name, counted)
+    rec = verify.CHECKS[check](seed=1, n_states=10)
+    assert rec["pass"] and rec["samples"] == 30 and len(calls) == 3
+
+
+def test_involution_check_forms_one_stencil_per_hamiltonian(monkeypatch):
+    """check_involution differentiates each of its three Hamiltonians once,
+    at all its states, and h2 once for both of its partners: three calls of
+    the central-difference primitive, not 40 (two per state and partner)."""
+    from todalab import poisson, verify
+    central_differences, calls = poisson._central_differences, []
+
+    def counted(*args):
+        calls.append(args)
+        return central_differences(*args)
+
+    monkeypatch.setattr(poisson, "_central_differences", counted)
+    rec = verify.check_involution(seed=4, n_states=10)
+    assert rec["pass"] and len(calls) == 3
+
+
 def test_package_has_one_domain_guard():
     """Every domain check of the package raises through realizations._need."""
     guards = _package_lines_with("def _need(")

@@ -30,6 +30,32 @@ def test_periodic_corner_entries():
     assert T[2, 0] == s.a[2] / lam        # wrap of the superdiagonal
 
 
+def test_two_site_ring_corners_add_to_the_band():
+    s = FlaschkaState([3.0, 5.0], [1.0, 2.0], Boundary.PERIODIC)
+    lam = 2.0
+    np.testing.assert_array_equal(lax.build_T(s, lam),
+                                  [[1.0, 3.0 / lam + lam], [lam + 5.0 / lam, 2.0]])
+    L, U = lax.build_LU_rtl(s, 0.5, lam)
+    np.testing.assert_array_equal(L, [[1.5, 0.5 * lam], [0.5 * lam, 2.0]])
+    np.testing.assert_array_equal(U, [[1.0, -0.5 * 3.0 / lam], [-0.5 * 5.0 / lam, 1.0]])
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_build_T_stack_is_build_T_of_each_row_bitwise(n, boundary):
+    states = [random_state(n, boundary, seed) for seed in range(4)]
+    a, b = np.array([s.a for s in states]), np.array([s.b for s in states])
+    for lam in (1.0, -0.7):
+        got = lax.build_T_stack(a, b, boundary, lam)
+        assert got.tobytes() == np.array([lax.build_T(s, lam) for s in states]).tobytes()
+
+
+def test_build_T_stack_rejects_a_zero_ring_lambda():
+    s = random_state(3, Boundary.PERIODIC, 0)
+    with pytest.raises(DomainError):
+        lax.build_T_stack(s.a[None], s.b[None], s.boundary, 0.0)
+
+
 def rtl_t2(s, alpha, lam=1.0):
     """U^{-1} L, the second matrix of the relativistic pair, similar to
     ``lax.rtl_t1`` = L U^{-1}."""

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from todalab import pluri, verify
 from todalab.core import Boundary, random_canonical
 from todalab.errors import (BranchMismatch, DegenerateFace, DomainError, NonInvertibleLeg,
-                            NoRealBranch)
+                            NoRealBranch, NumericalError)
 
 H, ALPHA, LAM = 0.1, 0.3, 0.7
 
@@ -309,6 +309,73 @@ def test_conservation_law_2d():
     res = pluri.conservation_residual_2d(ALPHA, c.x, ct.x, ch.x, cth.x, *LAMMU,
                                          Boundary.PERIODIC)
     assert res < 1e-10
+
+
+# criterion-5 residuals of the corners (x, xt, xh, xth) of a parameter square
+_CORNER_RESIDUALS = {
+    "closure-1d": lambda w, lam, mu, bc: pluri.closure_value_1d(*w, lam, mu, bc),
+    "spectrality-1d": lambda w, lam, mu, bc: pluri.spectrality_residual(w[:2], w[2:], lam, bc),
+    "closure-2d": lambda w, lam, mu, bc: pluri.closure_value_2d(ALPHA, *w, lam, mu, bc),
+    "conservation-2d": lambda w, lam, mu, bc: pluri.conservation_residual_2d(ALPHA, *w, lam,
+                                                                            mu, bc),
+    "corners-2d": lambda w, lam, mu, bc: pluri.corner_residuals_2d(ALPHA, *w, lam, mu, bc),
+}
+
+
+def _value_or_error(fn):
+    try:
+        return fn()
+    except (NumericalError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_CORNER_RESIDUALS)), seed=st.integers(0, 2 ** 16),
+       n=st.integers(2, 10), boundary=st.sampled_from(list(Boundary)),
+       rows=st.integers(1, 12), lam=st.floats(0.03, 0.3), mu=st.floats(0.03, 0.3),
+       data=st.data())
+def test_stacked_corner_residuals_are_those_of_each_row_bitwise(name, seed, n, boundary, rows,
+                                                                lam, mu, data):
+    """A residual of (rows, n) corner stacks is, row by row, bitwise its
+    value for that row's corners alone (the one-state form the check records
+    pin), or raises the error that the first failing row raises alone.
+    Poisoned entries put rows on the legs' poles or make them NaN."""
+    poison = data.draw(st.lists(st.tuples(
+        st.integers(0, rows - 1), st.integers(0, 3), st.integers(0, n - 1),
+        st.sampled_from([math.nan, math.inf, 40.0, -40.0])), max_size=2 * rows))
+    fn = _CORNER_RESIDUALS[name]
+    corners = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, rows, n))
+    for row, corner, site, value in poison:
+        corners[corner, row, site] = value
+    with np.errstate(all="ignore"):
+        want = []
+        for i in range(rows):
+            want.append(_value_or_error(lambda: fn(tuple(corners[:, i]), lam, mu, boundary)))
+            if isinstance(want[-1], tuple):
+                want = want[-1]
+                break
+        got = _value_or_error(lambda: fn(tuple(corners), lam, mu, boundary))
+    if isinstance(want, tuple):
+        assert got == want
+    elif isinstance(got, dict):
+        assert list(got) == list(want[0])
+        for key, value in got.items():
+            assert value.tobytes() == np.array([w[key] for w in want]).tobytes(), key
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == np.array(want).tobytes()
+
+
+def test_a_stacked_residual_raises_the_error_of_its_first_failing_row():
+    """Row 3's xt is NaN, which the cross leg meets first; row 1's xth puts
+    the chart leg Phi on its pole, which comes later in the closure sum: the
+    stack raises row 1's error, as the rows taken in turn do."""
+    corners = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 5, 6))
+    corners[1, 3, 2] = math.nan
+    corners[3, 1, 4] = -40.0
+    with pytest.raises(DomainError, match=r"^leg pole: lam e\^xi = mu$"):
+        pluri.closure_value_2d(ALPHA, *corners[:, 3:4], *LAMMU, Boundary.PERIODIC)
+    with pytest.raises(DomainError, match=r"^leg pole: 1 - h\*alpha\*e\^u <= 0$"):
+        pluri.closure_value_2d(ALPHA, *corners, *LAMMU, Boundary.PERIODIC)
 
 
 @pytest.mark.parametrize("check", ["closure-1d", "spectrality-1d", "closure-2d",

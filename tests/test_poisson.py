@@ -147,6 +147,33 @@ def test_self_involution_is_exactly_zero():
     assert poisson.involution_residual((TL1,), s, _h2, _h2) < 1e-14
 
 
+def _stack_h1(a, b):
+    return np.sum(b, axis=-1)
+
+
+def _stack_h2(a, b):
+    return 0.5 * np.sum(b ** 2, axis=-1) + np.sum(a, axis=-1)
+
+
+def _stack_h0(a, b):
+    from todalab.lax import build_T_stack
+    return np.log(np.linalg.det(build_T_stack(a, b, Boundary.OPEN)))
+
+
+def test_involution_residuals_of_a_batch_are_each_state_alone_bitwise():
+    """One stencil per Hamiltonian over a batch of states gives each state's
+    residuals, f by f, bitwise those of the Hamiltonians of one state."""
+    states = [random_state(5, Boundary.OPEN, seed, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
+              for seed in range(6)]
+    kinds = (TL1, TL2, TL3)
+    got = poisson.involution_residuals(kinds, states, (_stack_h1, _stack_h0), _stack_h2)
+    assert got == [poisson.involution_residual(kinds, s, f, _h2)
+                   for s in states for f in (_h1, _h0)]
+    for f, one in ((_stack_h0, _h0), (_stack_h2, _h2)):
+        assert np.array_equal(poisson.fd_gradients(f, states),
+                              [poisson.fd_gradient(one, s) for s in states])
+
+
 def _loop_differences(f, w0, indices):
     """The central differences of f, a function of one point, one index at a
     time: the reference for the stencil of _central_differences."""
@@ -262,8 +289,8 @@ def test_stacked_chart_jacobian_is_the_loop_over_the_points_bitwise(index):
 def test_a_nan_bracket_residual_is_not_dropped(monkeypatch):
     """The NaN residual of the second bracket survives the fold over them."""
     s = random_state(4, Boundary.OPEN, 1)
-    bracket_matrix = poisson.bracket_matrix
-    monkeypatch.setattr(poisson, "bracket_matrix", lambda kind, st: bracket_matrix(kind, st)
+    bracket_stack = poisson.bracket_stack
+    monkeypatch.setattr(poisson, "bracket_stack", lambda kind, *rows: bracket_stack(kind, *rows)
                         * (math.nan if kind is TL2 else 1.0))
     assert math.isnan(poisson.poisson_map_residual(lambda st: st, (TL1, TL2), s))
     assert math.isnan(poisson.involution_residual((TL1, TL2), s, lambda st: float(np.sum(st.b)),
@@ -353,6 +380,20 @@ def test_bracket_matrix_is_the_site_loop_bitwise(n, boundary, seed, scale, alpha
     pencil = poisson.combo((coefs[0], kinds[2]), (coefs[1], kinds[5]))
     for kind in kinds + [pencil]:
         assert poisson.bracket_matrix(kind, s).tobytes() == _loop_bracket(kind, s).tobytes(), kind
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 9), boundary=st.sampled_from(list(Boundary)),
+       seed=st.integers(0, 2 ** 16), rows=st.integers(1, 6), alpha=st.floats(-2.0, 2.0))
+def test_bracket_stack_is_the_site_loop_of_each_row_bitwise(n, boundary, seed, rows, alpha):
+    """Each row of a stack sums its entries in bins of its own: row i is the
+    site loop of state i, on rings of two and three sites too."""
+    states = [random_state(n, boundary, seed + i) for i in range(rows)]
+    a, b = np.array([s.a for s in states]), np.array([s.b for s in states])
+    kinds = [poisson.Bracket(kind, alpha) for kind in _KINDS]
+    for kind in kinds + [poisson.combo((0.5, kinds[2]), (-1.5, kinds[5]))]:
+        want = np.array([_loop_bracket(kind, s) for s in states])
+        assert poisson.bracket_stack(kind, a, b, boundary).tobytes() == want.tobytes(), kind
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))

@@ -18,10 +18,10 @@ from todalab.realizations import (CATALOG, _first_equation_rhs, _li2, _step, _to
                                   flaschka_of, lagrangian_value, newtonian_residual,
                                   pullback_consistency, realization, step_stack,
                                   symplectic_defect)
-from todalab.verify import (check_closure_2d, check_commutativity,
+from todalab.verify import (check_closure_1d, check_closure_2d, check_commutativity,
                             check_conservation_2d, check_corners_2d, check_involution,
                             check_poisson_maps, check_poisson_realizations,
-                            check_pullbacks, check_symplecticity)
+                            check_pullbacks, check_spectrality_1d, check_symplecticity)
 
 H, ALPHA, EPS, BETA = 0.1, 0.3, 0.2, 0.1
 
@@ -536,6 +536,9 @@ _CRITERION_RECORDS = {
                         6.9111383282915995e-15),
     "c3-bt-rtl-ring": (check_commutativity, dict(seed=0, system="bt-rtl", **_RING),
                        7.216449660063518e-15),
+    "c5-closure-1d": (check_closure_1d, dict(seed=1, n_states=20), 6.938893903907228e-16),
+    "c5-spectrality-1d": (check_spectrality_1d, dict(seed=1, n_states=20),
+                          5.329070518200751e-15),
     "c5-closure-2d": (check_closure_2d, dict(seed=1, n_states=20), 8.534839501805891e-15),
     "c5-conservation-2d": (check_conservation_2d, dict(seed=1, n_states=20),
                            1.6042722705833512e-14),

@@ -473,6 +473,25 @@ def test_square_check_raises_the_error_of_the_first_sample_in_state_major_order(
         verify.check_closure_1d(seed=0, n=n, n_states=5, pairs=pairs)
 
 
+def test_square_check_falls_back_to_the_loop_on_any_step_error():
+    """An ArithmeticError from the stack, not only a NumericalError, sends the
+    check to the state-major loop: the residual fails for state 5 at the
+    first pair and for state 3 at the second; stacked pair by pair it meets
+    state 5 first, and the check raises state 3's error."""
+    n, pairs = 4, verify._PAIRS[:2]
+    first_x = {random_canonical(n, Boundary.OPEN, i).x[0]: i for i in range(6)}
+    failing = {(5, pairs[0][0]), (3, pairs[1][0])}
+
+    def residual(c, ct, ch, cth, lam, mu):
+        for x in c[0][:, 0].tolist():
+            if (first_x[x], lam) in failing:
+                raise ZeroDivisionError(f"state {first_x[x]}")
+        return np.zeros(len(c[0]))
+
+    with pytest.raises(ZeroDivisionError, match="^state 3$"):
+        verify._square_check("t", {}, residual, 0, n, 6, pairs, 1e-10, Boundary.OPEN)
+
+
 def test_poisson_maps_check_raises_the_error_of_the_first_state_in_state_major_order(
         monkeypatch):
     """dtl fails at state 4 and the last map, drtl-(-h, h), at state 2: the
@@ -535,6 +554,19 @@ def test_a_nan_square_residual_fails_its_record():
     rec = verify._square_check("t", {}, residual, 0, 4, 3, verify._PAIRS[:2], 1e-10,
                                Boundary.OPEN)
     assert math.isnan(rec["max_residual"]) and rec["pass"] is False
+
+
+def test_corner_maximum_is_pythons_max_of_each_row():
+    """The largest corner residual of each row is Python's max of the
+    vectors' floats, a NaN kept only where it comes first."""
+    nan = math.nan
+    values = [np.array([[nan, 1.0], [0.5, 0.25], [2.0, -3.0]]),
+              np.array([[0.75, 0.5], [nan, 0.0], [-1.0, 0.5]]),
+              np.array([[4.0, 0.0], [1.0, 1.0], [nan, 1.0]])]
+    want = [max(float(np.max(np.abs(v[i]))) for v in values) for i in range(3)]
+    got = verify._corners_max(values)
+    assert math.isnan(got[0]) and math.isnan(want[0])
+    assert got[1:].tolist() == want[1:]
 
 
 def test_a_nan_chart_residual_fails_its_record():
