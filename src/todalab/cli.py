@@ -363,20 +363,25 @@ def cmd_dump_lax(args) -> int:
     s = _initial_state(args)
     if args.lam == 0.0 and s.boundary is Boundary.PERIODIC:
         raise SystemExit2("lambda must be nonzero on a ring")
-    obj = {"T": lax.build_T(s, args.lam).tolist()}
-    alpha = SYSTEMS[args.system].lax_alpha(args.h, args.alpha)
-    if alpha is not None:   # the system's Lax pair is relativistic
-        L, U = lax.build_LU_rtl(s, alpha, args.lam)
-        obj.update(L=L.tolist(), U=U.tolist(), T1=lax.rtl_t1(s, alpha, args.lam).tolist())
-    _emit(args, _json_report(obj))
+    with np.errstate(all="ignore"):   # an entry that overflows is reported below
+        mats = {"T": lax.build_T(s, args.lam)}
+        alpha = SYSTEMS[args.system].lax_alpha(args.h, args.alpha)
+        if alpha is not None:   # the system's Lax pair is relativistic
+            L, U = lax.build_LU_rtl(s, alpha, args.lam)
+            mats.update(L=L, U=U, T1=lax.rtl_t1(s, alpha, args.lam))
+    for name, m in mats.items():
+        if not np.isfinite(m).all():   # JSON has no inf or NaN
+            raise NumericalError(f"the Lax matrix {name} has an entry that is not finite")
+    _emit(args, _json_report({name: m.tolist() for name, m in mats.items()}))
     return 0
 
 
 def cmd_consistency(args) -> int:
     if args.steps < 1:
         raise SystemExit2("--steps (the number of sampled cubes) must be >= 1")
-    rec = verify.check_3d_consistency(seed=args.seed, h=args.h, alpha=args.alpha,
-                                      lam=args.lam, n_samples=args.steps)
+    with np.errstate(all="ignore"):   # an overflowing cube fails with a NaN discrepancy
+        rec = verify.check_3d_consistency(seed=args.seed, h=args.h, alpha=args.alpha,
+                                          lam=args.lam, n_samples=args.steps)
     obj = {"check": rec["check"], "h": args.h, "alpha": args.alpha, "lambda": args.lam,
            "samples": rec["samples"], "max_discrepancy": rec["max_residual"],
            "pass": rec["pass"]}

@@ -136,6 +136,17 @@ def on_stack(stacked, one, kind, u, v, boundary: Boundary, open_in=False, open_o
     return tuple(np.array([row[i] for row in rows]).reshape(u.shape) for i in (0, 1))
 
 
+def by_rows(batch, rows):
+    """batch(rows), or, if that raises one of STEP_ERRORS, batch([row]) of
+    each row in turn: the error raised is the one a loop over the rows meets
+    first.  If no row fails alone, the values of batch([row]) of each row
+    come back concatenated, in row order."""
+    try:
+        return batch(rows)
+    except STEP_ERRORS:
+        return [value for row in rows for value in batch([row])]
+
+
 def worst(values) -> float:
     """The largest of the residuals ``values`` (0.0 if there are none), NaN
     if any of them is NaN: Python's max keeps its first argument when a

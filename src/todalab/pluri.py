@@ -25,16 +25,20 @@ defects and the spectrality/conservation quantities, for the exponential
 chain (1-form case) and its relativistic extension (three-point 2-form).
 Every leg of one parameter is a leg of the step's chart, ``exp`` or
 ``rel-exp-add`` (``chain_spec``); only the two-parameter cross leg of the
-2-form and its antiderivative are defined here.
+2-form and its antiderivative are defined here.  The corner residuals take
+one state's vectors or (B, n) stacks of them, one state per row, each row
+bitwise that state alone; a stack raises the first error it meets, and a
+caller that must raise the first failing row's passes its rows through
+``core.by_rows``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 import numpy as np
 
-from .core import STEP_ERRORS, Boundary, CanonicalState, shifted, worst
+from .core import Boundary, CanonicalState, shifted, worst
 from .errors import BranchMismatch, DegenerateFace, DomainError
 from .realizations import (_leg_at_mixed_next, _leg_at_mixed_prev, _need, canonical_step,
                            lagrangian_value, realization)
@@ -189,37 +193,6 @@ def chain_step(c: CanonicalState, lam: float, alpha: float | None = None) -> Can
     return canonical_step(chain_spec(float(lam), alpha), c)
 
 
-def _first_failing_row(residual):
-    """residual, whose corners are one state's vectors or (B, n) stacks of
-    them, one state per row, raising the error of the first failing row: a
-    stack whose call raises one of STEP_ERRORS is passed again a row at a
-    time, so the error is the one that row raises alone."""
-    @wraps(residual)
-    def by_rows(*args):
-        try:
-            return residual(*args)
-        except STEP_ERRORS:
-            for i in range(_rows(args)):
-                residual(*_row(args, i))
-            raise
-    return by_rows
-
-
-def _rows(args):
-    """The number of rows of the (B, n) stacks among args, in pairs of them
-    too (0 if there are none)."""
-    return max((_rows(v) if isinstance(v, tuple)
-                else len(v) if isinstance(v, np.ndarray) and v.ndim == 2 else 0
-                for v in args), default=0)
-
-
-def _row(args, i):
-    """args with each (B, n) stack cut to its row i, as a (1, n) stack."""
-    return tuple(_row(v, i) if isinstance(v, tuple)
-                 else v[i:i + 1] if isinstance(v, np.ndarray) and v.ndim == 2 else v
-                 for v in args)
-
-
 def _per_row(values):
     """Values of a residual's rows: an array for a stack, a float for one
     state."""
@@ -279,7 +252,6 @@ def superposition_1d(x, xt, xh, lam, mu, boundary):
     return xth
 
 
-@_first_failing_row
 def closure_value_1d(x, xt, xh, xth, lam, mu, boundary):
     """Action defect around the parameter square (zero iff the 1-form
     closes), of each row of (B, n) stacks of the corners."""
@@ -290,7 +262,6 @@ def closure_value_1d(x, xt, xh, xth, lam, mu, boundary):
             - lagrangian_value(spec_l, xh, xth, boundary))
 
 
-@_first_failing_row
 def action_derivative(x, xt, lam, boundary):
     """d/dlam of the exponential chain's slice action sum Psi - sum Phi: Psi
     scales as 1/lam and Phi as lam, so it is -(sum Psi + sum Phi)/lam; of
@@ -301,7 +272,6 @@ def action_derivative(x, xt, lam, boundary):
                       + np.sum(_leg_at_mixed_next(legs.Phi, x, xt, boundary), axis=-1)) / lam)
 
 
-@_first_failing_row
 def spectrality_residual(pair_a, pair_b, lam, boundary):
     """Drift of the parameter-derivative of the slice action between two
     step pairs related by an independent family member, of each row."""
@@ -329,7 +299,6 @@ def cross_Phi(xi, lam, mu):
     return xi / mu + (mu - lam) / (lam * mu) * np.log(arg)
 
 
-@_first_failing_row
 def corner_residuals_2d(alpha, x, xt, xh, xth, lam, mu, boundary):
     """The six corner equations of one elementary cube plus the octahedron
     relation, sitewise along the last axis; keys E (shifted one site up),
@@ -391,7 +360,6 @@ def superposition_2d(alpha, x, xt, xh, lam, mu, boundary):
     return xth
 
 
-@_first_failing_row
 def closure_values_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> np.ndarray:
     """Signed dL per elementary cube (zero iff the 2-form closes), along the
     last axis."""
@@ -409,14 +377,12 @@ def closure_values_2d(alpha, x, xt, xh, xth, lam, mu, boundary) -> np.ndarray:
     return val
 
 
-@_first_failing_row
 def closure_value_2d(alpha, x, xt, xh, xth, lam, mu, boundary):
     """Largest |dL| over the cubes of each row."""
     return _per_row(np.max(np.abs(closure_values_2d(alpha, x, xt, xh, xth, lam, mu, boundary)),
                            axis=-1))
 
 
-@_first_failing_row
 def conservation_residual_2d(alpha, x, xt, xh, xth, lam, mu, boundary):
     """Largest sitewise defect of the lattice conservation law tying the
     parameter derivative across the two directions of the cube, of each

@@ -27,9 +27,11 @@ residuals chart the stencils of a batch of states as one stack
 ``maps.step_stack`` call per map (``poisson_map_residuals``), each row
 bitwise the public function of that point; the batch gradients
 (``fd_gradients``, ``involution_residuals``) evaluate a function of the
-(a, b) stacks of the states once on all their stencils.  A function of one
-state, as ``fd_gradient``, ``involution_residual`` and the Jacobi residual
-take it, is called on each point in turn.  The map and involution
+(a, b) stacks of the states once on all their stencils.  The map and chart
+residuals have only these batch forms: one state's residual is that of the
+batch [s].  A function of one state, as ``fd_gradient``,
+``involution_residual`` and the Jacobi residual take it, is called on each
+point in turn.  The map and involution
 residuals take a sequence of brackets and form their Jacobian or gradients
 once per state, and each bracket's tensors at a batch of states with one
 ``bracket_stack``.  On open chains the structural coordinate a_n is frozen,
@@ -291,11 +293,6 @@ def poisson_map_table(cases, states) -> list:
     return [residuals(map_fn, kinds) for map_fn, kinds in cases]
 
 
-def poisson_map_residual(map_fn, kinds, s: FlaschkaState) -> float:
-    """``poisson_map_residuals`` of the one state s."""
-    return poisson_map_residuals(map_fn, kinds, [s])[0]
-
-
 def involution_residuals(kinds, states, fs, g) -> list:
     """Worst |grad f . Pi . grad g| over the brackets `kinds`, scale-free, of
     each of `states` (of one size and boundary) for each f of `fs` in turn,
@@ -364,8 +361,3 @@ def realization_residuals(spec, states) -> list:
     Jcan = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
     targets = [bracket_matrix(spec.bracket, flaschka_of(spec, c)) for c in states]
     return [float(np.max(np.abs(Dc @ Jcan @ Dc.T - target))) for Dc, target in zip(D, targets)]
-
-
-def realization_residual(spec, c) -> float:
-    """``realization_residuals`` of the one canonical state c."""
-    return realization_residuals(spec, [c])[0]

@@ -26,7 +26,7 @@ from itertools import chain
 import numpy as np
 
 from . import lax, maps, pluri, poisson
-from .core import (STEP_ERRORS, Boundary, CanonicalState, FlaschkaState, random_canonical,
+from .core import (Boundary, CanonicalState, FlaschkaState, by_rows, random_canonical,
                    random_state, vectors, worst)
 from .realizations import (CATALOG, canonical_step, chart_specs, chart_state,
                            lagrangian_value, pullback_consistency, realization,
@@ -207,11 +207,12 @@ def _square_check(name, params, residual, seed, n, n_states, pairs, tol, boundar
 
     Each corner is an (x, p) pair of (B, n) stacks, one row per state, and
     residual returns one value per row.  All states are stepped as one
-    stack for each pair; if that raises, each state is stepped alone for
-    each pair in turn (state-major order), so the error raised is the one
-    a loop over the samples reaches first."""
-    states = [random_canonical(n, boundary, seed + i) for i in range(n_states)]
-    x, p = np.array([c.x for c in states]), np.array([c.p for c in states])
+    stack for each pair, through ``core.by_rows``: if that raises, each
+    state is stepped alone for each pair in turn (state-major order), so
+    the error raised is the one a loop over the samples reaches first."""
+    def squares(states):   # state-major: each state's value at each pair
+        c = np.array([s.x for s in states]), np.array([s.p for s in states])
+        return np.transpose([square(c, lam, mu) for lam, mu in pairs]).ravel()
 
     def square(c, lam, mu):
         ct, ch = _chain_step(c, lam, alpha, boundary), _chain_step(c, mu, alpha, boundary)
@@ -219,12 +220,8 @@ def _square_check(name, params, residual, seed, n, n_states, pairs, tol, boundar
                else _chain_step(ct, mu, alpha, boundary))
         return residual(c, ct, ch, cth, lam, mu)
 
-    try:
-        values = np.transpose([square((x, p), lam, mu) for lam, mu in pairs]).ravel()
-    except STEP_ERRORS:
-        values = [r for i in range(n_states) for lam, mu in pairs
-                  for r in square((x[i:i + 1], p[i:i + 1]), lam, mu)]
-    return _record(name, params, n_states * len(pairs), worst(values), tol)
+    states = [random_canonical(n, boundary, seed + i) for i in range(n_states)]
+    return _record(name, params, n_states * len(pairs), worst(by_rows(squares, states)), tol)
 
 
 def _positions(residual):
@@ -310,18 +307,14 @@ def check_poisson_maps(seed=0, n_states=20):
 
     Each map steps the stencils of all the states at once, and the maps
     that share a bracket share its tensors at the states
-    (``poisson.poisson_map_table``); if that raises, the residual of
-    each state is formed alone for each map in turn (state-major order), so
+    (``poisson.poisson_map_table``), through ``core.by_rows``: if that
+    raises, the table of each state is formed alone (state-major order), so
     the error raised is the one a loop over the states reaches first."""
     n, h = 4, 0.08
     cases = [(row.stepper(h, _ALPHA), _brackets(row.lax_alpha(h, _ALPHA)))
              for row in SYSTEMS.values() if not row.flow]
     states = [random_state(n, Boundary.OPEN, seed + i) for i in range(n_states)]
-    try:
-        residuals = chain.from_iterable(poisson.poisson_map_table(cases, states))
-    except STEP_ERRORS:
-        residuals = [poisson.poisson_map_residual(step, brackets, s)
-                     for s in states for step, brackets in cases]
+    residuals = chain.from_iterable(by_rows(partial(poisson.poisson_map_table, cases), states))
     return _record("poisson-maps", dict(n=n, h=h, alpha=_ALPHA),
                    n_states * sum(len(brackets) for _, brackets in cases), worst(residuals), 1e-6)
 
@@ -337,17 +330,14 @@ def check_poisson_realizations(seed=0, n_states=5):
     """Each chart pushes the canonical bracket onto its target bracket.
 
     The stencils of a spec's states are charted as one stack
-    (``poisson.realization_residuals``); if that raises, each state's
-    residual is formed alone, so the error raised is the one the loop over
-    the specs and their states reaches first."""
+    (``poisson.realization_residuals``), through ``core.by_rows``: if that
+    raises, each state's residual is formed alone, so the error raised is
+    the one the loop over the specs and their states reaches first."""
     specs = chart_specs(_CHART_H)
 
     def residuals(spec):
-        states = [chart_state(spec, 5, seed + i) for i in range(n_states)]
-        try:
-            return poisson.realization_residuals(spec, states)
-        except STEP_ERRORS:
-            return [poisson.realization_residual(spec, c) for c in states]
+        return by_rows(partial(poisson.realization_residuals, spec),
+                       [chart_state(spec, 5, seed + i) for i in range(n_states)])
 
     return _record("poisson-realizations", dict(n=5, h=_CHART_H), len(specs) * n_states,
                    worst(chain.from_iterable(map(residuals, specs))), 1e-6)
@@ -359,9 +349,9 @@ def check_involution(seed=0, n_states=10):
 
     The Hamiltonians take the (a, b) stacks of a batch of states, so the
     gradients of each at all the states come from one stencil
-    (``poisson.involution_residuals``); if that raises, each state's
-    residuals are formed alone (state-major order), so the error raised is
-    the one a loop over the states reaches first."""
+    (``poisson.involution_residuals``), through ``core.by_rows``: if that
+    raises, each state's residuals are formed alone (state-major order), so
+    the error raised is the one a loop over the states reaches first."""
     def h1(a, b):
         return np.sum(b, axis=-1)
 
@@ -377,11 +367,7 @@ def check_involution(seed=0, n_states=10):
     brackets = _brackets(None)
     states = [random_state(5, Boundary.OPEN, seed + i, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
               for i in range(n_states)]
-    try:
-        residuals = poisson.involution_residuals(brackets, states, (h1, h0), h2)
-    except STEP_ERRORS:
-        residuals = [r for s in states
-                     for r in poisson.involution_residuals(brackets, [s], (h1, h0), h2)]
+    residuals = by_rows(partial(poisson.involution_residuals, brackets, fs=(h1, h0), g=h2), states)
     return _record("involution", dict(n=5), n_states * 2 * len(brackets), worst(residuals), 1e-7)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -458,6 +459,18 @@ def test_consistency_subcommand(tmp_path):
     assert rec["pass"] and rec["max_discrepancy"] < 1e-9
 
 
+@pytest.mark.parametrize("argv", [("--h", "1e300", "--steps", "1"),
+                                  ("--alpha", "1e300", "--steps", "1")])
+def test_consistency_of_an_overflowing_cube_fails_its_record(tmp_path, capsys, argv):
+    """The face coefficients of h or alpha = 1e300 overflow: the top corners
+    are NaN, so the record fails with a NaN discrepancy and no numpy warning
+    escapes the command."""
+    assert run(tmp_path, "consistency", *argv, "--out", "c.json") == 3
+    rec = json.loads((tmp_path / "c.json").read_text())
+    assert math.isnan(rec["max_discrepancy"]) and rec["pass"] is False
+    assert capsys.readouterr().err == ""
+
+
 def test_invariants_subcommand(tmp_path):
     assert run(tmp_path, "invariants", "--system", "dtl", "--n", "4",
                "--seed", "5", "--out", "inv.json") == 0
@@ -618,6 +631,21 @@ def test_dump_lax_of_a_ring_state_at_lambda_zero_exits_2(tmp_path, capsys):
                tmp_path / "ring.json")
     assert run(tmp_path, "dump-lax", "--state", "ring.json", "--lambda", "0") == 2
     assert capsys.readouterr().err == "error: lambda must be nonzero on a ring\n"
+
+
+@pytest.mark.parametrize("argv,name", [
+    (("--system", "dtl", "--lambda", "1e-320"), "T"),
+    (("--system", "drtl+", "--alpha", "1e200", "--lambda", "1e200"), "L"),
+])
+def test_dump_lax_with_an_entry_that_overflows_exits_3_without_a_file(tmp_path, capsys, argv,
+                                                                     name):
+    """JSON has no inf: a ring's a / lambda (T) or alpha lambda (L) that
+    overflows is a numerical failure, and nothing is written."""
+    assert run(tmp_path, "dump-lax", *argv, "--n", "2", "--boundary", "periodic",
+               "--out", "lax.json") == 3
+    assert capsys.readouterr().err == (f"numerical failure: NumericalError: the Lax matrix "
+                                       f"{name} has an entry that is not finite\n")
+    assert not (tmp_path / "lax.json").exists()
 
 
 # values drawn for the fuzzed command lines: every int and float option sees a

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import todalab
-from todalab.core import (Boundary, CanonicalState, FlaschkaState, neighbor_index,
+from todalab.core import (Boundary, CanonicalState, FlaschkaState, by_rows, neighbor_index,
                           random_canonical, random_state, shifted, state_from_json,
                           state_to_json)
+from todalab.errors import NumericalError
 
 
 def test_neighbor_index_examples():
@@ -35,6 +36,58 @@ def test_periodic_shift_is_a_roll(n):
         assert out.dtype == v.dtype and np.array_equal(out, np.roll(v, -k))
 
 
+def test_by_rows_returns_a_successful_batch_as_is():
+    calls, value = [], object()
+
+    def batch(rows):
+        calls.append(list(rows))
+        return value
+
+    assert by_rows(batch, [0, 1, 2]) is value
+    assert calls == [[0, 1, 2]]
+
+
+def test_by_rows_raises_the_error_of_the_first_failing_row():
+    """Rows 3 and 1 fail; the batch takes its rows last to first, so it
+    meets row 3 first, but the loop over the rows meets row 1 first."""
+    calls = []
+
+    def batch(rows):
+        calls.append(list(rows))
+        for row in reversed(rows):
+            if row == 3:
+                raise ZeroDivisionError("row 3")
+            if row == 1:
+                raise NumericalError("row 1")
+        return [float(row) for row in rows]
+
+    with pytest.raises(NumericalError, match="^row 1$"):
+        by_rows(batch, [0, 1, 2, 3, 4])
+    assert calls == [[0, 1, 2, 3, 4], [0], [1]]
+
+
+def test_by_rows_gives_the_rows_values_in_order_when_no_row_fails_alone():
+    def batch(rows):
+        if len(rows) > 1:
+            raise RuntimeWarning("overflow in the stack")
+        return [10 * rows[0], 10 * rows[0] + 1]
+
+    assert by_rows(batch, [2, 0, 1]) == [20, 21, 0, 1, 10, 11]
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_by_rows_reruns_no_row_after_an_error_a_step_does_not_raise(error):
+    calls = []
+
+    def batch(rows):
+        calls.append(list(rows))
+        raise error("not a step's error")
+
+    with pytest.raises(error):
+        by_rows(batch, [0, 1])
+    assert calls == [[0, 1]]
+
+
 def _package_lines_with(*needles):
     """file:line of every source line of the package holding one of needles."""
     return [f"{path.name}:{i}"
@@ -47,6 +100,16 @@ def test_package_has_one_shift_primitive():
     """Every neighbour shift in the package goes through core.shifted."""
     offenders = _package_lines_with("np.roll", "numpy.roll")
     assert not offenders, offenders
+
+
+def test_package_has_one_first_failing_row_rule():
+    """A stack that raises a step's error is redone a row at a time, so the
+    first failing row's error propagates, only by core.on_stack and
+    core.by_rows; maps._passes catches the same errors as a pass/fail test."""
+    catches = [line.split(":")[0] for line in _package_lines_with("except STEP_ERRORS")]
+    assert catches == ["core.py", "core.py", "maps.py"], catches
+    wrappers = _package_lines_with("def _first_failing_row(")
+    assert not wrappers, wrappers
 
 
 def test_package_has_one_central_difference_loop():

@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from todalab import pluri, verify
-from todalab.core import Boundary, random_canonical
+from todalab.core import Boundary, by_rows, random_canonical
 from todalab.errors import (BranchMismatch, DegenerateFace, DomainError, NonInvertibleLeg,
                             NoRealBranch, NumericalError)
 
@@ -338,8 +338,9 @@ def test_stacked_corner_residuals_are_those_of_each_row_bitwise(name, seed, n, b
                                                                 lam, mu, data):
     """A residual of (rows, n) corner stacks is, row by row, bitwise its
     value for that row's corners alone (the one-state form the check records
-    pin), or raises the error that the first failing row raises alone.
-    Poisoned entries put rows on the legs' poles or make them NaN."""
+    pin); where a row fails, the stack passed through core.by_rows, as the
+    checks pass theirs, raises the error that the first failing row raises
+    alone.  Poisoned entries put rows on the legs' poles or make them NaN."""
     poison = data.draw(st.lists(st.tuples(
         st.integers(0, rows - 1), st.integers(0, 3), st.integers(0, n - 1),
         st.sampled_from([math.nan, math.inf, 40.0, -40.0])), max_size=2 * rows))
@@ -354,7 +355,11 @@ def test_stacked_corner_residuals_are_those_of_each_row_bitwise(name, seed, n, b
             if isinstance(want[-1], tuple):
                 want = want[-1]
                 break
-        got = _value_or_error(lambda: fn(tuple(corners), lam, mu, boundary))
+        if isinstance(want, tuple):
+            got = _value_or_error(lambda: by_rows(
+                lambda r: fn(tuple(corners[:, r]), lam, mu, boundary), list(range(rows))))
+        else:
+            got = _value_or_error(lambda: fn(tuple(corners), lam, mu, boundary))
     if isinstance(want, tuple):
         assert got == want
     elif isinstance(got, dict):
@@ -367,15 +372,17 @@ def test_stacked_corner_residuals_are_those_of_each_row_bitwise(name, seed, n, b
 
 def test_a_stacked_residual_raises_the_error_of_its_first_failing_row():
     """Row 3's xt is NaN, which the cross leg meets first; row 1's xth puts
-    the chart leg Phi on its pole, which comes later in the closure sum: the
-    stack raises row 1's error, as the rows taken in turn do."""
+    the chart leg Phi on its pole, which comes later in the closure sum:
+    passed through core.by_rows, the stack raises row 1's error, as the rows
+    taken in turn do."""
     corners = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 5, 6))
     corners[1, 3, 2] = math.nan
     corners[3, 1, 4] = -40.0
     with pytest.raises(DomainError, match=r"^leg pole: lam e\^xi = mu$"):
         pluri.closure_value_2d(ALPHA, *corners[:, 3:4], *LAMMU, Boundary.PERIODIC)
     with pytest.raises(DomainError, match=r"^leg pole: 1 - h\*alpha\*e\^u <= 0$"):
-        pluri.closure_value_2d(ALPHA, *corners, *LAMMU, Boundary.PERIODIC)
+        by_rows(lambda r: pluri.closure_value_2d(ALPHA, *corners[:, r], *LAMMU,
+                                                 Boundary.PERIODIC), list(range(5)))
 
 
 @pytest.mark.parametrize("check", ["closure-1d", "spectrality-1d", "closure-2d",

@@ -79,14 +79,14 @@ def test_central_differences_are_exact_on_quadratics():
 
 def test_identity_map_residual_is_fd_noise():
     s = random_state(4, Boundary.OPEN, 1)
-    assert poisson.poisson_map_residual(lambda st: st, (TL1,), s) < 1e-9
+    assert poisson.poisson_map_residuals(lambda st: st, (TL1,), [s])[0] < 1e-9
 
 
 @pytest.mark.parametrize("kind", [TL1, TL2, TL3])
 def test_dtl_is_poisson_for_all_three_brackets(kind):
     for seed in range(5):
         s = random_state(4, Boundary.OPEN, seed)
-        res = poisson.poisson_map_residual(lambda st: maps.dtl_step(st, 0.08), (kind,), s)
+        res = poisson.poisson_map_residuals(lambda st: maps.dtl_step(st, 0.08), (kind,), [s])[0]
         assert res < 1e-6
 
 
@@ -97,7 +97,7 @@ def test_dtl_is_poisson_for_all_three_brackets(kind):
 def test_drtl_is_poisson_for_all_three_brackets(kind, stepper):
     for seed in range(3):
         s = random_state(4, Boundary.OPEN, seed)
-        res = poisson.poisson_map_residual(lambda st: stepper(st, 0.3, 0.08), (kind,), s)
+        res = poisson.poisson_map_residuals(lambda st: stepper(st, 0.3, 0.08), (kind,), [s])[0]
         assert res < 1e-6
 
 
@@ -105,11 +105,12 @@ def test_explicit_maps_are_poisson_at_their_bracket():
     h = 0.08
     for seed in range(3):
         s = random_state(4, Boundary.PERIODIC, seed)
-        res = poisson.poisson_map_residual(
-            lambda st: maps.drtl_plus_explicit_step(st, h), (poisson.Bracket("rtl1", h),), s)
+        res = poisson.poisson_map_residuals(
+            lambda st: maps.drtl_plus_explicit_step(st, h), (poisson.Bracket("rtl1", h),), [s])[0]
         assert res < 1e-6
-        res = poisson.poisson_map_residual(
-            lambda st: maps.drtl_minus_explicit_step(st, h), (poisson.Bracket("rtl1", -h),), s)
+        res = poisson.poisson_map_residuals(
+            lambda st: maps.drtl_minus_explicit_step(st, h), (poisson.Bracket("rtl1", -h),),
+            [s])[0]
         assert res < 1e-6
 
 
@@ -263,12 +264,12 @@ def test_realization_residuals_of_a_batch_are_each_state_alone_bitwise(index):
     spec = chart_specs(0.1)[index]
     states = [chart_state(spec, 5, seed) for seed in range(4)]
     assert poisson.realization_residuals(spec, states) == [
-        poisson.realization_residual(spec, c) for c in states]
+        poisson.realization_residuals(spec, [c])[0] for c in states]
 
 
 @pytest.mark.parametrize("index", range(0, 25, 3))
 def test_stacked_chart_jacobian_is_the_loop_over_the_points_bitwise(index):
-    """The chart stack of realization_residual gives the Jacobian of charting
+    """The chart stack of realization_residuals gives the Jacobian of charting
     each stencil point as a state."""
     spec = chart_specs(0.1)[index]
     c = chart_state(spec, 5, 4)
@@ -292,7 +293,7 @@ def test_a_nan_bracket_residual_is_not_dropped(monkeypatch):
     bracket_stack = poisson.bracket_stack
     monkeypatch.setattr(poisson, "bracket_stack", lambda kind, *rows: bracket_stack(kind, *rows)
                         * (math.nan if kind is TL2 else 1.0))
-    assert math.isnan(poisson.poisson_map_residual(lambda st: st, (TL1, TL2), s))
+    assert math.isnan(poisson.poisson_map_residuals(lambda st: st, (TL1, TL2), [s])[0])
     assert math.isnan(poisson.involution_residual((TL1, TL2), s, lambda st: float(np.sum(st.b)),
                                                   lambda st: float(np.sum(st.a))))
 
