@@ -207,6 +207,8 @@ def _emit(args, text):
 
 
 def _json_report(obj) -> str:
+    """JSON text of a report; a float that is not finite is written as a string."""
+    obj = json.loads(json.dumps(obj), parse_constant=str)
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 

@@ -91,16 +91,14 @@ def _ring_lambda(boundary: Boundary, lam: float) -> float:
 
 
 def rtl_t1(s: FlaschkaState, alpha: float, lam: float = 1.0) -> np.ndarray:
+    """T1 = L U^{-1}; det U is 1 on open chains, 1 - prod(alpha a_k/lambda) on rings."""
     L, U = build_LU_rtl(s, alpha, lam)
-    return _right_divide(L, U)
-
-
-def _right_divide(L: np.ndarray, U: np.ndarray) -> np.ndarray:
-    # L @ U^{-1} without forming the inverse
     try:
         return np.linalg.solve(U.T, L.T).T
     except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("U is not invertible") from exc
+        if s.boundary is Boundary.PERIODIC and 1.0 - np.prod(alpha * s.a / lam) == 0.0:
+            raise SingularMatrix("U is not invertible") from exc
+        raise NumericalError("T1 = L U^{-1} overflows: U is invertible") from exc
 
 
 DEFAULT_LAMBDAS = (1.0, 2.0, 0.5, -1.0)
@@ -286,46 +284,40 @@ def exact_solution(s0: FlaschkaState, h: float, nsteps: int) -> FlaschkaState:
 # monodromy of Baecklund steps in canonical variables
 # ---------------------------------------------------------------------------
 
-def _monodromy(locals_: list[np.ndarray]) -> np.ndarray:
-    T = np.eye(2)
-    for L in locals_:
-        T = L @ T
-    return T
+def rtl_local_matrix(p_k, exp_gap, alpha: float, lam: float) -> np.ndarray:
+    """2x2 local matrix of a site, or (..., 2, 2) of arrays p_k and exp_gap."""
+    entries = np.broadcast_arrays(1.0 + lam * p_k - lam * alpha * exp_gap,
+                                  -lam * (lam - alpha) * exp_gap, 1.0, 0.0)
+    return np.stack(entries, axis=-1).reshape(entries[0].shape + (2, 2))
 
 
-def _check_trace_or_eigenvalue(T: np.ndarray, P: float, boundary: Boundary) -> None:
-    scale = max(1.0, float(np.max(np.abs(T))))
-    if boundary is Boundary.OPEN:
-        if abs(np.trace(T) - P) > 1e-11 * max(scale, abs(P)):
-            raise NumericalError("product of step ratios does not match tr T_N")
-    else:
-        det = (T[0, 0] - P) * (T[1, 1] - P) - T[0, 1] * T[1, 0]
-        if abs(det) > 1e-9 * scale * scale:
-            raise NumericalError("product of step ratios is not an eigenvalue of T_N")
-
-
-def rtl_local_matrix(p_k: float, exp_gap: float, alpha: float, lam: float) -> np.ndarray:
-    return np.array([[1.0 + lam * p_k - lam * alpha * exp_gap,
-                      -lam * (lam - alpha) * exp_gap], [1.0, 0.0]])
-
-
-def monodromy_rtl(c: CanonicalState, xt: np.ndarray, alpha: float, lam: float):
+def monodromy_rtl(c, xt, alpha: float, lam: float, boundary: Boundary | None = None):
     """Monodromy 2x2 matrix and conserved product for a Baecklund pair.
 
     xt must be the image configuration of (x, p) under the step with
     parameter lam; the conserved quantity is P = prod gamma_k with
     gamma_k = e^{xt_k - x_k}(1 - lam*alpha*e^{x_{k+1} - xt_k}).  At alpha = 0
-    this is the Toda pair, P = prod e^{xt_k - x_k}.
+    this is the Toda pair, P = prod e^{xt_k - x_k}.  Raises unless P is tr T
+    (open chains) or an eigenvalue of T (rings).  c may also be an (x, p) pair
+    of (B, n) stacks on ``boundary``, xt (B, n): T and P are then each row's.
     """
-    x, p = c.x, c.p
-    egap = _exp_prev(x, c.boundary)
-    T = _monodromy([rtl_local_matrix(p[k], egap[k], alpha, lam) for k in range(c.n)])
-    xt = np.asarray(xt)
+    one = isinstance(c, CanonicalState)
+    x, p, boundary = (c.x[None], c.p[None], c.boundary) if one else (*c, boundary)
+    xt = np.asarray(xt).reshape(x.shape)
+    T = np.eye(2)
+    for local in np.moveaxis(rtl_local_matrix(p, _exp_prev(x, boundary), alpha, lam), 1, 0):
+        T = local @ T
     # e^{x_{k+1} - xt_k} is 0 at k = n on open chains, so that factor is 1
-    gam = np.exp(xt - x) * (1.0 - lam * alpha * _leg_at_mixed_next(np.exp, x, xt, c.boundary))
-    P = float(np.prod(gam))
-    _check_trace_or_eigenvalue(T, P, c.boundary)
-    return T, P
+    gam = np.exp(xt - x) * (1.0 - lam * alpha * _leg_at_mixed_next(np.exp, x, xt, boundary))
+    P = np.prod(gam, axis=-1)
+    scale = np.fmax(1.0, np.max(np.abs(T), axis=(-2, -1)))    # max(1.0, x) of each float x
+    if boundary is Boundary.OPEN:
+        if (np.abs(T[:, 0, 0] + T[:, 1, 1] - P) > 1e-11 * np.fmax(scale, np.abs(P))).any():
+            raise NumericalError("product of step ratios does not match tr T_N")
+    elif (np.abs((T[:, 0, 0] - P) * (T[:, 1, 1] - P) - T[:, 0, 1] * T[:, 1, 0])
+          > 1e-9 * scale * scale).any():
+        raise NumericalError("product of step ratios is not an eigenvalue of T_N")
+    return (T[0], float(P[0])) if one else (T, P)
 
 
 # ---------------------------------------------------------------------------

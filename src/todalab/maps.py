@@ -24,18 +24,19 @@ factorization, written out as closed recurrences:
 
 Each step runs on the state's entries as Python floats (the same IEEE
 double arithmetic as numpy, without its per-call overhead on short vectors),
-in two halves.  The step half forms the factor recurrence with its pivot
-test, the ring closure and the update.  The check half runs every other
-guard and check: the pivot guards, the two-expression identity and the
-addition formulas.  The public steps run both halves on every step.  The
-check half is written once, for one step's floats and for a stack of steps
-as columns (``_passes``); ``verify.trajectory_blocks`` steps the step half
-alone and checks a block of steps at a time, rerunning a failing block
-through the public step.
-Each value is formed by the same expression, in the same order, as the
-formulas evaluated elementwise on numpy vectors, so each result is bitwise
-that of the numpy evaluation and each failure raises the same error.  The
-public ``*_factors`` functions return the factors of the same pass as arrays.
+in two halves.  The step half is two loops over the sites: the factor
+recurrence with its pivot test (one pass on an open chain, every closure
+pass on a ring) and the update, forming a~, b~ and the check half's factors.
+The check half runs every other guard and check (the pivot guards, the
+two-expression identity, the addition formulas), written once for one
+step's floats and for a stack of steps as columns (``_passes``).  The
+public steps run both halves on every step; ``verify.trajectory_blocks``
+steps the step half alone and checks a block of steps at a time, rerunning
+a failing block through the public step.  Each value is formed by the same
+expression, in the same order, as the formulas evaluated elementwise on
+numpy vectors, so each result is bitwise that of the numpy evaluation and
+each failure raises the same error.  The public ``*_factors`` functions
+return the factors of the same pass as arrays.
 
 ``step_stack(step, a, b, boundary)`` steps a (B, n) stack of independent
 states, row i bitwise ``step(state i)``: a bound factor-map step runs its
@@ -88,16 +89,14 @@ def _check(val: np.ndarray, what: str) -> np.ndarray:
 
 
 # The step kernels below run on lists of floats, each in two halves.  The
-# step half forms the factors (with the pivot test of their recurrence), the
-# ring closure and the update, and returns (a~, b~, factors): factors are
-# the lists besides a, b, a~ and b~ that the check half reads.  The check
-# half runs every other guard and check, on one step's floats or on a block
-# of steps as columns (site k is the array ``vals[k]`` of one value per
-# step), where each row takes the float value of its step.  The reductions
-# keep the NaN semantics of the numpy reductions they replace: np.min and
-# np.max propagate a NaN entry, where Python's min and max skip it.  A
-# product with an open-end fill is formed as in the vector formulas
-# (h * 0.0, not 0.0): it is -0.0 or NaN for some parameters.
+# step half returns (a~, b~, factors): factors are the lists besides a, b,
+# a~ and b~ that the check half reads.  The check half runs on one step's
+# floats or on a block of steps as columns (site k is the array ``vals[k]``
+# of one value per step), where each row takes the float value of its step.
+# The reductions keep the NaN semantics of the numpy reductions they
+# replace: np.min and np.max propagate a NaN entry, where Python's min and
+# max skip it.  A product with an open-end fill is formed as in the vector
+# formulas (h * 0.0, not 0.0): it is -0.0 or NaN for some parameters.
 
 def _guard(vals: list, what: str) -> None:
     """``_check`` on a list: a NaN entry disarms the guard, as in np.min;
@@ -185,14 +184,6 @@ def _on_floats(halves, s: FlaschkaState, factor_only: bool, *params):
     return a_new, b_new, factors
 
 
-def _open_chain(update, first: float, n: int) -> list:
-    """Values of an open-chain recurrence v_k = update(k, v_{k-1}) from v_0 = first."""
-    vals = [first]
-    for k in range(1, n):
-        vals.append(update(k, vals[-1]))
-    return vals
-
-
 _OVERFLOWED = "ring product of the Moebius sites overflowed or vanished"
 
 
@@ -266,15 +257,15 @@ def _moebius_slope(sites):
     return slope
 
 
-def _ring_chain(update, site_slope, closes, t, n: int) -> list:
-    """Values of the cyclic recurrence v_k = update(k, v_{k-1}) from a seed t
-    for v_{n-1}, the one closure loop of every map and chart ring: Newton
-    steps on the closure v_{n-1}(t) = t, with the product of the
-    ``site_slope(k, v_{k-1}, v_k)`` as derivative, each followed by a forward
-    pass; a correction whose pass leaves a leg domain is halved up to
-    _HALVINGS times.  The first corrected pass ``closes(vals, step)`` accepts,
-    given the correction ``step`` just made, is final (a correction that
-    leaves t as it is keeps the previous pass).
+def _ring_chain(forward, site_slope, closes, t) -> list:
+    """Values v_0 ... v_{n-1} of a cyclic recurrence, the one closure loop of
+    every map and chart ring: ``forward(t)`` is a pass of the recurrence
+    round the ring from a seed t for v_{n-1}.  Newton steps on the closure
+    v_{n-1}(t) = t, with the product of the ``site_slope(k, v_{k-1}, v_k)``
+    as derivative, each followed by a pass; a correction whose pass leaves
+    a leg domain is halved up to _HALVINGS times.  The first corrected pass
+    ``closes(vals, step)`` accepts, given the correction ``step`` just made,
+    is final (a correction that leaves t as it is keeps the previous pass).
 
     t may also be a column, one seed for each row of a stack of rings whose
     site k is the column ``vals[k]``: every row runs the float arithmetic of
@@ -284,7 +275,7 @@ def _ring_chain(update, site_slope, closes, t, n: int) -> list:
     leaves a leg domain raises for the stack, whose rows the caller then
     solves one at a time."""
     columns = isinstance(t, np.ndarray)
-    vals = _open_chain(update, update(0, t), n)
+    vals = forward(t)
     for _ in range(_CLOSURE_STEPS):
         slope = math.prod(site_slope(k, prev, val)
                           for k, (prev, val) in enumerate(zip([t] + vals[:-1], vals)))
@@ -295,9 +286,9 @@ def _ring_chain(update, site_slope, closes, t, n: int) -> list:
                     moved = t + step != t
                     if moved.any():
                         t = np.where(moved, t + step, t)
-                        vals = _open_chain(update, update(0, t), n)
+                        vals = forward(t)
                 elif t + step != t:
-                    vals, t = _open_chain(update, update(0, t + step), n), t + step
+                    vals, t = forward(t + step), t + step
                 break
             except (DomainError, NonInvertibleLeg):
                 if columns:
@@ -310,14 +301,34 @@ def _ring_chain(update, site_slope, closes, t, n: int) -> list:
     raise SolveFailed("ring recurrence does not close at its fixed point")
 
 
-def _moebius_chain(update, sites) -> list:
-    """``_ring_chain`` of Moebius ``sites`` from their attracting fixed point,
-    final when a pass closes at site 0 (the one site a pass leaves inexact)
-    to 1e-12 relative: most rings after one correction, rings with sites of
-    1e4-1e8 after two to seven."""
+def _moebius_chain(forward, inputs: list, sites) -> list:
+    """``_ring_chain`` of passes ``forward(t, inputs)`` from the attracting
+    fixed point of Moebius ``sites``, final when a pass closes at site 0 (the
+    one site a pass leaves inexact) to 1e-12 relative: most rings after one
+    correction, rings with sites of 1e4-1e8 after two to seven."""
     def closes(vals, step):
-        return abs(vals[0] - update(0, vals[-1])) <= 1e-12 * max(1.0, _amax(vals))
-    return _ring_chain(update, _moebius_slope(sites), closes, _ring_fixed_point(sites), len(sites))
+        return abs(vals[0] - forward(vals[-1], inputs[:1])[0]) <= 1e-12 * max(1.0, _amax(vals))
+    return _ring_chain(lambda t: forward(t, inputs), _moebius_slope(sites), closes,
+                       _ring_fixed_point(sites))
+
+
+def _lower_chain(h: float, coupling: float, what: str, al: list, bl: list, ring: bool):
+    """Diagonal v_k = 1 + h b_k + coupling a_{k-1}/v_{k-1} of the lower factor
+    of dtl (beta, coupling -h^2, as x - y is x + (-y) in IEEE) and drtl+ (d1)."""
+    def forward(prev, inputs):      # (b_k, a_{k-1}) of each site
+        vals = []
+        for b, ap in inputs:
+            if abs(prev) < _PIVOT:
+                raise SingularStep(f"{what} recurrence hit a vanishing pivot")
+            prev = 1.0 + h * b + coupling * ap / prev
+            vals.append(prev)
+        return vals
+
+    if not ring:
+        return [1.0 + h * bl[0]] + forward(1.0 + h * bl[0], zip(bl[1:], al))
+    inputs = list(zip(bl, _prev(al, ring)))
+    return _moebius_chain(forward, inputs, [(1.0 + h * b, coupling * ap, 1.0, 0.0)
+                                            for b, ap in inputs])
 
 
 # ---------------------------------------------------------------------------
@@ -326,24 +337,16 @@ def _moebius_chain(update, sites) -> list:
 
 def _dtl(h: float, al: list, bl: list, ring: bool, factor_only: bool = False):
     """Step half of dtl(h); its factors are (beta,)."""
-    hh = h * h
-
-    def update(k, prev):
-        if abs(prev) < _PIVOT:
-            raise SingularStep("beta recurrence hit a vanishing pivot")
-        return 1.0 + h * bl[k] - hh * al[k - 1] / prev
-
-    if ring:
-        beta = _moebius_chain(update, [(1.0 + h * b, -hh * ap, 1.0, 0.0)
-                                       for b, ap in zip(bl, _prev(al, ring))])
-    else:
-        beta = _open_chain(update, 1.0 + h * bl[0], len(bl))
+    beta = _lower_chain(h, -(h * h), "beta", al, bl, ring)
     if factor_only:
         return None, None, (beta,)
-
-    ratio = [a / be for a, be in zip(al, beta)]
-    b_new = [b + h * (r - rp) for b, r, rp in zip(bl, ratio, _prev(ratio, ring))]
-    a_new = [a * bn / be for a, bn, be in zip(al, _next(beta, ring, 1.0), beta)]
+    a_new, b_new = [], []
+    rp = al[-1] / beta[-1] if ring else 0.0       # a_{k-1}/beta_{k-1}
+    for a, b, be, bn in zip(al, bl, beta, _next(beta, ring, 1.0)):
+        r = a / be
+        b_new.append(b + h * (r - rp))
+        a_new.append(a * bn / be)
+        rp = r
     return a_new, b_new, (beta,)
 
 
@@ -372,26 +375,21 @@ def dtl_step(s: FlaschkaState, h: float) -> FlaschkaState:
 def _drtl_plus(alpha: float, h: float, al: list, bl: list, ring: bool, factor_only: bool = False):
     """Step half of drtl+(alpha, h); its factors are (d1, d2) and the
     denominators d1_prev + h alpha a_prev of d2."""
-    coupling = h * (alpha - h)
-
-    def update(k, prev):
-        if abs(prev) < _PIVOT:
-            raise SingularStep("d1 recurrence hit a vanishing pivot")
-        return 1.0 + h * bl[k] + coupling * al[k - 1] / prev
-
-    if ring:
-        d1 = _moebius_chain(update, [(1.0 + h * b, coupling * ap, 1.0, 0.0)
-                                     for b, ap in zip(bl, _prev(al, ring))])
-    else:
-        d1 = _open_chain(update, 1.0 + h * bl[0], len(bl))
+    d1 = _lower_chain(h, h * (alpha - h), "d1", al, bl, ring)
+    # site k forms a~_{k-1} = a_{k-1} d2_k/d1_{k-1}: at k = 0 a ring's a~_{n-1}
     ha = h * alpha
-    d1_prev = _prev(d1, ring, 1.0)
-    denom = [dp + ha * ap for dp, ap in zip(d1_prev, _prev(al, ring))]
-    d2 = [dp * (d + ha * a) / de for dp, d, a, de in zip(d1_prev, d1, al, denom)]
-    if factor_only:
+    denom, d2, a_new = [], [], []
+    dp, ap = (d1[-1], al[-1]) if ring else (1.0, 0.0)     # d1_{k-1}, a_{k-1}
+    for a, d in zip(al, d1):
+        de = dp + ha * ap
+        e = dp * (d + ha * a) / de
+        denom.append(de)
+        d2.append(e)
+        a_new.append(ap * e / dp)
+        dp, ap = d, a
+    if factor_only:     # b~ and the open end's a~ divide by the last d1, b~ by h
         return None, None, (d1, d2, denom)
-
-    a_new = [a * en / d for a, en, d in zip(al, _next(d2, ring, 1.0), d1)]
+    a_new = a_new[1:] + [a_new[0] if ring else ap * 1.0 / dp]
     if alpha == 0.0:
         # removable singularity: eliminate d2 between the two addition formulas
         b_new = [bn + (d - dn) / h for bn, d, dn in zip(_next(bl, ring), d1, _next(d1, ring, 1.0))]
@@ -451,32 +449,35 @@ def _drtl_minus(alpha: float, h: float, al: list, bl: list, ring: bool, factor_o
     denominators 1 + alpha (b_next - h dm) of cm."""
     rate = alpha + h
 
-    def update(k, prev):
-        den = 1.0 + rate * (bl[k] - h * prev)
-        if abs(den) < _PIVOT:
-            raise SingularStep("dm recurrence hit a vanishing denominator")
-        return al[k] / den
+    def forward(prev, inputs):      # (a_k, b_k) of each site
+        dm = []
+        for a, b in inputs:
+            den = 1.0 + rate * (b - h * prev)
+            if abs(den) < _PIVOT:
+                raise SingularStep("dm recurrence hit a vanishing denominator")
+            prev = a / den
+            dm.append(prev)
+        return dm
 
-    if ring:
-        dm = _moebius_chain(update, [(0.0, a, -rate * h, 1.0 + rate * b)
-                                     for a, b in zip(al, bl)])
-    else:
-        dm = _open_chain(update, update(0, 0.0), len(bl))     # a_0 = 0 before the chain
-    dm_prev = _prev(dm, ring)
-    b_next = _next(bl, ring)
-    b_lag = [b - h * dp for b, dp in zip(bl, dm_prev)]        # b - h dm_prev
-    b_lead = [bn - h * d for bn, d in zip(b_next, dm)]        # b_next - h dm
-    lower = [1.0 + alpha * w for w in b_lead]
-    cm = [d * (1.0 + alpha * u) / lo for d, u, lo in zip(dm, b_lag, lower)]
-    if factor_only:
-        return None, None, (dm, cm, lower)
-
-    # exact rational form of (1 + alpha b~) = (1 + alpha b_next) * cm/dm,
-    # free of the 0/0 at alpha = 0 and at open boundaries where dm_n = 0
-    b_new = [(b + h * (d - dp) + alpha * bn * u) / lo
-             for b, d, dp, bn, u, lo in zip(bl, dm, dm_prev, b_next, b_lag, lower)]
-    a_new = [c * (1.0 + rate * w) for c, w in zip(cm, b_lead)]
-    return a_new, b_new, (dm, cm, lower)
+    inputs = list(zip(al, bl))
+    dm = (_moebius_chain(forward, inputs, [(0.0, a, -rate * h, 1.0 + rate * b) for a, b in inputs])
+          if ring else forward(0.0, inputs))     # a_0 = 0 before an open chain
+    # a~ and b~ divide by the denominators of cm only: formed with factor_only too
+    lower, cm, a_new, b_new = [], [], [], []
+    dp = dm[-1] if ring else 0.0      # dm_{k-1}
+    for b, d, bn in zip(bl, dm, _next(bl, ring)):
+        u = b - h * dp                # b - h dm_prev
+        w = bn - h * d                # b_next - h dm
+        lo = 1.0 + alpha * w
+        c = d * (1.0 + alpha * u) / lo
+        lower.append(lo)
+        cm.append(c)
+        # exact rational form of (1 + alpha b~) = (1 + alpha b_next) * cm/dm,
+        # free of the 0/0 at alpha = 0 and at open boundaries where dm_n = 0
+        b_new.append((b + h * (d - dp) + alpha * bn * u) / lo)
+        a_new.append(c * (1.0 + rate * w))
+        dp = d
+    return (None, None, (dm, cm, lower)) if factor_only else (a_new, b_new, (dm, cm, lower))
 
 
 def _drtl_minus_checks(alpha: float, h: float, ring: bool, al, bl, a_new, b_new,

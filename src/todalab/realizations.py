@@ -42,7 +42,7 @@ import numpy as np
 
 from .core import Boundary, CanonicalState, FlaschkaState, on_stack, random_canonical, shifted
 from .errors import DomainError, NoRealBranch, NonInvertibleLeg, SolveFailed
-from .maps import _CLOSURE_STEPS, _moebius_slope, _open_chain, _ring_chain, _ring_fixed_point
+from .maps import _CLOSURE_STEPS, _moebius_slope, _ring_chain, _ring_fixed_point
 from .poisson import Bracket, _central_differences, combo
 from .systems import SYSTEMS
 
@@ -942,6 +942,14 @@ def step_stack(spec: Realization, x, p, boundary: Boundary):
                     boundary)
 
 
+def _open_chain(update, first, n: int) -> list:
+    """Values of an open-chain recurrence v_k = update(k, v_{k-1}) from v_0 = first."""
+    vals = [first]
+    for k in range(1, n):
+        vals.append(update(k, vals[-1]))
+    return vals
+
+
 def _leg_sites(legs, x, rhs):
     """Site update x~_k = x_k + psi_inv(rhs_k - phi(u_k)), u_k = x_k - x~_{k-1},
     and its slope dx~_k/dx~_{k-1} = dphi(u_k)/dpsi(v_k), v_k = x~_k - x_k;
@@ -981,7 +989,7 @@ def _ring_step(spec, x, rhs):
             t = update(x.shape[-1] - 1, x.T[-2])
         else:
             update, site_slope, t = _mobius_sites(spec, x, rhs)
-        _ring_chain(update, site_slope, closes, t, x.shape[-1])
+        _ring_chain(lambda v: _open_chain(update, update(0, v), len(x.T)), site_slope, closes, t)
         return tuple(accepted)
     except (DomainError, NonInvertibleLeg) as exc:
         raise SolveFailed(f"ring solver gave up: a pass leaves a leg domain ({exc})") from exc

@@ -26,8 +26,7 @@ from itertools import chain
 import numpy as np
 
 from . import lax, maps, pluri, poisson
-from .core import (Boundary, CanonicalState, FlaschkaState, by_rows, random_canonical,
-                   random_state, vectors, worst)
+from .core import Boundary, FlaschkaState, by_rows, random_canonical, random_state, vectors, worst
 from .realizations import (CATALOG, canonical_step, chart_specs, chart_state,
                            lagrangian_value, pullback_consistency, realization,
                            step_stack, symplectic_defect)
@@ -283,12 +282,10 @@ def check_monodromy(seed=0, system="bt-toda", n=6, n_states=10, boundary=Boundar
     lax_alpha = 0.0 if al is None else al
     lam, mu = 0.15, 0.23
 
-    def drift(c, ct, ch, cth, lam, mu):
-        def one(x, p, xt, xh, ph, xth):
-            _, P0 = lax.monodromy_rtl(CanonicalState(x, p, boundary), xt, lax_alpha, lam)
-            _, P1 = lax.monodromy_rtl(CanonicalState(xh, ph, boundary), xth, lax_alpha, lam)
-            return abs(P1 - P0) / max(1.0, abs(P0))
-        return [one(*row) for row in zip(*c, ct[0], *ch, cth[0])]
+    def drift(c, ct, ch, cth, lam, mu):   # np.fmax: Python's max(1.0, x), 1.0 for NaN x
+        _, P0 = lax.monodromy_rtl(c, ct[0], lax_alpha, lam, boundary)
+        _, P1 = lax.monodromy_rtl(ch, cth[0], lax_alpha, lam, boundary)
+        return np.abs(P1 - P0) / np.fmax(1.0, np.abs(P0))
 
     return _square_check(f"monodromy-{system}", dict(n=n, lam=lam, mu=mu, alpha=al), drift,
                          seed, n, n_states, ((lam, mu),), 1e-10, boundary, al)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from todalab import lax, maps
-from todalab.cli import _CSV_BLOCK_ROWS, _OPTIONS, _READS, _build_parser, _write_csv, main
+from todalab.cli import (_CSV_BLOCK_ROWS, _OPTIONS, _READS, _build_parser, _json_report,
+                         _write_csv, main)
 from todalab.core import Boundary, FlaschkaState, save_state
 from todalab.realizations import CATALOG, chart_specs, realization
 from todalab.systems import SYSTEMS
@@ -459,16 +460,33 @@ def test_consistency_subcommand(tmp_path):
     assert rec["pass"] and rec["max_discrepancy"] < 1e-9
 
 
+def _strict_json(text):
+    """json.loads that rejects the NaN, Infinity and -Infinity tokens, which
+    are not JSON."""
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.mark.parametrize("argv", [("--h", "1e300", "--steps", "1"),
                                   ("--alpha", "1e300", "--steps", "1")])
 def test_consistency_of_an_overflowing_cube_fails_its_record(tmp_path, capsys, argv):
     """The face coefficients of h or alpha = 1e300 overflow: the top corners
-    are NaN, so the record fails with a NaN discrepancy and no numpy warning
-    escapes the command."""
+    are NaN, so the record fails with a NaN discrepancy, written as the
+    string "NaN" (JSON has no NaN), and no numpy warning escapes the
+    command."""
     assert run(tmp_path, "consistency", *argv, "--out", "c.json") == 3
-    rec = json.loads((tmp_path / "c.json").read_text())
-    assert math.isnan(rec["max_discrepancy"]) and rec["pass"] is False
+    rec = _strict_json((tmp_path / "c.json").read_text())
+    assert rec["max_discrepancy"] == "NaN" and rec["pass"] is False
     assert capsys.readouterr().err == ""
+
+
+def test_json_reports_write_non_finite_floats_as_strings():
+    report = {"x": [1.5, math.nan, (math.inf, -math.inf)], "y": {"z": np.float64(math.nan)}}
+    assert _strict_json(_json_report(report)) == {
+        "x": [1.5, "NaN", ["Infinity", "-Infinity"]], "y": {"z": "NaN"}}
+    finite = {"b": [0.1, 2, None, True, "s"], "a": {"c": 1e300}}
+    assert _json_report(finite) == json.dumps(finite, sort_keys=True, indent=2) + "\n"
 
 
 def test_invariants_subcommand(tmp_path):
@@ -645,6 +663,23 @@ def test_dump_lax_with_an_entry_that_overflows_exits_3_without_a_file(tmp_path, 
                "--out", "lax.json") == 3
     assert capsys.readouterr().err == (f"numerical failure: NumericalError: the Lax matrix "
                                        f"{name} has an entry that is not finite\n")
+    assert not (tmp_path / "lax.json").exists()
+
+
+@pytest.mark.parametrize("state,alpha,error", [
+    # open chain: U is unit upper bidiagonal (det U = 1), T1 overflows
+    (FlaschkaState([0.5, 1.3, 0.0], [0.1, 0.2, 0.3], Boundary.OPEN), "1e300",
+     "NumericalError: T1 = L U^{-1} overflows: U is invertible"),
+    # ring of two with alpha^2 a_1 a_2 = 1: det U = 1 - prod(alpha a_k) = 0
+    (FlaschkaState([1.0, 1.0], [0.1, 0.2], Boundary.PERIODIC), "1",
+     "SingularMatrix: U is not invertible"),
+], ids=["T1-overflows", "U-singular"])
+def test_dump_lax_tells_an_overflowing_T1_from_a_singular_U(tmp_path, capsys, state, alpha,
+                                                            error):
+    save_state(state, tmp_path / "s.json")
+    assert run(tmp_path, "dump-lax", "--system", "drtl+", "--alpha", alpha,
+               "--state", "s.json", "--out", "lax.json") == 3
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"
     assert not (tmp_path / "lax.json").exists()
 
 

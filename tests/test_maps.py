@@ -405,6 +405,18 @@ def _contract(k, p):
 _CONTRACT_SITES = [(0.5, 1.0, 0.0, 1.0)] * 4     # the sites of _contract, fixed point 2
 
 
+def _moebius_chain(update, sites):
+    """``maps._moebius_chain`` of the recurrence v_k = update(k, v_{k-1}),
+    run as a map's forward loop over the site indices."""
+    def forward(prev, ks):
+        vals = []
+        for k in ks:
+            prev = update(k, prev)
+            vals.append(prev)
+        return vals
+    return maps._moebius_chain(forward, list(range(len(sites))), sites)
+
+
 def _closing_singular(k, p):
     if k == 0:
         if p == 0.0:
@@ -437,10 +449,9 @@ _CYCLIC_EDGES = [
 def test_cyclic_fixed_point_edge_paths(label, update, sites, expected):
     if expected is SolveFailed:
         with pytest.raises(SolveFailed, match="does not close"):
-            maps._moebius_chain(update, sites)
+            _moebius_chain(update, sites)
     else:
-        np.testing.assert_allclose(maps._moebius_chain(update, sites), expected, rtol=1e-15,
-                                   atol=0)
+        np.testing.assert_allclose(_moebius_chain(update, sites), expected, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("update", [
@@ -450,7 +461,7 @@ def test_cyclic_fixed_point_edge_paths(label, update, sites, expected):
 ], ids=["closing update raises", "closing update raises before later nan"])
 def test_cyclic_fixed_point_closing_update_raises(update):
     with pytest.raises(SingularStep, match="^closing pivot$"):
-        maps._moebius_chain(update, _CONTRACT_SITES)
+        _moebius_chain(update, _CONTRACT_SITES)
 
 
 def test_moebius_slope_of_columns_is_the_float_slope_of_each_row_bitwise():
@@ -762,6 +773,150 @@ def test_column_checks_pass_a_regular_block(name, alpha, boundary):
             check(*_columns(taken))
         for lists in taken:
             check(*lists)
+
+
+# ---------------------------------------------------------------------------
+# the step halves against a reference written as one list comprehension per
+# factor and per update, each recurrence a closure called per site
+# ---------------------------------------------------------------------------
+
+def _ref_prev(v, ring, fill=0.0):
+    return [v[-1] if ring else fill] + v[:-1]
+
+
+def _ref_next(v, ring, fill=0.0):
+    return v[1:] + [v[0] if ring else fill]
+
+
+def _ref_open_chain(update, first, n):
+    vals = [first]
+    for k in range(1, n):
+        vals.append(update(k, vals[-1]))
+    return vals
+
+
+def _ref_dtl(h, al, bl, ring, factor_only=False):
+    hh = h * h
+
+    def update(k, prev):
+        if abs(prev) < maps._PIVOT:
+            raise SingularStep("beta recurrence hit a vanishing pivot")
+        return 1.0 + h * bl[k] - hh * al[k - 1] / prev
+
+    if ring:
+        beta = _moebius_chain(update, [(1.0 + h * b, -hh * ap, 1.0, 0.0)
+                                       for b, ap in zip(bl, _ref_prev(al, ring))])
+    else:
+        beta = _ref_open_chain(update, 1.0 + h * bl[0], len(bl))
+    if factor_only:
+        return None, None, (beta,)
+
+    ratio = [a / be for a, be in zip(al, beta)]
+    b_new = [b + h * (r - rp) for b, r, rp in zip(bl, ratio, _ref_prev(ratio, ring))]
+    a_new = [a * bn / be for a, bn, be in zip(al, _ref_next(beta, ring, 1.0), beta)]
+    return a_new, b_new, (beta,)
+
+
+def _ref_drtl_plus(alpha, h, al, bl, ring, factor_only=False):
+    coupling = h * (alpha - h)
+
+    def update(k, prev):
+        if abs(prev) < maps._PIVOT:
+            raise SingularStep("d1 recurrence hit a vanishing pivot")
+        return 1.0 + h * bl[k] + coupling * al[k - 1] / prev
+
+    if ring:
+        d1 = _moebius_chain(update, [(1.0 + h * b, coupling * ap, 1.0, 0.0)
+                                     for b, ap in zip(bl, _ref_prev(al, ring))])
+    else:
+        d1 = _ref_open_chain(update, 1.0 + h * bl[0], len(bl))
+    ha = h * alpha
+    d1_prev = _ref_prev(d1, ring, 1.0)
+    denom = [dp + ha * ap for dp, ap in zip(d1_prev, _ref_prev(al, ring))]
+    d2 = [dp * (d + ha * a) / de for dp, d, a, de in zip(d1_prev, d1, al, denom)]
+    if factor_only:
+        return None, None, (d1, d2, denom)
+
+    a_new = [a * en / d for a, en, d in zip(al, _ref_next(d2, ring, 1.0), d1)]
+    if alpha == 0.0:
+        b_new = [bn + (d - dn) / h
+                 for bn, d, dn in zip(_ref_next(bl, ring), d1, _ref_next(d1, ring, 1.0))]
+    else:
+        b_new = [((1.0 + alpha * b) * e / d - 1.0) / alpha for b, e, d in zip(bl, d2, d1)]
+    return a_new, b_new, (d1, d2, denom)
+
+
+def _ref_drtl_minus(alpha, h, al, bl, ring, factor_only=False):
+    rate = alpha + h
+
+    def update(k, prev):
+        den = 1.0 + rate * (bl[k] - h * prev)
+        if abs(den) < maps._PIVOT:
+            raise SingularStep("dm recurrence hit a vanishing denominator")
+        return al[k] / den
+
+    if ring:
+        dm = _moebius_chain(update, [(0.0, a, -rate * h, 1.0 + rate * b)
+                                     for a, b in zip(al, bl)])
+    else:
+        dm = _ref_open_chain(update, update(0, 0.0), len(bl))
+    dm_prev = _ref_prev(dm, ring)
+    b_next = _ref_next(bl, ring)
+    b_lag = [b - h * dp for b, dp in zip(bl, dm_prev)]
+    b_lead = [bn - h * d for bn, d in zip(b_next, dm)]
+    lower = [1.0 + alpha * w for w in b_lead]
+    cm = [d * (1.0 + alpha * u) / lo for d, u, lo in zip(dm, b_lag, lower)]
+    if factor_only:
+        return None, None, (dm, cm, lower)
+
+    b_new = [(b + h * (d - dp) + alpha * bn * u) / lo
+             for b, d, dp, bn, u, lo in zip(bl, dm, dm_prev, b_next, b_lag, lower)]
+    a_new = [c * (1.0 + rate * w) for c, w in zip(cm, b_lead)]
+    return a_new, b_new, (dm, cm, lower)
+
+
+_REF_HALVES = {"dtl": (maps._dtl, _ref_dtl), "drtl+": (maps._drtl_plus, _ref_drtl_plus),
+               "drtl-": (maps._drtl_minus, _ref_drtl_minus)}
+
+
+def _half_outcome(half, params, al, bl, ring, factor_only):
+    """The bytes of each list a step half returns (None for a~, b~ it
+    leaves out), or the type and message of the error it raises."""
+    try:
+        a_new, b_new, factors = half(*params, list(al), list(bl), ring, factor_only)
+    except Exception as exc:    # any error: the other half must raise it too
+        return type(exc), str(exc)
+    return [None if v is None else np.array(v, dtype=float).tobytes()
+            for v in (a_new, b_new, *factors)]
+
+
+# h and alpha at the parameter coincidences (alpha = h for drtl+, alpha = -h
+# for drtl-), at alpha = 0, and in general position; a poisoned site has an
+# entry of b scaled by 1e154 (products of its terms overflow) or set to -1/h,
+# -1/(alpha + h) for drtl- (the pivot of the map's recurrence is then about
+# zero at open sites)
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_REF_HALVES)), boundary=st.sampled_from(Boundary),
+       n=st.integers(2, 12), seed=st.integers(0, 2 ** 16),
+       h=st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.001, 2.0),
+       alpha=st.sampled_from([0.0, 0.3, -0.3, "h", "-h"]) | st.floats(-1.0, 1.0),
+       poison=st.sampled_from([None, None, "big", "pivot"]), site=st.integers(0, 11),
+       factor_only=st.booleans())
+def test_step_halves_are_the_reference_bitwise(name, boundary, n, seed, h, alpha, poison,
+                                               site, factor_only):
+    alpha = h if alpha == "h" else -h if alpha == "-h" else alpha
+    s = random_state(n, boundary, seed)
+    al, bl = s.a.tolist(), s.b.tolist()
+    if poison == "big":
+        bl[site % n] *= 1e154
+    rate = h + alpha if name == "drtl-" else h
+    if poison == "pivot" and rate != 0.0:
+        bl[site % n] = -1.0 / rate
+    params = (h,) if name == "dtl" else (alpha, h)
+    ring = boundary is Boundary.PERIODIC
+    got, want = (_half_outcome(half, params, al, bl, ring, factor_only)
+                 for half in _REF_HALVES[name])
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
