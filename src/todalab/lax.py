@@ -17,7 +17,10 @@ T1, at n Chebyshev nodes w_j per lambda sample, scaled to the spectral
 radius of a trajectory's first state so that det(I - w_j M) > 0 on the
 whole isospectral set.  Each value is O(n): a three-term continuant on
 open chains, the trace of a 2x2 transfer product on rings, rescaled by
-powers of two so that nothing overflows at any n.
+powers of two so that nothing overflows at any n.  The scale, a power of
+two, takes no matrix on an open chain with positive couplings: the leading
+minors of T - x, and of L - x U, form a Sturm sequence, whose sign changes
+count the eigenvalues below x.
 
 ``crout_lu`` factors M = P+ P- with P+ lower triangular (free diagonal) and
 P- unit upper triangular, without pivoting: pivoting would leave the
@@ -104,10 +107,81 @@ def rtl_t1(s: FlaschkaState, alpha: float, lam: float = 1.0) -> np.ndarray:
 DEFAULT_LAMBDAS = (1.0, 2.0, 0.5, -1.0)
 _LN2 = math.log(2.0)
 _RENORM = 8      # sites between two frexp renormalisations of the continuants
+_TOP = 1023      # R = 2^p needs 2R = 2^(p + 1) to be a float: p < _TOP
+_BOTTOM = -1074  # 2^-1074, the least float
 
 
 def _lambdas(boundary: Boundary) -> tuple:
     return (1.0,) if boundary is Boundary.OPEN else DEFAULT_LAMBDAS
+
+
+def _sturm_count(d: list, c: list, x: float, t: float = 1.0):
+    """(m, q) of the continuant with diagonal d_k - x and off-diagonal
+    products t c_k > 0: q is the last of the ratios
+    q_k = d_k - x - t c_{k-1} / q_{k-1} of its leading minors and m how many
+    of them are negative, the number of its zeros below x (the minors are a
+    Sturm sequence).  A minor before the last that is 0 lies between two of
+    opposite signs: it counts once, as -0.  q = 0 when x is a zero."""
+    m, q, coupling = 0, 1.0, 0.0
+    for dk, ck in zip(d, c):
+        try:
+            q = dk - x - coupling / q
+        except ZeroDivisionError:        # q_{k-1} = -0: q_k = +inf (NaN if coupling = 0)
+            m, q = m + 1, dk - x + coupling * math.inf
+        m += q < 0.0
+        coupling = t * ck
+    return m, q
+
+
+def _sturm_exponent(s: FlaschkaState, alpha: float | None):
+    """p of R = 2^p for an open chain, from Sturm counts, or None outside
+    their domain or if no count up to 4 times a norm bound reaches n.
+
+    T (alpha None) is similar to the symmetric Jacobi matrix of diagonal b_k
+    and off-diagonal sqrt(a_k) when every a_k > 0: rho <= X exactly when no
+    eigenvalue is below -X and all n are at most X.  det(L - z U), and so the
+    characteristic polynomial of T1, is the continuant of diagonal
+    1 + alpha b_k - z and products z alpha^2 a_k, positive at z > 0.  When
+    also every 1 + alpha b_k > 0, its leading minors are positive at z = 0
+    and interlace, so its n zeros are positive and a count at X > 0 numbers
+    those in (0, X): rho <= X exactly when all n are at most X.  The walk
+    starts at a Gershgorin bound of the symmetric form, at most 3 (T) or 10
+    (T1) times rho, and takes two to five counts."""
+    a, b = s.a, s.b                  # a_{n-1} = 0 on an open chain
+    if not (a[:-1] > 0.0).all():
+        return None
+    root = np.sqrt(np.concatenate(([0.0], a)))
+    g = root[:-1] + root[1:]         # off-diagonal row sums of the symmetric form
+    if alpha is None:
+        d, c = b, a
+        top = float(np.max(np.abs(b) + g))
+    else:
+        d, c = 1.0 + alpha * b, (alpha * alpha) * a
+        if not ((d > 0.0).all() and (c[:-1] > 0.0).all()):
+            return None
+        g *= abs(alpha)              # rows of diag(d - z) + sqrt(z) g dominate past top
+        top = float(np.max(0.25 * (g + np.sqrt(g * g + 4.0 * d)) ** 2))
+    if not top < math.inf:
+        return None
+    d, c, n = d.tolist(), c.tolist(), s.n
+
+    def fits(p):                     # rho <= 2^p
+        x = math.ldexp(1.0, p)
+        m, q = _sturm_count(d, c, x, 1.0 if alpha is None else x)
+        if m + (q == 0.0) < n:
+            return False
+        if alpha is not None:
+            return True
+        m, q = _sturm_count(d, c, -x)
+        return m == 0 and q == q
+
+    mant, e = math.frexp(top)
+    p = min(e - (mant == 0.5), _TOP)
+    if fits(p):
+        while p > _BOTTOM and fits(p - 1):
+            p -= 1
+        return p
+    return next((up for up in range(p + 1, min(p + 3, _TOP + 1)) if fits(up)), None)
 
 
 def spectral_nodes(s: FlaschkaState, alpha: float | None = None) -> np.ndarray:
@@ -116,9 +190,17 @@ def spectral_nodes(s: FlaschkaState, alpha: float | None = None) -> np.ndarray:
     w_j = cos((2j - 1) pi / 2m) / (2R), j = 1..m, m = n; odd n takes m = n + 1
     less the negative node nearest zero (no node is the uninformative
     cos(pi/2) ~ 0).  R = 2^ceil(log2 rho), rho the spectral radius of the
-    state's Lax matrix M at that lambda (one ``eigvals`` call; R = 1 when
-    rho = 0).  Every state with the spectrum of s has |w_j z| <= 1/2 at each
-    eigenvalue z, so det(I - w_j M) > 0.
+    state's Lax matrix M at that lambda (R = 1 when rho = 0).  Every state
+    with the spectrum of s has |w_j z| <= 1/2 at each eigenvalue z, so
+    det(I - w_j M) > 0.
+
+    On an open chain whose couplings a_k are positive (all but the open
+    end's a_{n-1} = 0), and for T1 also every 1 + alpha b_k > 0, the power of
+    two is decided by Sturm counts of the continuant's ratios
+    (``_sturm_exponent``): O(n) float operations, no matrix.  Rings, open
+    chains outside that domain and counts that never reach n take one
+    ``eigvals`` call per lambda.  Raises DomainError if 2R is not a float
+    (rho > 2^1022).
     """
     size = s.n + s.n % 2
     cheb = np.cos(np.pi * (2 * np.arange(1, size + 1) - 1) / (2 * size))
@@ -126,13 +208,19 @@ def spectral_nodes(s: FlaschkaState, alpha: float | None = None) -> np.ndarray:
         cheb = np.delete(cheb, size // 2)
     rows = []
     for lam in _lambdas(s.boundary):
-        M = build_T(s, lam) if alpha is None else rtl_t1(s, alpha, lam)
-        try:
-            rho = float(np.max(np.abs(np.linalg.eigvals(M))))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("eigenvalues of the Lax matrix did not converge") from exc
-        m, e = math.frexp(rho)                     # rho = m 2^e, m in [0.5, 1)
-        rows.append(cheb / math.ldexp(2.0, e - (m == 0.5)))    # 2R, exactly
+        p = _sturm_exponent(s, alpha) if s.boundary is Boundary.OPEN else None
+        if p is None:
+            M = build_T(s, lam) if alpha is None else rtl_t1(s, alpha, lam)
+            try:
+                rho = float(np.max(np.abs(np.linalg.eigvals(M))))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError("eigenvalues of the Lax matrix did not converge") from exc
+            m, e = math.frexp(rho)                 # rho = m 2^e, m in [0.5, 1)
+            p = e - (m == 0.5) if rho < math.inf else _TOP
+        if p >= _TOP:
+            raise DomainError("the spectral radius exceeds 2^1022: the node scale 2R "
+                              "overflows")
+        rows.append(cheb / math.ldexp(2.0, p))     # 2R, exactly
     return np.array(rows)
 
 

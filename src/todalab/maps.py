@@ -248,12 +248,17 @@ def _moebius_slope(sites):
     """Slope dv_k/dv_{k-1} = det M_k / (m21 v_{k-1} + m22)^2 of Moebius site k,
     whose entries are floats or columns of floats.  The square is libm's pow
     on both: ``** 2`` of a float calls it, of a column it is x*x, which
-    differs in the last bit of about one square in a thousand."""
+    differs in the last bit of about one square in a thousand.  A float
+    square that overflows, where pow raises OverflowError, fails the ring
+    with SolveFailed."""
     square = np.float_power if isinstance(sites[0][0], np.ndarray) else pow
 
     def slope(k, prev, val):
         m11, m12, m21, m22 = sites[k]
-        return (m11 * m22 - m12 * m21) / square(m21 * prev + m22, 2)
+        try:
+            return (m11 * m22 - m12 * m21) / square(m21 * prev + m22, 2)
+        except OverflowError as exc:
+            raise SolveFailed(f"ring closure slope overflows at site {k}") from exc
     return slope
 
 

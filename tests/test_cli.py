@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from todalab import lax, maps
 from todalab.cli import (_CSV_BLOCK_ROWS, _OPTIONS, _READS, _build_parser, _json_report,
                          _write_csv, main)
-from todalab.core import Boundary, FlaschkaState, save_state
+from todalab.core import Boundary, FlaschkaState, random_state, save_state
 from todalab.realizations import CATALOG, chart_specs, realization
 from todalab.systems import SYSTEMS
 
@@ -522,6 +522,39 @@ def test_simulate_names_logdet_columns(tmp_path):
     assert header[-1] == "logdet3_lam3" and len(header) == 7 + 12
     drift = (tmp_path / "r.invariants.csv").read_text().splitlines()[0].split(",")
     assert drift[1] == "drift_logdet1_lam0" and drift[-1] == "drift_max"
+
+
+# spectrum about +-1.7e308: the node scale 2R = 2^1025 is not a float
+_PAST_2_TO_THE_1022 = "the spectral radius exceeds 2^1022: the node scale 2R overflows"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("invariants",), f"numerical failure: DomainError: {_PAST_2_TO_THE_1022}\n"),
+    (("simulate", "--steps", "0", "--out", "x"),
+     f"numerical failure in the trajectory invariants: {_PAST_2_TO_THE_1022}\n"),
+], ids=["invariants", "simulate"])
+def test_a_spectral_radius_past_2_to_the_1022_exits_3(tmp_path, capsys, argv, line):
+    save_state(FlaschkaState([1.7e308, 0.0], [1.7e308, -1.7e308], Boundary.OPEN),
+               tmp_path / "big.json")
+    assert run(tmp_path, argv[0], "--system", "dtl", "--state", "big.json", *argv[1:]) == 3
+    assert capsys.readouterr().err == line
+    if argv[0] == "simulate":
+        report = json.loads((tmp_path / "x.error.json").read_text())
+        assert report["error"] == "DomainError" and report["failing_stage"] == "invariants"
+
+
+def test_a_ring_step_whose_closure_slope_overflows_exits_3(tmp_path, capsys):
+    s = random_state(8, Boundary.PERIODIC, 52)
+    b = s.b.copy()
+    b[6] *= 1e154
+    save_state(s.replace(b=b), tmp_path / "ov.json")
+    assert run(tmp_path, "simulate", "--system", "dtl", "--h", "1.6248039534691787",
+               "--state", "ov.json", "--steps", "1", "--out", "x") == 3
+    message = "ring closure slope overflows at site 7"
+    assert capsys.readouterr().err == f"numerical failure at step 1: {message}\n"
+    report = json.loads((tmp_path / "x.error.json").read_text())
+    assert report == {"error": "SolveFailed", "message": message, "system": "dtl",
+                      "failed": True, "failing_step": 1}
 
 
 def test_spectrum_leaving_the_node_disc_exits_3(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,12 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from todalab import lax, maps, pluri
+from todalab import lax, maps, pluri, verify
 from todalab.core import Boundary, FlaschkaState, random_canonical, random_state
 from todalab.errors import DomainError, FactorizationOutsideDomain
 from todalab.realizations import canonical_step, realization
@@ -431,3 +434,165 @@ def test_odd_n_nodes_see_the_direction_the_middle_node_missed():
     # n + 1 = 6 Chebyshev nodes less -cos(5 pi / 12), all scaled by the same 2R
     want = np.delete(np.cos(np.pi * (2 * np.arange(1, n + 2) - 1) / (2 * n + 2)), 3) / two_r
     np.testing.assert_array_equal(nodes, [want])
+
+
+# ---------------------------------------------------------------------------
+# the node scale R = 2^p: Sturm counts on open chains, eigvals elsewhere
+# ---------------------------------------------------------------------------
+
+def _exponent(nodes) -> int:
+    """p of the nodes' R = 2^p: the first node is cos(pi / 2m) / 2^(p + 1),
+    with cos(pi / 2m) in [1/2, 1)."""
+    return -math.frexp(float(nodes[0][0]))[1] - 1
+
+
+def _eigvals_exponent(s, alpha=None):
+    """(p, rho, largest |Im|) of the eigvals spectrum of T or T1 at lambda = 1."""
+    z = np.linalg.eigvals(lax.build_T(s) if alpha is None else lax.rtl_t1(s, alpha))
+    rho = float(np.max(np.abs(z)))
+    m, e = math.frexp(rho)
+    return e - (m == 0.5), rho, float(np.max(np.abs(z.imag)))
+
+
+def _scaled(s, j):
+    """(4^-j a, 2^-j b): T / 2^j up to a diagonal similarity."""
+    return s.replace(a=s.a * 4.0 ** -j, b=s.b * 2.0 ** -j)
+
+
+def _counting(monkeypatch, name):
+    """Route np.linalg.<name> through a wrapper; returns its list of calls."""
+    calls, real = [], getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _forbid(monkeypatch, *names):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense eigenvalue call or solve")
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, forbidden)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(n=st.integers(2, 128), seed=st.integers(0, 2 ** 32 - 1),
+       width=st.sampled_from([0.25, 1.0, 3.0]), alpha=st.sampled_from([None, 0.3, "h", "-h"]),
+       h=st.floats(0.01, 0.2))
+def test_node_scale_is_the_eigvals_scale_wherever_eigvals_is_accurate(n, seed, width,
+                                                                     alpha, h):
+    s = random_state(n, Boundary.OPEN, seed, b_range=(-width, width))
+    alpha = {"h": h, "-h": -h}.get(alpha, alpha)
+    p, rho, imag = _eigvals_exponent(s, alpha)
+    assume(imag <= 1e-9 * rho)
+    assume(abs(rho / 2.0 ** round(math.log2(rho)) - 1.0) > 1e-9)
+    assert _exponent(lax.spectral_nodes(s, alpha)) == p
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 128), seed=st.integers(0, 2 ** 32 - 1), j=st.integers(-20, 20))
+def test_scaling_the_chain_by_2_to_the_j_lowers_the_exponent_by_j(n, seed, j):
+    s = random_state(n, Boundary.OPEN, seed)
+    assert (_exponent(lax.spectral_nodes(_scaled(s, j)))
+            == _exponent(lax.spectral_nodes(s)) - j)
+
+
+# eigvals of these badly scaled T returns complex pairs for a real spectrum
+# and places R a binade too high
+@pytest.mark.parametrize("n,j,eigvals_p", [(32, 5, -2), (64, 4, -1)])
+def test_scaled_chains_where_eigvals_misplaces_the_binade(n, j, eigvals_p):
+    s = random_state(n, Boundary.OPEN, 0)
+    assert _eigvals_exponent(_scaled(s, j))[0] == eigvals_p
+    assert _exponent(lax.spectral_nodes(_scaled(s, j))) == _exponent(
+        lax.spectral_nodes(s)) - j == eigvals_p - 1
+
+
+@pytest.mark.parametrize("seed,j", [(0, 4), (1, 0), (2, 7)])
+def test_node_scale_matches_a_50_digit_spectrum(seed, j):
+    mp = pytest.importorskip("mpmath")
+    s = _scaled(random_state(64, Boundary.OPEN, seed), j)
+    with mp.workdps(50):
+        J = mp.matrix(64, 64)       # the symmetric Jacobi matrix similar to T
+        for k in range(64):
+            J[k, k] = mp.mpf(float(s.b[k]))
+        for k in range(63):
+            J[k, k + 1] = J[k + 1, k] = mp.sqrt(mp.mpf(float(s.a[k])))
+        rho = max(abs(z) for z in mp.eigsy(J, eigvals_only=True))
+        p = _exponent(lax.spectral_nodes(s))
+        assert 2 ** (p - 1) < rho <= 2 ** p
+
+
+@pytest.mark.parametrize("a,b,p", [
+    ([1.0, 0.0], [0.0, 0.0], 0),       # T = [[0, 1], [1, 0]]: rho = 1 exactly
+    ([1.0, 0.0], [1.0, 1.0], 1),       # spectrum {0, 2}: a tie at +R
+    ([1.0, 0.0], [-1.0, -1.0], 1),     # spectrum {-2, 0}: a tie at -R
+    ([1.0, 0.0], [1.0, 0.0], 1),       # T - 1 has a zero leading minor; rho = 1.618
+])
+def test_exact_ties_and_zero_minors_keep_the_eigvals_scale(monkeypatch, a, b, p):
+    s = FlaschkaState(a, b, Boundary.OPEN)
+    assert _eigvals_exponent(s)[0] == p
+    _forbid(monkeypatch, "eigvals", "solve")
+    assert _exponent(lax.spectral_nodes(s)) == p
+
+
+def test_a_zero_chain_has_scale_one():
+    # a zero coupling leaves the Sturm domain; eigvals finds rho = 0, and R = 1
+    s = FlaschkaState([0.0, 0.0], [0.0, 0.0], Boundary.OPEN)
+    assert _exponent(lax.spectral_nodes(s)) == 0
+
+
+def test_a_tie_that_eigvals_rounds_up_is_a_binade_lower():
+    # T = [[0, 4], [1, 0]] has spectrum {-2, 2}; eigvals returns 2 + 4e-16
+    s = FlaschkaState([4.0, 0.0], [0.0, 0.0], Boundary.OPEN)
+    assert _eigvals_exponent(s)[0] == 2
+    assert _exponent(lax.spectral_nodes(s)) == 1
+
+
+@pytest.mark.parametrize("name", ["dtl", "drtl+", "drtl-"])
+def test_isospectral_check_at_n_128_makes_no_dense_call(monkeypatch, name):
+    _forbid(monkeypatch, "eigvals", "solve")
+    assert verify.check_isospectral(seed=0, system=name, n=128, steps=20)["pass"]
+
+
+@pytest.mark.parametrize("alpha", [None, 0.3])
+def test_a_ring_makes_one_eigvals_call_per_lambda(monkeypatch, alpha):
+    calls = _counting(monkeypatch, "eigvals")
+    lax.spectral_nodes(random_state(8, Boundary.PERIODIC, 0), alpha)
+    assert len(calls) == len(lax.DEFAULT_LAMBDAS)
+
+
+@pytest.mark.parametrize("alpha,site,entry", [
+    (None, 2, ("a", -0.5)), (None, 0, ("a", 0.0)),
+    (0.3, 3, ("b", -1.0 / 0.3)), (0.3, 1, ("b", -5.0)), (0.3, 2, ("a", -0.1))])
+def test_an_open_chain_outside_the_sturm_domain_takes_eigvals(monkeypatch, alpha, site,
+                                                              entry):
+    s = random_state(8, Boundary.OPEN, 4)
+    key, value = entry
+    v = getattr(s, key).copy()
+    v[site] = value
+    s = s.replace(**{key: v})
+    p = _eigvals_exponent(s, alpha)[0]
+    calls = _counting(monkeypatch, "eigvals")
+    assert _exponent(lax.spectral_nodes(s, alpha)) == p
+    assert len(calls) == 1
+
+
+def test_a_radius_past_2_to_the_1022_is_a_domain_error_on_the_count_path(monkeypatch):
+    # spectrum 5e307 +- 1: R = 2^1023, and 2R is not a float
+    s = FlaschkaState([1.0, 0.0], [5e307, 5e307], Boundary.OPEN)
+    _forbid(monkeypatch, "eigvals", "solve")
+    with pytest.raises(DomainError, match="exceeds 2\\^1022"):
+        lax.spectral_nodes(s)
+
+
+def test_a_radius_past_2_to_the_1023_is_a_domain_error_on_the_eigvals_path(monkeypatch):
+    # spectrum about +-1.7e308 > 2^1023: no count reaches n, eigvals finds rho
+    s = FlaschkaState([1.7e308, 0.0], [1.7e308, -1.7e308], Boundary.OPEN)
+    calls = _counting(monkeypatch, "eigvals")
+    with pytest.raises(DomainError, match="exceeds 2\\^1022"):
+        lax.spectral_nodes(s)
+    assert len(calls) == 1

@@ -334,6 +334,16 @@ def test_ring_fixed_point_of_an_overflowing_product_fails():
     assert not isinstance(info.value, NoRealBranch)
 
 
+
+# (m21 v_6 + m22)^2 at site 7 overflows: libm's pow raises OverflowError,
+# which the ring step reports as a failed solve
+def test_ring_step_whose_closure_slope_overflows_fails_its_solve():
+    s = random_state(8, Boundary.PERIODIC, 52)
+    b = s.b.copy()
+    b[6] *= 1e154
+    with pytest.raises(SolveFailed, match="closure slope overflows at site 7"):
+        maps.dtl_step(s.replace(b=b), 1.6248039534691787)
+
 def _site_rows(kinds, n, seed):
     """(rows, n, 4) Moebius sites, a ring per row of the given kind: positive
     entries (two real roots), mixed signs (real or complex), upper
