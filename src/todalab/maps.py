@@ -22,21 +22,21 @@ factorization, written out as closed recurrences:
 
       1 + alpha b~_k = (1 + alpha b_{k+1}) cm_k/dm_k,  a~_k = a_{k+1} cm_k/dm_{k+1}.
 
-Each step runs on the state's entries as Python floats (the same IEEE
-double arithmetic as numpy, without its per-call overhead on short vectors),
-in two halves.  The step half is two loops over the sites: the factor
+Each step runs in two halves.  The step half runs on the state's entries
+as Python floats (the same IEEE double arithmetic as numpy, without its
+per-call overhead on short vectors) in two loops over the sites: the factor
 recurrence with its pivot test (one pass on an open chain, every closure
 pass on a ring) and the update, forming a~, b~ and the check half's factors.
 The check half runs every other guard and check (the pivot guards, the
-two-expression identity, the addition formulas), written once for one
-step's floats and for a stack of steps as columns (``_passes``).  The
-public steps run both halves on every step; ``verify.trajectory_blocks``
-steps the step half alone and checks a block of steps at a time, rerunning
-a failing block through the public step.  Each value is formed by the same
-expression, in the same order, as the formulas evaluated elementwise on
-numpy vectors, so each result is bitwise that of the numpy evaluation and
-each failure raises the same error.  The public ``*_factors`` functions
-return the factors of the same pass as arrays.
+two-expression identity, the addition formulas), written once on site-major
+(n, B) arrays, one column per step.  The public steps run both halves on
+every step, the check half on one column; ``verify.trajectory_blocks``
+steps the step half alone and checks a block of steps in one call
+(``_passes``), rerunning a failing block through the public step.  Each
+value is formed by the same expression, in the same order, as the formulas
+evaluated elementwise on numpy vectors, so each result is bitwise that of
+the numpy evaluation and each failure raises the same error.  The public
+``*_factors`` functions return the factors of the same pass as arrays.
 
 ``step_stack(step, a, b, boundary)`` steps a (B, n) stack of independent
 states, row i bitwise ``step(state i)``: a bound factor-map step runs its
@@ -54,8 +54,9 @@ ring.  From it, Newton steps on the float recurrence's own closure, each
 followed by a forward pass (``_ring_chain``, the loop every chart ring uses
 too), restore the digits the product loses to cancellation; the first pass
 whose residual at the closing site, the only site a pass leaves inexact, is
-below 1e-12 relative gives every factor.  A ring whose fixed-point quadratic
-has complex roots raises NoRealBranch.
+below 1e-12 relative gives every factor (if none is, the seed's own pass,
+when it is finite and closes exactly, as at a double root).  A ring whose
+fixed-point quadratic has complex roots raises NoRealBranch.
 
 The parameter coincidences alpha = h (plus) and alpha = -h (minus) collapse
 the recurrences; the resulting explicit rational maps are provided
@@ -67,7 +68,6 @@ from __future__ import annotations
 import inspect
 import math
 from functools import partial
-from itertools import compress
 
 import numpy as np
 
@@ -90,63 +90,43 @@ def _check(val: np.ndarray, what: str) -> np.ndarray:
 
 # The step kernels below run on lists of floats, each in two halves.  The
 # step half returns (a~, b~, factors): factors are the lists besides a, b,
-# a~ and b~ that the check half reads.  The check half runs on one step's
-# floats or on a block of steps as columns (site k is the array ``vals[k]``
-# of one value per step), where each row takes the float value of its step.
-# The reductions keep the NaN semantics of the numpy reductions they
-# replace: np.min and np.max propagate a NaN entry, where Python's min and
-# max skip it.  A product with an open-end fill is formed as in the vector
+# a~ and b~ that the check half reads.  The check half runs on site-major
+# (n, B) arrays, row k site k and column j step j: a block of B steps, or a
+# public step as one column.  Its reductions run along the sites (axis 0),
+# one value per step, and keep the NaN semantics of the vector formulas:
+# np.min and np.max propagate a NaN entry of a step, while ``_max`` is
+# Python's max of each step, which passes over a NaN after its first value.
+# A block's arrays are transposed views of its (B, n) rows, so a reduction
+# takes |vals| in C order first: along the sites of a view it is some ten
+# times slower.  A product with an open-end fill is formed as in the vector
 # formulas (h * 0.0, not 0.0): it is -0.0 or NaN for some parameters.
 
-def _guard(vals: list, what: str) -> None:
-    """``_check`` on a list: a NaN entry disarms the guard, as in np.min;
-    on columns, of each row."""
-    if isinstance(vals[0], np.ndarray):
-        low = (np.abs(vals).min(axis=0) < _PIVOT).any()   # a NaN row compares False
-    else:
-        low = min(map(abs, vals)) < _PIVOT and not any(v != v for v in vals)
-    if low:
+def _guard(vals: np.ndarray, what: str) -> None:
+    """``_check`` of each step: a NaN entry disarms its step's guard, as in np.min."""
+    if (np.abs(vals, order="C").min(axis=0) < _PIVOT).any():   # a NaN step compares False
         raise SingularStep(f"{what} fell below the singularity guard")
 
 
-def _amax(vals: list) -> float:
-    """``np.abs(vals).max()`` of a list: NaN if any entry is NaN; on
-    columns, of each row."""
-    if isinstance(vals[0], np.ndarray):
-        return np.abs(vals).max(axis=0)
-    top = max(map(abs, vals))
-    total = sum(vals)       # NaN if an entry is NaN (or if both infinities occur)
-    if total != total and any(v != v for v in vals):
-        return math.nan
-    return top
+def _amax(vals: np.ndarray) -> np.ndarray:
+    """``np.abs(v).max()`` of each step v: NaN if an entry is NaN."""
+    return np.abs(vals, order="C").max(axis=0)
 
 
 def _max(*vals):
-    """Python's max of floats (which passes over a NaN after the first
-    value), or of columns row by row."""
-    if not isinstance(vals[-1], np.ndarray):
-        return max(vals)
+    """Python's max of the values of each step (of each ring, for
+    ``_ring_fixed_point``'s columns), which passes over a NaN after the
+    first value."""
     top = vals[0]
     for v in vals[1:]:
         top = np.where(v > top, v, top)
     return top
 
 
-def _over(top, bound) -> bool:
-    """Whether top > bound: for a step, or in any row of a block."""
-    over = top > bound
-    return over if over.__class__ is bool else over.any()
-
-
-def _regular(den: list, cut, *lists):
-    """(den_k, *lists_k) of each site k where |den_k| > cut, where a factor's
-    second expression does not degenerate to 0/0.  On columns every site
-    comes, its rows where den is not regular set to den 1 and 0 elsewhere,
-    so an expression (...) / den - (...) of them is 0 there."""
-    if isinstance(den[0], np.ndarray):
-        return [(np.where(keep, q, 1.0), *(np.where(keep, v, 0.0) for v in rest))
-                for q, *rest in zip(den, *lists) for keep in [np.abs(q) > cut]]
-    return compress(zip(den, *lists), map(cut.__lt__, map(abs, den)))
+def _regular(gaps: np.ndarray, den: np.ndarray, cut) -> np.ndarray:
+    """The gaps of a factor's two expressions where the second one's
+    denominator is regular, |den| > cut, and 0 elsewhere, where the gap
+    formed at every site may be the inf or NaN of a degenerate 0/0."""
+    return np.where(np.abs(den) > cut, gaps, 0.0)
 
 
 def _prev(v: list, ring: bool, fill: float = 0.0) -> list:
@@ -160,31 +140,33 @@ def _next(v: list, ring: bool, fill: float = 0.0) -> list:
 
 
 def _on_floats(halves, s: FlaschkaState, factor_only: bool, *params):
-    """(a~, b~, factors) of both halves of a step run on the state's entries
-    as Python floats (a~, b~ None with ``factor_only``).
+    """(a~, b~, factors) of a step: its step half run on the state's entries
+    as Python floats (a~, b~ None with ``factor_only``), its check half on
+    them as a block of one step.
 
     Python raises ZeroDivisionError on x/0 where numpy returns inf or nan.
     The step half divides by its denominators before the check half guards
-    them, and the alpha = 0 form of drtl+ divides by h; a call that divides
-    by 0 reruns on numpy float64 scalars, which give numpy's IEEE results,
-    with its floating-point warnings off: the guard or the state's check
-    then raises its error, not a warning.
+    them, and the alpha = 0 form of drtl+ divides by h; a step half that
+    divides by 0 reruns on numpy float64 scalars, which give numpy's IEEE
+    results, with its floating-point warnings off: the guard or the state's
+    check then raises its error, not a warning.
     """
     step_half, check_half = halves
     ring = s.boundary is Boundary.PERIODIC
     try:
-        al, bl = s.a.tolist(), s.b.tolist()
-        a_new, b_new, factors = step_half(*params, al, bl, ring, factor_only)
-        check_half(*params, ring, al, bl, a_new, b_new, *factors)
+        out = step_half(*params, s.a.tolist(), s.b.tolist(), ring, factor_only)
     except ZeroDivisionError:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            al, bl = list(s.a), list(s.b)
-            a_new, b_new, factors = step_half(*params, al, bl, ring, factor_only)
-            check_half(*params, ring, al, bl, a_new, b_new, *factors)
-    return a_new, b_new, factors
+            out = step_half(*params, list(s.a), list(s.b), ring, factor_only)
+    a_new, b_new, factors = out
+    with np.errstate(all="ignore"):
+        check_half(*params, s.boundary, *(v if v is None else np.reshape(v, (-1, 1))
+                                          for v in (s.a, s.b, a_new, b_new, *factors)))
+    return out
 
 
 _OVERFLOWED = "ring product of the Moebius sites overflowed or vanished"
+_NOT_CLOSED = "ring recurrence does not close at its fixed point"
 
 
 def _ring_fixed_point(sites):
@@ -303,18 +285,33 @@ def _ring_chain(forward, site_slope, closes, t) -> list:
             raise SolveFailed("ring solver gave up: every halved correction leaves a leg domain")
         if closes(vals, step):
             return vals
-    raise SolveFailed("ring recurrence does not close at its fixed point")
+    raise SolveFailed(_NOT_CLOSED)
 
 
 def _moebius_chain(forward, inputs: list, sites) -> list:
     """``_ring_chain`` of passes ``forward(t, inputs)`` from the attracting
     fixed point of Moebius ``sites``, final when a pass closes at site 0 (the
     one site a pass leaves inexact) to 1e-12 relative: most rings after one
-    correction, rings with sites of 1e4-1e8 after two to seven."""
+    correction, rings with sites of 1e4-1e8 after two to seven.  If no
+    corrected pass closes, the seed's own pass is final when it is finite
+    and closes exactly: at a double root the closure's slope is 1, so the
+    first correction divides 0 by 0, or an ulp of residual by a 1 - slope
+    of a few ulps, and the rest converge linearly.  (A NaN in a map's pass
+    reaches its closing value, so Python's max passing over it changes no
+    decision.)"""
+    def gap(vals):
+        return abs(vals[0] - forward(vals[-1], inputs[:1])[0])
+
     def closes(vals, step):
-        return abs(vals[0] - forward(vals[-1], inputs[:1])[0]) <= 1e-12 * max(1.0, _amax(vals))
-    return _ring_chain(lambda t: forward(t, inputs), _moebius_slope(sites), closes,
-                       _ring_fixed_point(sites))
+        return gap(vals) <= 1e-12 * max(1.0, *map(abs, vals))
+    seed = _ring_fixed_point(sites)
+    try:
+        return _ring_chain(lambda t: forward(t, inputs), _moebius_slope(sites), closes, seed)
+    except SolveFailed as exc:
+        vals = forward(seed, inputs)
+        if str(exc) != _NOT_CLOSED or gap(vals) != 0.0 or not all(map(math.isfinite, vals)):
+            raise
+        return vals
 
 
 def _lower_chain(h: float, coupling: float, what: str, al: list, bl: list, ring: bool):
@@ -355,7 +352,7 @@ def _dtl(h: float, al: list, bl: list, ring: bool, factor_only: bool = False):
     return a_new, b_new, (beta,)
 
 
-def _dtl_checks(h: float, ring: bool, al, bl, a_new, b_new, beta) -> None:
+def _dtl_checks(h: float, boundary: Boundary, al, bl, a_new, b_new, beta) -> None:
     """Check half of dtl(h)."""
     _guard(beta, "beta")
 
@@ -403,31 +400,29 @@ def _drtl_plus(alpha: float, h: float, al: list, bl: list, ring: bool, factor_on
     return a_new, b_new, (d1, d2, denom)
 
 
-def _drtl_plus_checks(alpha: float, h: float, ring: bool, al, bl, a_new, b_new,
+def _drtl_plus_checks(alpha: float, h: float, boundary: Boundary, al, bl, a_new, b_new,
                       d1, d2, denom) -> None:
     """Check half of drtl+(alpha, h): the addition formulas only where the
     step half formed a~, b~."""
     _guard(d1, "d1")
     _guard(denom, "d1 + h*alpha*a")
     # cross-check against the equivalent second expression where it is regular
-    h_one_ab = [h * (1.0 + alpha * b) for b in bl]
-    h_one_ab_next = _next(h_one_ab, ring, h * (1.0 + alpha * 0.0))
-    d1_next = _next(d1, ring, 1.0)
-    den2 = [alpha * d - t for d, t in zip(d1, h_one_ab)]
+    h_one_ab = h * (1.0 + alpha * bl)
+    h_one_ab_next = shifted(h_one_ab.T, +1, boundary, h * (1.0 + alpha * 0.0)).T
+    d1_next = shifted(d1.T, +1, boundary, 1.0).T
+    den2 = alpha * d1 - h_one_ab
     scale = _max(1.0, _amax(d2))
-    gaps = [d * (alpha * dn - tn) / q - e for q, d, dn, tn, e in
-            _regular(den2, 1e-8 * scale, d1, d1_next, h_one_ab_next, d2)]
-    if gaps and _over(_amax(gaps), _ID_TOL * scale):
+    gaps = _regular(d1 * (alpha * d1_next - h_one_ab_next) / den2 - d2, den2, 1e-8 * scale)
+    if (_amax(gaps) > _ID_TOL * scale).any():
         raise NumericalError("the two expressions for d2 disagree")
     if a_new is None:
         return
 
     scale = _max(1.0, _amax(d1), _amax(bl))
     ha = h * alpha
-    add1 = [h * (1.0 + alpha * bt) + alpha * dn - tn - alpha * e
-            for bt, dn, tn, e in zip(b_new, d1_next, h_one_ab_next, d2)]
-    add2 = [d - ha * atp - e + ha * a for d, atp, e, a in zip(d1, _prev(a_new, ring), d2, al)]
-    if _over(_max(_amax(add1), _amax(add2)), _ADD_TOL * scale):
+    add1 = h * (1.0 + alpha * b_new) + alpha * d1_next - h_one_ab_next - alpha * d2
+    add2 = d1 - ha * shifted(a_new.T, -1, boundary).T - d2 + ha * al
+    if (_max(_amax(add1), _amax(add2)) > _ADD_TOL * scale).any():
         raise NumericalError("drtl+ addition formulas violated")
 
 
@@ -485,33 +480,29 @@ def _drtl_minus(alpha: float, h: float, al: list, bl: list, ring: bool, factor_o
     return (None, None, (dm, cm, lower)) if factor_only else (a_new, b_new, (dm, cm, lower))
 
 
-def _drtl_minus_checks(alpha: float, h: float, ring: bool, al, bl, a_new, b_new,
+def _drtl_minus_checks(alpha: float, h: float, boundary: Boundary, al, bl, a_new, b_new,
                        dm, cm, lower) -> None:
     """Check half of drtl-(alpha, h): the addition formulas only where the
     step half formed a~, b~."""
     _guard(lower, "1 + alpha(b_next - h dm)")
     # second expression, checked away from its 0/0 degenerations (on open
-    # chains the last site has no k+1 neighbour and is left out)
-    alpha_a = [alpha * a for a in al]
-    h_dm = [h * d for d in dm]
+    # chains the last site has no k+1 neighbour: its denominator is the fill 0)
+    alpha_a, h_dm = alpha * al, h * dm
+    a_dm = alpha_a + h_dm
     dm_max = _amax(dm)
     scale = _max(1.0, dm_max)
-    den2 = [aan + hdn for aan, hdn in zip(_next(alpha_a, ring), _next(h_dm, ring))]
-    if not ring:
-        den2.pop()          # zip below stops before the open end
-    gaps = [dn * (aa + hd) / q - c for q, dn, aa, hd, c in
-            _regular(den2, 1e-8 * scale, _next(dm, ring), alpha_a, h_dm, cm)]
-    if gaps and _over(_amax(gaps), _ID_TOL * scale):
+    den2 = shifted(a_dm.T, +1, boundary).T
+    gaps = _regular(shifted(dm.T, +1, boundary).T * a_dm / den2 - cm, den2, 1e-8 * scale)
+    if (_amax(gaps) > _ID_TOL * scale).any():
         raise NumericalError("the two expressions for cm disagree")
     if a_new is None:
         return
 
     scale = _max(1.0, _amax(bl), dm_max)
-    h_cm = [h * c for c in cm]
-    add1 = [bt + hdp - b - hc
-            for bt, hdp, b, hc in zip(b_new, _prev(h_dm, ring, h * 0.0), bl, h_cm)]
-    add2 = [alpha * at - hd - aa + hc for at, hd, aa, hc in zip(a_new, h_dm, alpha_a, h_cm)]
-    if _over(_max(_amax(add1), _amax(add2)), _ADD_TOL * scale):
+    h_cm = h * cm
+    add1 = b_new + shifted(h_dm.T, -1, boundary, h * 0.0).T - bl - h_cm
+    add2 = alpha * a_new - h_dm - alpha_a + h_cm
+    if (_max(_amax(add1), _amax(add2)) > _ADD_TOL * scale).any():
         raise NumericalError("drtl- addition formulas violated")
 
 
@@ -554,33 +545,21 @@ def _bound(step, table):
 def _halves(step):
     """(step half, check half) of a bound factor-map step (dtl, drtl+,
     drtl-; see ``_bound``): functions of (a, b, ring) and of
-    (ring, a, b, a~, b~, *factors) with the parameters bound.  None for any
-    other step."""
+    (boundary, a, b, a~, b~, *factors) with the parameters bound.  None for
+    any other step."""
     found = _bound(step, _HALVES)
     return None if found is None else tuple(partial(half, *found[1]) for half in found[0])
 
 
-# Fewest steps a stack checks as columns: each operation of the check half
-# is one numpy call per site, whatever the rows, so a shorter stack checks
-# each step's floats in less time (below about 13 steps at n = 8 and 18 at
-# n = 128 for drtl+, 6 for dtl).
-_COLUMN_ROWS = 16
-
-
-def _passes(check_half, ring, parts) -> bool:
-    """Whether every step of a stack passes the check half: ``parts`` are
+def _passes(check_half, boundary, parts) -> bool:
+    """Whether every step of a block passes the check half: ``parts`` are
     the (B, n) arrays (a, b, a~, b~, *factors), row i of each that of step
-    i, checked as columns (site k of every row is column k), or for fewer
-    than _COLUMN_ROWS steps, step by step on floats.  Each row of a column
-    takes the float value of its step, so a stack passes exactly when each
-    of its steps does."""
+    i, checked transposed, site-major.  Each step's column takes the values
+    of its own check, so a block passes exactly when each of its steps
+    does."""
     try:
-        if len(parts[0]) < _COLUMN_ROWS:
-            for k in range(len(parts[0])):
-                check_half(ring, *(v[k].tolist() for v in parts))
-        else:
-            with np.errstate(all="ignore"):
-                check_half(ring, *(list(v.T) for v in parts))
+        with np.errstate(all="ignore"):
+            check_half(boundary, *(v.T for v in parts))
     except STEP_ERRORS:
         return False
     return True
@@ -597,7 +576,7 @@ def _factor_stack(halves, *args):
     taken = [(u, v, *factors) for u, v, factors in
              (step_half(ar, br, ring) for ar, br in zip(a.tolist(), b.tolist()))]
     parts = [np.array(part) for part in zip(*taken)]
-    if not _passes(check_half, ring, [a, b, *parts]):
+    if not _passes(check_half, boundary, [a, b, *parts]):
         raise NumericalError("a step of the stack fails its in-step checks")
     return parts[0], parts[1]
 

@@ -57,14 +57,14 @@ def trajectory_blocks(step, state, steps):
 
     A factor map (dtl, drtl+, drtl-, see ``maps._halves``) runs its step
     half on the (a, b) lists of the state before, with one finiteness test
-    per step, and its check half once per block, as columns (``maps._passes``).
-    A block that fails its check, or ends at a step that raises or leaves an
-    entry that is not finite, is rerun through the public step: that gives
-    the rows before the first failing step, and then the error the public
-    step raises there (or, if only the step half failed, the state).  Any
-    other step (a flow, an explicit map, a chart step) is called on the
-    state; a block that ends at a step that raises gives the rows before it,
-    and then that step's error.
+    per step, and its check half once per block, on the block's site-major
+    arrays (``maps._passes``).  A block that fails its check, or ends at a
+    step that raises or leaves an entry that is not finite, is rerun through
+    the public step: that gives the rows before the first failing step, and
+    then the error the public step raises there (or, if only the step half
+    failed, the state).  Any other step (a flow, an explicit map, a chart
+    step) is called on the state; a block that ends at a step that raises
+    gives the rows before it, and then that step's error.
     """
     halves = maps._halves(step)
     ring, n = state.boundary is Boundary.PERIODIC, state.n
@@ -90,7 +90,7 @@ def trajectory_blocks(step, state, steps):
                 continue
         block = [np.frombuffer(buf).reshape(-1, n) for buf in bufs]
         before = (np.vstack((first, rest[:-1])) for first, rest in zip(start, block))
-        if halves is not None and not (ok and maps._passes(halves[1], ring, [*before, *block])):
+        if halves is not None and not (ok and maps._passes(halves[1], state.boundary, [*before, *block])):
             block, error = _rerun(step, FlaschkaState(*start, state.boundary),
                                   len(bufs[0]) // n + (not ok) if bufs else 1)
             ok, rows = error is None, [v[-1].tolist() for v in block]

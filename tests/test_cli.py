@@ -557,6 +557,18 @@ def test_a_ring_step_whose_closure_slope_overflows_exits_3(tmp_path, capsys):
                       "failed": True, "failing_step": 1}
 
 
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_a_ring_fixed_at_a_double_root_simulates(tmp_path, n):
+    """dtl at h = 1 fixes the ring a = b = 1, a double root of its
+    fixed-point quadratic: the step closes at its seed's pass."""
+    save_state(FlaschkaState([1.0] * n, [1.0] * n, Boundary.PERIODIC), tmp_path / "par.json")
+    assert run(tmp_path, "simulate", "--system", "dtl", "--h", "1", "--state", "par.json",
+               "--steps", "1", "--out", "p") == 0
+    rows = [line.split(",")[1:]
+            for line in (tmp_path / "p.trajectory.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2 and rows[0] == rows[1]
+
+
 def test_spectrum_leaving_the_node_disc_exits_3(tmp_path, monkeypatch, capsys):
     # the third step scales b by 16: that state's spectrum leaves the disc of
     # the nodes of the first state, and det(I - w T) changes sign at a node

@@ -1,3 +1,4 @@
+import inspect
 import re
 import subprocess
 import sys
@@ -146,14 +147,29 @@ def test_package_forms_the_moebius_site_matrix_once():
 
 def test_package_forms_each_in_step_check_once():
     """Each in-step identity and addition formula of the factor maps is
-    formed on one line of maps: its check half runs on one step's floats and
-    on a block of steps as columns alike."""
-    for expr in ("d * (alpha * dn - tn) / q - e", "dn * (aa + hd) / q - c",
-                 "h * (1.0 + alpha * bt) + alpha * dn - tn - alpha * e",
-                 "d - ha * atp - e + ha * a", "bt + hdp - b - hc", "alpha * at - hd - aa + hc",
-                 "min(axis=0) < _PIVOT", "min(map(abs, vals)) < _PIVOT"):
+    formed on one line of maps: its check half runs on site-major arrays
+    for one step and for a block of steps alike."""
+    for expr in ("d1 * (alpha * d1_next - h_one_ab_next) / den2 - d2",
+                 "shifted(dm.T, +1, boundary).T * a_dm / den2 - cm",
+                 "h * (1.0 + alpha * b_new) + alpha * d1_next - h_one_ab_next - alpha * d2",
+                 "d1 - ha * shifted(a_new.T, -1, boundary).T - d2 + ha * al",
+                 "b_new + shifted(h_dm.T, -1, boundary, h * 0.0).T - bl - h_cm",
+                 "alpha * a_new - h_dm - alpha_a + h_cm", "min(axis=0) < _PIVOT"):
         lines = _package_lines_with(expr)
         assert len(lines) == 1 and lines[0].startswith("maps.py:"), (expr, lines)
+
+
+def test_maps_check_half_has_one_form():
+    """The check half of the factor maps has one form, on site-major arrays,
+    for a single step and for a block: maps keeps no row count below which a
+    block is checked step by step on floats, and no reduction of the check
+    half forks on the type of its values."""
+    rows = _package_lines_with("_COLUMN_ROWS")
+    assert not rows, rows
+    from todalab import maps
+    for name in ("_guard", "_amax", "_max", "_regular"):
+        assert "isinstance" not in inspect.getsource(getattr(maps, name)), name
+    assert not hasattr(maps, "_over")
 
 
 def test_package_has_one_trajectory_loop():

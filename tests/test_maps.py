@@ -1,4 +1,6 @@
+import math
 from functools import partial, wraps
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -735,9 +737,9 @@ def test_trajectory_blocks_replay_the_failing_step(monkeypatch, block, name, bou
 
 
 def _step_halves(name, boundary, n, h, alpha, seed, steps):
-    """The check half of a system, with its ring flag bound, and the lists
-    (a, b, a~, b~, *factors) of each of `steps` step halves from a seeded
-    state."""
+    """The check half of a system and its float reference, each with its
+    boundary bound, and the lists (a, b, a~, b~, *factors) of each of
+    `steps` step halves from a seeded state."""
     step_half, check_half = maps._halves(SYSTEMS[name].stepper(h, alpha))
     ring = boundary is Boundary.PERIODIC
     s = random_state(n, boundary, seed)
@@ -746,30 +748,34 @@ def _step_halves(name, boundary, n, h, alpha, seed, steps):
         a, b, factors = step_half(*rows, ring)
         taken.append((*rows, a, b, *factors))
         rows = a, b
-    return partial(check_half, ring), taken
+    params = (h,) if name == "dtl" else (alpha, h)
+    return partial(check_half, boundary), partial(_REF_CHECKS[name], *params, ring), taken
 
 
 def _columns(taken):
-    """The lists of steps as the columns of one block: site k is column k."""
-    return [list(np.array(part).T) for part in zip(*taken)]
+    """The lists of steps as one site-major block: site k is row k, step j
+    column j."""
+    return [np.array(part).T for part in zip(*taken)]
 
 
-# the check half passes a block of steps as columns exactly when each of its
-# steps passes on floats: the failing steps of the cases above fail their
-# block with their own error, the steps before them pass as one block, and
-# so do the steps of regular trajectories
+# the check half passes a block of steps exactly when each of its steps
+# passes alone and on floats: the failing steps of the cases above fail
+# their block with their own error, the steps before them pass as one
+# block, and so do the steps of regular trajectories
 @pytest.mark.parametrize("name,boundary,n,h,alpha,seed,step,error,message",
                          [case for case in _FAILING if case[-2] is NumericalError])
 def test_column_checks_fail_a_block_where_one_of_its_steps_fails(name, boundary, n, h, alpha,
                                                                  seed, step, error, message):
-    check, taken = _step_halves(name, boundary, n, h, alpha, seed, step + 1)
+    check, ref, taken = _step_halves(name, boundary, n, h, alpha, seed, step + 1)
     with np.errstate(all="ignore"):
         check(*_columns(taken[:-1]))
-        with pytest.raises(error) as info:
-            check(*_columns(taken))
+        for block in (taken, taken[-1:]):
+            with pytest.raises(error) as info:
+                check(*_columns(block))
+            assert str(info.value) == message
+    with pytest.raises(error) as info:
+        ref(*taken[-1])
     assert str(info.value) == message
-    with pytest.raises(error):
-        check(*taken[-1])
 
 
 # (at alpha = h the second expression of d2 degenerates at every site)
@@ -778,11 +784,12 @@ def test_column_checks_fail_a_block_where_one_of_its_steps_fails(name, boundary,
                                         ("drtl-", 0.3)])
 def test_column_checks_pass_a_regular_block(name, alpha, boundary):
     for seed in range(3):
-        check, taken = _step_halves(name, boundary, 7, 0.05, alpha, seed, 50)
+        check, ref, taken = _step_halves(name, boundary, 7, 0.05, alpha, seed, 50)
         with np.errstate(all="ignore"):
             check(*_columns(taken))
-        for lists in taken:
-            check(*lists)
+            for lists in taken:
+                check(*_columns([lists]))
+                ref(*lists)
 
 
 # ---------------------------------------------------------------------------
@@ -889,6 +896,84 @@ _REF_HALVES = {"dtl": (maps._dtl, _ref_dtl), "drtl+": (maps._drtl_plus, _ref_drt
                "drtl-": (maps._drtl_minus, _ref_drtl_minus)}
 
 
+# The check halves written on one step's lists of Python floats, the
+# reference the site-major array form is compared against.  The reductions
+# keep the NaN semantics of numpy's (np.min and np.max propagate a NaN
+# entry, where Python's min and max skip it), except the plain max of a few
+# values, which is Python's.
+
+def _ref_guard(vals, what):
+    if min(map(abs, vals)) < maps._PIVOT and not any(v != v for v in vals):
+        raise SingularStep(f"{what} fell below the singularity guard")
+
+
+def _ref_amax(vals):
+    top = max(map(abs, vals))
+    total = sum(vals)       # NaN if an entry is NaN (or if both infinities occur)
+    if total != total and any(v != v for v in vals):
+        return math.nan
+    return top
+
+
+def _ref_regular(den, cut, *lists):
+    return compress(zip(den, *lists), map(cut.__lt__, map(abs, den)))
+
+
+def _ref_dtl_checks(h, ring, al, bl, a_new, b_new, beta):
+    _ref_guard(beta, "beta")
+
+
+def _ref_drtl_plus_checks(alpha, h, ring, al, bl, a_new, b_new, d1, d2, denom):
+    _ref_guard(d1, "d1")
+    _ref_guard(denom, "d1 + h*alpha*a")
+    h_one_ab = [h * (1.0 + alpha * b) for b in bl]
+    h_one_ab_next = _ref_next(h_one_ab, ring, h * (1.0 + alpha * 0.0))
+    d1_next = _ref_next(d1, ring, 1.0)
+    den2 = [alpha * d - t for d, t in zip(d1, h_one_ab)]
+    scale = max(1.0, _ref_amax(d2))
+    gaps = [d * (alpha * dn - tn) / q - e for q, d, dn, tn, e in
+            _ref_regular(den2, 1e-8 * scale, d1, d1_next, h_one_ab_next, d2)]
+    if gaps and _ref_amax(gaps) > maps._ID_TOL * scale:
+        raise NumericalError("the two expressions for d2 disagree")
+    if a_new is None:
+        return
+    scale = max(1.0, _ref_amax(d1), _ref_amax(bl))
+    ha = h * alpha
+    add1 = [h * (1.0 + alpha * bt) + alpha * dn - tn - alpha * e
+            for bt, dn, tn, e in zip(b_new, d1_next, h_one_ab_next, d2)]
+    add2 = [d - ha * atp - e + ha * a for d, atp, e, a in zip(d1, _ref_prev(a_new, ring), d2, al)]
+    if max(_ref_amax(add1), _ref_amax(add2)) > maps._ADD_TOL * scale:
+        raise NumericalError("drtl+ addition formulas violated")
+
+
+def _ref_drtl_minus_checks(alpha, h, ring, al, bl, a_new, b_new, dm, cm, lower):
+    _ref_guard(lower, "1 + alpha(b_next - h dm)")
+    alpha_a = [alpha * a for a in al]
+    h_dm = [h * d for d in dm]
+    dm_max = _ref_amax(dm)
+    scale = max(1.0, dm_max)
+    den2 = [aan + hdn for aan, hdn in zip(_ref_next(alpha_a, ring), _ref_next(h_dm, ring))]
+    if not ring:
+        den2.pop()          # zip below stops before the open end
+    gaps = [dn * (aa + hd) / q - c for q, dn, aa, hd, c in
+            _ref_regular(den2, 1e-8 * scale, _ref_next(dm, ring), alpha_a, h_dm, cm)]
+    if gaps and _ref_amax(gaps) > maps._ID_TOL * scale:
+        raise NumericalError("the two expressions for cm disagree")
+    if a_new is None:
+        return
+    scale = max(1.0, _ref_amax(bl), dm_max)
+    h_cm = [h * c for c in cm]
+    add1 = [bt + hdp - b - hc
+            for bt, hdp, b, hc in zip(b_new, _ref_prev(h_dm, ring, h * 0.0), bl, h_cm)]
+    add2 = [alpha * at - hd - aa + hc for at, hd, aa, hc in zip(a_new, h_dm, alpha_a, h_cm)]
+    if max(_ref_amax(add1), _ref_amax(add2)) > maps._ADD_TOL * scale:
+        raise NumericalError("drtl- addition formulas violated")
+
+
+_REF_CHECKS = {"dtl": _ref_dtl_checks, "drtl+": _ref_drtl_plus_checks,
+               "drtl-": _ref_drtl_minus_checks}
+
+
 def _half_outcome(half, params, al, bl, ring, factor_only):
     """The bytes of each list a step half returns (None for a~, b~ it
     leaves out), or the type and message of the error it raises."""
@@ -927,6 +1012,61 @@ def test_step_halves_are_the_reference_bitwise(name, boundary, n, seed, h, alpha
     got, want = (_half_outcome(half, params, al, bl, ring, factor_only)
                  for half in _REF_HALVES[name])
     assert got == want
+
+
+def _outcome(check, *args):
+    """None if check(*args) passes, else the type and message of its error."""
+    try:
+        check(*args)
+    except Exception as exc:    # any error: the other form must raise it too
+        return type(exc), str(exc)
+    return None
+
+
+# the check halves on site-major arrays against the float reference: the
+# steps of a seeded trajectory, with some entries of their lists (the state,
+# its image or a factor) poisoned, each checked as a block of one step
+# raise exactly the reference's error, and a block of them passes exactly
+# when every one of its steps passes the reference
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(_REF_CHECKS)), boundary=st.sampled_from(Boundary),
+       n=st.integers(2, 12), seed=st.integers(0, 2 ** 16), steps=st.integers(1, 12),
+       h=st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.001, 2.0),
+       alpha=st.sampled_from([0.0, 0.3, -0.3, "h", "-h"]) | st.floats(-1.0, 1.0),
+       poisons=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 6), st.integers(0, 11),
+                                  st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1e-14,
+                                                   1e300])), max_size=4),
+       factor_only=st.booleans())
+def test_array_check_halves_are_the_float_reference(name, boundary, n, seed, steps, h, alpha,
+                                                    poisons, factor_only):
+    alpha = h if alpha == "h" else -h if alpha == "-h" else alpha
+    step_half, check_half = maps._halves(SYSTEMS[name].stepper(h, alpha))
+    ring = boundary is Boundary.PERIODIC
+    ref = partial(_REF_CHECKS[name], *((h,) if name == "dtl" else (alpha, h)), ring)
+    s = random_state(n, boundary, seed)
+    rows, taken = (s.a.tolist(), s.b.tolist()), []
+    for _ in range(steps):
+        try:
+            a, b, factors = step_half(*rows, ring)
+        except (ArithmeticError, NumericalError):
+            break
+        taken.append([list(v) for v in (*rows, a, b, *factors)])
+        rows = a, b
+    for step, part, site, value in poisons if taken else ():
+        lists = taken[step % len(taken)]
+        lists[part % len(lists)][site % n] = value
+    verdicts = []
+    with np.errstate(all="ignore"):
+        for lists in taken:
+            if factor_only:
+                lists = [*lists[:2], None, None, *lists[4:]]
+            want = _outcome(ref, *lists)
+            assert _outcome(check_half, boundary, *(v if v is None else np.reshape(v, (-1, 1))
+                                                    for v in lists)) == want
+            verdicts.append(want is None)
+    if taken and not factor_only:
+        block = [np.array(part) for part in zip(*taken)]
+        assert maps._passes(check_half, boundary, block) == all(verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +1110,7 @@ def _assert_stack_is_the_public_rows(step, states, boundary):
 def test_step_stack_is_the_public_step_of_each_row_bitwise(name, boundary, n, rows, h, alpha,
                                                            seed, poison, at):
     """Each row of a stack is bitwise the public step of its state, for the
-    factor maps (columns checked from 16 rows), the explicit maps and a
+    factor maps (their check half once for the stack), the explicit maps and a
     flow, or the stack raises the error type and message of the first row
     whose public step raises.  A poisoned row, its b scaled by 1e154 or set
     to -1/h (a vanishing 1 + h b), fails or not as its own step does."""
@@ -1034,29 +1174,6 @@ def test_list_reductions_follow_numpy_nan_semantics():
     nan = float("nan")
     cases = [[1.0, 2.0, -3.0], [1e-14, 2.0, 1.0], [nan, 1e-14, 2.0], [1e-14, nan, 2.0],
              [2.0, 1.0, nan], [float("inf"), -float("inf"), 1.0], [0.0, -5.0, nan]]
-    for vals in cases:
-        arr = np.array(vals)
-        ref = np.abs(arr).max()
-        got = maps._amax(vals)
-        assert (np.isnan(got) and np.isnan(ref)) or got == ref
-        try:
-            maps._check(arr, "v")
-            raised = False
-        except SingularStep:
-            raised = True
-        if raised:
-            with pytest.raises(SingularStep, match="v fell below the singularity guard"):
-                maps._guard(vals, "v")
-        else:
-            maps._guard(vals, "v")
-
-    # the column form: the cases as the rows of a block, site k the column k;
-    # the guard raises for a block when it raises for one of its rows
-    rows = np.array(cases)
-    ref = np.abs(rows).max(axis=1)
-    got = maps._amax(list(rows.T))
-    assert np.array_equal(np.isnan(got), np.isnan(ref))
-    assert np.array_equal(got[~np.isnan(ref)], ref[~np.isnan(ref)])
 
     def raises(guard, vals):
         try:
@@ -1066,8 +1183,39 @@ def test_list_reductions_follow_numpy_nan_semantics():
             return True
         return False
 
-    per_row = [raises(maps._check, row) for row in rows]
-    for i, row in enumerate(rows):
-        assert raises(maps._guard, list(rows[i:i + 1].T)) == per_row[i]
-    assert raises(maps._guard, list(rows.T)) == any(per_row)
-    assert not raises(maps._guard, list(rows[[not r for r in per_row]].T))
+    def same(got, ref):
+        return (np.isnan(got) and np.isnan(ref)) or got == ref
+
+    # one step, on the float reference and as a column of the array form; the
+    # plain max of a few values is Python's, which passes over a later NaN
+    for vals in cases:
+        arr = np.array(vals)
+        ref = np.abs(arr).max()
+        assert same(_ref_amax(vals), ref) and same(maps._amax(arr[:, None])[0], ref)
+        expect = raises(maps._check, arr)
+        assert raises(_ref_guard, vals) == expect
+        assert raises(maps._guard, arr[:, None]) == expect
+        assert same(maps._max(*(np.array([v]) for v in vals))[0], max(vals))
+
+    # a block: the cases as its steps, site k the row k; the guard raises for
+    # a block when it raises for one of its steps
+    block = np.array(cases).T
+    ref = np.abs(block).max(axis=0)
+    got = maps._amax(block)
+    assert np.array_equal(np.isnan(got), np.isnan(ref))
+    assert np.array_equal(got[~np.isnan(ref)], ref[~np.isnan(ref)])
+    per_step = [raises(maps._check, step) for step in block.T]
+    for j in range(len(cases)):
+        assert raises(maps._guard, block[:, j:j + 1]) == per_step[j]
+    assert raises(maps._guard, block) == any(per_step)
+    assert not raises(maps._guard, block[:, [not r for r in per_step]])
+
+
+# a ring the map fixes at a double root of its fixed-point quadratic: the
+# seed's pass closes exactly, and the corrections from it divide 0 by 0
+# (n = 2, 8) or jump to t = 1.0556 and then converge only linearly (n = 5)
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_a_ring_fixed_at_a_double_root_steps_to_itself(n):
+    s = FlaschkaState([1.0] * n, [1.0] * n, Boundary.PERIODIC)
+    assert _same_bits(maps.dtl_step(s, 1.0), s)
+    assert _same_bits(next(verify.trajectory(partial(maps.dtl_step, h=1.0), s, 1)), s)
