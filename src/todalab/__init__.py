@@ -22,7 +22,7 @@ from .maps import (drtl_minus_explicit_step, drtl_minus_factors, drtl_minus_step
                    drtl_plus_factors, drtl_plus_step, dtl_factor_diag, dtl_step)
 from .realizations import (CATALOG, Realization, canonical_step, flaschka_of,
                            lagrangian_value, newtonian_residual,
-                           pullback_consistency, realization, symplectic_defect)
+                           pullback_residuals, realization, symplectic_defects)
 
 __all__ = [
     "Boundary", "CanonicalState", "FlaschkaState", "load_state",
@@ -32,8 +32,8 @@ __all__ = [
     "drtl_minus_factors", "drtl_minus_step", "drtl_plus_explicit_step",
     "drtl_plus_explicit_inverse", "drtl_minus_explicit_step",
     "CATALOG", "Realization", "realization", "flaschka_of", "canonical_step",
-    "lagrangian_value", "newtonian_residual", "pullback_consistency",
-    "symplectic_defect",
+    "lagrangian_value", "newtonian_residual", "pullback_residuals",
+    "symplectic_defects",
 ]
 
 __version__ = "0.1.0"

@@ -80,12 +80,7 @@ _ID_TOL = 1e-12         # internal two-expression identity tolerance
 _CLOSURE_STEPS = 8      # Newton corrections of a ring closure before it fails
 _HALVINGS = 40          # halvings of a correction whose pass leaves a leg domain
 _ADD_TOL = 1e-10        # addition-formula tolerance inside steps
-
-
-def _check(val: np.ndarray, what: str) -> np.ndarray:
-    if np.abs(val).min() < _PIVOT:
-        raise SingularStep(f"{what} fell below the singularity guard")
-    return val
+_DOUBLE_ROOT = 4.0 * 2.0 ** -52   # rounding band of a ring's discriminant, relative to its terms
 
 
 # The step kernels below run on lists of floats, each in two halves.  The
@@ -102,7 +97,9 @@ def _check(val: np.ndarray, what: str) -> np.ndarray:
 # formulas (h * 0.0, not 0.0): it is -0.0 or NaN for some parameters.
 
 def _guard(vals: np.ndarray, what: str) -> None:
-    """``_check`` of each step: a NaN entry disarms its step's guard, as in np.min."""
+    """The one pivot guard: SingularStep if some step's |vals| falls below
+    _PIVOT at a site.  vals are site-major, (n, B) or one state's (n,); a
+    NaN entry disarms its step's guard, as in np.min."""
     if (np.abs(vals, order="C").min(axis=0) < _PIVOT).any():   # a NaN step compares False
         raise SingularStep(f"{what} fell below the singularity guard")
 
@@ -158,10 +155,12 @@ def _on_floats(halves, s: FlaschkaState, factor_only: bool, *params):
     except ZeroDivisionError:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = step_half(*params, list(s.a), list(s.b), ring, factor_only)
-    a_new, b_new, factors = out
+    formed = [s.a, s.b, *(() if factor_only else out[:2]), *out[2]]
+    columns = list(np.array(formed)[..., None])   # each (n, 1): one step, site-major
+    if factor_only:
+        columns[2:2] = out[:2]
     with np.errstate(all="ignore"):
-        check_half(*params, s.boundary, *(v if v is None else np.reshape(v, (-1, 1))
-                                          for v in (s.a, s.b, a_new, b_new, *factors)))
+        check_half(*params, s.boundary, *columns)
     return out
 
 
@@ -169,7 +168,7 @@ _OVERFLOWED = "ring product of the Moebius sites overflowed or vanished"
 _NOT_CLOSED = "ring recurrence does not close at its fixed point"
 
 
-def _ring_fixed_point(sites):
+def _ring_fixed_point(sites, band=_DOUBLE_ROOT):
     """Attracting fixed point of a ring of Moebius site maps.
 
     Site k maps v_{k-1} to v_k = (m11 v_{k-1} + m12)/(m21 v_{k-1} + m22), the
@@ -180,7 +179,10 @@ def _ring_fixed_point(sites):
     sweeps converge to and the one that stays continuous as h -> 0.  Raises
     NoRealBranch (with the discriminant) if the roots are complex, and
     SolveFailed if the product overflows or vanishes; NaN if P has no finite
-    fixed point.
+    fixed point.  A discriminant below 0 by at most `band` times
+    half_b^2 + |P12 P21| is a double root that rounding left complex and
+    counts as 0; a caller whose ring then does not close calls it again
+    with band 0 for the NoRealBranch of that discriminant.
 
     The site entries may also be columns, one row for each ring of a stack,
     under the caller's ``np.errstate(all="ignore")``: each row runs the float
@@ -203,6 +205,7 @@ def _ring_fixed_point(sites):
 
     half_b = 0.5 * (p22 - p11)
     disc = half_b * half_b + p12 * p21
+    disc = top(disc, disc * (disc < -band * (half_b * half_b + abs(p12 * p21))))   # 0 in the band
     low = disc
     if columns:   # the first failing row's, NaN if its product is not finite
         failing = ~(disc >= 0.0)
@@ -296,9 +299,10 @@ def _moebius_chain(forward, inputs: list, sites) -> list:
     corrected pass closes, the seed's own pass is final when it is finite
     and closes exactly: at a double root the closure's slope is 1, so the
     first correction divides 0 by 0, or an ulp of residual by a 1 - slope
-    of a few ulps, and the rest converge linearly.  (A NaN in a map's pass
-    reaches its closing value, so Python's max passing over it changes no
-    decision.)"""
+    of a few ulps, and the rest converge linearly.  A ring seeded at a
+    double root that rounding left complex which then fails raises the
+    NoRealBranch of its discriminant.  (A NaN in a map's pass reaches its
+    closing value, so Python's max passing over it changes no decision.)"""
     def gap(vals):
         return abs(vals[0] - forward(vals[-1], inputs[:1])[0])
 
@@ -307,11 +311,13 @@ def _moebius_chain(forward, inputs: list, sites) -> list:
     seed = _ring_fixed_point(sites)
     try:
         return _ring_chain(lambda t: forward(t, inputs), _moebius_slope(sites), closes, seed)
-    except SolveFailed as exc:
-        vals = forward(seed, inputs)
-        if str(exc) != _NOT_CLOSED or gap(vals) != 0.0 or not all(map(math.isfinite, vals)):
-            raise
-        return vals
+    except NumericalError as exc:
+        if str(exc) == _NOT_CLOSED:
+            vals = forward(seed, inputs)
+            if gap(vals) == 0.0 and all(map(math.isfinite, vals)):
+                return vals
+        _ring_fixed_point(sites, 0.0)   # raises if the seed was a rounded double root
+        raise
 
 
 def _lower_chain(h: float, coupling: float, what: str, al: list, bl: list, ring: bool):
@@ -588,7 +594,7 @@ def _factor_stack(halves, *args):
 def _drtl_plus_explicit(h: float, a: np.ndarray, b: np.ndarray, boundary: Boundary):
     """(a~, b~) of drtl+(h, h) on (..., n) stacks (``drtl_plus_explicit_step``)."""
     d = 1.0 + h * b + h * h * a
-    _check(d, "1 + h b + h^2 a")
+    _guard(d.T, "1 + h b + h^2 a")
     d_prev = shifted(d, -1, boundary, fill=1.0)
     d_next = shifted(d, +1, boundary, fill=1.0)
     b_prev = shifted(b, -1, boundary)
@@ -618,7 +624,7 @@ def drtl_plus_explicit_inverse(s: FlaschkaState, h: float) -> FlaschkaState:
     """
     delta = s.b + h * shifted(s.a, -1, s.boundary)
     d = 1.0 + h * delta       # equals D_k of the preimage
-    _check(d, "reconstructed D")
+    _guard(d.T, "reconstructed D")
     b = ((delta - shifted(delta, +1, s.boundary) + shifted(s.b, +1, s.boundary) * d)
          / shifted(d, +1, s.boundary, fill=1.0))
     return s.replace(a=(delta - b) / h, b=b)
@@ -628,9 +634,9 @@ def _drtl_minus_explicit(h: float, a: np.ndarray, b: np.ndarray, boundary: Bound
     """(a~, b~) of drtl-(-h, h) on (..., n) stacks (``drtl_minus_explicit_step``)."""
     a_prev = shifted(a, -1, boundary)
     e = 1.0 - h * b + h * h * a_prev
-    _check(e, "1 - h b + h^2 a_prev")
+    _guard(e.T, "1 - h b + h^2 a_prev")
     e_next = shifted(e, +1, boundary, fill=1.0)
-    _check(e_next, "E_next")
+    _guard(e_next.T, "E_next")
     b_next = shifted(b, +1, boundary)
     # expanded form of (1 - (1 - h b_next) e/e_next)/h: no small-h cancellation
     b_new = (b - b_next + h * (a - a_prev) + b_next * e) / e_next

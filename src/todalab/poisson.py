@@ -17,25 +17,23 @@ skew-symmetry, indices truncate on open chains and wrap on rings):
 
 Verification is finite-difference based throughout: a map Phi is a Poisson
 map for Pi when J Pi(z) J^T = Pi(Phi(z)) with J the FD Jacobian.  Every FD
-quotient in the package (here and in ``realizations.symplectic_defect``) is
+quotient in the package (here and in ``realizations.symplectic_defects``) is
 formed by the one central-difference primitive ``_central_differences``, with
 the fixed step h_i = _EPS3 max(1, |z_i|); there is no step option.  It
 evaluates its whole stencil as one stack of points, for one base point or a
-batch of them: the chart-step residual steps that stack at once, the chart
-residuals chart the stencils of a batch of states as one stack
-(``realization_residuals``), and the map residuals step them with one
-``maps.step_stack`` call per map (``poisson_map_residuals``), each row
-bitwise the public function of that point; the batch gradients
-(``fd_gradients``, ``involution_residuals``) evaluate a function of the
-(a, b) stacks of the states once on all their stencils.  The map and chart
-residuals have only these batch forms: one state's residual is that of the
-batch [s].  A function of one state, as ``fd_gradient``,
-``involution_residual`` and the Jacobi residual take it, is called on each
-point in turn.  The map and involution
-residuals take a sequence of brackets and form their Jacobian or gradients
-once per state, and each bracket's tensors at a batch of states with one
-``bracket_stack``.  On open chains the structural coordinate a_n is frozen,
-so all FD sweeps run on the reduced chart (b_1..b_n, a_1..a_{n-1}).
+batch of them: the map residuals step the stencils of a batch of states with
+one ``maps.step_stack`` call per map (``poisson_map_table``), the chart
+residuals chart them as one stack and their targets as another
+(``realization_residuals``), the gradients (``fd_gradients``,
+``involution_residuals``) evaluate a function of the (a, b) stacks of the
+states once on all their stencils, and the Jacobi residual forms the tensors
+of its stencil with one ``bracket_stack``; each row is bitwise the value at
+that point alone.  The map, chart and involution residuals have only these
+batch forms: one state's residual is that of the batch [s].  The map and
+involution residuals take a sequence of brackets and form their Jacobian or
+gradients once per state, and each bracket's tensors at a batch of states
+with one ``bracket_stack``.  On open chains the structural coordinate a_n is
+frozen, so all FD sweeps run on the reduced chart (b_1..b_n, a_1..a_{n-1}).
 """
 
 from __future__ import annotations
@@ -172,11 +170,6 @@ def _pack(s: FlaschkaState) -> np.ndarray:
     return np.concatenate([s.b, s.a])
 
 
-def _unpack(z: np.ndarray, template: FlaschkaState) -> FlaschkaState:
-    n = template.n
-    return FlaschkaState(z[n:], z[:n], template.boundary)
-
-
 def _central_differences(fn, w0: np.ndarray, indices) -> np.ndarray:
     """(f(w0 + h_i e_i) - f(w0 - h_i e_i)) / 2h_i for each index i, with the
     step h_i = _EPS3 max(1, |w0_i|); w0 is a base point, or an (S, d) batch
@@ -185,10 +178,9 @@ def _central_differences(fn, w0: np.ndarray, indices) -> np.ndarray:
     fn evaluates f on the whole stencil at once: it takes the (2m S, d)
     stack of the points w0 + h_i e_i and w0 - h_i e_i, in this order for
     each of the m indices in turn, base point after base point, and returns
-    their values along its first axis (``_each_row`` makes such an fn of a
-    function of one point).  f may return a scalar, a vector or a matrix:
-    the quotients are stacked as a vector, as the columns of a Jacobian, or
-    along a new first axis.
+    their values along its first axis.  f may return a scalar, a vector or a
+    matrix: the quotients are stacked as a vector, as the columns of a
+    Jacobian, or along a new first axis.
     """
     base = np.atleast_2d(w0)
     hvec = _EPS3 * np.maximum(1.0, np.abs(base))
@@ -205,11 +197,6 @@ def _central_differences(fn, w0: np.ndarray, indices) -> np.ndarray:
     if vals.ndim == 3:
         quotients = np.ascontiguousarray(quotients.transpose(0, 2, 1))
     return quotients if w0.ndim > 1 else quotients[0]
-
-
-def _each_row(fn):
-    """The stencil form of fn, a function of one point: fn of each row."""
-    return lambda points: np.array([fn(w) for w in points])
 
 
 def _map_rows(map_fn, s: FlaschkaState):
@@ -241,39 +228,22 @@ def fd_gradients(fn, states) -> np.ndarray:
                                 np.array([_pack(s) for s in states]), _active(states[0]))
 
 
-def fd_gradient(fn, s: FlaschkaState) -> np.ndarray:
-    """``fd_gradients`` at s of fn, a function of one state, called on each
-    stencil point as a state."""
-    return fd_gradients(_of_states(fn, s.boundary), [s])[0]
-
-
-def _of_states(fn, boundary: Boundary):
-    """The stack form of fn, a function of one state: fn of each row's state."""
-    return lambda a, b: np.array([fn(FlaschkaState(u, v, boundary)) for u, v in zip(a, b)])
-
-
 def _tensors(kind, a, b, boundary: Boundary, act) -> np.ndarray:
     """The (S, m, m) stack of Pi on the reduced chart `act` of each row of
     the (S, n) stacks a, b, each tensor C-contiguous."""
     return np.ascontiguousarray(bracket_stack(kind, a, b, boundary)[:, act[:, None], act])
 
 
-def poisson_map_residuals(map_fn, kinds, states) -> list:
-    """Worst || J Pi J^T - Pi(map(s)) ||_inf over the brackets `kinds`, on
-    the reduced chart, of each of `states` (of one size and boundary): the
-    FD Jacobians come from one ``fd_jacobian`` call, the images from one
-    ``maps.step_stack``.  A map that fails raises the error of its first
-    failing stencil point, state after state, or else of its first failing
-    image; for one state, that of the loop over its points and its image."""
-    return poisson_map_table(((map_fn, kinds),), states)[0]
-
-
 def poisson_map_table(cases, states) -> list:
-    """``poisson_map_residuals`` of each (map_fn, kinds) of `cases` in turn,
-    at the same states.  The tensors of each bracket at the states are
-    formed once, by one ``bracket_stack``, for all the maps that share it;
-    those at a map's images by one more; the products J Pi J^T of all the
-    states are one stacked matmul per bracket."""
+    """The map residuals of each (map_fn, kinds) of `cases` in turn: the worst
+    || J Pi J^T - Pi(map(s)) ||_inf over the brackets `kinds`, on the reduced
+    chart, of each of `states` (of one size and boundary).  Each map's FD
+    Jacobians come from one ``fd_jacobian`` call and its images from one
+    ``maps.step_stack``; each bracket's tensors at the states come from one
+    ``bracket_stack`` for all the maps that share it, those at a map's
+    images from one more, and the products J Pi J^T are one stacked matmul
+    per bracket.  A map that fails raises the error of its first failing
+    stencil point, state after state, or else of its first failing image."""
     boundary, act = states[0].boundary, _active(states[0])
     a, b = np.array([s.a for s in states]), np.array([s.b for s in states])
     at_states = {}
@@ -314,21 +284,17 @@ def involution_residuals(kinds, states, fs, g) -> list:
             for i in range(len(states)) for gf in grads]
 
 
-def involution_residual(kinds, s: FlaschkaState, f, g) -> float:
-    """``involution_residuals`` of the one state s, for f and g functions of
-    one state."""
-    return involution_residuals(kinds, [s], [_of_states(f, s.boundary)],
-                                _of_states(g, s.boundary))[0]
-
-
 def jacobi_residual(kind, s: FlaschkaState) -> float:
-    """Max cyclic-sum defect of the Jacobi identity, FD derivatives of Pi."""
-    act = _active(s)
-    sub = np.ix_(act, act)
-    P = bracket_matrix(kind, s)[sub]
+    """Max cyclic-sum defect of the Jacobi identity, FD derivatives of Pi:
+    the tensors of the whole stencil come from one ``_tensors`` call."""
+    n, act = s.n, _active(s)
+
+    def tensors(z):   # Pi on the reduced chart at each packed point
+        return _tensors(kind, z[:, n:], z[:, :n], s.boundary, act)
+
+    P = tensors(_pack(s)[None])[0]
     # dP[m, i, j] = d Pi_ij / d z_m
-    dP = _central_differences(_each_row(lambda z: bracket_matrix(kind, _unpack(z, s))[sub]),
-                              _pack(s), act)
+    dP = _central_differences(tensors, _pack(s), act)
     # sum_m (dPi_ij/dz_m Pi_mk + dPi_jk/dz_m Pi_mi + dPi_ki/dz_m Pi_mj)
     t1 = np.einsum("mij,mk->ijk", dP, P)
     jac = t1 + np.transpose(t1, (1, 2, 0)) + np.transpose(t1, (2, 0, 1))
@@ -342,12 +308,13 @@ def realization_residuals(spec, states) -> list:
 
     Dphi J_can Dphi^T is compared with Pi(phi(c)), Dphi the FD Jacobian of
     the chart (x,p) -> (b,a) and J_can the canonical tensor on (x,p).  The
-    stencils of all the states are charted as one stack, then their targets;
-    a failing chart raises the error of its first failing stencil point,
-    state after state, or else of its first failing target.
+    stencils of all the states are charted as one stack, then the states as
+    another, whose rows give the targets by one ``bracket_stack``; a failing
+    chart raises the error of its first failing stencil point, state after
+    state, or else of its first failing target.
     """
     # local: realizations imports Bracket/combo from here
-    from .realizations import chart_stack, flaschka_of
+    from .realizations import chart_stack
 
     n, boundary = states[0].n, states[0].boundary
 
@@ -355,9 +322,10 @@ def realization_residuals(spec, states) -> list:
         a, b = chart_stack(spec, w[:, :n], w[:, n:], boundary)
         return np.concatenate([b, a], axis=-1)
 
-    D = _central_differences(chart, np.array([np.concatenate([c.x, c.p]) for c in states]),
-                             range(2 * n))
+    w0 = np.array([np.concatenate([c.x, c.p]) for c in states])
+    D = _central_differences(chart, w0, range(2 * n))
     # canonical tensor oriented so that flows read f' = {H, f}: {p_k, x_k} = +1
     Jcan = np.block([[np.zeros((n, n)), -np.eye(n)], [np.eye(n), np.zeros((n, n))]])
-    targets = [bracket_matrix(spec.bracket, flaschka_of(spec, c)) for c in states]
-    return [float(np.max(np.abs(Dc @ Jcan @ Dc.T - target))) for Dc, target in zip(D, targets)]
+    targets = bracket_stack(spec.bracket, *chart_stack(spec, w0[:, :n], w0[:, n:], boundary),
+                            boundary)
+    return np.max(np.abs(D @ Jcan @ D.transpose(0, 2, 1) - targets), axis=(1, 2)).tolist()

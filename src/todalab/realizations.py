@@ -14,7 +14,7 @@ Every chart in the catalog pairs three ingredients:
   puts the psi0 difference into the first equation, "drtl_minus" into the
   second, and "explicit" has no phi at all (the step is closed form);
 * the map in (a, b) variables it realizes, the row of systems.SYSTEMS its
-  family names, used as a cross-validation oracle (pullback_consistency).
+  family names, used as a cross-validation oracle (pullback_residuals).
 
 Open chains use x_0 = +inf, x_{n+1} = -inf, which zeroes every leg of an
 exponentiated gap; charts whose formulas do not degenerate that way
@@ -40,6 +40,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import maps
 from .core import Boundary, CanonicalState, FlaschkaState, on_stack, random_canonical, shifted
 from .errors import DomainError, NoRealBranch, NonInvertibleLeg, SolveFailed
 from .maps import _CLOSURE_STEPS, _moebius_slope, _ring_chain, _ring_fixed_point
@@ -1125,23 +1126,27 @@ def newtonian_residual(spec: Realization, x_prev, x, x_next, boundary: Boundary)
     return res
 
 
-def pullback_consistency(spec: Realization, c: CanonicalState) -> float:
-    """Inf-norm gap between chart-then-step and step-then-chart."""
-    s = flaschka_of(spec, c)
-    ct = canonical_step(spec, c)
-    via_chart = flaschka_of(spec, ct)
-    direct = spec.system.stepper(spec.h, spec.alpha)(s)
-    return float(max(np.max(np.abs(via_chart.a - direct.a)),
-                     np.max(np.abs(via_chart.b - direct.b))))
+def pullback_residuals(spec: Realization, states) -> list:
+    """Inf-norm gap between chart-then-step and step-then-chart of each of
+    `states` (of one size and boundary), each stage one stack of them."""
+    boundary = states[0].boundary
+    x, p = np.array([c.x for c in states]), np.array([c.p for c in states])
+    a, b = chart_stack(spec, x, p, boundary)
+    via = chart_stack(spec, *step_stack(spec, x, p, boundary), boundary)
+    direct = maps.step_stack(spec.system.stepper(spec.h, spec.alpha), a, b, boundary)
+    gap_a, gap_b = (np.max(np.abs(u - v), axis=-1) for u, v in zip(via, direct))
+    return np.where(gap_b > gap_a, gap_b, gap_a).tolist()   # Python's max of each row
 
 
-def symplectic_defect(spec: Realization, c: CanonicalState) -> float:
-    """|| J^T Omega J - Omega ||_inf for the FD Jacobian of the step map."""
-    n = c.n
+def symplectic_defects(spec: Realization, states) -> list:
+    """|| J^T Omega J - Omega ||_inf for the FD Jacobian J of the step map at
+    each of `states` (of one size and boundary), all stencils one stack."""
+    n, boundary = states[0].n, states[0].boundary
 
-    def step(w):   # the stencil's (x, p) rows stepped as one stack
-        return np.concatenate(step_stack(spec, w[:, :n], w[:, n:], c.boundary), axis=-1)
+    def step(w):   # the stencils' (x, p) rows stepped as one stack
+        return np.concatenate(step_stack(spec, w[:, :n], w[:, n:], boundary), axis=-1)
 
-    J = _central_differences(step, np.concatenate([c.x, c.p]), range(2 * n))
+    w0 = np.array([np.concatenate([c.x, c.p]) for c in states])
+    J = _central_differences(step, w0, range(2 * n))
     omega = np.block([[np.zeros((n, n)), np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
-    return float(np.max(np.abs(J.T @ omega @ J - omega)))
+    return np.max(np.abs(J.transpose(0, 2, 1) @ omega @ J - omega), axis=(1, 2)).tolist()

@@ -28,8 +28,8 @@ import numpy as np
 from . import lax, maps, pluri, poisson
 from .core import Boundary, FlaschkaState, by_rows, random_canonical, random_state, vectors, worst
 from .realizations import (CATALOG, canonical_step, chart_specs, chart_state,
-                           lagrangian_value, pullback_consistency, realization,
-                           step_stack, symplectic_defect)
+                           lagrangian_value, pullback_residuals, realization,
+                           step_stack, symplectic_defects)
 from .systems import SYSTEMS
 
 
@@ -316,28 +316,26 @@ def check_poisson_maps(seed=0, n_states=20):
                    n_states * sum(len(brackets) for _, brackets in cases), worst(residuals), 1e-6)
 
 
-def _chart_check(name, params, specs, residual, n, seed, n_states, tol):
-    """Worst residual(spec, state) over the specs and their seeded states."""
-    residuals = (residual(spec, chart_state(spec, n, seed + i))
-                 for spec in specs for i in range(n_states))
-    return _record(name, params, len(specs) * n_states, worst(residuals), tol)
+def _chart_check(name, params, specs, residuals, n, seed, n_states, tol):
+    """Worst residual over the specs and their seeded states: residuals(spec,
+    states) gives one value per state, and each spec's states go to it as
+    one batch through ``core.by_rows``, so if that raises each state's
+    residual is formed alone and the error raised is the one the loop over
+    the specs and their states reaches first."""
+    def of_spec(spec):
+        return by_rows(partial(residuals, spec),
+                       [chart_state(spec, n, seed + i) for i in range(n_states)])
+
+    return _record(name, params, len(specs) * n_states,
+                   worst(chain.from_iterable(map(of_spec, specs))), tol)
 
 
 def check_poisson_realizations(seed=0, n_states=5):
-    """Each chart pushes the canonical bracket onto its target bracket.
-
-    The stencils of a spec's states are charted as one stack
-    (``poisson.realization_residuals``), through ``core.by_rows``: if that
-    raises, each state's residual is formed alone, so the error raised is
-    the one the loop over the specs and their states reaches first."""
-    specs = chart_specs(_CHART_H)
-
-    def residuals(spec):
-        return by_rows(partial(poisson.realization_residuals, spec),
-                       [chart_state(spec, 5, seed + i) for i in range(n_states)])
-
-    return _record("poisson-realizations", dict(n=5, h=_CHART_H), len(specs) * n_states,
-                   worst(chain.from_iterable(map(residuals, specs))), 1e-6)
+    """Each chart pushes the canonical bracket onto its target bracket: the
+    stencils of a spec's states are charted as one stack
+    (``poisson.realization_residuals``)."""
+    return _chart_check("poisson-realizations", dict(n=5, h=_CHART_H), chart_specs(_CHART_H),
+                        poisson.realization_residuals, 5, seed, n_states, 1e-6)
 
 
 def check_involution(seed=0, n_states=10):
@@ -449,12 +447,12 @@ def check_zcr(seed=0, n_states=5):
 
 def check_pullbacks(seed=0, n_states=3):
     return _chart_check("pullback-all", dict(n=5, h=_CHART_H, alpha=_ALPHA),
-                        chart_specs(_CHART_H), pullback_consistency, 5, seed, n_states, 1e-9)
+                        chart_specs(_CHART_H), pullback_residuals, 5, seed, n_states, 1e-9)
 
 
 def check_symplecticity(seed=0, n_states=2):
     specs = [realization(name, _CHART_H) for name in CATALOG]
-    return _chart_check("symplecticity", dict(n=4, h=_CHART_H), specs, symplectic_defect,
+    return _chart_check("symplecticity", dict(n=4, h=_CHART_H), specs, symplectic_defects,
                         4, seed, n_states, 1e-6)
 
 

@@ -169,7 +169,7 @@ def test_maps_check_half_has_one_form():
     from todalab import maps
     for name in ("_guard", "_amax", "_max", "_regular"):
         assert "isinstance" not in inspect.getsource(getattr(maps, name)), name
-    assert not hasattr(maps, "_over")
+    assert not hasattr(maps, "_over") and not hasattr(maps, "_check")
 
 
 def test_package_has_one_trajectory_loop():
@@ -211,6 +211,41 @@ def test_corner_checks_have_no_per_row_residual_loop(check, monkeypatch):
     assert rec["pass"] and rec["samples"] == 30 and len(calls) == 3
 
 
+# each chart check: the module whose residual it calls, the residual and its
+# number of chart specs
+_CHART_CHECKS = {"pullback-all": ("verify", "pullback_residuals", 25),
+                 "symplecticity": ("verify", "symplectic_defects", 22),
+                 "poisson-realizations": ("poisson", "realization_residuals", 25)}
+
+
+@pytest.mark.parametrize("check", sorted(_CHART_CHECKS))
+def test_chart_checks_have_no_per_state_residual_loop(check, monkeypatch):
+    """A criterion-7 or criterion-10 chart check forms its residual once per
+    chart spec, on the batch of all that spec's states, and charts or steps
+    no state on its own on the way."""
+    from todalab import poisson, realizations, verify
+    module, name, specs = _CHART_CHECKS[check]
+    module = {"poisson": poisson, "verify": verify}[module]
+    residuals, calls, one_state = getattr(module, name), [], []
+
+    def counted(spec, states):
+        calls.append(len(states))
+        return residuals(spec, states)
+
+    def alone(fn):
+        def counted_one(*args):
+            one_state.append(fn.__name__)
+            return fn(*args)
+        return counted_one
+
+    monkeypatch.setattr(module, name, counted)
+    for fn in (realizations.flaschka_of, realizations.canonical_step):
+        monkeypatch.setattr(realizations, fn.__name__, alone(fn))
+    rec = verify.CHECKS[check](seed=0, n_states=3)
+    assert rec["pass"] and rec["samples"] == 3 * specs
+    assert calls == [3] * specs and not one_state, one_state
+
+
 def test_involution_check_forms_one_stencil_per_hamiltonian(monkeypatch):
     """check_involution differentiates each of its three Hamiltonians once,
     at all its states, and h2 once for both of its partners: three calls of
@@ -246,6 +281,15 @@ def test_package_does_not_use_scipy_linalg():
     milliseconds per 5x5 call under multi-threaded BLAS."""
     offenders = _package_lines_with("scipy.linalg", "from scipy import linalg")
     assert not offenders, offenders
+
+
+def test_every_export_of_the_package_resolves():
+    """Each name in todalab.__all__ is an attribute of the package, so a
+    renamed or deleted public function leaves no stale export; and each is
+    listed once."""
+    missing = [name for name in todalab.__all__ if not hasattr(todalab, name)]
+    assert not missing, missing
+    assert len(set(todalab.__all__)) == len(todalab.__all__)
 
 
 def test_importing_the_package_loads_no_scipy():

@@ -7,10 +7,39 @@ from hypothesis import strategies as st
 
 from todalab import maps, poisson
 from todalab.core import Boundary, CanonicalState, FlaschkaState, random_state
-from todalab.realizations import chart_specs, chart_stack, chart_state, flaschka_of
+from todalab.realizations import (chart_specs, chart_stack, chart_state, flaschka_of,
+                                  pullback_residuals, symplectic_defects)
 from todalab.systems import SYSTEMS
 
 TL1, TL2, TL3 = (poisson.Bracket(k) for k in ("tl1", "tl2", "tl3"))
+
+
+def _each_row(fn):
+    """The stencil form of fn, a function of one point: fn of each row."""
+    return lambda points: np.array([fn(w) for w in points])
+
+
+def _unpack(z, template):
+    """The state of the packed point z = (b, a) of template's size and boundary."""
+    n = template.n
+    return FlaschkaState(z[n:], z[:n], template.boundary)
+
+
+def _of_states(fn, boundary):
+    """The stack form of fn, a function of one state: fn of each row's state."""
+    return lambda a, b: np.array([fn(FlaschkaState(u, v, boundary)) for u, v in zip(a, b)])
+
+
+def _map_residual(step, kinds, s):
+    """The map residual of the one state s: that of the batch [s]."""
+    return poisson.poisson_map_table(((step, kinds),), [s])[0][0]
+
+
+def _involution_residual(kinds, s, f, g):
+    """The involution residual of the one state s, for f and g functions of
+    one state: that of the batch [s]."""
+    return poisson.involution_residuals(kinds, [s], [_of_states(f, s.boundary)],
+                                        _of_states(g, s.boundary))[0]
 
 
 def test_linear_bracket_hand_entries():
@@ -63,7 +92,7 @@ def test_central_differences_are_exact_on_quadratics():
     w = rng.uniform(-2, 2, 4)
     idx = [0, 2, 3]
     def cd(f, w0, indices):   # f of one point, through the stencil's per-row form
-        return poisson._central_differences(poisson._each_row(f), w0, indices)
+        return poisson._central_differences(_each_row(f), w0, indices)
     grad = cd(lambda v: float(v @ A @ v), w, idx)
     np.testing.assert_allclose(grad, ((A + A.T) @ w)[idx], rtol=0, atol=1e-9)
     jac = cd(lambda v: B @ v + v[0] * v[:3], w, idx)
@@ -79,14 +108,14 @@ def test_central_differences_are_exact_on_quadratics():
 
 def test_identity_map_residual_is_fd_noise():
     s = random_state(4, Boundary.OPEN, 1)
-    assert poisson.poisson_map_residuals(lambda st: st, (TL1,), [s])[0] < 1e-9
+    assert _map_residual(lambda st: st, (TL1,), s) < 1e-9
 
 
 @pytest.mark.parametrize("kind", [TL1, TL2, TL3])
 def test_dtl_is_poisson_for_all_three_brackets(kind):
     for seed in range(5):
         s = random_state(4, Boundary.OPEN, seed)
-        res = poisson.poisson_map_residuals(lambda st: maps.dtl_step(st, 0.08), (kind,), [s])[0]
+        res = _map_residual(lambda st: maps.dtl_step(st, 0.08), (kind,), s)
         assert res < 1e-6
 
 
@@ -97,7 +126,7 @@ def test_dtl_is_poisson_for_all_three_brackets(kind):
 def test_drtl_is_poisson_for_all_three_brackets(kind, stepper):
     for seed in range(3):
         s = random_state(4, Boundary.OPEN, seed)
-        res = poisson.poisson_map_residuals(lambda st: stepper(st, 0.3, 0.08), (kind,), [s])[0]
+        res = _map_residual(lambda st: stepper(st, 0.3, 0.08), (kind,), s)
         assert res < 1e-6
 
 
@@ -105,12 +134,11 @@ def test_explicit_maps_are_poisson_at_their_bracket():
     h = 0.08
     for seed in range(3):
         s = random_state(4, Boundary.PERIODIC, seed)
-        res = poisson.poisson_map_residuals(
-            lambda st: maps.drtl_plus_explicit_step(st, h), (poisson.Bracket("rtl1", h),), [s])[0]
+        res = _map_residual(
+            lambda st: maps.drtl_plus_explicit_step(st, h), (poisson.Bracket("rtl1", h),), s)
         assert res < 1e-6
-        res = poisson.poisson_map_residuals(
-            lambda st: maps.drtl_minus_explicit_step(st, h), (poisson.Bracket("rtl1", -h),),
-            [s])[0]
+        res = _map_residual(
+            lambda st: maps.drtl_minus_explicit_step(st, h), (poisson.Bracket("rtl1", -h),), s)
         assert res < 1e-6
 
 
@@ -135,17 +163,17 @@ def test_h1_h2_in_involution():
     for seed in range(5):
         s = random_state(5, Boundary.OPEN, seed, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
         for kind in (TL1, TL2, TL3):
-            assert poisson.involution_residual((kind,), s, _h1, _h2) < 1e-7
+            assert _involution_residual((kind,), s, _h1, _h2) < 1e-7
 
 
 def test_h0_h2_in_involution():
     s = random_state(5, Boundary.OPEN, 7, b_range=(1.5, 2.5), a_range=(0.1, 0.4))
-    assert poisson.involution_residual((TL2,), s, _h0, _h2) < 1e-7
+    assert _involution_residual((TL2,), s, _h0, _h2) < 1e-7
 
 
 def test_self_involution_is_exactly_zero():
     s = random_state(5, Boundary.OPEN, 7)
-    assert poisson.involution_residual((TL1,), s, _h2, _h2) < 1e-14
+    assert _involution_residual((TL1,), s, _h2, _h2) < 1e-14
 
 
 def _stack_h1(a, b):
@@ -168,11 +196,11 @@ def test_involution_residuals_of_a_batch_are_each_state_alone_bitwise():
               for seed in range(6)]
     kinds = (TL1, TL2, TL3)
     got = poisson.involution_residuals(kinds, states, (_stack_h1, _stack_h0), _stack_h2)
-    assert got == [poisson.involution_residual(kinds, s, f, _h2)
-                   for s in states for f in (_h1, _h0)]
+    assert got == [_involution_residual(kinds, s, f, _h2) for s in states for f in (_h1, _h0)]
     for f, one in ((_stack_h0, _h0), (_stack_h2, _h2)):
         assert np.array_equal(poisson.fd_gradients(f, states),
-                              [poisson.fd_gradient(one, s) for s in states])
+                              [poisson.fd_gradients(_of_states(one, s.boundary), [s])[0]
+                               for s in states])
 
 
 def _loop_differences(f, w0, indices):
@@ -199,7 +227,7 @@ def test_stacked_central_differences_are_the_loop_over_the_indices_bitwise(d, ki
     f = {"scalar": lambda w: float(np.sin(w) @ A @ np.exp(w)),
          "vector": lambda w: A @ np.sin(w) * np.exp(w),
          "matrix": lambda w: np.outer(np.sin(w), np.cosh(w)) @ A}[kind]
-    got = poisson._central_differences(poisson._each_row(f), w0, indices)
+    got = poisson._central_differences(_each_row(f), w0, indices)
     want = _loop_differences(f, w0, indices)
     assert got.shape == want.shape and np.array_equal(got, want)
     assert got.flags.c_contiguous
@@ -220,7 +248,7 @@ def test_central_differences_of_a_batch_are_each_base_point_bitwise(d, batch, ki
 
     def stencil(points):
         calls.append(len(points))
-        return poisson._each_row(f)(points)
+        return _each_row(f)(points)
 
     got = poisson._central_differences(stencil, w0, range(d))
     assert calls == [2 * d * batch] and got.flags.c_contiguous
@@ -233,7 +261,7 @@ def _pointwise_map_residual(step, kinds, s):
     state of its own, one at a time: the reference for the stacked form."""
     act = poisson._active(s)
     sub = np.ix_(act, act)
-    J = _loop_differences(lambda z: poisson._pack(step(poisson._unpack(z, s)))[act],
+    J = _loop_differences(lambda z: poisson._pack(step(_unpack(z, s)))[act],
                           poisson._pack(s), act)
     image = step(s)
     return max(float(np.max(np.abs(J @ poisson.bracket_matrix(kind, s)[sub] @ J.T
@@ -253,18 +281,21 @@ def test_map_residuals_of_a_batch_are_the_pointwise_ones_bitwise(name):
               poisson.Bracket("rtl3", lax_alpha)))
     for boundary in Boundary:
         states = [random_state(4, boundary, seed) for seed in range(6)]
-        got = poisson.poisson_map_residuals(step, kinds, states)
+        got = poisson.poisson_map_table(((step, kinds),), states)[0]
         assert got == [_pointwise_map_residual(step, kinds, s) for s in states]
 
 
-@pytest.mark.parametrize("index", range(0, 25, 4))
+@pytest.mark.parametrize("index", range(25))
 def test_realization_residuals_of_a_batch_are_each_state_alone_bitwise(index):
-    """Charting the stencils of several states as one stack gives each
-    state's residual bitwise."""
+    """Charting or stepping the stencils of several states as one stack gives
+    each state's residual bitwise: the push-forward, the pullback and the
+    symplectic defect of every chart spec."""
     spec = chart_specs(0.1)[index]
     states = [chart_state(spec, 5, seed) for seed in range(4)]
-    assert poisson.realization_residuals(spec, states) == [
-        poisson.realization_residuals(spec, [c])[0] for c in states]
+    for residuals in (poisson.realization_residuals, pullback_residuals, symplectic_defects):
+        got = residuals(spec, states)
+        assert got == [residuals(spec, [c])[0] for c in states], residuals.__name__
+        assert all(type(v) is float for v in got), residuals.__name__
 
 
 @pytest.mark.parametrize("index", range(0, 25, 3))
@@ -293,9 +324,9 @@ def test_a_nan_bracket_residual_is_not_dropped(monkeypatch):
     bracket_stack = poisson.bracket_stack
     monkeypatch.setattr(poisson, "bracket_stack", lambda kind, *rows: bracket_stack(kind, *rows)
                         * (math.nan if kind is TL2 else 1.0))
-    assert math.isnan(poisson.poisson_map_residuals(lambda st: st, (TL1, TL2), [s])[0])
-    assert math.isnan(poisson.involution_residual((TL1, TL2), s, lambda st: float(np.sum(st.b)),
-                                                  lambda st: float(np.sum(st.a))))
+    assert math.isnan(_map_residual(lambda st: st, (TL1, TL2), s))
+    assert math.isnan(_involution_residual((TL1, TL2), s, lambda st: float(np.sum(st.b)),
+                                           lambda st: float(np.sum(st.a))))
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +455,7 @@ def test_bracket_entries_are_at_most_quadratic_in_each_coordinate(kind, boundary
     z0 = poisson._pack(s)
 
     def pi(z):
-        return poisson.bracket_matrix(br, poisson._unpack(z, s))
+        return poisson.bracket_matrix(br, _unpack(z, s))
 
     for m in poisson._active(s):
         e = np.eye(len(z0))[m]

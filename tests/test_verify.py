@@ -518,27 +518,27 @@ def test_poisson_maps_check_raises_the_error_of_the_first_state_in_state_major_o
 def test_poisson_realizations_check_raises_the_error_of_the_loop_over_the_states(monkeypatch):
     """The first chart's target fails at state 0 and its stencil at state 1:
     charted as one stack, the stencils meet state 1's failure first; the
-    check raises state 0's error, as the loop over the states does."""
+    check raises state 0's error, as the loop over the states does.  Both
+    failures come from the chart stack: a stencil point moves one
+    coordinate of its state, a target is the state itself."""
     from todalab import realizations
     spec = chart_specs(0.1)[0]
     states = [chart_state(spec, 5, i) for i in range(3)]
-    chart_stack, flaschka_of = realizations.chart_stack, realizations.flaschka_of
+    chart_stack = realizations.chart_stack
 
     def near(x, c):
         return np.max(np.abs(x - c.x)) < 1e-4
 
     def failing_chart(sp, x, p, boundary):
-        if sp.name == spec.name and any(near(row, states[1]) for row in x):
-            raise NumericalError("stencil 1")
+        if sp.name == spec.name:
+            if any(np.array_equal(u, states[0].x) and np.array_equal(v, states[0].p)
+                   for u, v in zip(x, p)):
+                raise NumericalError("target 0")
+            if any(near(row, states[1]) for row in x):
+                raise NumericalError("stencil 1")
         return chart_stack(sp, x, p, boundary)
 
-    def failing_target(sp, c):
-        if sp.name == spec.name and np.array_equal(c.x, states[0].x):
-            raise NumericalError("target 0")
-        return flaschka_of(sp, c)
-
     monkeypatch.setattr(realizations, "chart_stack", failing_chart)
-    monkeypatch.setattr(realizations, "flaschka_of", failing_target)
     with pytest.raises(NumericalError, match="^target 0$"):
         verify.check_poisson_realizations(seed=0, n_states=3)
 
@@ -573,12 +573,12 @@ def test_a_nan_chart_residual_fails_its_record():
     specs = chart_specs(0.1)[:2]
     seen = []
 
-    def residual(spec, c):   # NaN for the first sample only
-        seen.append(spec)
-        return math.nan if len(seen) == 1 else 1e-16
+    def residuals(spec, states):   # NaN for the first sample only
+        seen.append(len(states))
+        return [math.nan if len(seen) == 1 and i == 0 else 1e-16 for i in range(len(states))]
 
-    rec = verify._chart_check("t", {}, specs, residual, 4, 0, 2, 1e-10)
-    assert len(seen) == 4
+    rec = verify._chart_check("t", {}, specs, residuals, 4, 0, 2, 1e-10)
+    assert seen == [2, 2]
     assert math.isnan(rec["max_residual"]) and rec["pass"] is False
 
 
